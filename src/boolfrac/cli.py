@@ -112,6 +112,10 @@ def _print_report(report):
 
 
 def _cmd_check(args):
+    for flag, value in (("--atoms", args.atoms), ("--grid", args.grid)):
+        if value < 1:
+            _fail("%s must be at least 1, got %d" % (flag, value))
+            return 2
     if args.law == "all":
         reports = lawcheck.check_all(args.atoms, args.grid)
     else:

@@ -1067,20 +1067,28 @@ def law_budget(law):
     return _BY_ID[law][0]
 
 
+def _check_sizes(atoms, max_weight):
+    if atoms < 1:
+        raise ValueError("atoms must be at least 1, got %d" % atoms)
+    if max_weight < 1:
+        raise ValueError("the largest grid weight must be at least 1, got %d" % max_weight)
+
+
 def check(law, atoms, max_weight=3):
     """Exhaustively check one law over `atoms` atoms.
 
     Raises UnknownLaw for ids outside the catalog ("all" is a
-    check_all spelling, not a single law) and TooLarge when `atoms`
-    exceeds the law's budget.
+    check_all spelling, not a single law), TooLarge when `atoms`
+    exceeds the law's budget, and ValueError when `atoms` or
+    `max_weight` is below 1 (a grid of all-zero weights has no
+    measure to check).
     """
     if law not in _BY_ID:
         if law == "all":
             raise UnknownLaw("'all' is the whole catalog; use check_all")
         raise UnknownLaw("unknown law id: %r" % (law,))
     budget, fn = _BY_ID[law]
-    if atoms < 1:
-        raise ValueError("atoms must be at least 1")
+    _check_sizes(atoms, max_weight)
     if atoms > budget:
         raise TooLarge("law %s runs on at most %d atoms, got %d" % (law, budget, atoms))
     space = law_space(atoms)
@@ -1098,8 +1106,7 @@ def check(law, atoms, max_weight=3):
 
 def check_all(atoms, max_weight=3):
     """Check the whole catalog, clamping each law to its own budget."""
-    if atoms < 1:
-        raise ValueError("atoms must be at least 1")
+    _check_sizes(atoms, max_weight)
     return [
         check(law, min(atoms, budget), max_weight)
         for law, budget, _ in _CATALOG

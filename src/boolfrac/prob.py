@@ -3,11 +3,17 @@
 A measure assigns a nonnegative rational weight to every atom, with a
 positive total. The probability of a conditional (a|b) is the weight of
 a&b over the weight of b, undefined (ZeroCondition) when b has weight
-zero. Everything here is computed in fractions.Fraction, so all
-comparisons are exact.
+zero.
 
-Besides the direct quotient, this module carries three expansion
-formulas and the additivity report:
+Every probability here is a quotient of subset weights, so the work is
+done in integers: a Measure scales its atom weights to their common
+denominator and looks subset weights up in integer tables. Sums and
+comparisons are exact integer arithmetic, and each function builds a
+single fractions.Fraction for the value it returns. Nothing is rounded
+anywhere.
+
+Besides the direct quotient, this module carries three expansions of a
+probability into weighted parts, and the additivity report:
 
   * p_or_formula: inclusion-exclusion for (a|b) v (c|d) through the
     chain rule, conditioning on b v d.
@@ -21,6 +27,7 @@ formulas and the additivity report:
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import conditional as cnd
 from .errors import (
@@ -31,14 +38,25 @@ from .errors import (
     ZeroTotalWeight,
 )
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+# Atoms per subset-weight table: a table holds 2**CHUNK_ATOMS entries.
+CHUNK_ATOMS = 8
+_CHUNK_MASK = (1 << CHUNK_ATOMS) - 1
 
 
 class Measure:
-    """Nonnegative rational atom weights with a positive total."""
+    """Nonnegative rational atom weights with a positive total.
 
-    __slots__ = ("space", "weights", "total")
+    Subset weights are read from integer tables. The atom weights are
+    scaled by the least common multiple of their denominators; atoms
+    are split into chunks of CHUNK_ATOMS, and each chunk gets a table
+    of the scaled weight of every subset of it, so the weight of an
+    event is one lookup per chunk (one lookup up to 8 atoms, eight at
+    64). The tables are built on the first lookup, not here: a space
+    file declares measures that a request may never use. weight and
+    weight_bits still return the exact Fraction.
+    """
+
+    __slots__ = ("space", "weights", "total", "_scale", "_tables")
 
     def __init__(self, space, weights):
         weights = tuple(Fraction(w) for w in weights)
@@ -55,14 +73,40 @@ class Measure:
         self.space = space
         self.weights = weights
         self.total = total
+        self._scale = None
+        self._tables = None
+
+    def _build_tables(self):
+        scale = lcm(*(w.denominator for w in self.weights))
+        scaled = [w.numerator * (scale // w.denominator) for w in self.weights]
+        tables = []
+        for start in range(0, len(scaled), CHUNK_ATOMS):
+            # Adding atom i appends the subsets that contain it, which
+            # are exactly the indices with bit i set.
+            table = [0]
+            for w in scaled[start:start + CHUNK_ATOMS]:
+                table += [t + w for t in table]
+            tables.append(table)
+        self._scale = scale
+        self._tables = tables
+        return tables
+
+    def _iw(self, bits):
+        """Integer weight of the atoms in `bits`, in units of 1/_scale."""
+        tables = self._tables
+        if tables is None:
+            tables = self._build_tables()
+        total = 0
+        for table in tables:
+            total += table[bits & _CHUNK_MASK]
+            bits >>= CHUNK_ATOMS
+        return total
 
     def weight_bits(self, bits):
-        total = ZERO
-        while bits:
-            low = bits & -bits
-            total += self.weights[low.bit_length() - 1]
-            bits &= bits - 1
-        return total
+        if not 0 <= bits <= self.space.full_bits:
+            raise ValueError("event bits 0x%x out of range for %d atoms" % (bits, self.space.n))
+        total = self._iw(bits)
+        return Fraction(total, self._scale)
 
     def weight(self, event):
         if event.space != self.space:
@@ -74,7 +118,7 @@ class Measure:
 
 
 def _check(m, x):
-    if m.space != x.space:
+    if m.space is not x.space and m.space != x.space:
         raise SpaceMismatch("measure and operand disagree on the sample space")
 
 
@@ -86,10 +130,10 @@ def p_event(m, a):
 def p_cond(m, x):
     """Probability of a conditional: weight of consequent over condition."""
     _check(m, x)
-    wc = m.weight_bits(x.c)
+    wc = m._iw(x.c)
     if wc == 0:
         raise ZeroCondition("condition %s has weight zero" % (x.condition,))
-    return m.weight_bits(x.q) / wc
+    return Fraction(m._iw(x.q), wc)
 
 
 def p_or_formula(m, x, y):
@@ -99,29 +143,24 @@ def p_or_formula(m, x, y):
 
     Each product collapses to a single quotient over w(b v d); a product
     whose inner condition has weight zero contributes zero, which is the
-    value the collapsed quotient has anyway. Always equals
+    value the collapsed quotient has anyway. The three numerators are
+    summed as integers over the one denominator. Always equals
     p_cond(or_(x, y)).
     """
     _check(m, x)
     _check(m, y)
-    if x.space != y.space:
-        raise SpaceMismatch("operands belong to different sample spaces")
-    w = m.weight_bits
+    w = m._iw
     wu = w(x.c | y.c)
     if wu == 0:
         raise ZeroCondition("condition %s has weight zero" % (x.condition | y.condition,))
-
-    def term(num_bits, mid_bits):
-        wm = w(mid_bits)
-        if wm == 0:
-            return ZERO
-        return (w(num_bits) / wm) * (wm / wu)
-
-    return (
-        term(x.q, x.c)
-        + term(y.q, y.c)
-        - term(x.q & y.q, x.c & y.c)
-    )
+    num = 0
+    if w(x.c):
+        num += w(x.q)
+    if w(y.c):
+        num += w(y.q)
+    if w(x.c & y.c):
+        num -= w(x.q & y.q)
+    return Fraction(num, wu)
 
 
 def p_superposition(m, x, y, mode="or"):
@@ -134,34 +173,29 @@ def p_superposition(m, x, y, mode="or"):
         P(a|bd')P(bd'|bvd) + P(c|b'd)P(b'd|bvd) + P((a op c)bd|bvd)
 
     A product whose inner condition has weight zero contributes zero.
-    Always equals p_cond of or_(x, y) / and_(x, y).
+    The numerators are summed as integers over w(b v d). Always equals
+    p_cond of or_(x, y) / and_(x, y).
     """
     _check(m, x)
     _check(m, y)
-    if x.space != y.space:
-        raise SpaceMismatch("operands belong to different sample spaces")
     if mode not in ("or", "and"):
         raise ValueError("mode must be 'or' or 'and', got %r" % (mode,))
-    w = m.weight_bits
-    union = x.c | y.c
-    wu = w(union)
+    w = m._iw
+    wu = w(x.c | y.c)
     if wu == 0:
         raise ZeroCondition("condition %s has weight zero" % (x.condition | y.condition,))
-
-    def side(q_bits, ctx_bits):
-        wctx = w(ctx_bits)
-        if wctx == 0:
-            return ZERO
-        return (w(q_bits & ctx_bits) / wctx) * (wctx / wu)
-
     only_x = x.c & ~y.c
     only_y = y.c & ~x.c
     both = x.c & y.c
     if mode == "or":
-        overlap = (x.q | y.q) & both
+        num = w((x.q | y.q) & both)
     else:
-        overlap = x.q & y.q
-    return side(x.q, only_x) + side(y.q, only_y) + w(overlap) / wu
+        num = w(x.q & y.q)
+    if w(only_x):
+        num += w(x.q & only_x)
+    if w(only_y):
+        num += w(y.q & only_y)
+    return Fraction(num, wu)
 
 
 def partition_expansion(m, a, parts):
@@ -181,16 +215,15 @@ def partition_expansion(m, a, parts):
             raise NotAPartition("parts overlap at %s" % (part,))
         union |= part.bits
     _check(m, a)
-    wu = m.weight_bits(union)
+    w = m._iw
+    wu = w(union)
     if wu == 0:
         raise ZeroCondition("partition union has weight zero")
-    total = ZERO
+    num = 0
     for part in parts:
-        wp = m.weight_bits(part.bits)
-        if wp == 0:
-            continue
-        total += (m.weight_bits(a.bits & part.bits) / wp) * (wp / wu)
-    return total
+        if w(part.bits):
+            num += w(a.bits & part.bits)
+    return Fraction(num, wu)
 
 
 @dataclass(frozen=True)
@@ -220,14 +253,20 @@ def additive_law_check(m, a, c1, b, c2):
     """
     x = cnd.make(a, c1)
     y = cnd.make(b, c2)
-    w = m.weight_bits
-    if w(x.c) == 0 or w(y.c) == 0:
+    _check(m, x)
+    _check(m, y)
+    w = m._iw
+    wx = w(x.c)
+    wy = w(y.c)
+    if wx == 0 or wy == 0:
         raise ZeroCondition("both conditions need positive weight")
+    wxq = w(x.q)
+    wyq = w(y.q)
     lhs = p_cond(m, cnd.or_(x, y))
-    rhs = p_cond(m, x) + p_cond(m, y)
+    rhs = Fraction(wxq * wy + wyq * wx, wx * wy)
 
-    ac1_null = w(x.q) == 0
-    bc2_null = w(y.q) == 0
+    ac1_null = wxq == 0
+    bc2_null = wyq == 0
     c1_in_c2 = w(x.c & ~y.c) == 0
     c2_in_c1 = w(y.c & ~x.c) == 0
     cases = []

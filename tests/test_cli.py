@@ -235,6 +235,22 @@ def test_check_over_budget_is_a_domain_error(capsys):
     assert err.startswith("boolfrac: error: ")
 
 
+@pytest.mark.parametrize(
+    "law, flag, value",
+    [
+        ("t2.4", "--atoms", "0"),
+        ("all", "--atoms", "-1"),
+        ("t2.13", "--grid", "0"),
+        ("superposition", "--grid", "-1"),
+        ("all", "--grid", "0"),
+    ],
+)
+def test_check_sizes_below_one_are_usage_errors(capsys, law, flag, value):
+    code, out, err = run(capsys, "check", "--law", law, flag, value)
+    assert (code, out) == (2, "")
+    assert err == "boolfrac: error: %s must be at least 1, got %s\n" % (flag, value)
+
+
 def test_check_reports_failures_with_counterexamples(capsys, monkeypatch):
     def broken(q1, c1, q2, c2):
         return (q1 & q2) | (~c1 & q2), c1 | c2

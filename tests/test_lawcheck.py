@@ -73,6 +73,17 @@ def test_check_rejects_unknown_and_oversized_requests():
         lawcheck.check("t2.4", 0)
 
 
+def test_check_rejects_weight_grids_below_one():
+    """A grid with largest weight 0 holds no measure, so a PASS would
+    mean nothing."""
+    with pytest.raises(ValueError):
+        lawcheck.check("t2.13", 2, 0)
+    with pytest.raises(ValueError):
+        lawcheck.check("superposition", 2, -1)
+    with pytest.raises(ValueError):
+        lawcheck.check_all(2, max_weight=0)
+
+
 def test_law_budget_lookup():
     assert lawcheck.law_budget("t2.4") == 4
     assert lawcheck.law_budget("t2.13") == 3
