@@ -33,7 +33,11 @@ def _fail(message):
 
 def _load_doc(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return lang.parse_space(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError("%s is not UTF-8 text: %s" % (path, exc)) from None
+    return lang.parse_space(text)
 
 
 def _cmd_eval(args):

@@ -11,8 +11,10 @@ left-associative):
     setlit := "{" [NAME ("," NAME)*] "}"
 
 FUNC is one of osum, proj, s_and, s_or, s_cap, s_cup. The words `and`,
-`or` and the function names are reserved: an event with one of those
-names cannot be referenced from an expression. A bare NAME refers to a
+`or` and the function names are reserved: an expression cannot refer
+to them, so a space file rejects them as atom, event and measure
+names. An expression nested deeper than the interpreter's recursion
+limit is a ParseError, not a crash. A bare NAME refers to a
 named event if the space defines one, otherwise to the atom of that
 name. Every leaf lowers to the conditional (event | whole space), so
 plain Boolean formulas come out with the full space as condition and
@@ -241,7 +243,10 @@ class _Parser:
 
 def parse_expr(text):
     parser = _Parser(tokenize(text))
-    node = parser.expr()
+    try:
+        node = parser.expr()
+    except RecursionError:
+        raise ParseError("expression nests too deeply") from None
     if parser.peek().kind != "eof":
         parser.fail({"end of input", "an operator"})
     return node
@@ -402,6 +407,10 @@ def parse_space(text):
             for atom in atom_names:
                 if not valid_atom_name(atom):
                     raise ParseError("invalid atom name %r" % (atom,), line_no, 1)
+                if atom in RESERVED_WORDS:
+                    raise ParseError(
+                        "%r is a reserved word and cannot name an atom" % (atom,), line_no, 1
+                    )
                 if atom in seen:
                     raise DuplicateName("line %d: duplicate atom %r" % (line_no, atom))
                 seen.add(atom)

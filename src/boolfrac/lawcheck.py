@@ -15,6 +15,16 @@ spelled out as direct bit inequalities here. A mutation in a kernel
 therefore shows up as a mismatch against the independent
 characterization rather than being silently replicated on both sides.
 
+A law runs its own instance loops, counting each instance before it
+evaluates it. It returns its count on PASS and `count, template,
+*operands` on failure. `check` renders every operand the same way: a
+(q, c) pair or a Conditional through `format_conditional`, a bool as
+true/false, anything else with %s. Only t3.11 passes with a note; it
+returns `count, None, template, *operands`. A law body that raises (a
+mutated kernel can make a probability undefined) is a FAIL whose
+counterexample reads "raised <Type>: <message>"; instances_checked is
+the law's count at the raise, the raising instance included.
+
 Budgets: the triple-quantified laws run up to 4 atoms; laws that sweep
 measure grids, search for decompositions, or close subalgebras stop at
 3 (their instance spaces grow much faster). check_all clamps each law
@@ -56,17 +66,8 @@ def enumerate_conditionals(space):
     """All 3**n conditionals of a space, in canonical enumeration order."""
     if space.n > MAX_ENUMERATION_ATOMS:
         raise TooLarge("refusing to enumerate conditionals over %d atoms" % space.n)
-    return [
-        cnd.Conditional(space, q, c)
-        for q, c in cnd.enumerate_conditionals_bits(space.full_bits)
-    ]
-
-
-def _formatter(space):
-    def fmt(pair):
-        return format_conditional(cnd.Conditional(space, pair[0], pair[1]))
-
-    return fmt
+    return [cnd.Conditional(space, q, c)
+            for q, c in cnd.enumerate_conditionals_bits(space.full_bits)]
 
 
 def _grids(space, max_weight):
@@ -76,8 +77,10 @@ def _grids(space, max_weight):
             yield weights
 
 
-def _tf(flag):
-    return "true" if flag else "false"
+# Counterexample templates shared by laws with the same message.
+_EQUATION_SIDE = "x=%s y=%s z=%s lhs=%s rhs=%s side=%s"
+_ABSORPTION_SIDE = "x=%s z=%s lhs=%s side=%s"
+_SIMVER_SIMFALS = "x=%s y=%s simver=%s simfals=%s"
 
 
 # ---------------------------------------------------------------- laws
@@ -87,7 +90,6 @@ def _law_t2_4(space, pairs, max_weight):
     """and_(x, or_(y, z)) == or_(and_(x, y), and_(x, z)) iff
     ab & e'f <= d and ab & c'd <= f."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
-    fmt = _formatter(space)
     count = 0
     for q1, c1 in pairs:
         for q2, c2 in pairs:
@@ -97,19 +99,14 @@ def _law_t2_4(space, pairs, max_weight):
                 rhs = or_b(*and_b(q1, c1, q2, c2), *and_b(q1, c1, q3, c3))
                 side = (q1 & c3 & ~q3 & ~c2) == 0 and (q1 & c2 & ~q2 & ~c3) == 0
                 if (lhs == rhs) != side:
-                    return count, (
-                        "x=%s y=%s z=%s lhs=%s rhs=%s side=%s"
-                        % (fmt((q1, c1)), fmt((q2, c2)), fmt((q3, c3)),
-                           fmt(lhs), fmt(rhs), _tf(side))
-                    ), None
-    return count, None, None
+                    return count, _EQUATION_SIDE, (q1, c1), (q2, c2), (q3, c3), lhs, rhs, side
+    return count
 
 
 def _law_c2_5(space, pairs, max_weight):
     """or_(x, and_(y, z)) == and_(or_(x, y), or_(x, z)) iff
     a'b & ef <= d and a'b & cd <= f."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
-    fmt = _formatter(space)
     count = 0
     for q1, c1 in pairs:
         nay = c1 & ~q1
@@ -120,19 +117,14 @@ def _law_c2_5(space, pairs, max_weight):
                 rhs = and_b(*or_b(q1, c1, q2, c2), *or_b(q1, c1, q3, c3))
                 side = (nay & q3 & ~c2) == 0 and (nay & q2 & ~c3) == 0
                 if (lhs == rhs) != side:
-                    return count, (
-                        "x=%s y=%s z=%s lhs=%s rhs=%s side=%s"
-                        % (fmt((q1, c1)), fmt((q2, c2)), fmt((q3, c3)),
-                           fmt(lhs), fmt(rhs), _tf(side))
-                    ), None
-    return count, None, None
+                    return count, _EQUATION_SIDE, (q1, c1), (q2, c2), (q3, c3), lhs, rhs, side
+    return count
 
 
 def _law_t2_6(space, pairs, max_weight):
     """or_(x, and_(y, z)) == and_(or_(x, y), z) iff
     ab & e'f == 0 and a'b & ef <= d."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
-    fmt = _formatter(space)
     count = 0
     for q1, c1 in pairs:
         nay = c1 & ~q1
@@ -143,19 +135,14 @@ def _law_t2_6(space, pairs, max_weight):
                 rhs = and_b(*or_b(q1, c1, q2, c2), q3, c3)
                 side = (q1 & c3 & ~q3) == 0 and (nay & q3 & ~c2) == 0
                 if (lhs == rhs) != side:
-                    return count, (
-                        "x=%s y=%s z=%s lhs=%s rhs=%s side=%s"
-                        % (fmt((q1, c1)), fmt((q2, c2)), fmt((q3, c3)),
-                           fmt(lhs), fmt(rhs), _tf(side))
-                    ), None
-    return count, None, None
+                    return count, _EQUATION_SIDE, (q1, c1), (q2, c2), (q3, c3), lhs, rhs, side
+    return count
 
 
 def _law_c2_7(space, pairs, max_weight):
     """and_(x, or_(y, z)) == or_(and_(x, y), z) iff
     a'b & ef == 0 and ab & e'f <= d."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
-    fmt = _formatter(space)
     count = 0
     for q1, c1 in pairs:
         nay = c1 & ~q1
@@ -166,18 +153,13 @@ def _law_c2_7(space, pairs, max_weight):
                 rhs = or_b(*and_b(q1, c1, q2, c2), q3, c3)
                 side = (nay & q3) == 0 and (q1 & c3 & ~q3 & ~c2) == 0
                 if (lhs == rhs) != side:
-                    return count, (
-                        "x=%s y=%s z=%s lhs=%s rhs=%s side=%s"
-                        % (fmt((q1, c1)), fmt((q2, c2)), fmt((q3, c3)),
-                           fmt(lhs), fmt(rhs), _tf(side))
-                    ), None
-    return count, None, None
+                    return count, _EQUATION_SIDE, (q1, c1), (q2, c2), (q3, c3), lhs, rhs, side
+    return count
 
 
 def _law_c2_8(space, pairs, max_weight):
     """and_(x, or_(not x, z)) == z iff b <= f and a'b <= e'f."""
     or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
-    fmt = _formatter(space)
     count = 0
     for q1, c1 in pairs:
         neg = not_b(q1, c1)
@@ -186,17 +168,13 @@ def _law_c2_8(space, pairs, max_weight):
             lhs = and_b(q1, c1, *or_b(*neg, q3, c3))
             side = (c1 & ~c3) == 0 and ((c1 & ~q1) & ~(c3 & ~q3)) == 0
             if (lhs == (q3, c3)) != side:
-                return count, (
-                    "x=%s z=%s lhs=%s side=%s"
-                    % (fmt((q1, c1)), fmt((q3, c3)), fmt(lhs), _tf(side))
-                ), None
-    return count, None, None
+                return count, _ABSORPTION_SIDE, (q1, c1), (q3, c3), lhs, side
+    return count
 
 
 def _law_c2_9(space, pairs, max_weight):
     """or_(x, and_(not x, z)) == z iff b <= f and ab <= ef."""
     or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
-    fmt = _formatter(space)
     count = 0
     for q1, c1 in pairs:
         neg = not_b(q1, c1)
@@ -205,11 +183,8 @@ def _law_c2_9(space, pairs, max_weight):
             lhs = or_b(q1, c1, *and_b(*neg, q3, c3))
             side = (c1 & ~c3) == 0 and (q1 & ~q3) == 0
             if (lhs == (q3, c3)) != side:
-                return count, (
-                    "x=%s z=%s lhs=%s side=%s"
-                    % (fmt((q1, c1)), fmt((q3, c3)), fmt(lhs), _tf(side))
-                ), None
-    return count, None, None
+                return count, _ABSORPTION_SIDE, (q1, c1), (q3, c3), lhs, side
+    return count
 
 
 def _law_props2_3(space, pairs, max_weight):
@@ -218,7 +193,6 @@ def _law_props2_3(space, pairs, max_weight):
     absolutes, and the conditioned absorption
     and_(x, y) == and_(y, given(x, y))."""
     or_b, and_b, not_b, giv_b = cnd.or_bits, cnd.and_bits, cnd.not_bits, cnd.given_bits
-    fmt = _formatter(space)
     full = space.full_bits
     count = 0
     for p in pairs:
@@ -238,39 +212,33 @@ def _law_props2_3(space, pairs, max_weight):
         )
         for label, ok in checks:
             if not ok:
-                return count, "%s fails at x=%s" % (label, fmt(p)), None
+                return count, "%s fails at x=%s", label, p
     for p in pairs:
         q1, c1 = p
         for s in pairs:
             q2, c2 = s
             count += 1
             if or_b(q1, c1, q2, c2) != or_b(q2, c2, q1, c1):
-                return count, "or_ not commutative at x=%s y=%s" % (fmt(p), fmt(s)), None
+                return count, "or_ not commutative at x=%s y=%s", p, s
             if and_b(q1, c1, q2, c2) != and_b(q2, c2, q1, c1):
-                return count, "and_ not commutative at x=%s y=%s" % (fmt(p), fmt(s)), None
+                return count, "and_ not commutative at x=%s y=%s", p, s
             if not_b(*or_b(q1, c1, q2, c2)) != and_b(*not_b(q1, c1), *not_b(q2, c2)):
-                return count, "De Morgan (or) fails at x=%s y=%s" % (fmt(p), fmt(s)), None
+                return count, "De Morgan (or) fails at x=%s y=%s", p, s
             if not_b(*and_b(q1, c1, q2, c2)) != or_b(*not_b(q1, c1), *not_b(q2, c2)):
-                return count, "De Morgan (and) fails at x=%s y=%s" % (fmt(p), fmt(s)), None
+                return count, "De Morgan (and) fails at x=%s y=%s", p, s
             if and_b(q1, c1, q2, c2) != and_b(q2, c2, *giv_b(q1, c1, q2, c2)):
-                return count, (
-                    "and_(x, y) != and_(y, given(x, y)) at x=%s y=%s" % (fmt(p), fmt(s))
-                ), None
+                return count, "and_(x, y) != and_(y, given(x, y)) at x=%s y=%s", p, s
     for q1, c1 in pairs:
         for q2, c2 in pairs:
             for q3, c3 in pairs:
                 count += 1
                 if or_b(*or_b(q1, c1, q2, c2), q3, c3) != or_b(q1, c1, *or_b(q2, c2, q3, c3)):
-                    return count, (
-                        "or_ not associative at x=%s y=%s z=%s"
-                        % (fmt((q1, c1)), fmt((q2, c2)), fmt((q3, c3)))
-                    ), None
+                    return (count, "or_ not associative at x=%s y=%s z=%s",
+                            (q1, c1), (q2, c2), (q3, c3))
                 if and_b(*and_b(q1, c1, q2, c2), q3, c3) != and_b(q1, c1, *and_b(q2, c2, q3, c3)):
-                    return count, (
-                        "and_ not associative at x=%s y=%s z=%s"
-                        % (fmt((q1, c1)), fmt((q2, c2)), fmt((q3, c3)))
-                    ), None
-    return count, None, None
+                    return (count, "and_ not associative at x=%s y=%s z=%s",
+                            (q1, c1), (q2, c2), (q3, c3))
+    return count
 
 
 def _law_t2_13(space, pairs, max_weight):
@@ -290,12 +258,11 @@ def _law_t2_13(space, pairs, max_weight):
                         count += 1
                         rep = prob.additive_law_check(m, e_a, e_c1, e_b, e_c2)
                         if rep.holds != bool(rep.cases):
-                            return count, (
-                                "weights=%s A=%s C1=%s B=%s C2=%s lhs=%s rhs=%s cases=%s"
-                                % (list(weights), e_a, e_c1, e_b, e_c2,
-                                   rep.lhs, rep.rhs, list(rep.cases))
-                            ), None
-    return count, None, None
+                            return (count,
+                                    "weights=%s A=%s C1=%s B=%s C2=%s lhs=%s rhs=%s cases=%s",
+                                    list(weights), e_a, e_c1, e_b, e_c2, rep.lhs, rep.rhs,
+                                    list(rep.cases))
+    return count
 
 
 def _law_t2_18(space, pairs, max_weight):
@@ -303,7 +270,6 @@ def _law_t2_18(space, pairs, max_weight):
     (a'b & x | ab v y) over all event pairs (x, y); and the inequality
     form of orthogonality coincides with and_(c, z) == (0 | b v d)."""
     and_b = cnd.and_bits
-    fmt = _formatter(space)
     count = 0
     all_bits = range(space.full_bits + 1)
     for p in pairs:
@@ -316,34 +282,27 @@ def _law_t2_18(space, pairs, max_weight):
             by_op = and_b(q1, c1, q2, c2) == (0, c1 | c2)
             by_ineq = rel.orthogonal_bits(q1, c1, q2, c2)
             if by_op != by_ineq:
-                return count, (
-                    "orthogonality routes disagree at c=%s z=%s: op=%s ineq=%s"
-                    % (fmt(p), fmt(s), _tf(by_op), _tf(by_ineq))
-                ), None
+                return (count, "orthogonality routes disagree at c=%s z=%s: op=%s ineq=%s",
+                        p, s, by_op, by_ineq)
             if by_ineq:
                 orth_set.add(s)
         family = set()
         for xbits in all_bits:
             for ybits in all_bits:
                 count += 1
-                member = rel.ortho_family_member(
-                    cond_obj, Event(space, xbits), Event(space, ybits)
-                )
+                member = rel.ortho_family_member(cond_obj, Event(space, xbits),
+                                                 Event(space, ybits))
                 family.add((member.q, member.c))
         if family != orth_set:
-            diff = sorted(family ^ orth_set)[0]
-            return count, (
-                "family and orthogonality set differ at c=%s, e.g. %s"
-                % (fmt(p), fmt(diff))
-            ), None
-    return count, None, None
+            return (count, "family and orthogonality set differ at c=%s, e.g. %s",
+                    p, sorted(family ^ orth_set)[0])
+    return count
 
 
 def _law_t2_19(space, pairs, max_weight):
     """The set of conditionals orthogonal to c is closed under or_ and
     and_."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
-    fmt = _formatter(space)
     count = 0
     for p in pairs:
         q1, c1 = p
@@ -353,16 +312,10 @@ def _law_t2_19(space, pairs, max_weight):
             for v in members:
                 count += 1
                 if or_b(*u, *v) not in member_set:
-                    return count, (
-                        "or_ of orthogonals leaves the set at c=%s u=%s v=%s"
-                        % (fmt(p), fmt(u), fmt(v))
-                    ), None
+                    return count, "or_ of orthogonals leaves the set at c=%s u=%s v=%s", p, u, v
                 if and_b(*u, *v) not in member_set:
-                    return count, (
-                        "and_ of orthogonals leaves the set at c=%s u=%s v=%s"
-                        % (fmt(p), fmt(u), fmt(v))
-                    ), None
-    return count, None, None
+                    return count, "and_ of orthogonals leaves the set at c=%s u=%s v=%s", p, u, v
+    return count
 
 
 def _law_p2_20(space, pairs, max_weight):
@@ -370,18 +323,17 @@ def _law_p2_20(space, pairs, max_weight):
     order, and meets its relative complement laws:
     and_(x, not x) == (0|b), or_(x, not x) == (1|b)."""
     or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
-    fmt = _formatter(space)
     count = 0
     for p in pairs:
         q1, c1 = p
         neg = not_b(q1, c1)
         count += 1
         if not_b(*neg) != p:
-            return count, "negation is not an involution at x=%s" % fmt(p), None
+            return count, "negation is not an involution at x=%s", p
         if and_b(q1, c1, *neg) != (0, c1):
-            return count, "and_(x, not x) != (0|b) at x=%s" % fmt(p), None
+            return count, "and_(x, not x) != (0|b) at x=%s", p
         if or_b(q1, c1, *neg) != (c1, c1):
-            return count, "or_(x, not x) != (1|b) at x=%s" % fmt(p), None
+            return count, "or_(x, not x) != (1|b) at x=%s", p
     for p in pairs:
         q1, c1 = p
         for s in pairs:
@@ -394,10 +346,8 @@ def _law_p2_20(space, pairs, max_weight):
             nq2, nc2 = not_b(q1, c1)
             neg_pm = (nq1 & ~nq2) == 0 and ((nc2 & ~nq2) & ~(nc1 & ~nq1)) == 0
             if fwd != neg_pm or bwd != neg_pm:
-                return count, (
-                    "pm does not reverse under negation at x=%s y=%s" % (fmt(p), fmt(s))
-                ), None
-    return count, None, None
+                return count, "pm does not reverse under negation at x=%s y=%s", p, s
+    return count
 
 
 def _law_truth_tables(space, pairs, max_weight):
@@ -405,7 +355,6 @@ def _law_truth_tables(space, pairs, max_weight):
     three-valued table applied to the evaluations of x and y, for and_,
     or_, given and not. Over every pair this pins all thirty table
     entries."""
-    fmt = _formatter(space)
     bits = [1 << i for i in range(space.n)]
     ops = (
         ("and", cnd.and_bits, tv.tt_and),
@@ -423,21 +372,16 @@ def _law_truth_tables(space, pairs, max_weight):
                 for name, (rq, rc), table in results:
                     count += 1
                     if ev(rq, rc, bit) != table(p_val, s_val):
-                        return count, (
-                            "%s disagrees with its table at x=%s y=%s atom=%s"
-                            % (name, fmt((q1, c1)), fmt((q2, c2)),
-                               space.atoms[bit.bit_length() - 1])
-                        ), None
+                        return (count, "%s disagrees with its table at x=%s y=%s atom=%s",
+                                name, (q1, c1), (q2, c2), space.atoms[bit.bit_length() - 1])
     for q1, c1 in pairs:
         nq, nc = cnd.not_bits(q1, c1)
         for bit in bits:
             count += 1
             if ev(nq, nc, bit) != tv.tt_not(ev(q1, c1, bit)):
-                return count, (
-                    "not disagrees with its table at x=%s atom=%s"
-                    % (fmt((q1, c1)), space.atoms[bit.bit_length() - 1])
-                ), None
-    return count, None, None
+                return (count, "not disagrees with its table at x=%s atom=%s",
+                        (q1, c1), space.atoms[bit.bit_length() - 1])
+    return count
 
 
 def _law_superposition(space, pairs, max_weight):
@@ -447,7 +391,6 @@ def _law_superposition(space, pairs, max_weight):
     p_or_formula / p_superposition agreeing with p_cond on every grid
     measure."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
-    fmt = _formatter(space)
     count = 0
     for p in pairs:
         q1, c1 = p
@@ -458,34 +401,22 @@ def _law_superposition(space, pairs, max_weight):
             both = c1 & c2
             lhs_or = or_b(q1, c1, q2, c2)
             lhs_and = and_b(q1, c1, q2, c2)
-            two = or_b(
-                *and_b(q1, c1, c1, union),
-                *and_b(q2, c2, c2, union),
-            )
+            two = or_b(*and_b(q1, c1, c1, union), *and_b(q2, c2, c2, union))
             if lhs_or != two:
-                return count, (
-                    "two-term split fails at x=%s y=%s lhs=%s rhs=%s"
-                    % (fmt(p), fmt(s), fmt(lhs_or), fmt(two))
-                ), None
+                return count, "two-term split fails at x=%s y=%s lhs=%s rhs=%s", p, s, lhs_or, two
             only_x = and_b(q1, c1, c1 & ~c2, union)
             only_y = and_b(q2, c2, c2 & ~c1, union)
             three_or = or_b(*or_b(*only_x, *only_y), (q1 | q2) & both, union)
             if lhs_or != three_or:
-                return count, (
-                    "three-term or split fails at x=%s y=%s lhs=%s rhs=%s"
-                    % (fmt(p), fmt(s), fmt(lhs_or), fmt(three_or))
-                ), None
+                return (count, "three-term or split fails at x=%s y=%s lhs=%s rhs=%s",
+                        p, s, lhs_or, three_or)
             three_and = or_b(*or_b(*only_x, *only_y), q1 & q2, union)
             if lhs_and != three_and:
-                return count, (
-                    "three-term and split fails at x=%s y=%s lhs=%s rhs=%s"
-                    % (fmt(p), fmt(s), fmt(lhs_and), fmt(three_and))
-                ), None
+                return (count, "three-term and split fails at x=%s y=%s lhs=%s rhs=%s",
+                        p, s, lhs_and, three_and)
             coincide = (q1 & (c2 & ~q2)) == 0 and ((c1 & ~q1) & q2) == 0
             if (lhs_or == lhs_and) != coincide:
-                return count, (
-                    "or==and criterion fails at x=%s y=%s" % (fmt(p), fmt(s))
-                ), None
+                return count, "or==and criterion fails at x=%s y=%s", p, s
     conds = [cnd.Conditional(space, q, c) for q, c in pairs]
     for weights in _grids(space, max_weight):
         m = prob.Measure(space, weights)
@@ -503,11 +434,9 @@ def _law_superposition(space, pairs, max_weight):
                     and prob.p_superposition(m, x, y, "and") == direct_and
                 )
                 if not ok:
-                    return count, (
-                        "probability expansions disagree at weights=%s x=%s y=%s"
-                        % (list(weights), format_conditional(x), format_conditional(y))
-                    ), None
-    return count, None, None
+                    return (count, "probability expansions disagree at weights=%s x=%s y=%s",
+                            list(weights), x, y)
+    return count
 
 
 def _decomposition_index(pairs):
@@ -530,7 +459,6 @@ def _law_t3_2(space, pairs, max_weight):
     shared part: x == or_(u, w), y == or_(v, w). The search is a full
     enumeration of all splittings."""
     orth = rel.orthogonal_bits
-    fmt = _formatter(space)
     index = _decomposition_index(pairs)
     count = 0
     for x in pairs:
@@ -541,34 +469,21 @@ def _law_t3_2(space, pairs, max_weight):
             count += 1
             expected = (q1 & ~c2) == 0 and (q2 & ~c1) == 0
             by_r_y = index.get(y, {})
-            found = False
-            for r, us in by_r_x.items():
-                vs = by_r_y.get(r)
-                if vs is None:
-                    continue
-                for u in us:
-                    for v in vs:
-                        if orth(*u, *v):
-                            found = True
-                            break
-                    if found:
-                        break
-                if found:
-                    break
+            found = any(
+                orth(*u, *v)
+                for r, us in by_r_x.items() if r in by_r_y
+                for u in us for v in by_r_y[r]
+            )
             if found != expected:
-                return count, (
-                    "decomposition search disagrees with the inequality at "
-                    "x=%s y=%s: search=%s inequality=%s"
-                    % (fmt(x), fmt(y), _tf(found), _tf(expected))
-                ), None
-    return count, None, None
+                return (count, "decomposition search disagrees with the inequality at "
+                        "x=%s y=%s: search=%s inequality=%s", x, y, found, expected)
+    return count
 
 
 def _law_c3_3(space, pairs, max_weight):
     """and_(x, y) == (abcd | b v d) exactly when x and y are
     simultaneously verifiable."""
     and_b = cnd.and_bits
-    fmt = _formatter(space)
     count = 0
     for x in pairs:
         q1, c1 = x
@@ -578,18 +493,14 @@ def _law_c3_3(space, pairs, max_weight):
             collapses = and_b(q1, c1, q2, c2) == (q1 & q2, c1 | c2)
             simver = (q1 & ~c2) == 0 and (q2 & ~c1) == 0
             if collapses != simver:
-                return count, (
-                    "x=%s y=%s collapse=%s simver=%s"
-                    % (fmt(x), fmt(y), _tf(collapses), _tf(simver))
-                ), None
-    return count, None, None
+                return count, "x=%s y=%s collapse=%s simver=%s", x, y, collapses, simver
+    return count
 
 
 def _law_c3_5(space, pairs, max_weight):
     """Simultaneous falsifiability (a'b <= d and c'd <= b) is
     simultaneous verifiability of the negations."""
     not_b = cnd.not_bits
-    fmt = _formatter(space)
     count = 0
     for x in pairs:
         q1, c1 = x
@@ -601,16 +512,12 @@ def _law_c3_5(space, pairs, max_weight):
             ny = not_b(q2, c2)
             via_neg = (nx[0] & ~ny[1]) == 0 and (ny[0] & ~nx[1]) == 0
             if direct != via_neg:
-                return count, (
-                    "x=%s y=%s direct=%s negated=%s"
-                    % (fmt(x), fmt(y), _tf(direct), _tf(via_neg))
-                ), None
-    return count, None, None
+                return count, "x=%s y=%s direct=%s negated=%s", x, y, direct, via_neg
+    return count
 
 
 def _law_c3_6(space, pairs, max_weight):
     """Simultaneously verifiable and falsifiable == equal conditions."""
-    fmt = _formatter(space)
     count = 0
     for x in pairs:
         q1, c1 = x
@@ -620,39 +527,31 @@ def _law_c3_6(space, pairs, max_weight):
             simver = (q1 & ~c2) == 0 and (q2 & ~c1) == 0
             simfals = ((c1 & ~q1) & ~c2) == 0 and ((c2 & ~q2) & ~c1) == 0
             if (simver and simfals) != (c1 == c2):
-                return count, (
-                    "x=%s y=%s simver=%s simfals=%s"
-                    % (fmt(x), fmt(y), _tf(simver), _tf(simfals))
-                ), None
-    return count, None, None
+                return count, _SIMVER_SIMFALS, x, y, simver, simfals
+    return count
 
 
 def _law_t3_7(space, pairs, max_weight):
     """The subalgebra generated by x and y is Boolean exactly when their
     conditions are equal and nonempty."""
-    fmt = _formatter(space)
     count = 0
     for x in pairs:
         q1, c1 = x
         for y in pairs:
             q2, c2 = y
             count += 1
-            sub = rel.generated_subalgebra(
-                cnd.Conditional(space, q1, c1), cnd.Conditional(space, q2, c2)
-            )
+            sub = rel.generated_subalgebra(cnd.Conditional(space, q1, c1),
+                                           cnd.Conditional(space, q2, c2))
             if sub.is_boolean != (c1 == c2 != 0):
-                return count, (
-                    "x=%s y=%s is_boolean=%s same_nonempty_condition=%s"
-                    % (fmt(x), fmt(y), _tf(sub.is_boolean), _tf(c1 == c2 != 0))
-                ), None
-    return count, None, None
+                return (count, "x=%s y=%s is_boolean=%s same_nonempty_condition=%s",
+                        x, y, sub.is_boolean, c1 == c2 != 0)
+    return count
 
 
 def _law_c3_8(space, pairs, max_weight):
     """Jointly verifiable and falsifiable == equal conditions; with a
     nonempty shared condition that is exactly membership in a common
     Boolean subalgebra."""
-    fmt = _formatter(space)
     count = 0
     for x in pairs:
         q1, c1 = x
@@ -662,27 +561,20 @@ def _law_c3_8(space, pairs, max_weight):
             simver = (q1 & ~c2) == 0 and (q2 & ~c1) == 0
             simfals = ((c1 & ~q1) & ~c2) == 0 and ((c2 & ~q2) & ~c1) == 0
             if (simver and simfals) != (c1 == c2):
-                return count, (
-                    "x=%s y=%s simver=%s simfals=%s"
-                    % (fmt(x), fmt(y), _tf(simver), _tf(simfals))
-                ), None
+                return count, _SIMVER_SIMFALS, x, y, simver, simfals
             if c1 == c2 != 0:
-                sub = rel.generated_subalgebra(
-                    cnd.Conditional(space, q1, c1), cnd.Conditional(space, q2, c2)
-                )
+                sub = rel.generated_subalgebra(cnd.Conditional(space, q1, c1),
+                                               cnd.Conditional(space, q2, c2))
                 if not sub.is_boolean:
-                    return count, (
-                        "x=%s y=%s share a nonempty condition but generate a "
-                        "non-Boolean subalgebra" % (fmt(x), fmt(y))
-                    ), None
-    return count, None, None
+                    return (count, "x=%s y=%s share a nonempty condition but generate a "
+                            "non-Boolean subalgebra", x, y)
+    return count
 
 
 def _law_t3_9(space, pairs, max_weight):
     """and_(x, z) == (0 | b v f) and or_(x, z) == (1 | b v f) together
     happen exactly when b == f and z == not x."""
     or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
-    fmt = _formatter(space)
     count = 0
     for x in pairs:
         q1, c1 = x
@@ -694,11 +586,8 @@ def _law_t3_9(space, pairs, max_weight):
             left = and_b(q1, c1, q3, c3) == (0, union) and or_b(q1, c1, q3, c3) == (union, union)
             right = c1 == c3 and z == neg
             if left != right:
-                return count, (
-                    "x=%s z=%s complement_pair=%s right=%s"
-                    % (fmt(x), fmt(z), _tf(left), _tf(right))
-                ), None
-    return count, None, None
+                return count, "x=%s z=%s complement_pair=%s right=%s", x, z, left, right
+    return count
 
 
 def _law_t3_11(space, pairs, max_weight):
@@ -707,17 +596,16 @@ def _law_t3_11(space, pairs, max_weight):
     osum(x, z) == (1|b). Associativity of the total operation is not a
     law; its status is reported in the note."""
     osum_b, not_b = cnd.osum_bits, cnd.not_bits
-    fmt = _formatter(space)
     count = 0
     for x in pairs:
         q1, c1 = x
         count += 1
         if osum_b(q1, c1, 0, c1) != x:
-            return count, "osum(x, (0|b)) != x at x=%s" % fmt(x), None
+            return count, "osum(x, (0|b)) != x at x=%s", x
         if osum_b(q1, c1, q1, c1) != (0, c1):
-            return count, "osum(x, x) != (0|b) at x=%s" % fmt(x), None
+            return count, "osum(x, x) != (0|b) at x=%s", x
         if osum_b(q1, c1, *not_b(q1, c1)) != (c1, c1):
-            return count, "osum(x, not x) != (1|b) at x=%s" % fmt(x), None
+            return count, "osum(x, not x) != (1|b) at x=%s", x
     for x in pairs:
         q1, c1 = x
         neg = not_b(q1, c1)
@@ -725,32 +613,17 @@ def _law_t3_11(space, pairs, max_weight):
             q2, c2 = z
             count += 1
             if osum_b(q1, c1, q2, c2) != osum_b(q2, c2, q1, c1):
-                return count, "osum not commutative at x=%s z=%s" % (fmt(x), fmt(z)), None
+                return count, "osum not commutative at x=%s z=%s", x, z
             if osum_b(q1, c1, q2, c2) == (c1, c1) and z != neg:
-                return count, (
-                    "complement not unique: osum(x, z) == (1|b) at x=%s z=%s"
-                    % (fmt(x), fmt(z))
-                ), None
-    note = "osum associativity holds over this space"
-    done = False
+                return count, "complement not unique: osum(x, z) == (1|b) at x=%s z=%s", x, z
     for x in pairs:
         for y in pairs:
             for z in pairs:
                 count += 1
-                left = osum_b(*osum_b(*x, *y), *z)
-                right = osum_b(*x, *osum_b(*y, *z))
-                if left != right:
-                    note = (
-                        "informative: the total osum is not associative, e.g. "
-                        "x=%s y=%s z=%s" % (fmt(x), fmt(y), fmt(z))
-                    )
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    return count, None, note
+                if osum_b(*osum_b(*x, *y), *z) != osum_b(*x, *osum_b(*y, *z)):
+                    return (count, None, "informative: the total osum is not associative, e.g. "
+                            "x=%s y=%s z=%s", x, y, z)
+    return count, None, "osum associativity holds over this space"
 
 
 def _law_t3_15(space, pairs, max_weight):
@@ -760,7 +633,6 @@ def _law_t3_15(space, pairs, max_weight):
     in its second argument; composes via and_ of the projectors; and
     two projections onto the same target commute."""
     and_b, sas_b = cnd.and_bits, cnd.sasaki_bits
-    fmt = _formatter(space)
     count = 0
     for b in pairs:
         qb, cb = b
@@ -771,19 +643,13 @@ def _law_t3_15(space, pairs, max_weight):
             fixes = proj == a
             fix_side = (cb & ~ca) == 0 and ((cb & ~qb) & ~(ca & ~qa)) == 0
             if fixes != fix_side:
-                return count, (
-                    "fixed-point criterion fails at b=%s a=%s" % (fmt(b), fmt(a))
-                ), None
+                return count, "fixed-point criterion fails at b=%s a=%s", b, a
             kills = proj == (0, ca | cb)
             kill_side = (qa & ~(cb & ~qb)) == 0
             if kills != kill_side:
-                return count, (
-                    "annihilation criterion fails at b=%s a=%s" % (fmt(b), fmt(a))
-                ), None
+                return count, "annihilation criterion fails at b=%s a=%s", b, a
             if sas_b(qb, cb, *proj) != proj:
-                return count, (
-                    "projection not idempotent at b=%s a=%s" % (fmt(b), fmt(a))
-                ), None
+                return count, "projection not idempotent at b=%s a=%s", b, a
     for b in pairs:
         qb, cb = b
         for c in pairs:
@@ -794,16 +660,10 @@ def _law_t3_15(space, pairs, max_weight):
                 count += 1
                 nested = sas_b(qc, cc, *sas_b(qb, cb, qa, ca))
                 if nested != sas_b(*meet, qa, ca):
-                    return count, (
-                        "composition via and_ fails at b=%s c=%s a=%s"
-                        % (fmt(b), fmt(c), fmt(a))
-                    ), None
+                    return count, "composition via and_ fails at b=%s c=%s a=%s", b, c, a
                 if nested != sas_b(qb, cb, *sas_b(qc, cc, qa, ca)):
-                    return count, (
-                        "projections do not commute at b=%s c=%s a=%s"
-                        % (fmt(b), fmt(c), fmt(a))
-                    ), None
-    return count, None, None
+                    return count, "projections do not commute at b=%s c=%s a=%s", b, c, a
+    return count
 
 
 def _law_c3_16(space, pairs, max_weight):
@@ -814,24 +674,18 @@ def _law_c3_16(space, pairs, max_weight):
     for c in conds:
         count += 1
         if cnd.sasaki(c, c) != c:
-            return count, "sasaki(c, c) != c at c=%s" % format_conditional(c), None
+            return count, "sasaki(c, c) != c at c=%s", c
     for b in conds:
         nb = cnd.negate(b)
         for a in conds:
             count += 1
             proj = cnd.sasaki(b, a)
             if (proj == a) != rel.holds("wedge", a, b):
-                return count, (
-                    "fixed point does not match the wedge order at b=%s a=%s"
-                    % (format_conditional(b), format_conditional(a))
-                ), None
+                return count, "fixed point does not match the wedge order at b=%s a=%s", b, a
             zero = cnd.Conditional(space, 0, a.c | b.c)
             if (proj == zero) != rel.holds("tr", a, nb):
-                return count, (
-                    "annihilation does not match tr(a, not b) at b=%s a=%s"
-                    % (format_conditional(b), format_conditional(a))
-                ), None
-    return count, None, None
+                return count, "annihilation does not match tr(a, not b) at b=%s a=%s", b, a
+    return count
 
 
 def _law_t3_17(space, pairs, max_weight):
@@ -840,7 +694,6 @@ def _law_t3_17(space, pairs, max_weight):
     coincidence criteria, the two-sided verifiability criterion, and
     closure of joint verifiability under folded or_ and and_."""
     or_b, and_b, not_b, sas_b = cnd.or_bits, cnd.and_bits, cnd.not_bits, cnd.sasaki_bits
-    fmt = _formatter(space)
     count = 0
     for b in pairs:
         qb, cb = b
@@ -849,37 +702,22 @@ def _law_t3_17(space, pairs, max_weight):
             qa, ca = a
             count += 1
             if or_b(qb, cb, qa, ca) != or_b(qb, cb, *sas_b(*nb, qa, ca)):
-                return count, (
-                    "or_(b, a) != or_(b, sasaki(not b, a)) at b=%s a=%s"
-                    % (fmt(b), fmt(a))
-                ), None
+                return count, "or_(b, a) != or_(b, sasaki(not b, a)) at b=%s a=%s", b, a
             commutes = sas_b(qb, cb, qa, ca) == sas_b(qa, ca, qb, cb)
             simver = (qb & ~ca) == 0 and (qa & ~cb) == 0
             if commutes != simver:
-                return count, (
-                    "commutation criterion fails at b=%s a=%s" % (fmt(b), fmt(a))
-                ), None
+                return count, "commutation criterion fails at b=%s a=%s", b, a
             as_and = sas_b(qb, cb, qa, ca) == and_b(qb, cb, qa, ca)
             if as_and != ((qb & ~ca) == 0):
-                return count, (
-                    "coincidence-with-and_ criterion fails at b=%s a=%s"
-                    % (fmt(b), fmt(a))
-                ), None
+                return count, "coincidence-with-and_ criterion fails at b=%s a=%s", b, a
             pq, pc = sas_b(qb, cb, qa, ca)
             same_cond_below = pc == ca and (pq & ~qa) == 0
             if same_cond_below != ((cb & ~ca) == 0):
-                return count, (
-                    "bounded-order criterion fails at b=%s a=%s" % (fmt(b), fmt(a))
-                ), None
-            two_sided = (
-                ((qb & ~ca) == 0 and (qa & ~cb) == 0)
-                and ((nb[0] & ~ca) == 0 and (qa & ~nb[1]) == 0)
-            )
+                return count, "bounded-order criterion fails at b=%s a=%s", b, a
+            two_sided = ((qb & ~ca) == 0 and (qa & ~cb) == 0
+                         and (nb[0] & ~ca) == 0 and (qa & ~nb[1]) == 0)
             if two_sided != ((qa & ~cb) == 0 and (cb & ~ca) == 0):
-                return count, (
-                    "two-sided verifiability criterion fails at b=%s a=%s"
-                    % (fmt(b), fmt(a))
-                ), None
+                return count, "two-sided verifiability criterion fails at b=%s a=%s", b, a
     for c in pairs:
         qc, cc = c
         for b in pairs:
@@ -890,22 +728,13 @@ def _law_t3_17(space, pairs, max_weight):
                 count += 1
                 lhs = sas_b(qc, cc, *or_b(qb, cb, qa, ca))
                 if lhs != or_b(*proj_b, *sas_b(qc, cc, qa, ca)):
-                    return count, (
-                        "projection does not distribute over or_ at c=%s b=%s a=%s"
-                        % (fmt(c), fmt(b), fmt(a))
-                    ), None
-    family_pairs = pairs
-    family_space = space
-    if space.n > 3:
-        family_space = law_space(3)
-        family_pairs = cnd.enumerate_conditionals_bits(family_space.full_bits)
-    ffmt = _formatter(family_space)
+                    return (count, "projection does not distribute over or_ at c=%s b=%s a=%s",
+                            c, b, a)
+    # Folded families stay on 3 atoms; their pairs render alike on a larger law space.
+    family_pairs = pairs if space.n <= 3 else cnd.enumerate_conditionals_bits(0b111)
     for c in family_pairs:
         qc, cc = c
-        compatible = [
-            a for a in family_pairs
-            if (qc & ~a[1]) == 0 and (a[0] & ~cc) == 0
-        ]
+        compatible = [a for a in family_pairs if (qc & ~a[1]) == 0 and (a[0] & ~cc) == 0]
         for size in (1, 2, 3):
             for family in combinations_with_replacement(compatible, size):
                 count += 1
@@ -917,11 +746,9 @@ def _law_t3_17(space, pairs, max_weight):
                 or_ok = (qc & ~oc) == 0 and (oq & ~cc) == 0
                 and_ok = (qc & ~ac) == 0 and (aq & ~cc) == 0
                 if not (or_ok and and_ok):
-                    return count, (
-                        "joint verifiability not preserved by folding at c=%s "
-                        "family=[%s]" % (ffmt(c), " ".join(ffmt(m) for m in family))
-                    ), None
-    return count, None, None
+                    return (count, "joint verifiability not preserved by folding at c=%s "
+                            "family=[" + " ".join(["%s"] * size) + "]", c, *family)
+    return count
 
 
 def _law_schay_lattice(space, pairs, max_weight):
@@ -929,7 +756,6 @@ def _law_schay_lattice(space, pairs, max_weight):
     cap_s with cup_s, and and_s with vee_s. Idempotence, commutativity,
     associativity, the two absorption laws and both distributivities
     are swept for each pair."""
-    fmt = _formatter(space)
     systems = (
         ("cap_s/cup_s", schay.cap_bits, schay.cup_bits),
         ("and_s/vee_s", schay.sand_bits, schay.vee_bits),
@@ -939,49 +765,38 @@ def _law_schay_lattice(space, pairs, max_weight):
         for x in pairs:
             count += 1
             if meet(*x, *x) != x or join(*x, *x) != x:
-                return count, "%s: idempotence fails at x=%s" % (name, fmt(x)), None
+                return count, "%s: idempotence fails at x=%s", name, x
         for x in pairs:
             for y in pairs:
                 count += 1
                 if meet(*x, *y) != meet(*y, *x):
-                    return count, "%s: meet not commutative at x=%s y=%s" % (name, fmt(x), fmt(y)), None
+                    return count, "%s: meet not commutative at x=%s y=%s", name, x, y
                 if join(*x, *y) != join(*y, *x):
-                    return count, "%s: join not commutative at x=%s y=%s" % (name, fmt(x), fmt(y)), None
+                    return count, "%s: join not commutative at x=%s y=%s", name, x, y
                 if meet(*x, *join(*x, *y)) != x:
-                    return count, "%s: absorption meet-join fails at x=%s y=%s" % (name, fmt(x), fmt(y)), None
+                    return count, "%s: absorption meet-join fails at x=%s y=%s", name, x, y
                 if join(*x, *meet(*x, *y)) != x:
-                    return count, "%s: absorption join-meet fails at x=%s y=%s" % (name, fmt(x), fmt(y)), None
+                    return count, "%s: absorption join-meet fails at x=%s y=%s", name, x, y
         for x in pairs:
             for y in pairs:
                 for z in pairs:
                     count += 1
                     if meet(*meet(*x, *y), *z) != meet(*x, *meet(*y, *z)):
-                        return count, (
-                            "%s: meet not associative at x=%s y=%s z=%s"
-                            % (name, fmt(x), fmt(y), fmt(z))
-                        ), None
+                        return count, "%s: meet not associative at x=%s y=%s z=%s", name, x, y, z
                     if join(*join(*x, *y), *z) != join(*x, *join(*y, *z)):
-                        return count, (
-                            "%s: join not associative at x=%s y=%s z=%s"
-                            % (name, fmt(x), fmt(y), fmt(z))
-                        ), None
+                        return count, "%s: join not associative at x=%s y=%s z=%s", name, x, y, z
                     if meet(*x, *join(*y, *z)) != join(*meet(*x, *y), *meet(*x, *z)):
-                        return count, (
-                            "%s: meet does not distribute at x=%s y=%s z=%s"
-                            % (name, fmt(x), fmt(y), fmt(z))
-                        ), None
+                        return (count, "%s: meet does not distribute at x=%s y=%s z=%s",
+                                name, x, y, z)
                     if join(*x, *meet(*y, *z)) != meet(*join(*x, *y), *join(*x, *z)):
-                        return count, (
-                            "%s: join does not distribute at x=%s y=%s z=%s"
-                            % (name, fmt(x), fmt(y), fmt(z))
-                        ), None
-    return count, None, None
+                        return (count, "%s: join does not distribute at x=%s y=%s z=%s",
+                                name, x, y, z)
+    return count
 
 
 def _law_schay_coincide(space, pairs, max_weight):
     """cup_s is or_, and_s is and_, and the four-term expanded form of
     the consequent of cup_s reduces to the same operation."""
-    fmt = _formatter(space)
     count = 0
     for x in pairs:
         q1, c1 = x
@@ -989,17 +804,14 @@ def _law_schay_coincide(space, pairs, max_weight):
             q2, c2 = y
             count += 1
             if schay.cup_bits(q1, c1, q2, c2) != cnd.or_bits(q1, c1, q2, c2):
-                return count, "cup_s != or_ at x=%s y=%s" % (fmt(x), fmt(y)), None
+                return count, "cup_s != or_ at x=%s y=%s", x, y
             if schay.sand_bits(q1, c1, q2, c2) != cnd.and_bits(q1, c1, q2, c2):
-                return count, "and_s != and_ at x=%s y=%s" % (fmt(x), fmt(y)), None
+                return count, "and_s != and_ at x=%s y=%s", x, y
             long_cons = (q1 & c2) | (q2 & c1) | (q1 & ~c2) | (~c1 & q2)
             long_form = (long_cons & (c1 | c2), c1 | c2)
             if long_form != schay.cup_bits(q1, c1, q2, c2):
-                return count, (
-                    "expanded union form differs from cup_s at x=%s y=%s"
-                    % (fmt(x), fmt(y))
-                ), None
-    return count, None, None
+                return count, "expanded union form differs from cup_s at x=%s y=%s", x, y
+    return count
 
 
 def _law_schay_2_12(space, pairs, max_weight):
@@ -1015,11 +827,9 @@ def _law_schay_2_12(space, pairs, max_weight):
             got = schay.schay_iteration_example(ea, eb)
             want = cnd.make(Event(space, 0), ea)
             if got != want:
-                return count, (
-                    "iteration example fails at a=%s b=%s: got %s want %s"
-                    % (ea, eb, format_conditional(got), format_conditional(want))
-                ), None
-    return count, None, None
+                return (count, "iteration example fails at a=%s b=%s: got %s want %s",
+                        ea, eb, got, want)
+    return count
 
 
 # ------------------------------------------------------------- catalog
@@ -1074,6 +884,29 @@ def _check_sizes(atoms, max_weight):
         raise ValueError("the largest grid weight must be at least 1, got %d" % max_weight)
 
 
+def _render(space, template, *operands):
+    """Fill a law's template: (q, c) pairs and Conditionals through
+    format_conditional, bools as true/false, the rest as %s does."""
+    def text(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, tuple):
+            value = cnd.Conditional(space, *value)
+        return format_conditional(value) if isinstance(value, cnd.Conditional) else value
+
+    return template % tuple(map(text, operands))
+
+
+def _count_at_raise(exc, fn, default):
+    """The law's own instance count in its frame when it raised."""
+    tb = exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code is fn.__code__:
+            return tb.tb_frame.f_locals.get("count", 0)
+        tb = tb.tb_next
+    return default
+
+
 def check(law, atoms, max_weight=3):
     """Exhaustively check one law over `atoms` atoms.
 
@@ -1081,7 +914,8 @@ def check(law, atoms, max_weight=3):
     check_all spelling, not a single law), TooLarge when `atoms`
     exceeds the law's budget, and ValueError when `atoms` or
     `max_weight` is below 1 (a grid of all-zero weights has no
-    measure to check).
+    measure to check). An exception inside the law itself is a FAIL
+    whose counterexample names it.
     """
     if law not in _BY_ID:
         if law == "all":
@@ -1093,21 +927,22 @@ def check(law, atoms, max_weight=3):
         raise TooLarge("law %s runs on at most %d atoms, got %d" % (law, budget, atoms))
     space = law_space(atoms)
     pairs = cnd.enumerate_conditionals_bits(space.full_bits)
-    instances, counterexample, note = fn(space, pairs, max_weight)
-    return LawReport(
-        law=law,
-        atom_count=atoms,
-        instances_checked=instances,
-        passed=counterexample is None,
-        counterexample=counterexample,
-        note=note,
-    )
+    count = 0
+    try:
+        result = fn(space, pairs, max_weight)
+        if isinstance(result, int):
+            return LawReport(law, atoms, result, passed=True)
+        count, template, *operands = result
+        if template is None:
+            return LawReport(law, atoms, count, passed=True, note=_render(space, *operands))
+        return LawReport(law, atoms, count, passed=False,
+                         counterexample=_render(space, template, *operands))
+    except Exception as exc:  # a law meeting a broken kernel reports, never crashes
+        return LawReport(law, atoms, _count_at_raise(exc, fn, count), passed=False,
+                         counterexample="raised %s: %s" % (type(exc).__name__, exc))
 
 
 def check_all(atoms, max_weight=3):
     """Check the whole catalog, clamping each law to its own budget."""
     _check_sizes(atoms, max_weight)
-    return [
-        check(law, min(atoms, budget), max_weight)
-        for law, budget, _ in _CATALOG
-    ]
+    return [check(law, min(atoms, budget), max_weight) for law, budget, _ in _CATALOG]

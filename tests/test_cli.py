@@ -278,6 +278,34 @@ def test_parse_reports_position_on_error(capsys):
     assert "line 1, column 7" in err
 
 
+# malformed input
+
+
+def test_deeply_nested_expression_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "parse", "--expr", "~" * 5000 + "a")
+    assert (code, out) == (2, "")
+    assert err == "boolfrac: error: expression nests too deeply\n"
+
+
+def test_space_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "bad.cs"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "eval", "--space", str(path), "--expr", "a")
+    assert (code, out) == (2, "")
+    assert err.startswith("boolfrac: error: %s is not UTF-8 text: " % path)
+    assert err.count("\n") == 1
+
+
+def test_reserved_word_as_atom_name_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "reserved.cs"
+    path.write_text("space s\natoms or b\n", encoding="utf-8")
+    code, out, err = run(capsys, "eval", "--space", str(path), "--expr", "b")
+    assert (code, out) == (2, "")
+    assert err == (
+        "boolfrac: error: line 2, column 1: 'or' is a reserved word and cannot name an atom\n"
+    )
+
+
 # argument handling
 
 

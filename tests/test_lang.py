@@ -168,6 +168,8 @@ measure w = 1/2 1/4 1/4
         ("space x\natoms a b\nevent e = f or a\n", UnknownName),
         ("space x\natoms a b\nevent e = a | b\n", ParseError),
         ("space x\natoms a b\nevent and = {a}\n", ParseError),
+        ("space x\natoms or b\n", ParseError),
+        ("space x\natoms a s_cup\n", ParseError),
         ("space x\natoms a b\nmeasure m = 1 x\n", BadWeight),
         ("space x\natoms a b\nmeasure m = 1 1/0\n", BadWeight),
         ("space x\natoms a b\nmeasure m = 1\n", ParseError),
@@ -177,6 +179,13 @@ measure w = 1/2 1/4 1/4
 def test_space_file_errors(text, error):
     with pytest.raises(error):
         lang.parse_space(text)
+
+
+def test_nesting_past_the_recursion_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match="nests too deeply"):
+        lang.parse_expr("(" * 3000 + "a" + ")" * 3000)
+    with pytest.raises(ParseError, match="nests too deeply"):
+        lang.parse_expr("~" * 5000 + "a")
 
 
 def test_space_file_error_positions_point_at_the_line():

@@ -11,6 +11,7 @@ import pytest
 
 from boolfrac import conditional as cnd
 from boolfrac import lawcheck
+from boolfrac import trivalent as tv
 from boolfrac.errors import TooLarge, UnknownLaw
 
 
@@ -134,3 +135,193 @@ def test_mutated_or_kernel_is_caught(monkeypatch):
     monkeypatch.setattr(cnd, "or_bits", broken)
     failed = [r.law for r in lawcheck.check_all(2) if not r.passed]
     assert failed
+
+
+# Golden reports: every instance count and counterexample text is
+# pinned, so a change to how laws report cannot alter one unnoticed.
+
+GOLDEN_INSTANCES = {  # law: instances_checked at n=2 and n=3, weight grid 1
+    "t2.4": (729, 19683),
+    "c2.5": (729, 19683),
+    "t2.6": (729, 19683),
+    "c2.7": (729, 19683),
+    "c2.8": (81, 729),
+    "c2.9": (81, 729),
+    "props2.3": (819, 20439),
+    "t2.13": (272, 13120),
+    "t2.18": (225, 2457),
+    "t2.19": (196, 2744),
+    "p2.20": (90, 756),
+    "truth-tables": (504, 6642),
+    "superposition": (305, 5561),
+    "t3.2": (81, 729),
+    "c3.3": (81, 729),
+    "c3.5": (81, 729),
+    "c3.6": (81, 729),
+    "t3.7": (81, 729),
+    "c3.8": (81, 729),
+    "t3.9": (81, 729),
+    "t3.11": (102, 786),
+    "t3.15": (810, 20412),
+    "c3.16": (90, 756),
+    "t3.17": (1497, 39205),
+    "schay-lattice": (1638, 40878),
+    "schay-coincide": (81, 729),
+    "schay-2.12": (9, 27),
+}
+
+
+@pytest.mark.parametrize("atoms", [2, 3])
+def test_instance_counts_match_the_golden_counts(atoms):
+    reports = lawcheck.check_all(atoms, max_weight=1)
+    assert all(r.passed for r in reports)
+    assert {r.law: r.instances_checked for r in reports} == {
+        law: counts[atoms - 2] for law, counts in GOLDEN_INSTANCES.items()
+    }
+
+
+def _report(law, count, counterexample=None, note=None):
+    return lawcheck.LawReport(law, 2, count, counterexample is None, counterexample, note)
+
+
+GOLDEN_CRITERION_10 = [
+    _report("t2.4", 164, "x=({1}|{1}) y=UNDEFINED z=({}|{1}) lhs=({}|{1}) rhs=({}|{1}) side=false"),
+    _report("c2.5", 100, "x=({}|{1}) y=({1}|{1}) z=UNDEFINED lhs=({}|{1}) rhs=({}|{1}) side=false"),
+    _report("t2.6", 163, "x=({1}|{1}) y=UNDEFINED z=UNDEFINED lhs=({1}|{1}) rhs=({}|{1}) side=true"),
+    _report("c2.7", 164, "x=({1}|{1}) y=UNDEFINED z=({}|{1}) lhs=({}|{1}) rhs=({}|{1}) side=false"),
+    _report("c2.8", 81),
+    _report("c2.9", 81),
+    _report("props2.3", 3, "and_(x, U) == x fails at x=({1}|{1})"),
+    _report("t2.13", 1680),
+    _report("t2.18", 51, "orthogonality routes disagree at c=({1}|{1}) z=UNDEFINED: "
+                         "op=true ineq=false"),
+    _report("t2.19", 196),
+    _report("p2.20", 90),
+    _report("truth-tables", 109, "and disagrees with its table at x=({1}|{1}) y=UNDEFINED atom=1"),
+    _report("superposition", 19, "three-term and split fails at x=({1}|{1}) y=UNDEFINED "
+                                 "lhs=({}|{1}) rhs=({1}|{1})"),
+    _report("t3.2", 81),
+    _report("c3.3", 19, "x=({1}|{1}) y=UNDEFINED collapse=true simver=false"),
+    _report("c3.5", 81),
+    _report("c3.6", 81),
+    _report("t3.7", 81),
+    _report("c3.8", 81),
+    _report("t3.9", 19, "x=({1}|{1}) z=UNDEFINED complement_pair=true right=false"),
+    _report("t3.11", 102, note="informative: the total osum is not associative, e.g. "
+                               "x=UNDEFINED y=({}|{1}) z=({1}|{1})"),
+    _report("t3.15", 246, "composition via and_ fails at b=({1}|{1}) c=UNDEFINED a=({1}|{1})"),
+    _report("c3.16", 90),
+    _report("t3.17", 19, "coincidence-with-and_ criterion fails at b=({1}|{1}) a=UNDEFINED"),
+    _report("schay-lattice", 1638),
+    _report("schay-coincide", 19, "and_s != and_ at x=({1}|{1}) y=UNDEFINED"),
+    _report("schay-2.12", 9),
+]
+
+
+def test_criterion_10_mutant_reports_match_the_golden_reports(monkeypatch):
+    def broken(q1, c1, q2, c2):
+        return (q1 & q2) | (~c1 & q2), c1 | c2
+
+    monkeypatch.setattr(cnd, "and_bits", broken)
+    assert lawcheck.check_all(2) == GOLDEN_CRITERION_10
+
+
+# Single-entry table mutants. Each binary kernel acts atom by atom
+# through a 3x3 table; a mutant changes one entry to one of the two
+# other values and applies the table with a per-atom loop.
+
+T, F, U = tv.T, tv.F, tv.U
+
+TABLES = {
+    "and_bits": tv.AND_TABLE,
+    "or_bits": tv.OR_TABLE,
+    "given_bits": tv.GIVEN_TABLE,
+    # (abc'd v a'bcd | b v d) and (cd(b' v a) | b v d), atom by atom.
+    "osum_bits": {
+        (T, T): F, (T, F): T, (T, U): F,
+        (F, T): T, (F, F): F, (F, U): F,
+        (U, T): F, (U, F): F, (U, U): U,
+    },
+    "sasaki_bits": {
+        (T, T): T, (T, F): F, (T, U): F,
+        (F, T): F, (F, F): F, (F, U): F,
+        (U, T): T, (U, F): F, (U, U): U,
+    },
+}
+
+ATOM_BITS = (0b01, 0b10)  # the mutants act on the 2-atom law space
+
+
+def per_atom_kernel(table):
+    def kernel(q1, c1, q2, c2):
+        q = c = 0
+        for bit in ATOM_BITS:
+            value = table[tv.eval_at_bit(q1, c1, bit), tv.eval_at_bit(q2, c2, bit)]
+            if value is not U:
+                c |= bit
+                if value is T:
+                    q |= bit
+        return q, c
+
+    return kernel
+
+
+def table_mutants():
+    """All 90 mutants as (kernel name, entry, new value, kernel)."""
+    for name, table in TABLES.items():
+        for entry, old in table.items():
+            for new in (T, F, U):
+                if new is not old:
+                    yield name, entry, new, per_atom_kernel({**table, entry: new})
+
+
+def test_per_atom_tables_reproduce_the_kernels():
+    pairs = cnd.enumerate_conditionals_bits(0b11)
+    for name, table in TABLES.items():
+        kernel, reference = per_atom_kernel(table), getattr(cnd, name)
+        assert all(kernel(*x, *y) == reference(*x, *y) for x in pairs for y in pairs), name
+
+
+def test_every_table_mutant_is_killed_without_a_crash(monkeypatch):
+    """check_all raises for no mutant, and some law fails under each."""
+    mutants = list(table_mutants())
+    assert len(mutants) == 90
+    survivors = []
+    for name, entry, new, kernel in mutants:
+        monkeypatch.setattr(cnd, name, kernel)
+        if all(r.passed for r in lawcheck.check_all(2, max_weight=1)):
+            survivors.append((name, entry, new))
+        monkeypatch.undo()
+    assert survivors == []
+
+
+@pytest.mark.parametrize(
+    "entry, count", [((T, T), 11), ((T, F), 9), ((F, T), 3), ((F, F), 1)]
+)
+def test_a_law_that_raises_reports_fail(monkeypatch, entry, count):
+    """An or_ that leaves a defined operand undefined makes a weighted
+    condition weigh zero; t2.13 reports the exception as its failure,
+    counted at the instance that raised."""
+    monkeypatch.setattr(cnd, "or_bits", per_atom_kernel({**tv.OR_TABLE, entry: U}))
+    report = lawcheck.check("t2.13", 2, 1)
+    assert not report.passed
+    assert report.instances_checked == count
+    assert report.counterexample == "raised ZeroCondition: condition {} has weight zero"
+
+
+def test_a_kernel_leaving_normal_form_reports_fail(monkeypatch):
+    """Bits outside normal form cannot become a Conditional. t3.7 builds
+    one inside its body; c2.8 compares bits and meets them only when its
+    counterexample is rendered. Both report FAIL at the first instance."""
+    and_bits = cnd.and_bits
+
+    def broken(q1, c1, q2, c2):
+        q, c = and_bits(q1, c1, q2, c2)
+        return q | 1, c
+
+    monkeypatch.setattr(cnd, "and_bits", broken)
+    reports = {r.law: r for r in lawcheck.check_all(2)}
+    for law in ("t3.7", "c2.8"):
+        assert reports[law] == _report(
+            law, 1, "raised ValueError: consequent bits 0x1 stick out of condition 0x0"
+        )
