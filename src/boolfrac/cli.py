@@ -24,8 +24,6 @@ from .errors import (
     ZeroTotalWeight,
 )
 
-_RELATE_TAGS = rel.RELATION_TAGS + ("orth", "simver", "simfals", "compat", "subalg")
-
 
 def _fail(message):
     sys.stderr.write("boolfrac: error: %s\n" % message)
@@ -60,8 +58,7 @@ def _cmd_prob(args):
         value = prob.p_cond(measure, doc.lower(args.expr))
     else:
         node = lang.parse_expr(args.expr)
-        wanted = lang.Or if args.formula == "or" else lang.And
-        if not isinstance(node, wanted):
+        if not (isinstance(node, lang.Binary) and node.op == args.formula):
             _fail("--formula %s needs a top-level '%s'" % (args.formula, args.formula))
             return 2
         x = lang.lower(node.left, doc.space, doc.events)
@@ -76,20 +73,7 @@ def _cmd_prob(args):
 
 def _cmd_relate(args):
     doc = _load_doc(args.space)
-    x = doc.lower(args.lhs)
-    y = doc.lower(args.rhs)
-    if args.rel in rel.RELATION_TAGS:
-        flag = rel.holds(args.rel, x, y)
-    elif args.rel == "orth":
-        flag = rel.orthogonal(x, y)
-    elif args.rel == "simver":
-        flag = rel.sim_verifiable(x, y)
-    elif args.rel == "simfals":
-        flag = rel.sim_falsifiable(x, y)
-    elif args.rel == "compat":
-        flag = rel.compatible(x, y)
-    else:
-        flag = rel.in_common_subalgebra(x, y)
+    flag = rel.holds(args.rel, doc.lower(args.lhs), doc.lower(args.rhs))
     print("true" if flag else "false")
     return 0
 
@@ -161,7 +145,7 @@ def build_parser():
 
     p_relate = sub.add_parser("relate", help="test a binary relation between two expressions")
     p_relate.add_argument("--space", required=True, help="space file")
-    p_relate.add_argument("--rel", required=True, help="one of %s" % ", ".join(_RELATE_TAGS))
+    p_relate.add_argument("--rel", required=True, help="one of %s" % ", ".join(rel.RELATION_TAGS))
     p_relate.add_argument("--lhs", required=True, help="left expression")
     p_relate.add_argument("--rhs", required=True, help="right expression")
     p_relate.set_defaults(func=_cmd_relate)
@@ -197,15 +181,12 @@ def main(argv=None):
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    if args.command == "relate" and args.rel not in _RELATE_TAGS:
+    if args.command == "relate" and args.rel not in rel.RELATION_TAGS:
         _fail("unknown relation tag: %s" % args.rel)
         return 2
     try:
         return args.func(args)
-    except ParseError as exc:
-        _fail(str(exc))
-        return 2
-    except (DuplicateName, BadWeight, ZeroTotalWeight, UnknownLaw) as exc:
+    except (ParseError, DuplicateName, BadWeight, ZeroTotalWeight, UnknownLaw) as exc:
         _fail(str(exc))
         return 2
     except ZeroCondition:

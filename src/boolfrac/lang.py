@@ -10,15 +10,16 @@ left-associative):
     primary:= NAME | setlit | "(" expr ")" | FUNC "(" expr "," expr ")"
     setlit := "{" [NAME ("," NAME)*] "}"
 
-FUNC is one of osum, proj, s_and, s_or, s_cap, s_cup. The words `and`,
-`or` and the function names are reserved: an expression cannot refer
-to them, so a space file rejects them as atom, event and measure
-names. An expression nested deeper than the interpreter's recursion
-limit is a ParseError, not a crash. A bare NAME refers to a
-named event if the space defines one, otherwise to the atom of that
-name. Every leaf lowers to the conditional (event | whole space), so
-plain Boolean formulas come out with the full space as condition and
-`a | b` produces the ordinary conditional event.
+The three infix levels are the rows of `_INFIX`, and FUNC is one of
+`FUNC_NAMES` (osum, proj, s_and, s_or, s_cap, s_cup); each of the nine
+parses to one `Binary` node. The words `and`, `or` and the function
+names are reserved: an expression cannot refer to them, so a space file
+rejects them as atom, event and measure names. An expression nested
+deeper than the interpreter's recursion limit is a ParseError, not a
+crash. A bare NAME refers to a named event if the space defines one,
+otherwise to the atom of that name. Every leaf lowers to the conditional
+(event | whole space), so plain Boolean formulas come out with the full
+space as condition and `a | b` produces the ordinary conditional event.
 
 Space files are line-oriented UTF-8 with `#` comments:
 
@@ -31,6 +32,7 @@ Space files are line-oriented UTF-8 with `#` comments:
 Weights are nonnegative integers or fractions `p/q`.
 """
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,9 +49,6 @@ from .errors import (
 from .prob import Measure
 from .space import RESERVED_CHARS, SampleSpace, valid_atom_name
 
-FUNC_NAMES = ("osum", "proj", "s_and", "s_or", "s_cap", "s_cup")
-RESERVED_WORDS = frozenset(("and", "or") + FUNC_NAMES)
-
 _SPECIALS = {
     "{": "lbrace",
     "}": "rbrace",
@@ -59,6 +58,32 @@ _SPECIALS = {
     ")": "rparen",
     "~": "tilde",
 }
+
+# Infix operators, loosest first: token kind, the word `dump` prints, the
+# `conditional` function it lowers to (looked up by name when called) and
+# its meaning in an event definition, if it has one.
+_INFIX = (
+    ("pipe", "given", "given", None),
+    ("or", "or", "or_", operator.or_),
+    ("and", "and", "and_", operator.and_),
+)
+_CONDITIONAL_OPS = {op: name for _, op, name, _ in _INFIX}
+_EVENT_OPS = {op: fn for _, op, _, fn in _INFIX if fn is not None}
+
+_FUNC_OPS = {
+    "osum": cnd.osum,
+    "proj": cnd.sasaki,
+    "s_and": schay.and_s,
+    "s_or": schay.vee_s,
+    "s_cap": schay.cap_s,
+    "s_cup": schay.cup_s,
+}
+FUNC_NAMES = tuple(_FUNC_OPS)
+
+# The reserved words and the token kind each one lexes to.
+_WORD_KINDS = dict.fromkeys(FUNC_NAMES, "func")
+_WORD_KINDS.update((kind, kind) for kind, *_ in _INFIX if kind not in _SPECIALS.values())
+RESERVED_WORDS = frozenset(_WORD_KINDS)
 
 
 @dataclass(frozen=True)
@@ -103,18 +128,14 @@ def tokenize(text):
             i += 1
             col += 1
         word = text[start:i]
-        if word in ("and", "or"):
-            kind = word
-        elif word in FUNC_NAMES:
-            kind = "func"
-        else:
-            kind = "ident"
-        tokens.append(Token(kind, word, line, start_col))
+        tokens.append(Token(_WORD_KINDS.get(word, "ident"), word, line, start_col))
     tokens.append(Token("eof", "", line, col))
     return tokens
 
 
 # Abstract syntax. Leaves name events; the operators mirror the algebra.
+# A Binary node's `op` is the word `dump` prints: given (for `|`), or,
+# and, or the function name.
 
 @dataclass(frozen=True)
 class EventRef:
@@ -132,26 +153,8 @@ class Not:
 
 
 @dataclass(frozen=True)
-class And:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Or:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Given:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Func:
-    tag: str
+class Binary:
+    op: str
     left: object
     right: object
 
@@ -180,32 +183,21 @@ class _Parser:
             self.fail({what})
         return self.advance()
 
-    def expr(self):
-        node = self.or_level()
-        while self.peek().kind == "pipe":
+    def expr(self, level=0):
+        """_INFIX[level:], each left-associative, then prefix `~`. A
+        parenthesis costs five frames (four levels and `primary`); the
+        depth at which parse_expr reports nesting depends on that."""
+        if level == len(_INFIX):
+            if self.peek().kind == "tilde":
+                self.advance()
+                return Not(self.expr(level))
+            return self.primary()
+        kind, op = _INFIX[level][:2]
+        node = self.expr(level + 1)
+        while self.peek().kind == kind:
             self.advance()
-            node = Given(node, self.or_level())
+            node = Binary(op, node, self.expr(level + 1))
         return node
-
-    def or_level(self):
-        node = self.and_level()
-        while self.peek().kind == "or":
-            self.advance()
-            node = Or(node, self.and_level())
-        return node
-
-    def and_level(self):
-        node = self.not_level()
-        while self.peek().kind == "and":
-            self.advance()
-            node = And(node, self.not_level())
-        return node
-
-    def not_level(self):
-        if self.peek().kind == "tilde":
-            self.advance()
-            return Not(self.not_level())
-        return self.primary()
 
     def primary(self):
         tok = self.peek()
@@ -226,7 +218,7 @@ class _Parser:
             self.expect("comma", "','")
             right = self.expr()
             self.expect("rparen", "')'")
-            return Func(tok.text, left, right)
+            return Binary(tok.text, left, right)
         self.fail({"a name", "'{'", "'('", "'~'", "a function name"})
 
     def set_literal(self):
@@ -270,21 +262,11 @@ def lower_event(expr, space, events=None):
         return space.event(expr.names)
     if isinstance(expr, Not):
         return lower_event(expr.arg, space, events).complement()
-    if isinstance(expr, And):
-        return lower_event(expr.left, space, events) & lower_event(expr.right, space, events)
-    if isinstance(expr, Or):
-        return lower_event(expr.left, space, events) | lower_event(expr.right, space, events)
+    if isinstance(expr, Binary) and expr.op in _EVENT_OPS:
+        return _EVENT_OPS[expr.op](
+            lower_event(expr.left, space, events), lower_event(expr.right, space, events)
+        )
     raise ParseError("conditional operators are not allowed here")
-
-
-_FUNC_OPS = {
-    "osum": cnd.osum,
-    "proj": cnd.sasaki,
-    "s_and": schay.and_s,
-    "s_or": schay.vee_s,
-    "s_cap": schay.cap_s,
-    "s_cup": schay.cup_s,
-}
 
 
 def lower(expr, space, events=None):
@@ -294,14 +276,8 @@ def lower(expr, space, events=None):
         return cnd.make(lower_event(expr, space, events), space.full)
     if isinstance(expr, Not):
         return cnd.negate(lower(expr.arg, space, events))
-    if isinstance(expr, And):
-        return cnd.and_(lower(expr.left, space, events), lower(expr.right, space, events))
-    if isinstance(expr, Or):
-        return cnd.or_(lower(expr.left, space, events), lower(expr.right, space, events))
-    if isinstance(expr, Given):
-        return cnd.given(lower(expr.left, space, events), lower(expr.right, space, events))
-    if isinstance(expr, Func):
-        op = _FUNC_OPS[expr.tag]
+    if isinstance(expr, Binary):
+        op = _FUNC_OPS.get(expr.op) or getattr(cnd, _CONDITIONAL_OPS[expr.op])
         return op(lower(expr.left, space, events), lower(expr.right, space, events))
     raise TypeError("not an expression node: %r" % (expr,))
 
@@ -314,14 +290,8 @@ def dump(expr):
         return "(set%s)" % "".join(" " + name for name in expr.names)
     if isinstance(expr, Not):
         return "(not %s)" % dump(expr.arg)
-    if isinstance(expr, And):
-        return "(and %s %s)" % (dump(expr.left), dump(expr.right))
-    if isinstance(expr, Or):
-        return "(or %s %s)" % (dump(expr.left), dump(expr.right))
-    if isinstance(expr, Given):
-        return "(given %s %s)" % (dump(expr.left), dump(expr.right))
-    if isinstance(expr, Func):
-        return "(%s %s %s)" % (expr.tag, dump(expr.left), dump(expr.right))
+    if isinstance(expr, Binary):
+        return "(%s %s %s)" % (expr.op, dump(expr.left), dump(expr.right))
     raise TypeError("not an expression node: %r" % (expr,))
 
 

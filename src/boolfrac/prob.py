@@ -141,11 +141,11 @@ def p_or_formula(m, x, y):
 
         P(a|b)P(b|bvd) + P(c|d)P(d|bvd) - P(abcd|bd)P(bd|bvd)
 
-    Each product collapses to a single quotient over w(b v d); a product
-    whose inner condition has weight zero contributes zero, which is the
-    value the collapsed quotient has anyway. The three numerators are
-    summed as integers over the one denominator. Always equals
-    p_cond(or_(x, y)).
+    Each product collapses to a single quotient over w(b v d). A product
+    whose inner condition has weight zero contributes zero; its numerator
+    weighs a subset of that condition (ab <= b in normal form), so it is
+    zero already and needs no guard. The three numerators are summed as
+    integers over the one denominator. Always equals p_cond(or_(x, y)).
     """
     _check(m, x)
     _check(m, y)
@@ -153,14 +153,7 @@ def p_or_formula(m, x, y):
     wu = w(x.c | y.c)
     if wu == 0:
         raise ZeroCondition("condition %s has weight zero" % (x.condition | y.condition,))
-    num = 0
-    if w(x.c):
-        num += w(x.q)
-    if w(y.c):
-        num += w(y.q)
-    if w(x.c & y.c):
-        num -= w(x.q & y.q)
-    return Fraction(num, wu)
+    return Fraction(w(x.q) + w(y.q) - w(x.q & y.q), wu)
 
 
 def p_superposition(m, x, y, mode="or"):
@@ -172,7 +165,8 @@ def p_superposition(m, x, y, mode="or"):
 
         P(a|bd')P(bd'|bvd) + P(c|b'd)P(b'd|bvd) + P((a op c)bd|bvd)
 
-    A product whose inner condition has weight zero contributes zero.
+    A product whose inner condition has weight zero contributes zero; its
+    numerator weighs a subset of that condition, so it needs no guard.
     The numerators are summed as integers over w(b v d). Always equals
     p_cond of or_(x, y) / and_(x, y).
     """
@@ -191,18 +185,15 @@ def p_superposition(m, x, y, mode="or"):
         num = w((x.q | y.q) & both)
     else:
         num = w(x.q & y.q)
-    if w(only_x):
-        num += w(x.q & only_x)
-    if w(only_y):
-        num += w(y.q & only_y)
-    return Fraction(num, wu)
+    return Fraction(num + w(x.q & only_x) + w(y.q & only_y), wu)
 
 
 def partition_expansion(m, a, parts):
     """Law of total probability: P(a|u) as sum of P(a|u_i)P(u_i|u).
 
     The parts must be pairwise disjoint events; their join is the
-    condition u. Weight-zero parts contribute zero.
+    condition u. A weight-zero part contributes zero: a & part weighs no
+    more than the part, so it needs no guard.
     """
     parts = list(parts)
     if not parts:
@@ -219,11 +210,7 @@ def partition_expansion(m, a, parts):
     wu = w(union)
     if wu == 0:
         raise ZeroCondition("partition union has weight zero")
-    num = 0
-    for part in parts:
-        if w(part.bits):
-            num += w(a.bits & part.bits)
-    return Fraction(num, wu)
+    return Fraction(sum(w(a.bits & part.bits) for part in parts), wu)
 
 
 @dataclass(frozen=True)

@@ -11,21 +11,27 @@ reducible to bit inequalities on normal forms (x = (a|b), y = (c|d)):
     wedge  meet order            and_(x, y) == x, i.e. d <= b and c'd <= a'b
     bo     Boolean order         b == d and ab <= cd
 
-Orthogonality (x excludes y wherever both apply) and simultaneous
-verifiability / falsifiability measure how compatible two conditionals
-are as experiments; `profile` bundles the seven standard flags. The
+Five more relations say how compatible two conditionals are as
+experiments:
+
+    orth     orthogonality                ab <= c'd and cd <= a'b
+    simver   simultaneous verifiability   ab <= d and cd <= b
+    simfals  simultaneous falsifiability  a'b <= d and c'd <= b
+    compat   compatibility                b == d
+    subalg   common Boolean subalgebra    b == d != 0
+
+`holds` accepts all twelve tags, listed in this order in RELATION_TAGS,
+and `profile` bundles the seven standard verifiability flags. The
 generated subalgebra closes a pair under and/or/not and reports whether
 the result is a Boolean algebra, which happens exactly for equal,
 nonempty conditions.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from . import conditional as cnd
 from .errors import SpaceMismatch, TooLarge
 from .space import same_space
-
-RELATION_TAGS = ("tr", "nf", "ap", "pm", "vee", "wedge", "bo")
 
 MAX_SUBALGEBRA_ATOMS = 5
 
@@ -64,26 +70,6 @@ def _bo(q1, c1, q2, c2):
     return c1 == c2 and q1 & ~q2 == 0
 
 
-_RELATIONS = {
-    "tr": _tr,
-    "nf": _nf,
-    "ap": _ap,
-    "pm": _pm,
-    "vee": _vee,
-    "wedge": _wedge,
-    "bo": _bo,
-}
-
-
-def holds(tag, x, y):
-    """Does relation `tag` hold between x and y (in that order)?"""
-    try:
-        rel = _RELATIONS[tag]
-    except KeyError:
-        raise ValueError("unknown relation tag: %r" % (tag,)) from None
-    return rel(*_pair(x, y))
-
-
 def orthogonal_bits(q1, c1, q2, c2):
     return q1 & ~(c2 & ~q2) == 0 and q2 & ~(c1 & ~q1) == 0
 
@@ -114,24 +100,59 @@ def sim_verifiable(x, y):
     return sim_verifiable_bits(*_pair(x, y))
 
 
+def sim_falsifiable_bits(q1, c1, q2, c2):
+    return (c1 & ~q1) & ~c2 == 0 and (c2 & ~q2) & ~c1 == 0
+
+
 def sim_falsifiable(x, y):
     """Can one outcome falsify both? Same shape on the falsity regions:
     a'b <= d and c'd <= b."""
-    q1, c1, q2, c2 = _pair(x, y)
-    return (c1 & ~q1) & ~c2 == 0 and (c2 & ~q2) & ~c1 == 0
+    return sim_falsifiable_bits(*_pair(x, y))
+
+
+def _compat(q1, c1, q2, c2):
+    return c1 == c2
 
 
 def compatible(x, y):
     """Equal conditions."""
-    _pair(x, y)
-    return x.c == y.c
+    return _compat(*_pair(x, y))
+
+
+def _subalg(q1, c1, q2, c2):
+    return c1 == c2 != 0
 
 
 def in_common_subalgebra(x, y):
     """Do x and y live in a common Boolean subalgebra? Exactly when their
     conditions are equal and nonempty."""
-    _pair(x, y)
-    return x.c == y.c != 0
+    return _subalg(*_pair(x, y))
+
+
+_RELATIONS = {
+    "tr": _tr,
+    "nf": _nf,
+    "ap": _ap,
+    "pm": _pm,
+    "vee": _vee,
+    "wedge": _wedge,
+    "bo": _bo,
+    "orth": orthogonal_bits,
+    "simver": sim_verifiable_bits,
+    "simfals": sim_falsifiable_bits,
+    "compat": _compat,
+    "subalg": _subalg,
+}
+RELATION_TAGS = tuple(_RELATIONS)
+
+
+def holds(tag, x, y):
+    """Does relation `tag` hold between x and y (in that order)?"""
+    try:
+        rel = _RELATIONS[tag]
+    except KeyError:
+        raise ValueError("unknown relation tag: %r" % (tag,)) from None
+    return rel(*_pair(x, y))
 
 
 def decomposition_witness(x, y):
@@ -183,15 +204,7 @@ class VerifiabilityProfile:
     same_condition: bool
 
     def flags(self):
-        return (
-            self.truth_applicable,
-            self.falsity_applicable,
-            self.verifiable,
-            self.falsifiable,
-            self.complement_verifiable,
-            self.applicable,
-            self.same_condition,
-        )
+        return astuple(self)
 
 
 def profile(x, y):
@@ -200,7 +213,7 @@ def profile(x, y):
         truth_applicable=q1 & ~c2 == 0,
         falsity_applicable=(c1 & ~q1) & ~c2 == 0,
         verifiable=sim_verifiable_bits(q1, c1, q2, c2),
-        falsifiable=(c1 & ~q1) & ~c2 == 0 and (c2 & ~q2) & ~c1 == 0,
+        falsifiable=sim_falsifiable_bits(q1, c1, q2, c2),
         complement_verifiable=(c1 & ~q1) & ~c2 == 0 and q2 & ~c1 == 0,
         applicable=c1 & ~c2 == 0,
         same_condition=c1 == c2,
@@ -213,11 +226,9 @@ class Subalgebra:
     is_boolean: bool
 
 
-def closure_bits(seeds, ops=None):
-    """Close a set of raw (q, c) pairs under not plus the given binary ops
-    (or_bits and and_bits when none are given)."""
-    if ops is None:
-        ops = (cnd.or_bits, cnd.and_bits)
+def closure_bits(seeds):
+    """Close a set of raw (q, c) pairs under not, or and and."""
+    ops = (cnd.or_bits, cnd.and_bits)
     members = set(seeds)
     while True:
         new = set()

@@ -8,6 +8,7 @@ Space files are line-oriented: a `space` line, an `atoms` line, then
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
 from boolfrac import conditional as cnd
 from boolfrac import lang
@@ -192,3 +193,109 @@ def test_space_file_error_positions_point_at_the_line():
     with pytest.raises(ParseError) as err:
         lang.parse_space("space x\natoms a b\nevent e = a |\n")
     assert err.value.line == 3
+
+
+# Property tests. A tree is a tuple: ("ref", name), ("set", names),
+# ("not", arg) or (op, left, right) for the nine binary operators.
+
+DIE_NAMES = ("two", "even", "odd", "lt4", "lt5", "five", "1", "2", "3", "4", "5", "6")
+DIE_ATOMS = ("1", "2", "3", "4", "5", "6")
+INFIX_LEVEL = {"given": 0, "or": 1, "and": 2}
+INFIX_SYMBOL = {"given": "|", "or": "or", "and": "and"}
+NOT_LEVEL = 3
+BINARY_OPS = {
+    "given": cnd.given,
+    "or": cnd.or_,
+    "and": cnd.and_,
+    "osum": cnd.osum,
+    "proj": cnd.sasaki,
+    "s_and": schay.and_s,
+    "s_or": schay.vee_s,
+    "s_cap": schay.cap_s,
+    "s_cup": schay.cup_s,
+}
+
+
+def trees(depth):
+    leaves = st.one_of(
+        st.sampled_from(DIE_NAMES).map(lambda name: ("ref", name)),
+        st.lists(st.sampled_from(DIE_ATOMS), unique=True).map(lambda names: ("set", tuple(names))),
+    )
+    if depth == 0:
+        return leaves
+    sub = trees(depth - 1)
+    return st.one_of(
+        leaves,
+        sub.map(lambda arg: ("not", arg)),
+        st.tuples(st.sampled_from(sorted(BINARY_OPS)), sub, sub),
+    )
+
+
+def render(tree, need=0):
+    """Source text with the fewest parentheses: a subterm is wrapped only
+    when it binds more loosely than its position requires."""
+    kind = tree[0]
+    if kind == "ref":
+        return tree[1]
+    if kind == "set":
+        return "{%s}" % ",".join(tree[1])
+    if kind == "not":
+        level, text = NOT_LEVEL, "~" + render(tree[1], NOT_LEVEL)
+    elif kind in INFIX_LEVEL:
+        level = INFIX_LEVEL[kind]
+        text = "%s %s %s" % (
+            render(tree[1], level), INFIX_SYMBOL[kind], render(tree[2], level + 1)
+        )
+    else:
+        return "%s(%s, %s)" % (kind, render(tree[1]), render(tree[2]))
+    return "(%s)" % text if level < need else text
+
+
+def sexpr(tree):
+    kind = tree[0]
+    if kind == "ref":
+        return "(ref %s)" % tree[1]
+    if kind == "set":
+        return "(set%s)" % "".join(" " + name for name in tree[1])
+    return "(%s %s)" % (kind, " ".join(sexpr(arg) for arg in tree[1:]))
+
+
+def evaluate(tree, die):
+    kind = tree[0]
+    full = die.space.full
+    if kind == "ref":
+        name = tree[1]
+        event = die.events[name] if name in die.events else die.space.atom(name)
+        return cnd.make(event, full)
+    if kind == "set":
+        return cnd.make(die.space.event(tree[1]), full)
+    if kind == "not":
+        return cnd.negate(evaluate(tree[1], die))
+    return BINARY_OPS[kind](evaluate(tree[1], die), evaluate(tree[2], die))
+
+
+@given(trees(4))
+def test_minimally_parenthesized_trees_parse_back_and_lower_to_their_operations(die, tree):
+    text = render(tree)
+    assert lang.dump(lang.parse_expr(text)) == sexpr(tree)
+    assert die.lower(text) == evaluate(tree, die)
+
+
+HOSTILE_ATOM_NAMES = st.text(
+    st.characters(exclude_categories=("C", "Z"), exclude_characters="{},|()~#="),
+    min_size=1,
+    max_size=4,
+).filter(lambda name: name not in lang.RESERVED_WORDS)
+
+
+@given(st.lists(HOSTILE_ATOM_NAMES, min_size=1, max_size=5, unique=True))
+def test_format_parse_lower_is_the_identity_on_hostile_atom_names(names):
+    """Every conditional except U prints to text that parses and lowers
+    back to it, whatever characters outside the grammar's own the atom
+    names use."""
+    doc = lang.parse_space("space s\natoms %s\n" % " ".join(names))
+    for q, c in cnd.enumerate_conditionals_bits(doc.space.full_bits):
+        if c == 0:
+            continue
+        x = cnd.Conditional(doc.space, q, c)
+        assert doc.lower(lang.format_conditional(x)) == x

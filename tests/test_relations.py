@@ -47,6 +47,25 @@ def test_unknown_tag_is_rejected(die_pair):
         rel.holds("bogus", *die_pair)
 
 
+@pytest.mark.parametrize(
+    "tag,relation",
+    [
+        ("orth", rel.orthogonal),
+        ("simver", rel.sim_verifiable),
+        ("simfals", rel.sim_falsifiable),
+        ("compat", rel.compatible),
+        ("subalg", rel.in_common_subalgebra),
+    ],
+)
+def test_holds_accepts_the_pair_relations_by_tag(tag, relation):
+    """Exhaustive at two atoms."""
+    assert tag in rel.RELATION_TAGS
+    _, conds = all_pairs(2)
+    for x in conds:
+        for y in conds:
+            assert rel.holds(tag, x, y) == relation(x, y)
+
+
 def test_vee_and_wedge_match_their_operation_forms():
     """vee(x,y) iff or_(x,y) == y; wedge(x,y) iff and_(x,y) == x;
     pm == tr and nf; exhaustive at two atoms."""
