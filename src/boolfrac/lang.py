@@ -16,7 +16,9 @@ parses to one `Binary` node. The words `and`, `or` and the function
 names are reserved: an expression cannot refer to them, so a space file
 rejects them as atom, event and measure names. An expression nested
 deeper than the interpreter's recursion limit is a ParseError, not a
-crash. A bare NAME refers to a named event if the space defines one,
+crash, and so is a tree too deep to lower or dump (a long flat chain
+such as `a or a or ... or a` parses in a loop but nests to the left).
+A bare NAME refers to a named event if the space defines one,
 otherwise to the atom of that name. Every leaf lowers to the conditional
 (event | whole space), so plain Boolean formulas come out with the full
 space as condition and `a | b` produces the ordinary conditional event.
@@ -233,12 +235,17 @@ class _Parser:
         return SetLiteral(tuple(names))
 
 
+# lower_event, lower and dump catch RecursionError inside their own bodies
+# rather than through a wrapper, which would double the frames per level.
+_TOO_DEEP = "expression nests too deeply"
+
+
 def parse_expr(text):
     parser = _Parser(tokenize(text))
     try:
         node = parser.expr()
     except RecursionError:
-        raise ParseError("expression nests too deeply") from None
+        raise ParseError(_TOO_DEEP) from None
     if parser.peek().kind != "eof":
         parser.fail({"end of input", "an operator"})
     return node
@@ -256,42 +263,51 @@ def _resolve(name, space, events):
 def lower_event(expr, space, events=None):
     """Lower an expression that must stay at the event level."""
     events = events or {}
-    if isinstance(expr, EventRef):
-        return _resolve(expr.name, space, events)
-    if isinstance(expr, SetLiteral):
-        return space.event(expr.names)
-    if isinstance(expr, Not):
-        return lower_event(expr.arg, space, events).complement()
-    if isinstance(expr, Binary) and expr.op in _EVENT_OPS:
-        return _EVENT_OPS[expr.op](
-            lower_event(expr.left, space, events), lower_event(expr.right, space, events)
-        )
+    try:
+        if isinstance(expr, EventRef):
+            return _resolve(expr.name, space, events)
+        if isinstance(expr, SetLiteral):
+            return space.event(expr.names)
+        if isinstance(expr, Not):
+            return lower_event(expr.arg, space, events).complement()
+        if isinstance(expr, Binary) and expr.op in _EVENT_OPS:
+            return _EVENT_OPS[expr.op](
+                lower_event(expr.left, space, events), lower_event(expr.right, space, events)
+            )
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
     raise ParseError("conditional operators are not allowed here")
 
 
 def lower(expr, space, events=None):
     """Lower an expression to a Conditional over the given space."""
     events = events or {}
-    if isinstance(expr, (EventRef, SetLiteral)):
-        return cnd.make(lower_event(expr, space, events), space.full)
-    if isinstance(expr, Not):
-        return cnd.negate(lower(expr.arg, space, events))
-    if isinstance(expr, Binary):
-        op = _FUNC_OPS.get(expr.op) or getattr(cnd, _CONDITIONAL_OPS[expr.op])
-        return op(lower(expr.left, space, events), lower(expr.right, space, events))
+    try:
+        if isinstance(expr, (EventRef, SetLiteral)):
+            return cnd.make(lower_event(expr, space, events), space.full)
+        if isinstance(expr, Not):
+            return cnd.negate(lower(expr.arg, space, events))
+        if isinstance(expr, Binary):
+            op = _FUNC_OPS.get(expr.op) or getattr(cnd, _CONDITIONAL_OPS[expr.op])
+            return op(lower(expr.left, space, events), lower(expr.right, space, events))
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
     raise TypeError("not an expression node: %r" % (expr,))
 
 
 def dump(expr):
     """Deterministic s-expression rendering of a parse tree."""
-    if isinstance(expr, EventRef):
-        return "(ref %s)" % expr.name
-    if isinstance(expr, SetLiteral):
-        return "(set%s)" % "".join(" " + name for name in expr.names)
-    if isinstance(expr, Not):
-        return "(not %s)" % dump(expr.arg)
-    if isinstance(expr, Binary):
-        return "(%s %s %s)" % (expr.op, dump(expr.left), dump(expr.right))
+    try:
+        if isinstance(expr, EventRef):
+            return "(ref %s)" % expr.name
+        if isinstance(expr, SetLiteral):
+            return "(set%s)" % "".join(" " + name for name in expr.names)
+        if isinstance(expr, Not):
+            return "(not %s)" % dump(expr.arg)
+        if isinstance(expr, Binary):
+            return "(%s %s %s)" % (expr.op, dump(expr.left), dump(expr.right))
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
     raise TypeError("not an expression node: %r" % (expr,))
 
 

@@ -25,13 +25,44 @@ mutated kernel can make a probability undefined) is a FAIL whose
 counterexample reads "raised <Type>: <message>"; instances_checked is
 the law's count at the raise, the raising instance included.
 
+The innermost loop of each triple-quantified law (t2.4, c2.5, t2.6,
+c2.7, and the triple parts of props2.3, t3.15, t3.17 and schay-lattice)
+runs over blocks of instances, bit-sliced after Biham, "A fast new DES
+implementation in software" (FSE 1997). Over n atoms a block packs all
+3**n innermost pairs into one int per component: pair k sits in the
+n-bit lane at bit n*k. The outer operands are broadcast to every lane by
+multiplying with the repunit R = sum of 1 << n*k, so one kernel call per
+outer (x, y) evaluates every z at once. A check ORs the bits of each lane
+of `lhs ^ rhs` (and of its side condition) into the lane's lowest bit
+and masks with R, leaving one flag per lane. The lowest flagged lane k
+is the first failure in enumeration order: its count is the count
+before the block plus k + 1, and its operands and results are read back
+from lane k. Where a law makes several checks per instance, a later
+check is evaluated only when lane 0 passes the earlier ones.
+
+A block is sliced only when every kernel it calls holds its lane
+certificate at n atoms: on all 3**n x 3**n normal-form operand pairs
+each result is a normal-form (q, c) tuple of ints inside the space, the
+kernel applied to those pairs packed as lanes (3**n calls of 3**n
+lanes) returns exactly the packed results, and nothing raises. The certificate is computed on
+first use and cached per kernel object and atom count, so a kernel
+replaced in `conditional` or `schay` is certified afresh. A kernel that
+fails it (a per-atom loop, one that shifts, adds, masks with the space
+or leaves normal form) gets blocks of one instance each: the kernels
+then see the pairs themselves and results compare as tuples, exactly
+as in a plain loop, so counts at a raise and out-of-normal-form results
+are reported as before.
+
 Budgets: the triple-quantified laws run up to 4 atoms; laws that sweep
 measure grids, search for decompositions, or close subalgebras stop at
 3 (their instance spaces grow much faster). check_all clamps each law
 to its own budget.
 """
 
+import operator
+import weakref
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations_with_replacement, product
 
 from . import conditional as cnd
@@ -77,10 +108,135 @@ def _grids(space, max_weight):
             yield weights
 
 
+# ------------------------------------------------------- lane blocks
+
+
+def _pack(values, width):
+    """One int holding values[k] in the width-bit lane at bit width*k."""
+    return int("".join(format(v, "0%db" % width) for v in reversed(values)), 2)
+
+
+def _lane_certificate(kernel, n):
+    """Whether a binary kernel evaluates packed lanes as it does pairs.
+
+    The 3**n x 3**n operand pairs go through 3**n packed calls, so that
+    no call holds them all: call j has (pairs[i], pairs[i + j]) in lane
+    i, indices mod 3**n, and mixes every first and second operand.
+    """
+    full = (1 << n) - 1
+    pairs = cnd.enumerate_conditionals_bits(full)
+    size = len(pairs)
+    try:
+        for j in range(size):
+            operands = [x + pairs[(i + j) % size] for i, x in enumerate(pairs)]
+            results = [kernel(*args) for args in operands]
+            for result in results:
+                if not (type(result) is tuple and len(result) == 2
+                        and type(result[0]) is int and type(result[1]) is int):
+                    return False
+                q, c = result
+                if not 0 <= c <= full or q & ~c:
+                    return False
+            packed = [_pack(column, n) for column in zip(*operands)]
+            if kernel(*packed) != tuple(_pack(column, n) for column in zip(*results)):
+                return False
+    except Exception:  # a kernel that raises is not certified
+        return False
+    return True
+
+
+_CERTIFICATES = weakref.WeakKeyDictionary()  # kernel -> {atoms: certified}
+
+
+def _certified(kernel, n):
+    """The kernel's lane certificate at n atoms, computed once per kernel."""
+    try:
+        by_atoms = _CERTIFICATES.setdefault(kernel, {})
+    except TypeError:  # no weak reference to this kernel: certify it each time
+        by_atoms = {}
+    if n not in by_atoms:
+        by_atoms[n] = _lane_certificate(kernel, n)
+    return by_atoms[n]
+
+
+class _Scalar:
+    """Blocks of one instance: the kernels see the pairs themselves and
+    results compare as tuples, as in a plain loop."""
+
+    size = 1
+    differ = staticmethod(operator.ne)
+    flag = staticmethod(bool)
+
+    def __init__(self, pairs):
+        self.blocks = [(q, c, i) for i, (q, c) in enumerate(pairs)]
+
+    @staticmethod
+    def spread(pair):
+        return pair
+
+    @staticmethod
+    def locate(count, *flags):
+        return count, 0, next(i for i, f in enumerate(flags) if f)
+
+    @staticmethod
+    def pick(value, k):
+        return value
+
+
+class _Sliced:
+    """One block of all pairs, pair k in the n-bit lane at bit n*k."""
+
+    def __init__(self, pairs, n):
+        self.width = n
+        self.size = len(pairs)
+        self.repunit = _pack([1] * self.size, n)
+        self.lane_mask = (1 << n) - 1
+        self.blocks = [(_pack([q for q, _ in pairs], n), _pack([c for _, c in pairs], n), 0)]
+
+    def spread(self, pair):
+        q, c = pair
+        return q * self.repunit, c * self.repunit
+
+    def flag(self, bits):
+        """One bit per lane, set where the lane has any bit set."""
+        folded = bits
+        for shift in range(1, self.width):
+            folded |= bits >> shift
+        return folded & self.repunit
+
+    def differ(self, lhs, rhs):
+        return self.flag((lhs[0] ^ rhs[0]) | (lhs[1] ^ rhs[1]))
+
+    def locate(self, count, *flags):
+        """The failing instance's count, its lane, and the first check
+        flagged there, given the count after the block."""
+        failed = reduce(operator.or_, flags)
+        k = ((failed & -failed).bit_length() - 1) // self.width
+        check = next(i for i, f in enumerate(flags) if f >> self.width * k & 1)
+        return count - self.size + k + 1, k, check
+
+    def pick(self, value, k):
+        """Lane k of a packed int or of each int in a tuple."""
+        if isinstance(value, tuple):
+            return tuple(self.pick(v, k) for v in value)
+        return value >> self.width * k & self.lane_mask
+
+
+def _lanes(space, pairs, *kernels):
+    """Blocks over `pairs` for a loop that calls `kernels`: one sliced
+    block if every kernel is certified at this size, else one per pair."""
+    if all(_certified(kernel, space.n) for kernel in kernels):
+        return _Sliced(pairs, space.n)
+    return _Scalar(pairs)
+
+
 # Counterexample templates shared by laws with the same message.
 _EQUATION_SIDE = "x=%s y=%s z=%s lhs=%s rhs=%s side=%s"
 _ABSORPTION_SIDE = "x=%s z=%s lhs=%s side=%s"
 _SIMVER_SIMFALS = "x=%s y=%s simver=%s simfals=%s"
+_LATTICE_TRIPLES = tuple("%s: " + check + " at x=%s y=%s z=%s" for check in (
+    "meet not associative", "join not associative",
+    "meet does not distribute", "join does not distribute"))
 
 
 # ---------------------------------------------------------------- laws
@@ -90,16 +246,24 @@ def _law_t2_4(space, pairs, max_weight):
     """and_(x, or_(y, z)) == or_(and_(x, y), and_(x, z)) iff
     ab & e'f <= d and ab & c'd <= f."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
+    lanes = _lanes(space, pairs, or_b, and_b)
+    spread, size, differ, flag = lanes.spread, lanes.size, lanes.differ, lanes.flag
     count = 0
-    for q1, c1 in pairs:
-        for q2, c2 in pairs:
-            for q3, c3 in pairs:
-                count += 1
+    for x in pairs:
+        q1, c1 = spread(x)
+        for y in pairs:
+            q2, c2 = spread(y)
+            for q3, c3, base in lanes.blocks:
+                count += size
                 lhs = and_b(q1, c1, *or_b(q2, c2, q3, c3))
                 rhs = or_b(*and_b(q1, c1, q2, c2), *and_b(q1, c1, q3, c3))
-                side = (q1 & c3 & ~q3 & ~c2) == 0 and (q1 & c2 & ~q2 & ~c3) == 0
-                if (lhs == rhs) != side:
-                    return count, _EQUATION_SIDE, (q1, c1), (q2, c2), (q3, c3), lhs, rhs, side
+                side = (q1 & c3 & ~q3 & ~c2) | (q1 & c2 & ~q2 & ~c3)
+                failed = differ(lhs, rhs) ^ flag(side)
+                if failed:
+                    count, k, _ = lanes.locate(count, failed)
+                    pick = lanes.pick
+                    return (count, _EQUATION_SIDE, x, y, pairs[base + k],
+                            pick(lhs, k), pick(rhs, k), not pick(side, k))
     return count
 
 
@@ -107,17 +271,25 @@ def _law_c2_5(space, pairs, max_weight):
     """or_(x, and_(y, z)) == and_(or_(x, y), or_(x, z)) iff
     a'b & ef <= d and a'b & cd <= f."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
+    lanes = _lanes(space, pairs, or_b, and_b)
+    spread, size, differ, flag = lanes.spread, lanes.size, lanes.differ, lanes.flag
     count = 0
-    for q1, c1 in pairs:
+    for x in pairs:
+        q1, c1 = spread(x)
         nay = c1 & ~q1
-        for q2, c2 in pairs:
-            for q3, c3 in pairs:
-                count += 1
+        for y in pairs:
+            q2, c2 = spread(y)
+            for q3, c3, base in lanes.blocks:
+                count += size
                 lhs = or_b(q1, c1, *and_b(q2, c2, q3, c3))
                 rhs = and_b(*or_b(q1, c1, q2, c2), *or_b(q1, c1, q3, c3))
-                side = (nay & q3 & ~c2) == 0 and (nay & q2 & ~c3) == 0
-                if (lhs == rhs) != side:
-                    return count, _EQUATION_SIDE, (q1, c1), (q2, c2), (q3, c3), lhs, rhs, side
+                side = (nay & q3 & ~c2) | (nay & q2 & ~c3)
+                failed = differ(lhs, rhs) ^ flag(side)
+                if failed:
+                    count, k, _ = lanes.locate(count, failed)
+                    pick = lanes.pick
+                    return (count, _EQUATION_SIDE, x, y, pairs[base + k],
+                            pick(lhs, k), pick(rhs, k), not pick(side, k))
     return count
 
 
@@ -125,17 +297,25 @@ def _law_t2_6(space, pairs, max_weight):
     """or_(x, and_(y, z)) == and_(or_(x, y), z) iff
     ab & e'f == 0 and a'b & ef <= d."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
+    lanes = _lanes(space, pairs, or_b, and_b)
+    spread, size, differ, flag = lanes.spread, lanes.size, lanes.differ, lanes.flag
     count = 0
-    for q1, c1 in pairs:
+    for x in pairs:
+        q1, c1 = spread(x)
         nay = c1 & ~q1
-        for q2, c2 in pairs:
-            for q3, c3 in pairs:
-                count += 1
+        for y in pairs:
+            q2, c2 = spread(y)
+            for q3, c3, base in lanes.blocks:
+                count += size
                 lhs = or_b(q1, c1, *and_b(q2, c2, q3, c3))
                 rhs = and_b(*or_b(q1, c1, q2, c2), q3, c3)
-                side = (q1 & c3 & ~q3) == 0 and (nay & q3 & ~c2) == 0
-                if (lhs == rhs) != side:
-                    return count, _EQUATION_SIDE, (q1, c1), (q2, c2), (q3, c3), lhs, rhs, side
+                side = (q1 & c3 & ~q3) | (nay & q3 & ~c2)
+                failed = differ(lhs, rhs) ^ flag(side)
+                if failed:
+                    count, k, _ = lanes.locate(count, failed)
+                    pick = lanes.pick
+                    return (count, _EQUATION_SIDE, x, y, pairs[base + k],
+                            pick(lhs, k), pick(rhs, k), not pick(side, k))
     return count
 
 
@@ -143,17 +323,25 @@ def _law_c2_7(space, pairs, max_weight):
     """and_(x, or_(y, z)) == or_(and_(x, y), z) iff
     a'b & ef == 0 and ab & e'f <= d."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
+    lanes = _lanes(space, pairs, or_b, and_b)
+    spread, size, differ, flag = lanes.spread, lanes.size, lanes.differ, lanes.flag
     count = 0
-    for q1, c1 in pairs:
+    for x in pairs:
+        q1, c1 = spread(x)
         nay = c1 & ~q1
-        for q2, c2 in pairs:
-            for q3, c3 in pairs:
-                count += 1
+        for y in pairs:
+            q2, c2 = spread(y)
+            for q3, c3, base in lanes.blocks:
+                count += size
                 lhs = and_b(q1, c1, *or_b(q2, c2, q3, c3))
                 rhs = or_b(*and_b(q1, c1, q2, c2), q3, c3)
-                side = (nay & q3) == 0 and (q1 & c3 & ~q3 & ~c2) == 0
-                if (lhs == rhs) != side:
-                    return count, _EQUATION_SIDE, (q1, c1), (q2, c2), (q3, c3), lhs, rhs, side
+                side = (nay & q3) | (q1 & c3 & ~q3 & ~c2)
+                failed = differ(lhs, rhs) ^ flag(side)
+                if failed:
+                    count, k, _ = lanes.locate(count, failed)
+                    pick = lanes.pick
+                    return (count, _EQUATION_SIDE, x, y, pairs[base + k],
+                            pick(lhs, k), pick(rhs, k), not pick(side, k))
     return count
 
 
@@ -228,16 +416,22 @@ def _law_props2_3(space, pairs, max_weight):
                 return count, "De Morgan (and) fails at x=%s y=%s", p, s
             if and_b(q1, c1, q2, c2) != and_b(q2, c2, *giv_b(q1, c1, q2, c2)):
                 return count, "and_(x, y) != and_(y, given(x, y)) at x=%s y=%s", p, s
-    for q1, c1 in pairs:
-        for q2, c2 in pairs:
-            for q3, c3 in pairs:
-                count += 1
-                if or_b(*or_b(q1, c1, q2, c2), q3, c3) != or_b(q1, c1, *or_b(q2, c2, q3, c3)):
-                    return (count, "or_ not associative at x=%s y=%s z=%s",
-                            (q1, c1), (q2, c2), (q3, c3))
-                if and_b(*and_b(q1, c1, q2, c2), q3, c3) != and_b(q1, c1, *and_b(q2, c2, q3, c3)):
-                    return (count, "and_ not associative at x=%s y=%s z=%s",
-                            (q1, c1), (q2, c2), (q3, c3))
+    lanes = _lanes(space, pairs, or_b, and_b)
+    spread, size, differ = lanes.spread, lanes.size, lanes.differ
+    for x in pairs:
+        q1, c1 = spread(x)
+        for y in pairs:
+            q2, c2 = spread(y)
+            for q3, c3, base in lanes.blocks:
+                count += size
+                by_or = differ(or_b(*or_b(q1, c1, q2, c2), q3, c3),
+                               or_b(q1, c1, *or_b(q2, c2, q3, c3)))
+                by_and = 0 if by_or & 1 else differ(and_b(*and_b(q1, c1, q2, c2), q3, c3),
+                                                    and_b(q1, c1, *and_b(q2, c2, q3, c3)))
+                if by_or or by_and:
+                    count, k, check = lanes.locate(count, by_or, by_and)
+                    return (count, "%s not associative at x=%s y=%s z=%s",
+                            ("or_", "and_")[check], x, y, pairs[base + k])
     return count
 
 
@@ -650,19 +844,24 @@ def _law_t3_15(space, pairs, max_weight):
                 return count, "annihilation criterion fails at b=%s a=%s", b, a
             if sas_b(qb, cb, *proj) != proj:
                 return count, "projection not idempotent at b=%s a=%s", b, a
+    lanes = _lanes(space, pairs, and_b, sas_b)
+    spread, size, differ = lanes.spread, lanes.size, lanes.differ
     for b in pairs:
-        qb, cb = b
+        qb, cb = spread(b)
         for c in pairs:
-            qc, cc = c
+            qc, cc = spread(c)
             meet = and_b(qb, cb, qc, cc)
-            for a in pairs:
-                qa, ca = a
-                count += 1
+            for qa, ca, base in lanes.blocks:
+                count += size
                 nested = sas_b(qc, cc, *sas_b(qb, cb, qa, ca))
-                if nested != sas_b(*meet, qa, ca):
-                    return count, "composition via and_ fails at b=%s c=%s a=%s", b, c, a
-                if nested != sas_b(qb, cb, *sas_b(qc, cc, qa, ca)):
-                    return count, "projections do not commute at b=%s c=%s a=%s", b, c, a
+                by_meet = differ(nested, sas_b(*meet, qa, ca))
+                by_swap = 0 if by_meet & 1 else differ(nested,
+                                                       sas_b(qb, cb, *sas_b(qc, cc, qa, ca)))
+                if by_meet or by_swap:
+                    count, k, check = lanes.locate(count, by_meet, by_swap)
+                    return (count, ("composition via and_ fails at b=%s c=%s a=%s",
+                                    "projections do not commute at b=%s c=%s a=%s")[check],
+                            b, c, pairs[base + k])
     return count
 
 
@@ -718,18 +917,21 @@ def _law_t3_17(space, pairs, max_weight):
                          and (nb[0] & ~ca) == 0 and (qa & ~nb[1]) == 0)
             if two_sided != ((qa & ~cb) == 0 and (cb & ~ca) == 0):
                 return count, "two-sided verifiability criterion fails at b=%s a=%s", b, a
+    lanes = _lanes(space, pairs, or_b, sas_b)
+    spread, size, differ = lanes.spread, lanes.size, lanes.differ
     for c in pairs:
-        qc, cc = c
+        qc, cc = spread(c)
         for b in pairs:
-            qb, cb = b
+            qb, cb = spread(b)
             proj_b = sas_b(qc, cc, qb, cb)
-            for a in pairs:
-                qa, ca = a
-                count += 1
+            for qa, ca, base in lanes.blocks:
+                count += size
                 lhs = sas_b(qc, cc, *or_b(qb, cb, qa, ca))
-                if lhs != or_b(*proj_b, *sas_b(qc, cc, qa, ca)):
+                failed = differ(lhs, or_b(*proj_b, *sas_b(qc, cc, qa, ca)))
+                if failed:
+                    count, k, _ = lanes.locate(count, failed)
                     return (count, "projection does not distribute over or_ at c=%s b=%s a=%s",
-                            c, b, a)
+                            c, b, pairs[base + k])
     # Folded families stay on 3 atoms; their pairs render alike on a larger law space.
     family_pairs = pairs if space.n <= 3 else cnd.enumerate_conditionals_bits(0b111)
     for c in family_pairs:
@@ -777,20 +979,26 @@ def _law_schay_lattice(space, pairs, max_weight):
                     return count, "%s: absorption meet-join fails at x=%s y=%s", name, x, y
                 if join(*x, *meet(*x, *y)) != x:
                     return count, "%s: absorption join-meet fails at x=%s y=%s", name, x, y
+        lanes = _lanes(space, pairs, meet, join)
+        spread, size, differ = lanes.spread, lanes.size, lanes.differ
         for x in pairs:
+            xs = spread(x)
             for y in pairs:
-                for z in pairs:
-                    count += 1
-                    if meet(*meet(*x, *y), *z) != meet(*x, *meet(*y, *z)):
-                        return count, "%s: meet not associative at x=%s y=%s z=%s", name, x, y, z
-                    if join(*join(*x, *y), *z) != join(*x, *join(*y, *z)):
-                        return count, "%s: join not associative at x=%s y=%s z=%s", name, x, y, z
-                    if meet(*x, *join(*y, *z)) != join(*meet(*x, *y), *meet(*x, *z)):
-                        return (count, "%s: meet does not distribute at x=%s y=%s z=%s",
-                                name, x, y, z)
-                    if join(*x, *meet(*y, *z)) != meet(*join(*x, *y), *join(*x, *z)):
-                        return (count, "%s: join does not distribute at x=%s y=%s z=%s",
-                                name, x, y, z)
+                ys = spread(y)
+                for q3, c3, base in lanes.blocks:
+                    count += size
+                    z = q3, c3
+                    # A check runs only while lane 0 passes the ones before it.
+                    f1 = differ(meet(*meet(*xs, *ys), *z), meet(*xs, *meet(*ys, *z)))
+                    f2 = 0 if f1 & 1 else differ(join(*join(*xs, *ys), *z),
+                                                 join(*xs, *join(*ys, *z)))
+                    f3 = 0 if (f1 | f2) & 1 else differ(meet(*xs, *join(*ys, *z)),
+                                                        join(*meet(*xs, *ys), *meet(*xs, *z)))
+                    f4 = 0 if (f1 | f2 | f3) & 1 else differ(join(*xs, *meet(*ys, *z)),
+                                                             meet(*join(*xs, *ys), *join(*xs, *z)))
+                    if f1 or f2 or f3 or f4:
+                        count, k, check = lanes.locate(count, f1, f2, f3, f4)
+                        return count, _LATTICE_TRIPLES[check], name, x, y, pairs[base + k]
     return count
 
 

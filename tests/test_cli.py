@@ -287,6 +287,16 @@ def test_deeply_nested_expression_is_a_parse_error(capsys):
     assert err == "boolfrac: error: expression nests too deeply\n"
 
 
+@pytest.mark.parametrize("command", ["parse", "eval"])
+def test_long_flat_chain_is_a_parse_error(capsys, die_path, command):
+    """3,000 operands parse in a loop, but the tree nests to the left."""
+    chain = " or ".join(["two"] * 3000)
+    space = ["--space", die_path] if command == "eval" else []
+    code, out, err = run(capsys, command, *space, "--expr", chain)
+    assert (code, out) == (2, "")
+    assert err == "boolfrac: error: expression nests too deeply\n"
+
+
 def test_space_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "bad.cs"
     path.write_bytes(b"\xff\xfe")

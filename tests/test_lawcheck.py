@@ -11,6 +11,7 @@ import pytest
 
 from boolfrac import conditional as cnd
 from boolfrac import lawcheck
+from boolfrac import schay
 from boolfrac import trivalent as tv
 from boolfrac.errors import TooLarge, UnknownLaw
 
@@ -226,6 +227,29 @@ def test_criterion_10_mutant_reports_match_the_golden_reports(monkeypatch):
     assert lawcheck.check_all(2) == GOLDEN_CRITERION_10
 
 
+GOLDEN_CRITERION_10_AT_4 = [
+    lawcheck.LawReport(law, 4, count, False, counterexample) for law, count, counterexample in (
+        ("t2.4", 13124, "x=({1}|{1}) y=UNDEFINED z=({}|{1}) lhs=({}|{1}) rhs=({}|{1}) side=false"),
+        ("c2.5", 6724, "x=({}|{1}) y=({1}|{1}) z=UNDEFINED lhs=({}|{1}) rhs=({}|{1}) side=false"),
+        ("t2.6", 13123, "x=({1}|{1}) y=UNDEFINED z=UNDEFINED lhs=({1}|{1}) rhs=({}|{1}) side=true"),
+        ("c2.7", 13124, "x=({1}|{1}) y=UNDEFINED z=({}|{1}) lhs=({}|{1}) rhs=({}|{1}) side=false"),
+    )
+]
+
+
+def test_criterion_10_mutant_reports_at_four_atoms_match_the_golden_reports(monkeypatch):
+    """The mutant is a closed form, so these laws run bit-sliced; the
+    reports are the ones a plain loop over every triple gave."""
+    def broken(q1, c1, q2, c2):
+        return (q1 & q2) | (~c1 & q2), c1 | c2
+
+    monkeypatch.setattr(cnd, "and_bits", broken)
+    assert lawcheck._certified(broken, 4)
+    assert [lawcheck.check(law, 4) for law in ("t2.4", "c2.5", "t2.6", "c2.7")] == (
+        GOLDEN_CRITERION_10_AT_4
+    )
+
+
 # Single-entry table mutants. Each binary kernel acts atom by atom
 # through a 3x3 table; a mutant changes one entry to one of the two
 # other values and applies the table with a per-atom loop.
@@ -275,24 +299,58 @@ def table_mutants():
                     yield name, entry, new, per_atom_kernel({**table, entry: new})
 
 
+def per_atom_not(table):
+    def kernel(q, c):
+        nq = nc = 0
+        for bit in ATOM_BITS:
+            value = table[tv.eval_at_bit(q, c, bit)]
+            if value is not U:
+                nc |= bit
+                if value is T:
+                    nq |= bit
+        return nq, nc
+
+    return kernel
+
+
+def not_mutants():
+    """The 6 single-entry mutants of the negation table."""
+    for entry, old in tv.NOT_TABLE.items():
+        for new in (T, F, U):
+            if new is not old:
+                yield "not_bits", entry, new, per_atom_not({**tv.NOT_TABLE, entry: new})
+
+
 def test_per_atom_tables_reproduce_the_kernels():
     pairs = cnd.enumerate_conditionals_bits(0b11)
     for name, table in TABLES.items():
         kernel, reference = per_atom_kernel(table), getattr(cnd, name)
         assert all(kernel(*x, *y) == reference(*x, *y) for x in pairs for y in pairs), name
+    assert all(per_atom_not(tv.NOT_TABLE)(*x) == cnd.not_bits(*x) for x in pairs)
 
 
-def test_every_table_mutant_is_killed_without_a_crash(monkeypatch):
-    """check_all raises for no mutant, and some law fails under each."""
-    mutants = list(table_mutants())
-    assert len(mutants) == 90
+def _survivors(monkeypatch, mutants):
+    """The mutants under which every law passes; check_all must not raise."""
     survivors = []
     for name, entry, new, kernel in mutants:
         monkeypatch.setattr(cnd, name, kernel)
         if all(r.passed for r in lawcheck.check_all(2, max_weight=1)):
             survivors.append((name, entry, new))
         monkeypatch.undo()
-    assert survivors == []
+    return survivors
+
+
+def test_every_table_mutant_is_killed_without_a_crash(monkeypatch):
+    """check_all raises for no mutant, and some law fails under each."""
+    mutants = list(table_mutants())
+    assert len(mutants) == 90
+    assert _survivors(monkeypatch, mutants) == []
+
+
+def test_every_not_mutant_is_killed_without_a_crash(monkeypatch):
+    mutants = list(not_mutants())
+    assert len(mutants) == 6
+    assert _survivors(monkeypatch, mutants) == []
 
 
 @pytest.mark.parametrize(
@@ -325,3 +383,136 @@ def test_a_kernel_leaving_normal_form_reports_fail(monkeypatch):
         assert reports[law] == _report(
             law, 1, "raised ValueError: consequent bits 0x1 stick out of condition 0x0"
         )
+
+
+# Lane certificates and bit-sliced evaluation.
+
+SHIPPED_KERNELS = [getattr(cnd, name) for name in TABLES] + [
+    schay.cap_bits, schay.cup_bits, schay.sand_bits, schay.vee_bits,
+]
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 3, 4])
+def test_lane_certificate_accepts_every_shipped_kernel(atoms):
+    for kernel in SHIPPED_KERNELS:
+        assert lawcheck._lane_certificate(kernel, atoms), kernel.__name__
+
+
+def _masking(q1, c1, q2, c2):
+    # or_ with (U, U) -> F: the atoms outside both conditions, bounded by
+    # the 2-atom space.
+    return q1 | q2, c1 | c2 | (~c1 & ~c2 & 0b11)
+
+
+def _shifting(q1, c1, q2, c2):
+    c = c1 | c2
+    return (q1 | q2 | q2 >> 1) & c, c
+
+
+def _adding(q1, c1, q2, c2):
+    c = c1 | c2
+    return (q1 + q2) & c, c
+
+
+def _leaving_normal_form(q1, c1, q2, c2):
+    # cap_s without restricting the consequent to the condition
+    return q1 | q2, c1 & c2
+
+
+def _raising_on_some_pair(q1, c1, q2, c2):
+    if q1 == c2 == 0b10:
+        raise ZeroDivisionError("pair")
+    return cnd.or_bits(q1, c1, q2, c2)
+
+
+def _raising_on_lanes(q1, c1, q2, c2):
+    if c1 > 0b11:
+        raise OverflowError("wide operand")
+    return cnd.or_bits(q1, c1, q2, c2)
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(per_atom_kernel(tv.AND_TABLE), id="per_atom"),
+    *(pytest.param(k, id=k.__name__.strip("_")) for k in (
+        _masking, _shifting, _adding, _leaving_normal_form, _raising_on_some_pair,
+        _raising_on_lanes)),
+])
+def test_lane_certificate_rejects_kernels_that_are_not_lane_local(kernel):
+    assert not lawcheck._lane_certificate(kernel, 2)
+
+
+AND_BITS = cnd.and_bits  # the shipped kernel, for the ones that replace it
+
+
+def _and_leaving_normal_form(q1, c1, q2, c2):
+    q, c = AND_BITS(q1, c1, q2, c2)
+    return q | 1, c
+
+
+def _and_raising_on_some_pair(q1, c1, q2, c2):
+    if q1 == 0b01 and c2 == 0b11:
+        raise RuntimeError("boom")
+    return AND_BITS(q1, c1, q2, c2)
+
+
+@pytest.mark.parametrize("kernel, law, count, counterexample", [
+    (_and_leaving_normal_form, "t2.4", 164,
+     "x=({1}|{1}) y=UNDEFINED z=({}|{1}) lhs=({1}|{1}) rhs=({1}|{1}) side=false"),
+    (_and_leaving_normal_form, "c2.5", 84,
+     "x=({}|{1}) y=UNDEFINED z=({1}|{1}) lhs=({1}|{1}) rhs=({1}|{1}) side=false"),
+    (_and_leaving_normal_form, "t3.15", 93,
+     "composition via and_ fails at b=UNDEFINED c=({}|{1}) a=({1}|{1})"),
+    (_and_raising_on_some_pair, "t2.4", 168, "raised RuntimeError: boom"),
+    (_and_raising_on_some_pair, "t3.15", 288, "raised RuntimeError: boom"),
+])
+def test_uncertified_kernels_report_as_a_plain_loop_did(monkeypatch, kernel, law, count,
+                                                         counterexample):
+    """Reports recorded from a plain triple loop: one-instance blocks
+    compare results as tuples and count an instance before evaluating it."""
+    monkeypatch.setattr(cnd, "and_bits", kernel)
+    assert not lawcheck._certified(kernel, 2)
+    assert lawcheck.check(law, 2) == lawcheck.LawReport(law, 2, count, False, counterexample)
+
+
+TRIPLE_LAWS = ("t2.4", "c2.5", "t2.6", "c2.7", "props2.3", "t3.15", "t3.17", "schay-lattice")
+
+
+def closed_form_kernel(table):
+    """A table as bit operations: the atoms giving a value are the union,
+    over the entries giving it, of the operands' masks for the entry.
+    Only an entry (U, U) needs the 2-atom space to bound it."""
+    true = [entry for entry, value in table.items() if value is T]
+    defined = [entry for entry, value in table.items() if value is not U]
+
+    def atoms(entries, m1, m2):
+        out = 0
+        for a, b in entries:
+            out |= m1[a] & m2[b] & (0b11 if a is b is U else -1)
+        return out
+
+    def kernel(q1, c1, q2, c2):
+        m1 = {T: q1, F: c1 & ~q1, U: ~c1}
+        m2 = {T: q2, F: c2 & ~q2, U: ~c2}
+        return atoms(true, m1, m2), atoms(defined, m1, m2)
+
+    return kernel
+
+
+def test_sliced_and_one_instance_blocks_report_alike_under_every_table_mutant(monkeypatch):
+    """One table, two kernels: the closed form is certified (unless its
+    (U, U) entry is defined, which needs the space mask) and runs
+    sliced; the per-atom loop is not and runs one instance per block."""
+    certified = 0
+    for name, entry, new, per_atom in table_mutants():
+        table = {**TABLES[name], entry: new}
+        closed = closed_form_kernel(table)
+        assert lawcheck._certified(closed, 2) == (table[U, U] is U)
+        assert not lawcheck._certified(per_atom, 2)
+        certified += lawcheck._certified(closed, 2)
+        reports = []
+        for kernel in (closed, per_atom):
+            monkeypatch.setattr(cnd, name, kernel)
+            reports.append([lawcheck.check(law, 2) for law in TRIPLE_LAWS])
+            monkeypatch.undo()
+        assert reports[0] == reports[1], (name, entry, new)
+    assert certified == 80
