@@ -7,17 +7,21 @@ left-associative):
     or_    := and_ ("or" and_)*
     and_   := not_ ("and" not_)*
     not_   := "~" not_ | primary
-    primary:= NAME | setlit | "(" expr ")" | FUNC "(" expr "," expr ")"
+    primary:= NAME | "UNDEFINED" | setlit | "(" expr ")"
+            | FUNC "(" expr "," expr ")"
     setlit := "{" [NAME ("," NAME)*] "}"
 
 The three infix levels are the rows of `_INFIX`, and FUNC is one of
 `FUNC_NAMES` (osum, proj, s_and, s_or, s_cap, s_cup); each of the nine
-parses to one `Binary` node. The words `and`, `or` and the function
-names are reserved: an expression cannot refer to them, so a space file
-rejects them as atom, event and measure names. An expression nested
-deeper than the interpreter's recursion limit is a ParseError, not a
-crash, and so is a tree too deep to lower or dump (a long flat chain
-such as `a or a or ... or a` parses in a loop but nests to the left).
+parses to one `Binary` node. `UNDEFINED` is the literal U, the text
+`format_conditional` prints for it, so every conditional it prints
+parses back; it lowers to U and is not an event. The words `and`, `or`,
+`UNDEFINED` and the function names are reserved: an expression cannot
+refer to them, so a space file rejects them as atom, event and measure
+names. An expression nested deeper than the interpreter's recursion
+limit is a ParseError, not a crash, and so is a tree too deep to lower
+or dump (a long flat chain such as `a or a or ... or a` parses in a
+loop but nests to the left).
 A bare NAME refers to a named event if the space defines one,
 otherwise to the atom of that name. Every leaf lowers to the conditional
 (event | whole space), so plain Boolean formulas come out with the full
@@ -83,8 +87,10 @@ _FUNC_OPS = {
 FUNC_NAMES = tuple(_FUNC_OPS)
 
 # The reserved words and the token kind each one lexes to.
+_UNDEFINED = "UNDEFINED"
 _WORD_KINDS = dict.fromkeys(FUNC_NAMES, "func")
 _WORD_KINDS.update((kind, kind) for kind, *_ in _INFIX if kind not in _SPECIALS.values())
+_WORD_KINDS[_UNDEFINED] = "undefined"
 RESERVED_WORDS = frozenset(_WORD_KINDS)
 
 
@@ -150,6 +156,11 @@ class SetLiteral:
 
 
 @dataclass(frozen=True)
+class Undefined:
+    """The literal U."""
+
+
+@dataclass(frozen=True)
 class Not:
     arg: object
 
@@ -208,6 +219,9 @@ class _Parser:
             return EventRef(tok.text)
         if tok.kind == "lbrace":
             return self.set_literal()
+        if tok.kind == "undefined":
+            self.advance()
+            return Undefined()
         if tok.kind == "lparen":
             self.advance()
             node = self.expr()
@@ -285,6 +299,8 @@ def lower(expr, space, events=None):
     try:
         if isinstance(expr, (EventRef, SetLiteral)):
             return cnd.make(lower_event(expr, space, events), space.full)
+        if isinstance(expr, Undefined):
+            return cnd.undefined(space)
         if isinstance(expr, Not):
             return cnd.negate(lower(expr.arg, space, events))
         if isinstance(expr, Binary):
@@ -302,6 +318,8 @@ def dump(expr):
             return "(ref %s)" % expr.name
         if isinstance(expr, SetLiteral):
             return "(set%s)" % "".join(" " + name for name in expr.names)
+        if isinstance(expr, Undefined):
+            return "(undefined)"
         if isinstance(expr, Not):
             return "(not %s)" % dump(expr.arg)
         if isinstance(expr, Binary):
@@ -312,9 +330,10 @@ def dump(expr):
 
 
 def format_conditional(c):
-    """Canonical text for a conditional; parses back except for U."""
+    """Canonical text for a conditional; it parses back to c (U as the
+    literal UNDEFINED)."""
     if c.is_undefined:
-        return "UNDEFINED"
+        return _UNDEFINED
     return str(c)
 
 

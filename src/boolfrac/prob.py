@@ -7,10 +7,13 @@ zero.
 
 Every probability here is a quotient of subset weights, so the work is
 done in integers: a Measure scales its atom weights to their common
-denominator and looks subset weights up in integer tables. Sums and
-comparisons are exact integer arithmetic, and each function builds a
-single fractions.Fraction for the value it returns. Nothing is rounded
-anywhere.
+denominator and looks subset weights up in integer tables. Up to 8
+atoms there is one table, and a lookup is that list's own __getitem__.
+Sums and comparisons are exact integer arithmetic, and each function
+builds a single fractions.Fraction for the value it returns;
+additive_law_check builds both sides but decides holds by integer
+cross-multiplication, w(q)·wx·wy == (w(xq)·wy + w(yq)·wx)·w(c) for the
+disjunction (q|c). Nothing is rounded anywhere.
 
 Besides the direct quotient, this module carries three expansions of a
 probability into weighted parts, and the additivity report:
@@ -37,6 +40,7 @@ from .errors import (
     ZeroCondition,
     ZeroTotalWeight,
 )
+from .space import Event, same_space
 
 # Atoms per subset-weight table: a table holds 2**CHUNK_ATOMS entries.
 CHUNK_ATOMS = 8
@@ -54,9 +58,16 @@ class Measure:
     64). The tables are built on the first lookup, not here: a space
     file declares measures that a request may never use. weight and
     weight_bits still return the exact Fraction.
+
+    `_iw(bits)` is the integer weight of the atoms in `bits`, in units
+    of 1/_scale. With one table it is the table's own `__getitem__`, so
+    a lookup runs no Python code; with several it sums one entry per
+    chunk. It is None until the tables exist, so a lookup takes
+    `m._iw or m._build_tables()`, which costs a built measure one
+    attribute read.
     """
 
-    __slots__ = ("space", "weights", "total", "_scale", "_tables")
+    __slots__ = ("space", "weights", "total", "_scale", "_tables", "_iw")
 
     def __init__(self, space, weights):
         weights = tuple(Fraction(w) for w in weights)
@@ -75,6 +86,7 @@ class Measure:
         self.total = total
         self._scale = None
         self._tables = None
+        self._iw = None
 
     def _build_tables(self):
         scale = lcm(*(w.denominator for w in self.weights))
@@ -89,23 +101,13 @@ class Measure:
             tables.append(table)
         self._scale = scale
         self._tables = tables
-        return tables
-
-    def _iw(self, bits):
-        """Integer weight of the atoms in `bits`, in units of 1/_scale."""
-        tables = self._tables
-        if tables is None:
-            tables = self._build_tables()
-        total = 0
-        for table in tables:
-            total += table[bits & _CHUNK_MASK]
-            bits >>= CHUNK_ATOMS
-        return total
+        self._iw = tables[0].__getitem__ if len(tables) == 1 else _chunked_weight(tables)
+        return self._iw
 
     def weight_bits(self, bits):
         if not 0 <= bits <= self.space.full_bits:
             raise ValueError("event bits 0x%x out of range for %d atoms" % (bits, self.space.n))
-        total = self._iw(bits)
+        total = (self._iw or self._build_tables())(bits)
         return Fraction(total, self._scale)
 
     def weight(self, event):
@@ -115,6 +117,19 @@ class Measure:
 
     def __repr__(self):
         return "Measure(%r)" % (list(self.weights),)
+
+
+def _chunked_weight(tables):
+    """`_iw` over several tables: one lookup per chunk of the bits."""
+
+    def iw(bits):
+        total = 0
+        for table in tables:
+            total += table[bits & _CHUNK_MASK]
+            bits >>= CHUNK_ATOMS
+        return total
+
+    return iw
 
 
 def _check(m, x):
@@ -130,10 +145,11 @@ def p_event(m, a):
 def p_cond(m, x):
     """Probability of a conditional: weight of consequent over condition."""
     _check(m, x)
-    wc = m._iw(x.c)
+    w = m._iw or m._build_tables()
+    wc = w(x.c)
     if wc == 0:
         raise ZeroCondition("condition %s has weight zero" % (x.condition,))
-    return Fraction(m._iw(x.q), wc)
+    return Fraction(w(x.q), wc)
 
 
 def p_or_formula(m, x, y):
@@ -149,7 +165,7 @@ def p_or_formula(m, x, y):
     """
     _check(m, x)
     _check(m, y)
-    w = m._iw
+    w = m._iw or m._build_tables()
     wu = w(x.c | y.c)
     if wu == 0:
         raise ZeroCondition("condition %s has weight zero" % (x.condition | y.condition,))
@@ -174,7 +190,7 @@ def p_superposition(m, x, y, mode="or"):
     _check(m, y)
     if mode not in ("or", "and"):
         raise ValueError("mode must be 'or' or 'and', got %r" % (mode,))
-    w = m._iw
+    w = m._iw or m._build_tables()
     wu = w(x.c | y.c)
     if wu == 0:
         raise ZeroCondition("condition %s has weight zero" % (x.condition | y.condition,))
@@ -206,7 +222,7 @@ def partition_expansion(m, a, parts):
             raise NotAPartition("parts overlap at %s" % (part,))
         union |= part.bits
     _check(m, a)
-    w = m._iw
+    w = m._iw or m._build_tables()
     wu = w(union)
     if wu == 0:
         raise ZeroCondition("partition union has weight zero")
@@ -237,25 +253,46 @@ def additive_law_check(m, a, c1, b, c2):
 
     The report carries both sides and the list of case numbers that
     apply; holds is true exactly when the list is nonempty.
+
+    The operands are checked as cnd.make and p_cond would check them
+    (same_space is skipped when both events carry one space object), but
+    only the disjunction becomes a Conditional: its kernel is
+    cnd.or_bits, read at call time. holds compares the two sides by
+    integer cross-multiplication.
     """
-    x = cnd.make(a, c1)
-    y = cnd.make(b, c2)
-    _check(m, x)
-    _check(m, y)
-    w = m._iw
-    wx = w(x.c)
-    wy = w(y.c)
+    if not isinstance(a, Event) or not isinstance(c1, Event):
+        raise TypeError("make expects two events")
+    if a.space is not c1.space:
+        same_space(a, c1)
+    if not isinstance(b, Event) or not isinstance(c2, Event):
+        raise TypeError("make expects two events")
+    if b.space is not c2.space:
+        same_space(b, c2)
+    _check(m, a)
+    _check(m, b)
+    w = m._iw or m._build_tables()
+    xc, yc = c1.bits, c2.bits
+    xq, yq = a.bits & xc, b.bits & yc
+    wx = w(xc)
+    wy = w(yc)
     if wx == 0 or wy == 0:
         raise ZeroCondition("both conditions need positive weight")
-    wxq = w(x.q)
-    wyq = w(y.q)
-    lhs = p_cond(m, cnd.or_(x, y))
-    rhs = Fraction(wxq * wy + wyq * wx, wx * wy)
+    wxq = w(xq)
+    wyq = w(yq)
+    q, c = cnd.or_bits(xq, xc, yq, yc)
+    union = cnd.Conditional(a.space, q, c)
+    wu = w(c)
+    if wu == 0:
+        raise ZeroCondition("condition %s has weight zero" % (union.condition,))
+    wuq = w(q)
+    num = wxq * wy + wyq * wx
+    lhs = Fraction(wuq, wu)
+    rhs = Fraction(num, wx * wy)
 
     ac1_null = wxq == 0
     bc2_null = wyq == 0
-    c1_in_c2 = w(x.c & ~y.c) == 0
-    c2_in_c1 = w(y.c & ~x.c) == 0
+    c1_in_c2 = w(xc & ~yc) == 0
+    c2_in_c1 = w(yc & ~xc) == 0
     cases = []
     if ac1_null and bc2_null:
         cases.append(1)
@@ -263,6 +300,7 @@ def additive_law_check(m, a, c1, b, c2):
         cases.append(2)
     if bc2_null and c2_in_c1:
         cases.append(3)
-    if c1_in_c2 and c2_in_c1 and w(x.q & y.q) == 0:
+    if c1_in_c2 and c2_in_c1 and w(xq & yq) == 0:
         cases.append(4)
-    return AdditiveReport(lhs=lhs, rhs=rhs, holds=lhs == rhs, cases=tuple(cases))
+    return AdditiveReport(lhs=lhs, rhs=rhs, holds=wuq * wx * wy == num * wu,
+                          cases=tuple(cases))

@@ -46,6 +46,33 @@ def test_eval_state_prints_a_truth_value(capsys, die_path, state, expected):
     assert out == expected + "\n"
 
 
+def test_eval_undefined_prints_undefined(capsys, die_path):
+    code, out, err = run(capsys, "eval", "--space", die_path, "--expr", "UNDEFINED")
+    assert (code, out, err) == (0, "UNDEFINED\n", "")
+
+
+def test_criterion_10_counterexample_operands_paste_back(capsys, monkeypatch, tmp_path):
+    """Each operand of a FAIL line, U included, evaluates to itself on
+    the law's space."""
+
+    def mutant(q1, c1, q2, c2):
+        return (q1 & q2) | (~c1 & q2), c1 | c2
+
+    monkeypatch.setattr(cnd, "and_bits", mutant)
+    code, out, err = run(capsys, "check", "--law", "t2.4", "--atoms", "2")
+    monkeypatch.undo()
+    assert code == 1
+    line = out.splitlines()[1]
+    assert line == ("  counterexample: x=({1}|{1}) y=UNDEFINED z=({}|{1}) "
+                    "lhs=({}|{1}) rhs=({}|{1}) side=false")
+    path = tmp_path / "law.cs"
+    path.write_text("space law\natoms 1 2\n", encoding="utf-8")
+    operands = [field.split("=", 1)[1] for field in line.split()[1:4]]
+    assert "UNDEFINED" in operands
+    for text in operands:
+        assert run(capsys, "eval", "--space", str(path), "--expr", text) == (0, text + "\n", "")
+
+
 def test_eval_unknown_name_is_a_domain_error(capsys, die_path):
     code, out, err = run(capsys, "eval", "--space", die_path, "--expr", "nope")
     assert code == 1
@@ -314,6 +341,20 @@ def test_reserved_word_as_atom_name_is_a_usage_error(capsys, tmp_path):
     assert err == (
         "boolfrac: error: line 2, column 1: 'or' is a reserved word and cannot name an atom\n"
     )
+
+
+@pytest.mark.parametrize("text", [
+    "space s\natoms UNDEFINED b\n",
+    "space s\natoms a b\nevent UNDEFINED = {a}\n",
+    "space s\natoms a b\nmeasure UNDEFINED = 1 1\n",
+])
+def test_undefined_as_a_name_is_a_usage_error(capsys, tmp_path, text):
+    path = tmp_path / "reserved.cs"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "eval", "--space", str(path), "--expr", "b")
+    assert (code, out) == (2, "")
+    assert err.startswith("boolfrac: error: ") and "'UNDEFINED' is a reserved word" in err
+    assert err.count("\n") == 1
 
 
 # argument handling

@@ -134,6 +134,17 @@ def test_format_conditional_names_the_undefined_element():
     assert lang.format_conditional(cnd.Conditional(space, 1, 3)) == "({1}|{1,2})"
 
 
+def test_undefined_is_the_literal_u(die):
+    assert lang.dump(lang.parse_expr("~UNDEFINED | two")) == "(given (not (undefined)) (ref two))"
+    assert die.lower("UNDEFINED") == cnd.undefined(die.space)
+    two = die.lower("two")
+    assert die.lower("UNDEFINED or two") == cnd.or_(cnd.undefined(die.space), two) == two
+    with pytest.raises(ParseError):
+        lang.lower_event(lang.parse_expr("UNDEFINED"), die.space, die.events)
+    with pytest.raises(ParseError):
+        lang.parse_expr("{UNDEFINED}")
+
+
 def test_parse_space_reads_the_die_file(die):
     assert die.name == "die"
     assert die.space.atoms == ("1", "2", "3", "4", "5", "6")
@@ -171,6 +182,10 @@ measure w = 1/2 1/4 1/4
         ("space x\natoms a b\nevent and = {a}\n", ParseError),
         ("space x\natoms or b\n", ParseError),
         ("space x\natoms a s_cup\n", ParseError),
+        ("space x\natoms a UNDEFINED\n", ParseError),
+        ("space x\natoms a b\nevent UNDEFINED = {a}\n", ParseError),
+        ("space x\natoms a b\nmeasure UNDEFINED = 1 1\n", ParseError),
+        ("space x\natoms a b\nevent e = UNDEFINED\n", ParseError),
         ("space x\natoms a b\nmeasure m = 1 x\n", BadWeight),
         ("space x\natoms a b\nmeasure m = 1 1/0\n", BadWeight),
         ("space x\natoms a b\nmeasure m = 1\n", ParseError),
@@ -290,12 +305,10 @@ HOSTILE_ATOM_NAMES = st.text(
 
 @given(st.lists(HOSTILE_ATOM_NAMES, min_size=1, max_size=5, unique=True))
 def test_format_parse_lower_is_the_identity_on_hostile_atom_names(names):
-    """Every conditional except U prints to text that parses and lowers
-    back to it, whatever characters outside the grammar's own the atom
-    names use."""
+    """Every conditional, U included, prints to text that parses and
+    lowers back to it, whatever characters outside the grammar's own the
+    atom names use."""
     doc = lang.parse_space("space s\natoms %s\n" % " ".join(names))
     for q, c in cnd.enumerate_conditionals_bits(doc.space.full_bits):
-        if c == 0:
-            continue
         x = cnd.Conditional(doc.space, q, c)
         assert doc.lower(lang.format_conditional(x)) == x

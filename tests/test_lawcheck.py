@@ -474,6 +474,31 @@ def test_uncertified_kernels_report_as_a_plain_loop_did(monkeypatch, kernel, law
     assert lawcheck.check(law, 2) == lawcheck.LawReport(law, 2, count, False, counterexample)
 
 
+OR_BITS = cnd.or_bits
+
+
+def _or_leaving_normal_form(q1, c1, q2, c2):
+    q, c = OR_BITS(q1, c1, q2, c2)
+    return q | 1, c
+
+
+@pytest.mark.parametrize("name, kernel, law, counterexample", [
+    ("or_bits", _or_leaving_normal_form, "t2.13",
+     "raised ValueError: consequent bits 0x1 stick out of condition 0x2"),
+    ("or_bits", _or_leaving_normal_form, "superposition",
+     "raised ValueError: consequent bits 0x1 stick out of condition 0x0"),
+    ("and_bits", _and_leaving_normal_form, "superposition",
+     "raised ValueError: consequent bits 0x1 stick out of condition 0x0"),
+])
+def test_grid_laws_report_kernels_leaving_normal_form(monkeypatch, name, kernel, law,
+                                                      counterexample):
+    """Reports recorded from the grid laws when every instance built its
+    Conditionals: a result out of normal form raises where it is
+    validated, and the report counts the instance that raised."""
+    monkeypatch.setattr(cnd, name, kernel)
+    assert lawcheck.check(law, 2) == lawcheck.LawReport(law, 2, 1, False, counterexample)
+
+
 TRIPLE_LAWS = ("t2.4", "c2.5", "t2.6", "c2.7", "props2.3", "t3.15", "t3.17", "schay-lattice")
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 
 from boolfrac import conditional as cnd
 from boolfrac import prob
+from boolfrac import trivalent as tv
 from boolfrac.errors import (
     BadWeight,
     NotAPartition,
@@ -226,8 +227,8 @@ atom_weights = st.one_of(
 
 
 @st.composite
-def measures(draw):
-    n = draw(st.sampled_from(ATOM_COUNTS))
+def measures(draw, counts=ATOM_COUNTS):
+    n = draw(st.sampled_from(counts))
     space = SampleSpace(str(i + 1) for i in range(n))
     weights = draw(st.lists(atom_weights, min_size=n, max_size=n))
     if not any(weights):
@@ -244,8 +245,8 @@ def events(draw, space, count):
 
 
 @st.composite
-def measure_and_events(draw, count):
-    m = draw(measures())
+def measure_and_events(draw, count, counts=ATOM_COUNTS):
+    m = draw(measures(counts))
     return m, events(draw, m.space, count)
 
 
@@ -348,3 +349,158 @@ def test_additive_law_check_matches_per_atom_sums(case):
     )
     assert (report.lhs, report.rhs, report.holds, report.cases) == (lhs, rhs, lhs == rhs, cases)
     assert report.holds == bool(report.cases)
+
+
+# ------------------------------- additive_law_check against its object form
+
+
+def reference_additive_law_check(m, a, c1, b, c2):
+    """additive_law_check as it was written on Conditionals and Fractions:
+    both operands through cnd.make, the disjunction through cnd.or_ and
+    p_cond, and holds as a Fraction comparison. Only the way it reaches
+    the measure's integer lookup is today's."""
+    x = cnd.make(a, c1)
+    y = cnd.make(b, c2)
+    prob._check(m, x)
+    prob._check(m, y)
+    w = m._iw or m._build_tables()
+    wx = w(x.c)
+    wy = w(y.c)
+    if wx == 0 or wy == 0:
+        raise ZeroCondition("both conditions need positive weight")
+    wxq = w(x.q)
+    wyq = w(y.q)
+    lhs = prob.p_cond(m, cnd.or_(x, y))
+    rhs = Fraction(wxq * wy + wyq * wx, wx * wy)
+
+    ac1_null = wxq == 0
+    bc2_null = wyq == 0
+    c1_in_c2 = w(x.c & ~y.c) == 0
+    c2_in_c1 = w(y.c & ~x.c) == 0
+    cases = []
+    if ac1_null and bc2_null:
+        cases.append(1)
+    if ac1_null and c1_in_c2:
+        cases.append(2)
+    if bc2_null and c2_in_c1:
+        cases.append(3)
+    if c1_in_c2 and c2_in_c1 and w(x.q & y.q) == 0:
+        cases.append(4)
+    return prob.AdditiveReport(lhs=lhs, rhs=rhs, holds=lhs == rhs, cases=tuple(cases))
+
+
+def assert_same_as_reference(m, a, c1, b, c2):
+    """An equal report with the same repr, or the same exception type
+    and message."""
+    def run(fn):
+        try:
+            return fn(m, a, c1, b, c2)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    got = run(prob.additive_law_check)
+    want = run(reference_additive_law_check)
+    assert got == want and repr(got) == repr(want), (a, c1, b, c2)
+
+
+def check_every_instance_at_two_atoms():
+    """Every (a, c1, b, c2) at 2 atoms; the weights (0, 1) make events
+    null and conditions weigh zero."""
+    space = SampleSpace(["1", "2"])
+    events = [space.event_from_bits(bits) for bits in range(4)]
+    for weights in ((0, 1), (1, 2)):
+        m = prob.Measure(space, weights)
+        for a in events:
+            for c1 in events:
+                for b in events:
+                    for c2 in events:
+                        assert_same_as_reference(m, a, c1, b, c2)
+
+
+def test_additive_law_check_matches_the_object_form_at_two_atoms():
+    check_every_instance_at_two_atoms()
+
+
+@given(measure_and_events(4, counts=(1, 8, 9, 16)))
+def test_additive_law_check_matches_the_object_form_across_the_table_boundary(case):
+    m, (a, c1, b, c2) = case
+    assert_same_as_reference(m, a, c1, b, c2)
+
+
+def per_atom_or_with(entry, value):
+    """or_bits from its truth table with one entry changed, atom by atom."""
+    table = {**tv.OR_TABLE, entry: value}
+
+    def kernel(q1, c1, q2, c2):
+        q = c = 0
+        for bit in (0b01, 0b10):
+            out = table[tv.eval_at_bit(q1, c1, bit), tv.eval_at_bit(q2, c2, bit)]
+            if out is not tv.U:
+                c |= bit
+                if out is tv.T:
+                    q |= bit
+        return q, c
+
+    return kernel
+
+
+OR_BITS = cnd.or_bits  # the shipped kernel, for the ones that replace it
+
+
+def _or_leaving_normal_form(q1, c1, q2, c2):
+    q, c = OR_BITS(q1, c1, q2, c2)
+    return q | 1, c
+
+
+def _or_raising_on_some_pair(q1, c1, q2, c2):
+    if q1 == 0b01 and c2 == 0b11:
+        raise RuntimeError("boom")
+    return OR_BITS(q1, c1, q2, c2)
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(per_atom_or_with((tv.T, tv.T), tv.U), id="TT_to_U"),
+    pytest.param(_or_leaving_normal_form, id="leaving_normal_form"),
+    pytest.param(_or_raising_on_some_pair, id="raising"),
+])
+def test_additive_law_check_sees_an_installed_or_kernel(monkeypatch, kernel):
+    """The kernel is read at call time: its zero-weight conditions, its
+    results out of normal form and its exceptions surface as they did
+    through cnd.or_ and p_cond."""
+    monkeypatch.setattr(cnd, "or_bits", kernel)
+    check_every_instance_at_two_atoms()
+
+
+def test_additive_law_check_validates_its_operands_in_the_old_order():
+    """Every mix of events of the space, events of another space and
+    non-events in the four operand positions, under a measure on either
+    space."""
+    space = SampleSpace(["1", "2"])
+    other = SampleSpace(["a"])
+    operands = [space.atom("1"), space.full, other.full, cnd.make(space.full, space.full), None]
+    for m in (prob.Measure(space, [1, 2]), prob.Measure(other, [1])):
+        for a in operands:
+            for c1 in operands:
+                for b in operands:
+                    for c2 in operands:
+                        assert_same_as_reference(m, a, c1, b, c2)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_additive_law_check_rejects_a_non_event_in_any_position(die, uniform, position):
+    operands = [die.events["two"], die.events["even"], die.events["lt4"], die.events["lt5"]]
+    operands[position] = die.space.full.bits
+    with pytest.raises(TypeError, match="^make expects two events$"):
+        prob.additive_law_check(uniform, *operands)
+
+
+def test_additive_law_check_rejects_operands_and_measures_of_other_spaces(die, uniform):
+    other = SampleSpace(["a"])
+    ev = die.events
+    with pytest.raises(SpaceMismatch, match="^operands belong to different sample spaces$"):
+        prob.additive_law_check(uniform, ev["two"], other.full, ev["lt4"], ev["lt5"])
+    with pytest.raises(SpaceMismatch, match="^operands belong to different sample spaces$"):
+        prob.additive_law_check(uniform, ev["two"], ev["even"], other.full, ev["lt5"])
+    with pytest.raises(SpaceMismatch, match="^measure and operand disagree on the sample space$"):
+        prob.additive_law_check(prob.Measure(other, [1]), ev["two"], ev["even"], ev["lt4"],
+                                ev["lt5"])
