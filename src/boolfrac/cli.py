@@ -4,6 +4,12 @@ Subcommands: eval, prob, relate, profile, check, parse. Exit codes:
 0 success (for check: every law passed), 1 domain error or a law
 failed, 2 usage or parse error. Output is byte-deterministic for fixed
 inputs; every error path prints a single diagnostic line to stderr.
+
+`main` builds its argument parser on its first call and reuses it for
+every later call in the process. argparse keeps no per-call state in the
+tree, and it reads sys.stdout, sys.stderr and the terminal width when it
+prints, so a reused parser prints what a fresh one would.
+`build_parser` still returns a new parser on every call.
 """
 
 import argparse
@@ -172,10 +178,15 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:

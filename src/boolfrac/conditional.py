@@ -130,7 +130,7 @@ def undefined(space):
 
 
 def _binary(kernel, x, y):
-    if x.space != y.space:
+    if x.space is not y.space and x.space != y.space:
         raise SpaceMismatch("operands belong to different sample spaces")
     q, c = kernel(x.q, x.c, y.q, y.c)
     return Conditional(x.space, q, c)

@@ -94,50 +94,48 @@ _WORD_KINDS[_UNDEFINED] = "undefined"
 RESERVED_WORDS = frozenset(_WORD_KINDS)
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind, text, line, col):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+
+    def __repr__(self):
+        return "Token(kind=%r, text=%r, line=%r, col=%r)" % (
+            self.kind, self.text, self.line, self.col)
 
     def describe(self):
         return "end of input" if self.kind == "eof" else "'%s'" % self.text
 
 
+# One alternative per thing the scan keeps: a newline, a comment (up to
+# the newline), a special character, a word (a run of characters that are
+# none of those and not whitespace). finditer skips the other whitespace.
+_SPECIAL_CLASS = re.escape("".join(_SPECIALS))
+_TOKEN_RE = re.compile(r"\n|#[^\n]*|[%s]|[^\s#%s]+" % (_SPECIAL_CLASS, _SPECIAL_CLASS))
+_TOKEN_KINDS = {**_SPECIALS, **_WORD_KINDS}
+
+
 def tokenize(text):
+    """Tokens with 1-based line and column; a column counts code points.
+    Only \\n starts a line. The eof token sits at the end of the text or,
+    after a trailing comment, where the comment starts."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        word = m[0]
+        if word == "\n":
             line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _SPECIALS:
-            tokens.append(Token(_SPECIALS[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        start = i
-        start_col = col
-        while i < n and not text[i].isspace() and text[i] not in _SPECIALS and text[i] != "#":
-            i += 1
-            col += 1
-        word = text[start:i]
-        tokens.append(Token(_WORD_KINDS.get(word, "ident"), word, line, start_col))
-    tokens.append(Token("eof", "", line, col))
+            line_start = m.end()
+        elif word[0] != "#":
+            kind = _TOKEN_KINDS.get(word, "ident")
+            tokens.append(Token(kind, word, line, m.start() - line_start + 1))
+    comment = text.find("#", line_start)
+    end = len(text) if comment < 0 else comment
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -426,7 +424,7 @@ def parse_space(text):
             if len(tokens) < 4 or tokens[2] != "=":
                 raise ParseError("usage: %s NAME = ..." % directive, line_no, 1)
             entry_name = tokens[1]
-            if any(ch in RESERVED_CHARS for ch in entry_name):
+            if not RESERVED_CHARS.isdisjoint(entry_name):
                 raise ParseError("invalid name %r" % (entry_name,), line_no, 1)
             if entry_name in RESERVED_WORDS:
                 raise ParseError(

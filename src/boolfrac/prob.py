@@ -50,11 +50,16 @@ _CHUNK_MASK = (1 << CHUNK_ATOMS) - 1
 class Measure:
     """Nonnegative rational atom weights with a positive total.
 
-    Subset weights are read from integer tables. The atom weights are
-    scaled by the least common multiple of their denominators; atoms
-    are split into chunks of CHUNK_ATOMS, and each chunk gets a table
-    of the scaled weight of every subset of it, so the weight of an
-    event is one lookup per chunk (one lookup up to 8 atoms, eight at
+    Construction works in integers: it scales the atom weights by the
+    least common multiple of their denominators, tests the scaled
+    weights for a negative entry and a zero sum, and keeps them with the
+    scale; `total` is that sum over the scale. `weights` and `total` are
+    exact Fractions.
+
+    Subset weights are read from integer tables of the scaled weights.
+    Atoms are split into chunks of CHUNK_ATOMS, and each chunk gets a
+    table of the scaled weight of every subset of it, so the weight of
+    an event is one lookup per chunk (one lookup up to 8 atoms, eight at
     64). The tables are built on the first lookup, not here: a space
     file declares measures that a request may never use. weight and
     weight_bits still return the exact Fraction.
@@ -67,30 +72,32 @@ class Measure:
     attribute read.
     """
 
-    __slots__ = ("space", "weights", "total", "_scale", "_tables", "_iw")
+    __slots__ = ("space", "weights", "total", "_scale", "_scaled", "_tables", "_iw")
 
     def __init__(self, space, weights):
-        weights = tuple(Fraction(w) for w in weights)
+        weights = tuple(map(Fraction, weights))
         if len(weights) != space.n:
             raise ValueError(
                 "expected %d weights, got %d" % (space.n, len(weights))
             )
-        for w in weights:
-            if w < 0:
+        scale = lcm(*[w.denominator for w in weights])
+        scaled = [w.numerator * (scale // w.denominator) for w in weights]
+        for w, s in zip(weights, scaled):
+            if s < 0:
                 raise BadWeight("negative weight %s" % (w,))
-        total = sum(weights)
+        total = sum(scaled)
         if total == 0:
             raise ZeroTotalWeight("all atom weights are zero")
         self.space = space
         self.weights = weights
-        self.total = total
-        self._scale = None
+        self.total = Fraction(total, scale)
+        self._scale = scale
+        self._scaled = scaled
         self._tables = None
         self._iw = None
 
     def _build_tables(self):
-        scale = lcm(*(w.denominator for w in self.weights))
-        scaled = [w.numerator * (scale // w.denominator) for w in self.weights]
+        scaled = self._scaled
         tables = []
         for start in range(0, len(scaled), CHUNK_ATOMS):
             # Adding atom i appends the subsets that contain it, which
@@ -99,7 +106,6 @@ class Measure:
             for w in scaled[start:start + CHUNK_ATOMS]:
                 table += [t + w for t in table]
             tables.append(table)
-        self._scale = scale
         self._tables = tables
         self._iw = tables[0].__getitem__ if len(tables) == 1 else _chunked_weight(tables)
         return self._iw

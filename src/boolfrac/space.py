@@ -7,6 +7,8 @@ subset order are plain bit arithmetic, so events over the same space form
 a Boolean algebra.
 """
 
+import re
+
 from .errors import SpaceMismatch, TooLarge, UnknownAtom
 
 # Characters that can never appear in an atom name. Everything else that
@@ -17,10 +19,13 @@ MAX_ATOMS = 64
 MAX_ENUMERATION_ATOMS = 16
 
 
+# A name is one or more characters, none reserved and none whitespace
+# (`\s` in a str pattern is exactly str.isspace).
+_ATOM_NAME = re.compile(r"[^\s%s]+" % re.escape("".join(sorted(RESERVED_CHARS))))
+
+
 def valid_atom_name(name):
-    if not name:
-        return False
-    return all(ch not in RESERVED_CHARS and not ch.isspace() for ch in name)
+    return _ATOM_NAME.fullmatch(name) is not None
 
 
 class SampleSpace:
@@ -88,7 +93,7 @@ class SampleSpace:
 
 def same_space(x, y):
     """Return the common space of two carriers, or raise SpaceMismatch."""
-    if x.space != y.space:
+    if x.space is not y.space and x.space != y.space:
         raise SpaceMismatch("operands belong to different sample spaces")
     return x.space
 

@@ -6,6 +6,11 @@ codes: 0 success (for ``check``: every law passed), 1 domain error or a
 failed law, 2 usage or parse error.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from boolfrac import cli
@@ -374,3 +379,89 @@ def test_help_exits_cleanly(capsys):
 def test_missing_required_flag(capsys):
     assert cli.main(["eval", "--expr", "two"]) == 2
     capsys.readouterr()
+
+
+# one parser per process
+
+
+def reuse_sequence(die_path):
+    """Usage errors, help, domain usage errors, then one valid request of
+    each read-only command."""
+    return [
+        [],
+        ["--help"],
+        ["prob", "-h"],
+        ["eval", "--space", die_path],
+        ["relate", "--space", die_path, "--rel", "near", "--lhs", "two", "--rhs", "even"],
+        ["prob", "--space", die_path, "--measure", "uniform", "--formula", "or",
+         "--expr", "two|even"],
+        ["eval", "--space", "/no/such/file.cs", "--expr", "a"],
+        ["eval", "--space", die_path, "--expr", "(two|even) or (lt4|lt5)"],
+        ["prob", "--space", die_path, "--measure", "uniform", "--expr", "(two|even) or (lt4|lt5)"],
+        ["relate", "--space", die_path, "--rel", "tr", "--lhs", "two|even", "--rhs", "lt4|lt5"],
+        ["profile", "--space", die_path, "--lhs", "two|even", "--rhs", "lt4|lt5"],
+        ["parse", "--expr", "osum(a, b|c) or ~{x,y}"],
+        ["check", "--law", "nope"],
+    ]
+
+
+def test_main_reuses_one_parser_and_prints_what_a_fresh_one_prints(capsys, monkeypatch,
+                                                                    die_path):
+    argvs = reuse_sequence(die_path)
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run(capsys, *argv))
+    parser = cli._parser
+    reused = [run(capsys, *argv) for argv in argvs + argvs]
+    assert cli._parser is parser
+    assert reused == fresh + fresh
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 2, 2, 2, 2, 0, 0, 0, 0, 0, 2]
+
+
+def test_a_reused_parser_formats_help_at_the_current_terminal_width(capsys, monkeypatch,
+                                                                     die_path):
+    """argparse reads COLUMNS when it prints, not when the tree is built."""
+    cli.main(["parse", "--expr", "a"])
+    capsys.readouterr()
+    argvs = [["-h"], ["prob", "-h"], [], ["eval", "--space", die_path]]
+    outputs = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        reused = [run(capsys, *argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_parser", None)
+        assert [run(capsys, *argv) for argv in argvs] == reused
+        outputs[columns] = reused
+    assert outputs["40"] != outputs["200"]
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    cli.main(["parse", "--expr", "a"])
+    parsers = [cli.build_parser() for _ in range(3)]
+    assert len({id(parser) for parser in parsers + [cli._parser]}) == 4
+
+
+# a fresh process
+
+
+def run_fresh(*argv):
+    """`python -m boolfrac.cli` in a new interpreter, on this package."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "boolfrac.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_a_fresh_process_answers_the_die_bet(die_path):
+    assert run_fresh("eval", "--space", die_path, "--expr", "(two|even) or (lt4|lt5)") == (
+        0, "({1,2,3}|{1,2,3,4,6})\n", "")
+    assert run_fresh(
+        "prob", "--space", die_path, "--measure", "uniform", "--expr", "(two|even) or (lt4|lt5)",
+    ) == (0, "3/5 (0.600000)\n", "")
+    assert run_fresh(
+        "relate", "--space", die_path, "--rel", "near", "--lhs", "two", "--rhs", "even",
+    ) == (2, "", "boolfrac: error: unknown relation tag: near\n")

@@ -312,3 +312,75 @@ def test_format_parse_lower_is_the_identity_on_hostile_atom_names(names):
     for q, c in cnd.enumerate_conditionals_bits(doc.space.full_bits):
         x = cnd.Conditional(doc.space, q, c)
         assert doc.lower(lang.format_conditional(x)) == x
+
+
+# ------------------------------------------- the scan against its old loop
+
+
+def old_tokenize(text):
+    """tokenize as it was first written, one character at a time; the
+    tokens are (kind, text, line, col) tuples."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch in lang._SPECIALS:
+            tokens.append((lang._SPECIALS[ch], ch, line, col))
+            i += 1
+            col += 1
+            continue
+        start = i
+        start_col = col
+        while i < n and not text[i].isspace() and text[i] not in lang._SPECIALS and text[i] != "#":
+            i += 1
+            col += 1
+        word = text[start:i]
+        tokens.append((lang._WORD_KINDS.get(word, "ident"), word, line, start_col))
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def scan(text):
+    return [(tok.kind, tok.text, tok.line, tok.col) for tok in lang.tokenize(text)]
+
+
+TOKEN_CHARS = "{},|()~#=ab1_éλ中 \n\r\t\x0b\x0c\x1c\x85\xa0\u2028\u3000"
+TOKEN_PIECES = (
+    "or", "and", "osum", "s_cup", "UNDEFINED", "undefined", "orb", "# note", "#",
+    "\n", "\r\n", " ", "\t", "\u2028", "\u3000", "\x85", "t63", "été",
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "#", "a # b", "a # b\n", "a # b\nc", "a#b", "# only\n", "a\n#", "\n\n  x",
+        "a\rb", "a\r\nb", "a\tb", "a\x85b", "a\u2028b", "a\u3000b", "éλ or 中",
+        "osum(a, b)|{x,y}", "~UNDEFINED and or", "a=b", "((a|b) or (c|d))",
+    ],
+)
+def test_tokenize_matches_its_old_loop(text):
+    assert scan(text) == old_tokenize(text)
+
+
+@given(st.one_of(
+    st.text(st.sampled_from(TOKEN_CHARS), max_size=30),
+    st.lists(st.sampled_from(TOKEN_PIECES + tuple(TOKEN_CHARS)), max_size=15).map("".join),
+))
+def test_tokenize_matches_its_old_loop_on_generated_text(text):
+    assert scan(text) == old_tokenize(text)

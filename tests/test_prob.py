@@ -9,6 +9,7 @@ function to a per-atom Fraction reference on both sides of the 8-atom
 table chunks.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -504,3 +505,114 @@ def test_additive_law_check_rejects_operands_and_measures_of_other_spaces(die, u
     with pytest.raises(SpaceMismatch, match="^measure and operand disagree on the sample space$"):
         prob.additive_law_check(prob.Measure(other, [1]), ev["two"], ev["even"], ev["lt4"],
                                 ev["lt5"])
+
+
+# ---------------------------------- Measure set-up against its Fraction form
+
+
+def reference_measure(space, weights):
+    """Measure.__init__ as it was written on Fractions: (weights, total),
+    or the exception it raised."""
+    weights = tuple(Fraction(w) for w in weights)
+    if len(weights) != space.n:
+        raise ValueError(
+            "expected %d weights, got %d" % (space.n, len(weights))
+        )
+    for w in weights:
+        if w < 0:
+            raise BadWeight("negative weight %s" % (w,))
+    total = sum(weights)
+    if total == 0:
+        raise ZeroTotalWeight("all atom weights are zero")
+    return weights, total
+
+
+ZEROS = st.sampled_from([0, 0.0, -0.0, Fraction(0), "0", Decimal(0), False])
+CLEAN_WEIGHTS = st.one_of(
+    ZEROS,
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=0, max_value=2**70),
+    st.fractions(min_value=0, max_value=9, max_denominator=60),
+    st.floats(min_value=0, max_value=1e6),
+    st.sampled_from([True, "3/7", "2.5", Decimal("0.1")]),
+)
+ODD_WEIGHTS = st.one_of(
+    st.integers(min_value=-5, max_value=-1),
+    st.fractions(max_value=Fraction(-1, 60), max_denominator=60),
+    st.floats(max_value=-1e-300),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), None, "abc", "1/0", "", [1],
+                     1j, Decimal("NaN")]),
+)
+
+
+@st.composite
+def measure_inputs(draw):
+    """A space of 1, 6, 8, 9, 16 or 64 atoms and a weight list of one of
+    five shapes: clean; clean with one or two odd entries (negative, not
+    finite, not a number); all zero; zero but for a negative weight that a
+    positive one cancels; a length off by one."""
+    n = draw(st.sampled_from((1, 6, 8, 9, 16, 64)))
+    space = SampleSpace(str(i) for i in range(n))
+    shape = draw(st.sampled_from(("clean", "clean", "odd", "zero", "cancel", "length")))
+    length = draw(st.sampled_from((n - 1, n + 1))) if shape == "length" else n
+    entries = ZEROS if shape in ("zero", "cancel") else CLEAN_WEIGHTS
+    weights = draw(st.lists(entries, min_size=length, max_size=length))
+    if shape == "cancel" and length >= 2:
+        i, j = draw(st.permutations(range(length)))[:2]
+        v = draw(st.fractions(min_value=Fraction(1, 60), max_value=9, max_denominator=60))
+        weights[i], weights[j] = v, -v
+    if shape in ("odd", "length") and weights:
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            weights[draw(st.integers(min_value=0, max_value=length - 1))] = draw(ODD_WEIGHTS)
+    return space, weights
+
+
+def outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(measure_inputs(), st.data())
+def test_measure_matches_its_fraction_form(case, data):
+    space, weights = case
+    got = outcome_of(prob.Measure, space, weights)
+    want = outcome_of(reference_measure, space, weights)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+        return
+    ref_weights, ref_total = want
+    assert type(got.weights) is tuple
+    assert [type(w) for w in got.weights] == [Fraction] * space.n
+    assert (got.weights, got.total, type(got.total)) == (ref_weights, ref_total, Fraction)
+    assert repr(got) == "Measure(%r)" % (list(ref_weights),)
+    bits = st.integers(min_value=0, max_value=space.full_bits)
+    for _ in range(4):
+        q, c = data.draw(bits), data.draw(bits)
+        wc = sum((w for i, w in enumerate(ref_weights) if c >> i & 1), Fraction(0))
+        wq = sum((w for i, w in enumerate(ref_weights) if (q & c) >> i & 1), Fraction(0))
+        x = cnd.Conditional(space, q & c, c)
+        assert outcome_of(prob.p_cond, got, x) == (
+            (ZeroCondition, "condition %s has weight zero" % (x.condition,)) if wc == 0
+            else wq / wc
+        )
+
+
+@pytest.mark.parametrize("weights, error, message", [
+    ([1, 2], ValueError, "expected 6 weights, got 2"),
+    ([1, -1, 1, 1, 1, -2], BadWeight, "negative weight -1"),
+    ([0, Fraction(-1, 3), 0, 0, 0, 0], BadWeight, "negative weight -1/3"),
+    ([0, 2, 0, -1, -1, 0], BadWeight, "negative weight -1"),
+    ([0, 0, 0.0, Fraction(0), "0", 0], ZeroTotalWeight, "all atom weights are zero"),
+    ([1, -1, 1], ValueError, "expected 6 weights, got 3"),
+    ([1, None, 1, 1, 1, -1], TypeError, None),
+    ([-1, "x", 1, 1, 1, 1], ValueError, "Invalid literal for Fraction: 'x'"),
+])
+def test_measure_raises_in_the_old_order(die, weights, error, message):
+    """Conversion first, then the length, the first negative weight and
+    the zero total."""
+    with pytest.raises(error) as err:
+        prob.Measure(die.space, weights)
+    assert message is None or str(err.value) == message
+    assert (type(err.value), str(err.value)) == outcome_of(reference_measure, die.space, weights)

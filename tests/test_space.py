@@ -8,8 +8,16 @@ axioms exhaustively on small spaces and spot-check the bitmask plumbing
 import pytest
 from hypothesis import given, strategies as st
 
+from boolfrac import conditional as cnd
 from boolfrac.errors import SpaceMismatch, TooLarge, UnknownAtom
-from boolfrac.space import Event, SampleSpace, enumerate_events, same_space
+from boolfrac.space import (
+    RESERVED_CHARS,
+    Event,
+    SampleSpace,
+    enumerate_events,
+    same_space,
+    valid_atom_name,
+)
 
 
 def space_of(n):
@@ -87,6 +95,48 @@ def test_same_space_guards_mixing():
     assert a == b
     with pytest.raises(SpaceMismatch):
         same_space(Event(a, 1), Event(space_of(3), 1))
+
+
+def test_equal_but_distinct_spaces_still_combine(monkeypatch):
+    a, b = space_of(2), space_of(2)
+    assert a is not b
+    x, y = Event(a, 0b01), Event(b, 0b11)
+    assert same_space(x, y) is a
+    assert (x & y) == Event(a, 0b01) and x <= y
+    assert cnd.or_(cnd.make(x, a.full), cnd.make(y, b.full)) == cnd.make(Event(a, 0b11), a.full)
+    for other in (space_of(3), SampleSpace(["1", "x"])):
+        with pytest.raises(SpaceMismatch, match="^operands belong to different sample spaces$"):
+            same_space(x, Event(other, 1))
+        with pytest.raises(SpaceMismatch, match="^operands belong to different sample spaces$"):
+            cnd.and_(cnd.make(x, a.full), cnd.undefined(other))
+
+    # Operands that carry one space object never compare the spaces.
+    def no_eq(self, other):
+        raise AssertionError("SampleSpace.__eq__ called")
+
+    monkeypatch.setattr(SampleSpace, "__eq__", no_eq)
+    z = cnd.make(x, a.full)
+    assert same_space(x, x) is a
+    for op in (cnd.or_, cnd.and_, cnd.given, cnd.osum, cnd.sasaki):
+        op(z, z)
+
+
+def old_valid_atom_name(name):
+    """valid_atom_name as it was first written, one character at a time."""
+    if not name:
+        return False
+    return all(ch not in RESERVED_CHARS and not ch.isspace() for ch in name)
+
+
+def test_valid_atom_name_matches_its_old_definition_on_every_code_point():
+    assert valid_atom_name("") is old_valid_atom_name("") is False
+    for names in (
+        [chr(cp) for cp in range(0x110000)],
+        ["a%sb" % chr(cp) for cp in range(0x110000)],
+    ):
+        got = list(map(valid_atom_name, names))
+        want = list(map(old_valid_atom_name, names))
+        assert got == want, [name for name, g, w in zip(names, got, want) if g != w][:5]
 
 
 def test_boolean_axioms_exhaustively_at_three_atoms():
