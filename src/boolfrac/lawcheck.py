@@ -25,33 +25,38 @@ mutated kernel can make a probability undefined) is a FAIL whose
 counterexample reads "raised <Type>: <message>"; instances_checked is
 the law's count at the raise, the raising instance included.
 
-The innermost loop of each triple-quantified law (t2.4, c2.5, t2.6,
-c2.7, and the triple parts of props2.3, t3.15, t3.17 and schay-lattice)
-runs over blocks of instances, bit-sliced after Biham, "A fast new DES
-implementation in software" (FSE 1997). Over n atoms a block packs all
-3**n innermost pairs into one int per component: pair k sits in the
-n-bit lane at bit n*k. The outer operands are broadcast to every lane by
-multiplying with the repunit R = sum of 1 << n*k, so one kernel call per
-outer (x, y) evaluates every z at once. A check ORs the bits of each lane
-of `lhs ^ rhs` (and of its side condition) into the lane's lowest bit
-and masks with R, leaving one flag per lane. The lowest flagged lane k
-is the first failure in enumeration order: its count is the count
-before the block plus k + 1, and its operands and results are read back
-from lane k. Where a law makes several checks per instance, a later
-check is evaluated only when lane 0 passes the earlier ones.
+The triple-quantified checks (t2.4, c2.5, t2.6, c2.7, and the triple
+parts of props2.3, t3.15, t3.17 and schay-lattice) go through one
+driver, `_triples`; a law gives it only its kernels, its clauses (lhs
+and rhs, with a side condition for the four equations) and its
+templates. The driver bit-slices after Biham, "A fast new DES
+implementation in software" (FSE 1997). Over n atoms, one block per
+outer x packs all 9**n pairs (y, z) into one int per component: the
+pair (pairs[i], pairs[j]) sits in the n-bit lane at bit n*(3**n*i + j).
+x is broadcast to every lane by multiplying with the repunit R = sum of
+1 << n*k, so one kernel call per x evaluates every (y, z) at once. A
+check ORs the bits of each lane of `lhs ^ rhs` (and of its side
+condition) into the lane's lowest bit and masks with R, leaving one flag
+per lane. The lowest flagged lane k is the first failure in enumeration
+order: its count is the count before the block plus k + 1, and its
+operands and results are read back from lane k. A later clause is
+evaluated only while lane 0 passes the earlier ones.
 
-A block is sliced only when every kernel it calls holds its lane
-certificate at n atoms: on all 3**n x 3**n normal-form operand pairs
-each result is a normal-form (q, c) tuple of ints inside the space, the
-kernel applied to those pairs packed as lanes (3**n calls of 3**n
-lanes) returns exactly the packed results, and nothing raises. The certificate is computed on
-first use and cached per kernel object and atom count, so a kernel
-replaced in `conditional` or `schay` is certified afresh. A kernel that
-fails it (a per-atom loop, one that shifts, adds, masks with the space
-or leaves normal form) gets blocks of one instance each: the kernels
-then see the pairs themselves and results compare as tuples, exactly
-as in a plain loop, so counts at a raise and out-of-normal-form results
-are reported as before.
+A block is sliced only when every kernel it calls is lane-local: one
+call on four 16-row truth tables, one per operand component (q1, c1,
+q2, c2), which support only &, | and ~ and the constants 0 and -1,
+returns two tables that keep q inside c on the 9 normal-form rows and
+are 0 on the all-zero row, so nothing lands outside the space. Such a
+kernel computes one Boolean function at every bit position, so the
+certificate holds at every atom count and lane width and needs no
+cache. (A kernel that branched on the type of its operands could fool
+it; none here does.) A kernel that fails it (a per-atom loop, one that
+compares, branches, shifts, adds, masks with the space or leaves
+normal form) gets blocks of one instance each, stepping through (y, z)
+one pair at a time: the kernels then see the pairs themselves and
+results compare as tuples, exactly as in a plain loop, so counts at a
+raise and out-of-normal-form results are reported as before. A raise
+inside the driver is counted from the driver's own count.
 
 Budgets: the triple-quantified laws run up to 4 atoms; laws that sweep
 measure grids, search for decompositions, or close subalgebras stop at
@@ -60,9 +65,7 @@ to its own budget.
 """
 
 import operator
-import weakref
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations_with_replacement, product
 
 from . import conditional as cnd
@@ -116,127 +119,164 @@ def _pack(values, width):
     return int("".join(format(v, "0%db" % width) for v in reversed(values)), 2)
 
 
-def _lane_certificate(kernel, n):
-    """Whether a binary kernel evaluates packed lanes as it does pairs.
+def _rows(value):
+    """The rows of a truth table, or of the constant 0 or -1."""
+    if isinstance(value, _Table):
+        return value.rows
+    if type(value) is int and value in (0, -1):
+        return value & 0xFFFF
+    raise TypeError("not a lane-local operand: %r" % (value,))
 
-    The 3**n x 3**n operand pairs go through 3**n packed calls, so that
-    no call holds them all: call j has (pairs[i], pairs[i + j]) in lane
-    i, indices mod 3**n, and mixes every first and second operand.
+
+class _Table:
+    """A Boolean function of (q1, c1, q2, c2) as a 16-row truth table:
+    row r holds q1, c1, q2 and c2 in its bits 0 to 3. It combines by &,
+    | and ~ with another table or the constants 0 and -1; anything else
+    (a truth test, ==, hashing, a shift, arithmetic, another constant)
+    raises."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __and__(self, other):
+        return _Table(self.rows & _rows(other))
+
+    def __or__(self, other):
+        return _Table(self.rows | _rows(other))
+
+    def __invert__(self):
+        return _Table(self.rows ^ 0xFFFF)
+
+    def __eq__(self, other):  # defining __eq__ also makes the table unhashable
+        raise TypeError("a truth table has no value to compare")
+
+    def __bool__(self):
+        raise TypeError("a truth table has no truth value")
+
+    __rand__ = __and__
+    __ror__ = __or__
+    __ne__ = __eq__
+
+
+_OPERANDS = tuple(sum(1 << r for r in range(16) if r >> i & 1) for i in range(4))
+_NORMAL_ROWS = sum(1 << r for r in range(16) if r & 0b0101 & ~(r >> 1) == 0)
+
+
+def _lane_local(kernel):
+    """Whether a binary kernel computes the same Boolean function at every
+    bit position of its operands, and so at every width and lane.
+
+    The kernel runs once on truth tables of (q1, c1, q2, c2). It is
+    certified when nothing raises and it returns two tables (or 0) with
+    q inside c on the 9 rows of normal-form operands, both 0 on the
+    all-zero row: bits outside every operand's condition stay 0.
     """
-    full = (1 << n) - 1
-    pairs = cnd.enumerate_conditionals_bits(full)
-    size = len(pairs)
     try:
-        for j in range(size):
-            operands = [x + pairs[(i + j) % size] for i, x in enumerate(pairs)]
-            results = [kernel(*args) for args in operands]
-            for result in results:
-                if not (type(result) is tuple and len(result) == 2
-                        and type(result[0]) is int and type(result[1]) is int):
-                    return False
-                q, c = result
-                if not 0 <= c <= full or q & ~c:
-                    return False
-            packed = [_pack(column, n) for column in zip(*operands)]
-            if kernel(*packed) != tuple(_pack(column, n) for column in zip(*results)):
-                return False
-    except Exception:  # a kernel that raises is not certified
+        result = kernel(*map(_Table, _OPERANDS))
+        if type(result) is not tuple or len(result) != 2:
+            return False
+        q, c = map(_rows, result)
+    except Exception:  # a kernel that leaves the table operations is not certified
         return False
-    return True
+    return q & ~c & _NORMAL_ROWS == 0 and (q | c) & 1 == 0
 
 
-_CERTIFICATES = weakref.WeakKeyDictionary()  # kernel -> {atoms: certified}
+def _triples(space, pairs, count, kernels, clauses, templates, lead=None):
+    """Check `clauses` on every triple (x, y, z) of `pairs`, x outermost,
+    continuing from `count`.
 
+    A clause maps q1, c1, q2, c2, q3, c3 (and lead(q1, c1, q2, c2) when a
+    lead kernel is given) to (lhs, rhs), failing where they differ, or
+    to (lhs, rhs, side), failing where they differ and side is empty or
+    agree and side is not. The lead runs before a block's instances are
+    counted, so an instance is not counted when its lead raises. A
+    clause runs only while lane 0 passes the ones before it. Returns the
+    count after the last triple, or at the first failure `count,
+    templates[i], x, y, z` for its clause i, plus lhs, rhs and `not
+    side` for a side clause.
+    """
+    n = space.n
+    size = len(pairs)
+    if all(map(_lane_local, kernels)):
+        # One block per x: (y, z) in the n-bit lane at bit n*(size*i + j).
+        block = size * size
+        run = n * size
+        row = _pack([1] * size, n)
+        column = _pack([1] * size, run)
+        lanes = row * column
+        mask = (1 << n) - 1
+        blocks = [(tuple(_pack(v, run) * row for v in zip(*pairs)),
+                   tuple(_pack(v, n) * column for v in zip(*pairs)))]
 
-def _certified(kernel, n):
-    """The kernel's lane certificate at n atoms, computed once per kernel."""
-    try:
-        by_atoms = _CERTIFICATES.setdefault(kernel, {})
-    except TypeError:  # no weak reference to this kernel: certify it each time
-        by_atoms = {}
-    if n not in by_atoms:
-        by_atoms[n] = _lane_certificate(kernel, n)
-    return by_atoms[n]
+        def spread(x):
+            return x[0] * lanes, x[1] * lanes
 
+        def flag(bits):
+            """One bit per lane, set where the lane has any bit set."""
+            folded = bits
+            for shift in range(1, n):
+                folded |= bits >> shift
+            return folded & lanes
 
-class _Scalar:
-    """Blocks of one instance: the kernels see the pairs themselves and
-    results compare as tuples, as in a plain loop."""
+        def differ(lhs, rhs):
+            return flag((lhs[0] ^ rhs[0]) | (lhs[1] ^ rhs[1]))
 
-    size = 1
-    differ = staticmethod(operator.ne)
-    flag = staticmethod(bool)
+        def lane(value, k):
+            if isinstance(value, tuple):
+                return tuple(lane(v, k) for v in value)
+            return value >> n * k & mask
+    else:
+        # One instance per block: the kernels see the pairs themselves and
+        # results compare as tuples, as in a plain loop.
+        block = 1
+        blocks = list(product(pairs, repeat=2))
+        flag = bool
+        differ = operator.ne
 
-    def __init__(self, pairs):
-        self.blocks = [(q, c, i) for i, (q, c) in enumerate(pairs)]
+        def spread(x):
+            return x
 
-    @staticmethod
-    def spread(pair):
-        return pair
-
-    @staticmethod
-    def locate(count, *flags):
-        return count, 0, next(i for i, f in enumerate(flags) if f)
-
-    @staticmethod
-    def pick(value, k):
-        return value
-
-
-class _Sliced:
-    """One block of all pairs, pair k in the n-bit lane at bit n*k."""
-
-    def __init__(self, pairs, n):
-        self.width = n
-        self.size = len(pairs)
-        self.repunit = _pack([1] * self.size, n)
-        self.lane_mask = (1 << n) - 1
-        self.blocks = [(_pack([q for q, _ in pairs], n), _pack([c for _, c in pairs], n), 0)]
-
-    def spread(self, pair):
-        q, c = pair
-        return q * self.repunit, c * self.repunit
-
-    def flag(self, bits):
-        """One bit per lane, set where the lane has any bit set."""
-        folded = bits
-        for shift in range(1, self.width):
-            folded |= bits >> shift
-        return folded & self.repunit
-
-    def differ(self, lhs, rhs):
-        return self.flag((lhs[0] ^ rhs[0]) | (lhs[1] ^ rhs[1]))
-
-    def locate(self, count, *flags):
-        """The failing instance's count, its lane, and the first check
-        flagged there, given the count after the block."""
-        failed = reduce(operator.or_, flags)
-        k = ((failed & -failed).bit_length() - 1) // self.width
-        check = next(i for i, f in enumerate(flags) if f >> self.width * k & 1)
-        return count - self.size + k + 1, k, check
-
-    def pick(self, value, k):
-        """Lane k of a packed int or of each int in a tuple."""
-        if isinstance(value, tuple):
-            return tuple(self.pick(v, k) for v in value)
-        return value >> self.width * k & self.lane_mask
-
-
-def _lanes(space, pairs, *kernels):
-    """Blocks over `pairs` for a loop that calls `kernels`: one sliced
-    block if every kernel is certified at this size, else one per pair."""
-    if all(_certified(kernel, space.n) for kernel in kernels):
-        return _Sliced(pairs, space.n)
-    return _Scalar(pairs)
+        def lane(value, k):
+            return value
+    for x in pairs:
+        xs = spread(x)
+        for j, (ys, zs) in enumerate(blocks):
+            operands = (*xs, *ys, *zs) if lead is None else (*xs, *ys, *zs, lead(*xs, *ys))
+            count += block
+            results = []
+            flags = []
+            failed = 0
+            for clause in clauses:
+                result = clause(*operands)
+                bits = differ(result[0], result[1])
+                if len(result) == 3:
+                    bits ^= flag(result[2])
+                results.append(result)
+                flags.append(bits)
+                failed |= bits
+                if failed & 1:
+                    break
+            if failed:
+                k = ((failed & -failed).bit_length() - 1) // n
+                check = next(i for i, f in enumerate(flags) if f >> n * k & 1)
+                index = j * block + k
+                lhs, rhs, *side = results[check]
+                failure = (count - block + k + 1, templates[check], x,
+                           pairs[index // size], pairs[index % size])
+                if side:
+                    failure += (lane(lhs, k), lane(rhs, k), not lane(side[0], k))
+                return failure
+    return count
 
 
 # Counterexample templates shared by laws with the same message.
 _EQUATION_SIDE = "x=%s y=%s z=%s lhs=%s rhs=%s side=%s"
 _ABSORPTION_SIDE = "x=%s z=%s lhs=%s side=%s"
 _SIMVER_SIMFALS = "x=%s y=%s simver=%s simfals=%s"
-_LATTICE_TRIPLES = tuple("%s: " + check + " at x=%s y=%s z=%s" for check in (
-    "meet not associative", "join not associative",
-    "meet does not distribute", "join does not distribute"))
+_LATTICE_TRIPLES = ("meet not associative", "join not associative",
+                    "meet does not distribute", "join does not distribute")
 
 
 # ---------------------------------------------------------------- laws
@@ -246,103 +286,53 @@ def _law_t2_4(space, pairs, max_weight):
     """and_(x, or_(y, z)) == or_(and_(x, y), and_(x, z)) iff
     ab & e'f <= d and ab & c'd <= f."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
-    lanes = _lanes(space, pairs, or_b, and_b)
-    spread, size, differ, flag = lanes.spread, lanes.size, lanes.differ, lanes.flag
-    count = 0
-    for x in pairs:
-        q1, c1 = spread(x)
-        for y in pairs:
-            q2, c2 = spread(y)
-            for q3, c3, base in lanes.blocks:
-                count += size
-                lhs = and_b(q1, c1, *or_b(q2, c2, q3, c3))
-                rhs = or_b(*and_b(q1, c1, q2, c2), *and_b(q1, c1, q3, c3))
-                side = (q1 & c3 & ~q3 & ~c2) | (q1 & c2 & ~q2 & ~c3)
-                failed = differ(lhs, rhs) ^ flag(side)
-                if failed:
-                    count, k, _ = lanes.locate(count, failed)
-                    pick = lanes.pick
-                    return (count, _EQUATION_SIDE, x, y, pairs[base + k],
-                            pick(lhs, k), pick(rhs, k), not pick(side, k))
-    return count
+
+    def clause(q1, c1, q2, c2, q3, c3):
+        return (and_b(q1, c1, *or_b(q2, c2, q3, c3)),
+                or_b(*and_b(q1, c1, q2, c2), *and_b(q1, c1, q3, c3)),
+                (q1 & c3 & ~q3 & ~c2) | (q1 & c2 & ~q2 & ~c3))
+
+    return _triples(space, pairs, 0, (or_b, and_b), [clause], [_EQUATION_SIDE])
 
 
 def _law_c2_5(space, pairs, max_weight):
     """or_(x, and_(y, z)) == and_(or_(x, y), or_(x, z)) iff
     a'b & ef <= d and a'b & cd <= f."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
-    lanes = _lanes(space, pairs, or_b, and_b)
-    spread, size, differ, flag = lanes.spread, lanes.size, lanes.differ, lanes.flag
-    count = 0
-    for x in pairs:
-        q1, c1 = spread(x)
+
+    def clause(q1, c1, q2, c2, q3, c3):
         nay = c1 & ~q1
-        for y in pairs:
-            q2, c2 = spread(y)
-            for q3, c3, base in lanes.blocks:
-                count += size
-                lhs = or_b(q1, c1, *and_b(q2, c2, q3, c3))
-                rhs = and_b(*or_b(q1, c1, q2, c2), *or_b(q1, c1, q3, c3))
-                side = (nay & q3 & ~c2) | (nay & q2 & ~c3)
-                failed = differ(lhs, rhs) ^ flag(side)
-                if failed:
-                    count, k, _ = lanes.locate(count, failed)
-                    pick = lanes.pick
-                    return (count, _EQUATION_SIDE, x, y, pairs[base + k],
-                            pick(lhs, k), pick(rhs, k), not pick(side, k))
-    return count
+        return (or_b(q1, c1, *and_b(q2, c2, q3, c3)),
+                and_b(*or_b(q1, c1, q2, c2), *or_b(q1, c1, q3, c3)),
+                (nay & q3 & ~c2) | (nay & q2 & ~c3))
+
+    return _triples(space, pairs, 0, (or_b, and_b), [clause], [_EQUATION_SIDE])
 
 
 def _law_t2_6(space, pairs, max_weight):
     """or_(x, and_(y, z)) == and_(or_(x, y), z) iff
     ab & e'f == 0 and a'b & ef <= d."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
-    lanes = _lanes(space, pairs, or_b, and_b)
-    spread, size, differ, flag = lanes.spread, lanes.size, lanes.differ, lanes.flag
-    count = 0
-    for x in pairs:
-        q1, c1 = spread(x)
-        nay = c1 & ~q1
-        for y in pairs:
-            q2, c2 = spread(y)
-            for q3, c3, base in lanes.blocks:
-                count += size
-                lhs = or_b(q1, c1, *and_b(q2, c2, q3, c3))
-                rhs = and_b(*or_b(q1, c1, q2, c2), q3, c3)
-                side = (q1 & c3 & ~q3) | (nay & q3 & ~c2)
-                failed = differ(lhs, rhs) ^ flag(side)
-                if failed:
-                    count, k, _ = lanes.locate(count, failed)
-                    pick = lanes.pick
-                    return (count, _EQUATION_SIDE, x, y, pairs[base + k],
-                            pick(lhs, k), pick(rhs, k), not pick(side, k))
-    return count
+
+    def clause(q1, c1, q2, c2, q3, c3):
+        return (or_b(q1, c1, *and_b(q2, c2, q3, c3)),
+                and_b(*or_b(q1, c1, q2, c2), q3, c3),
+                (q1 & c3 & ~q3) | (c1 & ~q1 & q3 & ~c2))
+
+    return _triples(space, pairs, 0, (or_b, and_b), [clause], [_EQUATION_SIDE])
 
 
 def _law_c2_7(space, pairs, max_weight):
     """and_(x, or_(y, z)) == or_(and_(x, y), z) iff
     a'b & ef == 0 and ab & e'f <= d."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
-    lanes = _lanes(space, pairs, or_b, and_b)
-    spread, size, differ, flag = lanes.spread, lanes.size, lanes.differ, lanes.flag
-    count = 0
-    for x in pairs:
-        q1, c1 = spread(x)
-        nay = c1 & ~q1
-        for y in pairs:
-            q2, c2 = spread(y)
-            for q3, c3, base in lanes.blocks:
-                count += size
-                lhs = and_b(q1, c1, *or_b(q2, c2, q3, c3))
-                rhs = or_b(*and_b(q1, c1, q2, c2), q3, c3)
-                side = (nay & q3) | (q1 & c3 & ~q3 & ~c2)
-                failed = differ(lhs, rhs) ^ flag(side)
-                if failed:
-                    count, k, _ = lanes.locate(count, failed)
-                    pick = lanes.pick
-                    return (count, _EQUATION_SIDE, x, y, pairs[base + k],
-                            pick(lhs, k), pick(rhs, k), not pick(side, k))
-    return count
+
+    def clause(q1, c1, q2, c2, q3, c3):
+        return (and_b(q1, c1, *or_b(q2, c2, q3, c3)),
+                or_b(*and_b(q1, c1, q2, c2), q3, c3),
+                (c1 & ~q1 & q3) | (q1 & c3 & ~q3 & ~c2))
+
+    return _triples(space, pairs, 0, (or_b, and_b), [clause], [_EQUATION_SIDE])
 
 
 def _law_c2_8(space, pairs, max_weight):
@@ -416,23 +406,12 @@ def _law_props2_3(space, pairs, max_weight):
                 return count, "De Morgan (and) fails at x=%s y=%s", p, s
             if and_b(q1, c1, q2, c2) != and_b(q2, c2, *giv_b(q1, c1, q2, c2)):
                 return count, "and_(x, y) != and_(y, given(x, y)) at x=%s y=%s", p, s
-    lanes = _lanes(space, pairs, or_b, and_b)
-    spread, size, differ = lanes.spread, lanes.size, lanes.differ
-    for x in pairs:
-        q1, c1 = spread(x)
-        for y in pairs:
-            q2, c2 = spread(y)
-            for q3, c3, base in lanes.blocks:
-                count += size
-                by_or = differ(or_b(*or_b(q1, c1, q2, c2), q3, c3),
-                               or_b(q1, c1, *or_b(q2, c2, q3, c3)))
-                by_and = 0 if by_or & 1 else differ(and_b(*and_b(q1, c1, q2, c2), q3, c3),
-                                                    and_b(q1, c1, *and_b(q2, c2, q3, c3)))
-                if by_or or by_and:
-                    count, k, check = lanes.locate(count, by_or, by_and)
-                    return (count, "%s not associative at x=%s y=%s z=%s",
-                            ("or_", "and_")[check], x, y, pairs[base + k])
-    return count
+    return _triples(space, pairs, count, (or_b, and_b), [
+        lambda q1, c1, q2, c2, q3, c3: (or_b(*or_b(q1, c1, q2, c2), q3, c3),
+                                        or_b(q1, c1, *or_b(q2, c2, q3, c3))),
+        lambda q1, c1, q2, c2, q3, c3: (and_b(*and_b(q1, c1, q2, c2), q3, c3),
+                                        and_b(q1, c1, *and_b(q2, c2, q3, c3))),
+    ], [op + " not associative at x=%s y=%s z=%s" for op in ("or_", "and_")])
 
 
 def _law_t2_13(space, pairs, max_weight):
@@ -844,25 +823,17 @@ def _law_t3_15(space, pairs, max_weight):
                 return count, "annihilation criterion fails at b=%s a=%s", b, a
             if sas_b(qb, cb, *proj) != proj:
                 return count, "projection not idempotent at b=%s a=%s", b, a
-    lanes = _lanes(space, pairs, and_b, sas_b)
-    spread, size, differ = lanes.spread, lanes.size, lanes.differ
-    for b in pairs:
-        qb, cb = spread(b)
-        for c in pairs:
-            qc, cc = spread(c)
-            meet = and_b(qb, cb, qc, cc)
-            for qa, ca, base in lanes.blocks:
-                count += size
-                nested = sas_b(qc, cc, *sas_b(qb, cb, qa, ca))
-                by_meet = differ(nested, sas_b(*meet, qa, ca))
-                by_swap = 0 if by_meet & 1 else differ(nested,
-                                                       sas_b(qb, cb, *sas_b(qc, cc, qa, ca)))
-                if by_meet or by_swap:
-                    count, k, check = lanes.locate(count, by_meet, by_swap)
-                    return (count, ("composition via and_ fails at b=%s c=%s a=%s",
-                                    "projections do not commute at b=%s c=%s a=%s")[check],
-                            b, c, pairs[base + k])
-    return count
+    # Triples (b, c, a); the lead is meet = and_(b, c).
+    def nested(qb, cb, qc, cc, qa, ca):
+        return sas_b(qc, cc, *sas_b(qb, cb, qa, ca))
+
+    return _triples(space, pairs, count, (and_b, sas_b), [
+        lambda qb, cb, qc, cc, qa, ca, meet: (nested(qb, cb, qc, cc, qa, ca),
+                                              sas_b(*meet, qa, ca)),
+        lambda qb, cb, qc, cc, qa, ca, meet: (nested(qb, cb, qc, cc, qa, ca),
+                                              sas_b(qb, cb, *sas_b(qc, cc, qa, ca))),
+    ], ["composition via and_ fails at b=%s c=%s a=%s",
+        "projections do not commute at b=%s c=%s a=%s"], lead=and_b)
 
 
 def _law_c3_16(space, pairs, max_weight):
@@ -917,21 +888,13 @@ def _law_t3_17(space, pairs, max_weight):
                          and (nb[0] & ~ca) == 0 and (qa & ~nb[1]) == 0)
             if two_sided != ((qa & ~cb) == 0 and (cb & ~ca) == 0):
                 return count, "two-sided verifiability criterion fails at b=%s a=%s", b, a
-    lanes = _lanes(space, pairs, or_b, sas_b)
-    spread, size, differ = lanes.spread, lanes.size, lanes.differ
-    for c in pairs:
-        qc, cc = spread(c)
-        for b in pairs:
-            qb, cb = spread(b)
-            proj_b = sas_b(qc, cc, qb, cb)
-            for qa, ca, base in lanes.blocks:
-                count += size
-                lhs = sas_b(qc, cc, *or_b(qb, cb, qa, ca))
-                failed = differ(lhs, or_b(*proj_b, *sas_b(qc, cc, qa, ca)))
-                if failed:
-                    count, k, _ = lanes.locate(count, failed)
-                    return (count, "projection does not distribute over or_ at c=%s b=%s a=%s",
-                            c, b, pairs[base + k])
+    # Triples (c, b, a); the lead is proj_b = sasaki(c, b).
+    count = _triples(space, pairs, count, (or_b, sas_b), [
+        lambda qc, cc, qb, cb, qa, ca, proj_b: (sas_b(qc, cc, *or_b(qb, cb, qa, ca)),
+                                                or_b(*proj_b, *sas_b(qc, cc, qa, ca))),
+    ], ["projection does not distribute over or_ at c=%s b=%s a=%s"], lead=sas_b)
+    if not isinstance(count, int):
+        return count
     # Folded families stay on 3 atoms; their pairs render alike on a larger law space.
     family_pairs = pairs if space.n <= 3 else cnd.enumerate_conditionals_bits(0b111)
     for c in family_pairs:
@@ -979,26 +942,18 @@ def _law_schay_lattice(space, pairs, max_weight):
                     return count, "%s: absorption meet-join fails at x=%s y=%s", name, x, y
                 if join(*x, *meet(*x, *y)) != x:
                     return count, "%s: absorption join-meet fails at x=%s y=%s", name, x, y
-        lanes = _lanes(space, pairs, meet, join)
-        spread, size, differ = lanes.spread, lanes.size, lanes.differ
-        for x in pairs:
-            xs = spread(x)
-            for y in pairs:
-                ys = spread(y)
-                for q3, c3, base in lanes.blocks:
-                    count += size
-                    z = q3, c3
-                    # A check runs only while lane 0 passes the ones before it.
-                    f1 = differ(meet(*meet(*xs, *ys), *z), meet(*xs, *meet(*ys, *z)))
-                    f2 = 0 if f1 & 1 else differ(join(*join(*xs, *ys), *z),
-                                                 join(*xs, *join(*ys, *z)))
-                    f3 = 0 if (f1 | f2) & 1 else differ(meet(*xs, *join(*ys, *z)),
-                                                        join(*meet(*xs, *ys), *meet(*xs, *z)))
-                    f4 = 0 if (f1 | f2 | f3) & 1 else differ(join(*xs, *meet(*ys, *z)),
-                                                             meet(*join(*xs, *ys), *join(*xs, *z)))
-                    if f1 or f2 or f3 or f4:
-                        count, k, check = lanes.locate(count, f1, f2, f3, f4)
-                        return count, _LATTICE_TRIPLES[check], name, x, y, pairs[base + k]
+        count = _triples(space, pairs, count, (meet, join), [
+            lambda q1, c1, q2, c2, q3, c3: (meet(*meet(q1, c1, q2, c2), q3, c3),
+                                            meet(q1, c1, *meet(q2, c2, q3, c3))),
+            lambda q1, c1, q2, c2, q3, c3: (join(*join(q1, c1, q2, c2), q3, c3),
+                                            join(q1, c1, *join(q2, c2, q3, c3))),
+            lambda q1, c1, q2, c2, q3, c3: (meet(q1, c1, *join(q2, c2, q3, c3)),
+                                            join(*meet(q1, c1, q2, c2), *meet(q1, c1, q3, c3))),
+            lambda q1, c1, q2, c2, q3, c3: (join(q1, c1, *meet(q2, c2, q3, c3)),
+                                            meet(*join(q1, c1, q2, c2), *join(q1, c1, q3, c3))),
+        ], ["%s: %s at x=%%s y=%%s z=%%s" % (name, check) for check in _LATTICE_TRIPLES])
+        if not isinstance(count, int):
+            return count
     return count
 
 
@@ -1106,11 +1061,13 @@ def _render(space, template, *operands):
 
 
 def _count_at_raise(exc, fn, default):
-    """The law's own instance count in its frame when it raised."""
+    """The instance count when the law raised: `count` in the deepest
+    frame of the law or of the triple driver it called."""
+    codes = (fn.__code__, _triples.__code__)
     tb = exc.__traceback__
     while tb is not None:
-        if tb.tb_frame.f_code is fn.__code__:
-            return tb.tb_frame.f_locals.get("count", 0)
+        if tb.tb_frame.f_code in codes:
+            default = tb.tb_frame.f_locals.get("count", 0)
         tb = tb.tb_next
     return default
 

@@ -7,6 +7,8 @@ inequalities, which is what makes the checker sensitive to mutations in
 the operation kernels.
 """
 
+from itertools import product
+
 import pytest
 
 from boolfrac import conditional as cnd
@@ -141,38 +143,39 @@ def test_mutated_or_kernel_is_caught(monkeypatch):
 # Golden reports: every instance count and counterexample text is
 # pinned, so a change to how laws report cannot alter one unnoticed.
 
-GOLDEN_INSTANCES = {  # law: instances_checked at n=2 and n=3, weight grid 1
-    "t2.4": (729, 19683),
-    "c2.5": (729, 19683),
-    "t2.6": (729, 19683),
-    "c2.7": (729, 19683),
-    "c2.8": (81, 729),
-    "c2.9": (81, 729),
-    "props2.3": (819, 20439),
-    "t2.13": (272, 13120),
-    "t2.18": (225, 2457),
-    "t2.19": (196, 2744),
-    "p2.20": (90, 756),
-    "truth-tables": (504, 6642),
-    "superposition": (305, 5561),
-    "t3.2": (81, 729),
-    "c3.3": (81, 729),
-    "c3.5": (81, 729),
-    "c3.6": (81, 729),
-    "t3.7": (81, 729),
-    "c3.8": (81, 729),
-    "t3.9": (81, 729),
-    "t3.11": (102, 786),
-    "t3.15": (810, 20412),
-    "c3.16": (90, 756),
-    "t3.17": (1497, 39205),
-    "schay-lattice": (1638, 40878),
-    "schay-coincide": (81, 729),
-    "schay-2.12": (9, 27),
+GOLDEN_INSTANCES = {  # law: instances_checked at n=2, 3 and 4, weight grid 1;
+    # at n=4 the laws with budget 3 are clamped to n=3
+    "t2.4": (729, 19683, 531441),
+    "c2.5": (729, 19683, 531441),
+    "t2.6": (729, 19683, 531441),
+    "c2.7": (729, 19683, 531441),
+    "c2.8": (81, 729, 6561),
+    "c2.9": (81, 729, 6561),
+    "props2.3": (819, 20439, 538083),
+    "t2.13": (272, 13120, 13120),
+    "t2.18": (225, 2457, 2457),
+    "t2.19": (196, 2744, 2744),
+    "p2.20": (90, 756, 6642),
+    "truth-tables": (504, 6642, 79056),
+    "superposition": (305, 5561, 5561),
+    "t3.2": (81, 729, 729),
+    "c3.3": (81, 729, 6561),
+    "c3.5": (81, 729, 6561),
+    "c3.6": (81, 729, 6561),
+    "t3.7": (81, 729, 729),
+    "c3.8": (81, 729, 729),
+    "t3.9": (81, 729, 6561),
+    "t3.11": (102, 786, 6726),
+    "t3.15": (810, 20412, 538002),
+    "c3.16": (90, 756, 6642),
+    "t3.17": (1497, 39205, 556795),
+    "schay-lattice": (1638, 40878, 40878),
+    "schay-coincide": (81, 729, 6561),
+    "schay-2.12": (9, 27, 81),
 }
 
 
-@pytest.mark.parametrize("atoms", [2, 3])
+@pytest.mark.parametrize("atoms", [2, 3, 4])
 def test_instance_counts_match_the_golden_counts(atoms):
     reports = lawcheck.check_all(atoms, max_weight=1)
     assert all(r.passed for r in reports)
@@ -244,7 +247,7 @@ def test_criterion_10_mutant_reports_at_four_atoms_match_the_golden_reports(monk
         return (q1 & q2) | (~c1 & q2), c1 | c2
 
     monkeypatch.setattr(cnd, "and_bits", broken)
-    assert lawcheck._certified(broken, 4)
+    assert lawcheck._lane_local(broken)
     assert [lawcheck.check(law, 4) for law in ("t2.4", "c2.5", "t2.6", "c2.7")] == (
         GOLDEN_CRITERION_10_AT_4
     )
@@ -329,11 +332,11 @@ def test_per_atom_tables_reproduce_the_kernels():
     assert all(per_atom_not(tv.NOT_TABLE)(*x) == cnd.not_bits(*x) for x in pairs)
 
 
-def _survivors(monkeypatch, mutants):
+def _survivors(monkeypatch, mutants, module=cnd):
     """The mutants under which every law passes; check_all must not raise."""
     survivors = []
     for name, entry, new, kernel in mutants:
-        monkeypatch.setattr(cnd, name, kernel)
+        monkeypatch.setattr(module, name, kernel)
         if all(r.passed for r in lawcheck.check_all(2, max_weight=1)):
             survivors.append((name, entry, new))
         monkeypatch.undo()
@@ -392,10 +395,42 @@ SHIPPED_KERNELS = [getattr(cnd, name) for name in TABLES] + [
 ]
 
 
-@pytest.mark.parametrize("atoms", [1, 2, 3, 4])
-def test_lane_certificate_accepts_every_shipped_kernel(atoms):
+def _pack(values, width):
+    return int("".join(format(v, "0%db" % width) for v in reversed(values)), 2)
+
+
+def lane_certificate(kernel, n):
+    """A pairwise lane certificate at n atoms, the reference for
+    `_lane_local`: on all 3**n x 3**n normal-form operand pairs, one at a
+    time and packed as lanes, each result is a normal-form (q, c) pair
+    of ints inside the space, the packed call returns exactly the packed
+    results, and nothing raises. Call j has (pairs[i], pairs[i + j]) in
+    lane i, indices mod 3**n."""
+    full = (1 << n) - 1
+    pairs = cnd.enumerate_conditionals_bits(full)
+    size = len(pairs)
+    try:
+        for j in range(size):
+            operands = [x + pairs[(i + j) % size] for i, x in enumerate(pairs)]
+            results = [kernel(*args) for args in operands]
+            for result in results:
+                if not (type(result) is tuple and len(result) == 2
+                        and type(result[0]) is int and type(result[1]) is int):
+                    return False
+                q, c = result
+                if not 0 <= c <= full or q & ~c:
+                    return False
+            packed = [_pack(column, n) for column in zip(*operands)]
+            if kernel(*packed) != tuple(_pack(column, n) for column in zip(*results)):
+                return False
+    except Exception:
+        return False
+    return True
+
+
+def test_lane_certificate_accepts_every_shipped_kernel():
     for kernel in SHIPPED_KERNELS:
-        assert lawcheck._lane_certificate(kernel, atoms), kernel.__name__
+        assert lawcheck._lane_local(kernel), kernel.__name__
 
 
 def _masking(q1, c1, q2, c2):
@@ -431,14 +466,72 @@ def _raising_on_lanes(q1, c1, q2, c2):
     return cnd.or_bits(q1, c1, q2, c2)
 
 
-@pytest.mark.parametrize("kernel", [
+REJECTED = [
     pytest.param(per_atom_kernel(tv.AND_TABLE), id="per_atom"),
     *(pytest.param(k, id=k.__name__.strip("_")) for k in (
         _masking, _shifting, _adding, _leaving_normal_form, _raising_on_some_pair,
         _raising_on_lanes)),
-])
+]
+
+
+@pytest.mark.parametrize("kernel", REJECTED)
 def test_lane_certificate_rejects_kernels_that_are_not_lane_local(kernel):
-    assert not lawcheck._lane_certificate(kernel, 2)
+    assert not lawcheck._lane_local(kernel)
+
+
+# Kernels only the truth-table call rejects or rejects for its own
+# reason: each is or_ (or close to it) written with an operation that
+# means something else on a truth table than on the bits of an int.
+
+
+def _comparing(q1, c1, q2, c2):
+    if q1 == q2 and c1 == c2:
+        return q1, c1
+    return q1 | q2, c1 | c2
+
+
+def _truth_testing(q1, c1, q2, c2):
+    if q1:
+        return q1 | q2, c1 | c2
+    return q2, c1 | c2
+
+
+def _memoising():
+    seen = {}
+
+    def memoising(q1, c1, q2, c2):
+        key = q1, c1, q2, c2
+        if key not in seen:
+            seen[key] = q1 | q2, c1 | c2
+        return seen[key]
+
+    return memoising
+
+
+def _masking_with_a_constant(q1, c1, q2, c2):
+    return (q1 | q2) & 3, (c1 | c2) & 3
+
+
+def _returning_a_list(q1, c1, q2, c2):
+    return [q1 | q2, c1 | c2]
+
+
+def _defining_outside_both_conditions(q1, c1, q2, c2):
+    return q1 | q2, c1 | c2 | (~c1 & ~c2)
+
+
+def _subtracting(q1, c1, q2, c2):
+    c = c1 | c2
+    return c - (c & ~(q1 | q2)), c
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(k, id=k.__name__.strip("_")) for k in (
+        _comparing, _truth_testing, _memoising(), _masking_with_a_constant, _returning_a_list,
+        _defining_outside_both_conditions, _subtracting)
+])
+def test_lane_local_rejects_kernels_a_truth_table_cannot_run(kernel):
+    assert not lawcheck._lane_local(kernel)
 
 
 AND_BITS = cnd.and_bits  # the shipped kernel, for the ones that replace it
@@ -470,7 +563,7 @@ def test_uncertified_kernels_report_as_a_plain_loop_did(monkeypatch, kernel, law
     """Reports recorded from a plain triple loop: one-instance blocks
     compare results as tuples and count an instance before evaluating it."""
     monkeypatch.setattr(cnd, "and_bits", kernel)
-    assert not lawcheck._certified(kernel, 2)
+    assert not lawcheck._lane_local(kernel)
     assert lawcheck.check(law, 2) == lawcheck.LawReport(law, 2, count, False, counterexample)
 
 
@@ -523,6 +616,21 @@ def closed_form_kernel(table):
     return kernel
 
 
+def test_the_truth_table_and_pairwise_certificates_agree():
+    """The 9 shipped kernels at 1 to 4 atoms, the reject list, and the 90
+    closed-form and 90 per-atom table mutants at 2 atoms."""
+    for atoms in (1, 2, 3, 4):
+        for kernel in SHIPPED_KERNELS:
+            assert lawcheck._lane_local(kernel) and lane_certificate(kernel, atoms)
+    for param in REJECTED:
+        kernel, = param.values
+        assert not lawcheck._lane_local(kernel) and not lane_certificate(kernel, 2)
+    for name, entry, new, per_atom in table_mutants():
+        closed = closed_form_kernel({**TABLES[name], entry: new})
+        for kernel in (closed, per_atom):
+            assert lawcheck._lane_local(kernel) == lane_certificate(kernel, 2), (name, entry, new)
+
+
 def test_sliced_and_one_instance_blocks_report_alike_under_every_table_mutant(monkeypatch):
     """One table, two kernels: the closed form is certified (unless its
     (U, U) entry is defined, which needs the space mask) and runs
@@ -531,9 +639,9 @@ def test_sliced_and_one_instance_blocks_report_alike_under_every_table_mutant(mo
     for name, entry, new, per_atom in table_mutants():
         table = {**TABLES[name], entry: new}
         closed = closed_form_kernel(table)
-        assert lawcheck._certified(closed, 2) == (table[U, U] is U)
-        assert not lawcheck._certified(per_atom, 2)
-        certified += lawcheck._certified(closed, 2)
+        assert lawcheck._lane_local(closed) == (table[U, U] is U)
+        assert not lawcheck._lane_local(per_atom)
+        certified += lawcheck._lane_local(closed)
         reports = []
         for kernel in (closed, per_atom):
             monkeypatch.setattr(cnd, name, kernel)
@@ -541,3 +649,129 @@ def test_sliced_and_one_instance_blocks_report_alike_under_every_table_mutant(mo
             monkeypatch.undo()
         assert reports[0] == reports[1], (name, entry, new)
     assert certified == 80
+
+
+# Single-entry table mutants of the four schay kernels. Each table is
+# read off its kernel on the three one-atom values T = (1|1), F = (0|1)
+# and U = (0|0).
+
+ONE_ATOM = {T: (0b1, 0b1), F: (0b0, 0b1), U: (0b0, 0b0)}
+SCHAY_KERNELS = ("cap_bits", "cup_bits", "sand_bits", "vee_bits")
+
+
+def one_atom_table(kernel):
+    value = {pair: v for v, pair in ONE_ATOM.items()}
+    return {(a, b): value[kernel(*ONE_ATOM[a], *ONE_ATOM[b])] for a in ONE_ATOM for b in ONE_ATOM}
+
+
+def schay_table_mutants():
+    """All 72 mutants as (kernel name, entry, new value, mutated table)."""
+    for name in SCHAY_KERNELS:
+        table = one_atom_table(getattr(schay, name))
+        for entry, old in table.items():
+            for new in (T, F, U):
+                if new is not old:
+                    yield name, entry, new, {**table, entry: new}
+
+
+def test_one_atom_tables_reproduce_the_schay_kernels():
+    pairs = cnd.enumerate_conditionals_bits(0b11)
+    for name in SCHAY_KERNELS:
+        reference = getattr(schay, name)
+        kernel = per_atom_kernel(one_atom_table(reference))
+        assert all(kernel(*x, *y) == reference(*x, *y) for x in pairs for y in pairs), name
+
+
+def test_every_schay_table_mutant_is_killed_without_a_crash(monkeypatch):
+    mutants = [(name, entry, new, per_atom_kernel(table))
+               for name, entry, new, table in schay_table_mutants()]
+    assert len(mutants) == 72
+    assert _survivors(monkeypatch, mutants, schay) == []
+
+
+def test_schay_closed_forms_and_per_atom_loops_report_alike(monkeypatch):
+    """Closed forms are certified unless their (U, U) entry is defined."""
+    certified = 0
+    for name, entry, new, table in schay_table_mutants():
+        closed = closed_form_kernel(table)
+        assert lawcheck._lane_local(closed) == (table[U, U] is U)
+        certified += lawcheck._lane_local(closed)
+        reports = []
+        for kernel in (closed, per_atom_kernel(table)):
+            monkeypatch.setattr(schay, name, kernel)
+            reports.append([lawcheck.check(law, 2) for law in TRIPLE_LAWS])
+            monkeypatch.undo()
+        assert reports[0] == reports[1], (name, entry, new)
+    assert certified == 64
+
+
+# The triple driver, called directly: a certified clause set runs
+# sliced, and the same clauses over per-atom kernels run one instance
+# at a time.
+
+DRIVER_TEMPLATES = ["clause 1 at x=%s y=%s z=%s", "clause 2 at x=%s y=%s z=%s"]
+SLICED_AND_PER_ATOM = [
+    (cnd.or_bits, cnd.and_bits),
+    (per_atom_kernel(tv.OR_TABLE), per_atom_kernel(tv.AND_TABLE)),
+]
+
+
+def _drive(kernels, clauses):
+    space = lawcheck.law_space(2)
+    pairs = cnd.enumerate_conditionals_bits(space.full_bits)
+    return lawcheck._triples(space, pairs, 0, kernels, clauses, DRIVER_TEMPLATES)
+
+
+def test_certified_kernels_run_one_sliced_block_per_outer_operand(monkeypatch):
+    """t2.4 at 3 atoms: one certificate call per kernel, then five kernel
+    calls (lhs and rhs) per outer x for all 27 x 27 pairs (y, z) at once."""
+    calls = []
+
+    def counted(kernel):
+        def wrapper(*operands):
+            calls.append(kernel)
+            return kernel(*operands)
+
+        return wrapper
+
+    monkeypatch.setattr(cnd, "or_bits", counted(cnd.or_bits))
+    monkeypatch.setattr(cnd, "and_bits", counted(cnd.and_bits))
+    assert lawcheck.check("t2.4", 3).passed
+    assert len(calls) == 2 + 27 * 5
+
+
+def test_driver_finds_a_later_clause_failing_past_lane_zero():
+    """Clause 1 (commutativity of or_) passes everywhere; clause 2 (or_
+    distributing over and_ without its side condition) first fails past
+    the first lane of its block. Both routes report the triple a plain
+    loop finds first."""
+    pairs = cnd.enumerate_conditionals_bits(0b11)
+    or_b, and_b = cnd.or_bits, cnd.and_bits
+    first = next((i + 1, x, y, z) for i, (x, y, z) in enumerate(product(pairs, repeat=3))
+                 if or_b(*x, *and_b(*y, *z)) != and_b(*or_b(*x, *y), *or_b(*x, *z)))
+    count, x, y, z = first
+    assert (y, z) != (pairs[0], pairs[0])  # lane k > 0 of x's sliced block
+    assert lawcheck._lane_local(or_b) and lawcheck._lane_local(and_b)
+    for or_k, and_k in SLICED_AND_PER_ATOM:
+        clauses = [
+            lambda q1, c1, q2, c2, q3, c3: (or_k(q1, c1, q2, c2), or_k(q2, c2, q1, c1)),
+            lambda q1, c1, q2, c2, q3, c3: (or_k(q1, c1, *and_k(q2, c2, q3, c3)),
+                                            and_k(*or_k(q1, c1, q2, c2), *or_k(q1, c1, q3, c3))),
+        ]
+        assert _drive((or_k, and_k), clauses) == (count, DRIVER_TEMPLATES[1], x, y, z)
+
+
+def test_driver_skips_later_clauses_once_lane_zero_fails():
+    """Clause 1 fails at the very first triple through a side condition
+    that is never empty, so clause 2, which raises, must not run."""
+    def clause_2(*operands):
+        raise AssertionError("clause 2 ran after clause 1 failed at lane 0")
+
+    undefined = (0, 0)
+    for or_k, and_k in SLICED_AND_PER_ATOM:
+        clauses = [
+            lambda q1, c1, q2, c2, q3, c3: (or_k(q1, c1, q2, c2), or_k(q2, c2, q1, c1), ~q1),
+            clause_2,
+        ]
+        assert _drive((or_k, and_k), clauses) == (
+            1, DRIVER_TEMPLATES[0], undefined, undefined, undefined, undefined, undefined, False)
