@@ -24,21 +24,23 @@ experiments:
 and `profile` bundles the seven standard verifiability flags. The
 generated subalgebra closes a pair under and/or/not and reports whether
 the result is a Boolean algebra, which happens exactly for equal,
-nonempty conditions.
+nonempty conditions. The closure calls `not_bits` once per member and
+`or_bits` and `and_bits` once per ordered pair of members, keeping each
+result in a table; the Boolean sweep reads every value it compares from
+those tables and calls no kernel.
 """
 
 from dataclasses import astuple, dataclass
 
 from . import conditional as cnd
-from .errors import SpaceMismatch, TooLarge
+from .errors import TooLarge
 from .space import same_space
 
 MAX_SUBALGEBRA_ATOMS = 5
 
 
 def _pair(x, y):
-    if x.space != y.space:
-        raise SpaceMismatch("operands belong to different sample spaces")
+    same_space(x, y)
     return x.q, x.c, y.q, y.c
 
 
@@ -226,71 +228,99 @@ class Subalgebra:
     is_boolean: bool
 
 
-def closure_bits(seeds):
-    """Close a set of raw (q, c) pairs under not, or and and."""
-    ops = (cnd.or_bits, cnd.and_bits)
+def _close(seeds):
+    """Close a set of raw (q, c) pairs under not, or and and, recording
+    each result.
+
+    Round by round as a naive fixpoint would go, but a round evaluates
+    only the negations of members added in the round before and the
+    ordered pairs that involve one; every other result is already a
+    member. The adds happen in the naive order, so the set has the
+    naive iteration order, and the first kernel call that raises is the
+    naive one. Returns the set and its tables: ``neg[a]``, and rows
+    ``join[a][b]`` and ``meet[a][b]`` for every ordered pair of members.
+    """
+    or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
     members = set(seeds)
+    fresh = members
+    neg, join, meet = {}, {}, {}
     while True:
         new = set()
         for m in members:
-            neg = cnd.not_bits(*m)
-            if neg not in members:
-                new.add(neg)
+            if m in fresh:
+                join[m], meet[m] = {}, {}
+                r = neg[m] = not_b(*m)
+                if r not in members:
+                    new.add(r)
+        fresh_order = [b for b in members if b in fresh]
         for a in members:
-            for b in members:
-                for op in ops:
-                    r = op(a[0], a[1], b[0], b[1])
-                    if r not in members:
-                        new.add(r)
+            a0, a1 = a[0], a[1]
+            join_row, meet_row = join[a], meet[a]
+            for b in members if a in fresh else fresh_order:
+                b0, b1 = b[0], b[1]
+                r = join_row[b] = or_b(a0, a1, b0, b1)
+                if r not in members:
+                    new.add(r)
+                r = meet_row[b] = and_b(a0, a1, b0, b1)
+                if r not in members:
+                    new.add(r)
         if not new:
-            return members
+            return members, neg, join, meet
         members |= new
+        fresh = new
 
 
-def _boolean_sweep(members):
+def closure_bits(seeds):
+    """Close a set of raw (q, c) pairs under not, or and and."""
+    return _close(seeds)[0]
+
+
+def _boolean_sweep(members, neg, join, meet):
     """Check the Boolean algebra axioms over a closed set of (q, c) pairs.
 
     Commutativity and associativity of or/and hold on all conditionals,
     so only the parts that can fail are swept: a two-sided unit and zero
     (distinct, so the one-element closure of U does not count), not as
     complement against them, absorption, and both distributive laws.
+
+    No kernel runs here: every operand is a member, so every value is
+    read from the tables `_close` filled, each the kernel's own output
+    from one call per member or ordered pair. The unit and zero are
+    looked up in the rows; once both exist, the members are numbered
+    and the rest runs on index tables.
     """
-    or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
     unit = None
     zero = None
     for u in members:
-        uq, uc = u
-        if all(and_b(q, c, uq, uc) == (q, c) and or_b(q, c, uq, uc) == u for q, c in members):
+        if all(meet[m][u] == m and join[m][u] == u for m in members):
             unit = u
             break
     if unit is None:
         return False
     for z in members:
-        zq, zc = z
-        if all(or_b(q, c, zq, zc) == (q, c) and and_b(q, c, zq, zc) == z for q, c in members):
+        if all(join[m][z] == m and meet[m][z] == z for m in members):
             zero = z
             break
     if zero is None or zero == unit:
         return False
-    for q, c in members:
-        nq, nc = not_b(q, c)
-        if and_b(q, c, nq, nc) != zero or or_b(q, c, nq, nc) != unit:
-            return False
     mem = list(members)
-    for a in mem:
-        for b in mem:
-            if and_b(*a, *or_b(*a, *b)) != a:
+    index = {m: i for i, m in enumerate(mem)}
+    joins = [[index[join[a][b]] for b in mem] for a in mem]
+    meets = [[index[meet[a][b]] for b in mem] for a in mem]
+    one, nil = index[unit], index[zero]
+    for a, m in enumerate(mem):
+        n = index[neg[m]]
+        if meets[a][n] != nil or joins[a][n] != one:
+            return False
+    for a, (ja, ma) in enumerate(zip(joins, meets)):
+        for jab, mab in zip(ja, ma):
+            if ma[jab] != a or ja[mab] != a:
                 return False
-            if or_b(*a, *and_b(*a, *b)) != a:
-                return False
-    for a in mem:
-        for b in mem:
-            for d in mem:
-                bd_and = and_b(*b, *d)
-                bd_or = or_b(*b, *d)
-                if and_b(*a, *bd_or) != or_b(*and_b(*a, *b), *and_b(*a, *d)):
-                    return False
-                if or_b(*a, *bd_and) != and_b(*or_b(*a, *b), *or_b(*a, *d)):
+    for ja, ma in zip(joins, meets):
+        for jb, mb, jab, mab in zip(joins, meets, ja, ma):
+            j_mab, m_jab = joins[mab], meets[jab]
+            for jbd, mbd, jad, mad in zip(jb, mb, ja, ma):
+                if ma[jbd] != j_mab[mad] or ja[mbd] != m_jab[jad]:
                     return False
     return True
 
@@ -301,8 +331,8 @@ def generated_subalgebra(x, y):
     space = x.space
     if space.n > MAX_SUBALGEBRA_ATOMS:
         raise TooLarge("refusing to close a subalgebra over %d atoms" % space.n)
-    members = closure_bits({(x.q, x.c), (y.q, y.c)})
+    closed = _close({(x.q, x.c), (y.q, y.c)})
     return Subalgebra(
-        members=frozenset(cnd.Conditional(space, q, c) for q, c in members),
-        is_boolean=_boolean_sweep(members),
+        members=frozenset(cnd.Conditional(space, q, c) for q, c in closed[0]),
+        is_boolean=_boolean_sweep(*closed),
     )

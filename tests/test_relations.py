@@ -6,11 +6,18 @@ orthogonality through and_ collapsing to (0|bvd), and simultaneous
 verifiability through the existence of an orthogonal decomposition.
 """
 
+import json
+import pathlib
+import sys
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boolfrac import conditional as cnd
+from boolfrac import lawcheck
 from boolfrac import relations as rel
-from boolfrac.errors import TooLarge
+from boolfrac.errors import SpaceMismatch, TooLarge
 from boolfrac.space import SampleSpace
 
 
@@ -177,3 +184,330 @@ def test_in_common_subalgebra_requires_nonempty_shared_condition(die, die_pair):
     u = cnd.undefined(die.space)
     assert rel.in_common_subalgebra(u, u) is False
     assert rel.compatible(u, u) is True
+
+
+def test_pair_relations_reject_operands_of_different_spaces():
+    x = cnd.Conditional(space_of(2), 0b01, 0b11)
+    y = cnd.Conditional(space_of(3), 0b01, 0b11)
+    for relation in (rel.orthogonal, rel.compatible, rel.profile, rel.generated_subalgebra):
+        with pytest.raises(SpaceMismatch, match="^operands belong to different sample spaces$"):
+            relation(x, y)
+
+
+# The closure and the Boolean sweep against a naive reference: a
+# fixpoint that calls the kernels on every member and member pair in
+# every round, and a sweep that calls them again for every value it
+# compares. The closure must add members in the same order (so the sets
+# iterate alike), the sweep must reach the same verdict, and with a
+# kernel that raises, the same exception must escape.
+
+
+def naive_closure(seeds):
+    ops = (cnd.or_bits, cnd.and_bits)
+    members = set(seeds)
+    while True:
+        new = set()
+        for m in members:
+            neg = cnd.not_bits(*m)
+            if neg not in members:
+                new.add(neg)
+        for a in members:
+            for b in members:
+                for op in ops:
+                    r = op(a[0], a[1], b[0], b[1])
+                    if r not in members:
+                        new.add(r)
+        if not new:
+            return members
+        members |= new
+
+
+def naive_sweep(members):
+    or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
+    unit = None
+    zero = None
+    for u in members:
+        uq, uc = u
+        if all(and_b(q, c, uq, uc) == (q, c) and or_b(q, c, uq, uc) == u for q, c in members):
+            unit = u
+            break
+    if unit is None:
+        return False
+    for z in members:
+        zq, zc = z
+        if all(or_b(q, c, zq, zc) == (q, c) and and_b(q, c, zq, zc) == z for q, c in members):
+            zero = z
+            break
+    if zero is None or zero == unit:
+        return False
+    for q, c in members:
+        nq, nc = not_b(q, c)
+        if and_b(q, c, nq, nc) != zero or or_b(q, c, nq, nc) != unit:
+            return False
+    mem = list(members)
+    for a in mem:
+        for b in mem:
+            if and_b(*a, *or_b(*a, *b)) != a:
+                return False
+            if or_b(*a, *and_b(*a, *b)) != a:
+                return False
+    for a in mem:
+        for b in mem:
+            for d in mem:
+                bd_and = and_b(*b, *d)
+                bd_or = or_b(*b, *d)
+                if and_b(*a, *bd_or) != or_b(*and_b(*a, *b), *and_b(*a, *d)):
+                    return False
+                if or_b(*a, *bd_and) != and_b(*or_b(*a, *b), *or_b(*a, *d)):
+                    return False
+    return True
+
+
+def outcome(run, *args):
+    """What `run` returns, or the type and message of what it raises."""
+    try:
+        return run(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def closed_now(seeds):
+    return list(rel.closure_bits(seeds)), rel._boolean_sweep(*rel._close(seeds))
+
+
+def closed_naively(seeds):
+    members = naive_closure(seeds)
+    return list(members), naive_sweep(members)
+
+
+def subalgebra_now(x, y):
+    sub = rel.generated_subalgebra(x, y)
+    return sub.members, sub.is_boolean
+
+
+def subalgebra_naively(x, y):
+    members = naive_closure({(x.q, x.c), (y.q, y.c)})
+    return frozenset(cnd.Conditional(x.space, q, c) for q, c in members), naive_sweep(members)
+
+
+def pair_outcomes(atoms):
+    """(current, naive) outcomes of closing and of generating the
+    subalgebra, for every ordered pair at `atoms` atoms."""
+    _, conds = all_pairs(atoms)
+    for x in conds:
+        for y in conds:
+            seeds = {(x.q, x.c), (y.q, y.c)}
+            yield (x, y), outcome(closed_now, seeds), outcome(closed_naively, seeds)
+            yield (x, y), outcome(subalgebra_now, x, y), outcome(subalgebra_naively, x, y)
+
+
+def assert_pairs_match_the_reference(atoms, label=""):
+    """Checks every pair; returns how many outcomes were exceptions."""
+    raised = 0
+    for (x, y), now, naive in pair_outcomes(atoms):
+        assert now == naive, (label, str(x), str(y))
+        raised += isinstance(now[0], type)
+    return raised
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 3])
+def test_closure_and_sweep_match_the_naive_reference_on_every_pair(atoms):
+    assert assert_pairs_match_the_reference(atoms) == 0
+
+
+def test_closure_makes_the_naive_kernel_calls_once_each_in_the_naive_order(monkeypatch):
+    """The naive closure's calls, each repeat dropped, are the closure's
+    calls, for every pair at one to three atoms."""
+    calls = []
+    for name in ("or_bits", "and_bits", "not_bits"):
+        def recorded(*args, name=name, kernel=getattr(cnd, name)):
+            calls.append((name, args))
+            return kernel(*args)
+
+        monkeypatch.setattr(cnd, name, recorded)
+    for atoms in (1, 2, 3):
+        pairs = cnd.enumerate_conditionals_bits((1 << atoms) - 1)
+        for x in pairs:
+            for y in pairs:
+                naive_closure({x, y})
+                naive = list(dict.fromkeys(calls))
+                calls.clear()
+                rel.closure_bits({x, y})
+                assert calls == naive, (x, y)
+                calls.clear()
+
+
+PAIRS_AT_3 = cnd.enumerate_conditionals_bits(0b111)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.sampled_from(PAIRS_AT_3), min_size=1, max_size=4))
+def test_closure_and_sweep_match_the_naive_reference_on_seed_sets(seeds):
+    assert outcome(closed_now, seeds) == outcome(closed_naively, seeds)
+
+
+def test_closure_and_sweep_match_the_naive_reference_under_table_mutants(monkeypatch):
+    """The 90 per-atom table mutants of the binary kernels and the 6 of
+    not_bits, each installed as its kernel, at two atoms."""
+    from test_lawcheck import not_mutants, table_mutants
+
+    mutants = list(table_mutants()) + list(not_mutants())
+    assert len(mutants) == 96
+    for name, entry, new, kernel in mutants:
+        monkeypatch.setattr(cnd, name, kernel)
+        assert_pairs_match_the_reference(2, (name, entry, new))
+        monkeypatch.undo()
+
+
+def test_each_check_of_the_sweep_matches_the_naive_reference(monkeypatch):
+    """The conditionals (q|{1,2}) form a four-element Boolean algebra.
+    Changing one entry of or_bits, and_bits or not_bits on them breaks
+    some of the sweep's checks and not others; the verdict must be the
+    naive one for each change, and Boolean only for none."""
+    full = 0b11
+    seeds = {(q, full) for q in range(4)}
+    assert closed_now(seeds) == closed_naively(seeds) == (list(rel.closure_bits(seeds)), True)
+    verdicts = []
+    for name, arity in (("or_bits", 4), ("and_bits", 4), ("not_bits", 2)):
+        shipped = getattr(cnd, name)
+        for operands in product(range(4), repeat=arity // 2):
+            args = tuple(arg for q in operands for arg in (q, full))
+            for value in range(4):
+                if (value, full) == shipped(*args):
+                    continue
+
+                def kernel(*xs, args=args, value=value, shipped=shipped):
+                    return (value, full) if xs == args else shipped(*xs)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(cnd, name, kernel)
+                    now = closed_now(seeds)
+                    assert now == closed_naively(seeds), (name, args, value)
+                    verdicts.append(now[1])
+    assert len(verdicts) == 2 * 16 * 3 + 4 * 3
+    assert not any(verdicts)
+
+
+# Kernels that misbehave on some operands: where two conditions differ
+# (for not_bits: where the condition is the first atom alone) the result is replaced by an exception, a list, a 3-tuple
+# or a pair outside normal form. Elsewhere they are the shipped kernel.
+
+
+class OddKernelError(ArithmeticError):
+    pass
+
+
+def _raise(operands, q, c):
+    raise OddKernelError("odd kernel at %r" % (operands,))
+
+
+ODD_RESULTS = {
+    "raises": _raise,
+    "list": lambda operands, q, c: [q, c],
+    "3-tuple": lambda operands, q, c: (q, c, 0),
+    "outside normal form": lambda operands, q, c: (q | 1, c & ~1),
+}
+
+
+def odd_kernel(name, odd):
+    base = getattr(cnd, name)
+    if name == "not_bits":
+        def kernel(q, c):
+            return odd((q, c), *base(q, c)) if c == 1 else base(q, c)
+    else:
+        def kernel(q1, c1, q2, c2):
+            if c1 != c2:
+                return odd((q1, c1, q2, c2), *base(q1, c1, q2, c2))
+            return base(q1, c1, q2, c2)
+    return kernel
+
+
+ODD_KERNELS = [(name, odd) for name in ("and_bits", "or_bits", "not_bits") for odd in ODD_RESULTS]
+
+
+@pytest.mark.parametrize("name, odd", ODD_KERNELS)
+def test_closure_and_sweep_match_the_naive_reference_under_odd_kernels(monkeypatch, name, odd):
+    """Some pairs close normally and some do not."""
+    monkeypatch.setattr(cnd, name, odd_kernel(name, ODD_RESULTS[odd]))
+    raised = assert_pairs_match_the_reference(2)
+    assert 0 < raised < 2 * 81
+
+
+KERNEL_NAMES = ("or_bits", "and_bits", "not_bits", "given_bits", "osum_bits", "sasaki_bits")
+
+
+def counted_kernels(monkeypatch):
+    """Wrap every conditional kernel to count its calls."""
+    calls = dict.fromkeys(KERNEL_NAMES, 0)
+    for name in KERNEL_NAMES:
+        def counted(*args, name=name, kernel=getattr(cnd, name)):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(cnd, name, counted)
+    return calls
+
+
+def test_generating_a_subalgebra_calls_each_kernel_once_per_member_or_pair(monkeypatch):
+    space = space_of(3)
+    x, y = cnd.Conditional(space, 0b001, 0b011), cnd.Conditional(space, 0b001, 0b101)
+    calls = counted_kernels(monkeypatch)
+    sub = rel.generated_subalgebra(x, y)
+    m = len(sub.members)
+    assert m == 16
+    assert calls == {**dict.fromkeys(KERNEL_NAMES, 0),
+                     "or_bits": m * m, "and_bits": m * m, "not_bits": m}
+
+
+@pytest.mark.parametrize("law, kernel_calls", [("t3.7", 127615), ("c3.8", 6136)])
+def test_subalgebra_laws_make_the_pinned_number_of_kernel_calls(monkeypatch, law, kernel_calls):
+    calls = counted_kernels(monkeypatch)
+    assert lawcheck.check(law, 3).passed
+    assert sum(calls.values()) == kernel_calls
+
+
+# Golden reports of the two subalgebra laws, recorded with the naive
+# closure and sweep above: at two and three atoms, with the shipped
+# kernels, with each of the 90 table mutants that the benchmark compiles
+# (perfbench/mutants.py, built for the law space's atom mask) and with
+# each odd kernel.
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN_SUBALGEBRA_REPORTS = ROOT / "fixtures" / "subalgebra_reports.json"
+
+
+def subalgebra_law_reports():
+    """Every report as [kernel, law, atoms, instances, passed,
+    counterexample, note]."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import mutants
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    cases = [("shipped", None, None)]
+    cases += [("%s %s%s -> %s" % (spec[0], *spec[1], spec[2]), spec[0],
+               lambda full, spec=spec: mutants.build(spec, full)) for spec in mutants.specs()]
+    cases += [("%s %s" % (name, odd), name,
+               lambda full, name=name, odd=odd: odd_kernel(name, ODD_RESULTS[odd]))
+              for name, odd in ODD_KERNELS]
+    reports = []
+    for label, name, build in cases:
+        for atoms in (2, 3):
+            if name is not None:
+                shipped = getattr(cnd, name)
+                setattr(cnd, name, build((1 << atoms) - 1))
+            try:
+                for law in ("t3.7", "c3.8"):
+                    r = lawcheck.check(law, atoms)
+                    reports.append([label, r.law, r.atom_count, r.instances_checked, r.passed,
+                                    r.counterexample, r.note])
+            finally:
+                if name is not None:
+                    setattr(cnd, name, shipped)
+    return reports
+
+
+def test_subalgebra_law_reports_match_the_golden_reports():
+    golden = json.loads(GOLDEN_SUBALGEBRA_REPORTS.read_text(encoding="utf-8"))
+    assert len(golden) == (1 + 90 + len(ODD_KERNELS)) * 2 * 2
+    assert subalgebra_law_reports() == golden
