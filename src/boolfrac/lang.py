@@ -35,7 +35,16 @@ Space files are line-oriented UTF-8 with `#` comments:
     event boost = even or {1}     # may use earlier event names
     measure uniform = 1 1 1 1 1 1
 
-Weights are nonnegative integers or fractions `p/q`.
+Weights are nonnegative integers or fractions `p/q`, written in ASCII
+digits. An integer is read as an int and `p/q` as one Fraction; Measure
+uses both as they are.
+
+Text is read by one scan, `_scan`: line by line, each line up to its
+`#`, one `_TOKEN_RE` match per token. It yields plain (kind, text, line,
+col) tuples, and `_Parser` walks that list by index, with no method
+call and no object per token; a ParseError takes its position and its
+"unexpected ..." text from the tuple it stopped at. `tokenize`, the
+public view of the scan, wraps the same tuples in `Token`s.
 """
 
 import operator
@@ -111,32 +120,34 @@ class Token:
         return "end of input" if self.kind == "eof" else "'%s'" % self.text
 
 
-# One alternative per thing the scan keeps: a newline, a comment (up to
-# the newline), a special character, a word (a run of characters that are
-# none of those and not whitespace). finditer skips the other whitespace.
+# The scan runs line by line, on each line up to its comment. A token is
+# a special character or a word: a run of characters that are none of
+# those, not `#` and not whitespace. finditer skips the whitespace.
 _SPECIAL_CLASS = re.escape("".join(_SPECIALS))
-_TOKEN_RE = re.compile(r"\n|#[^\n]*|[%s]|[^\s#%s]+" % (_SPECIAL_CLASS, _SPECIAL_CLASS))
+_TOKEN_RE = re.compile(r"[%s]|[^\s#%s]+" % (_SPECIAL_CLASS, _SPECIAL_CLASS))
 _TOKEN_KINDS = {**_SPECIALS, **_WORD_KINDS}
+
+
+def _scan(text):
+    """The tokens of `text` as (kind, text, line, col) tuples, the form
+    the parser walks, ending with eof."""
+    tokens = []
+    kind_of = _TOKEN_KINDS.get
+    for line_no, line in enumerate(text.split("\n"), 1):
+        cut = line.find("#")
+        if cut >= 0:
+            line = line[:cut]
+        tokens += [(kind_of(m[0], "ident"), m[0], line_no, m.start() + 1)
+                   for m in _TOKEN_RE.finditer(line)]
+    tokens.append(("eof", "", line_no, len(line) + 1))
+    return tokens
 
 
 def tokenize(text):
     """Tokens with 1-based line and column; a column counts code points.
     Only \\n starts a line. The eof token sits at the end of the text or,
     after a trailing comment, where the comment starts."""
-    tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        word = m[0]
-        if word == "\n":
-            line += 1
-            line_start = m.end()
-        elif word[0] != "#":
-            kind = _TOKEN_KINDS.get(word, "ident")
-            tokens.append(Token(kind, word, line, m.start() - line_start + 1))
-    comment = text.find("#", line_start)
-    end = len(text) if comment < 0 else comment
-    tokens.append(Token("eof", "", line, end - line_start + 1))
-    return tokens
+    return [Token(*tok) for tok in _scan(text)]
 
 
 # Abstract syntax. Leaves name events; the operators mirror the algebra.
@@ -171,78 +182,82 @@ class Binary:
 
 
 class _Parser:
+    """Recursive descent over the scan's (kind, text, line, col) tuples;
+    `pos` indexes the next one."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def fail(self, expected):
-        tok = self.peek()
-        raise ParseError(
-            "unexpected %s" % tok.describe(), tok.line, tok.col, expected
-        )
+        tok = Token(*self.tokens[self.pos])
+        raise ParseError("unexpected %s" % tok.describe(), tok.line, tok.col, expected)
 
     def expect(self, kind, what):
-        if self.peek().kind != kind:
+        if self.tokens[self.pos][0] != kind:
             self.fail({what})
-        return self.advance()
+        self.pos += 1
 
     def expr(self, level=0):
         """_INFIX[level:], each left-associative, then prefix `~`. A
         parenthesis costs five frames (four levels and `primary`); the
         depth at which parse_expr reports nesting depends on that."""
+        tokens = self.tokens
         if level == len(_INFIX):
-            if self.peek().kind == "tilde":
-                self.advance()
+            if tokens[self.pos][0] == "tilde":
+                self.pos += 1
                 return Not(self.expr(level))
             return self.primary()
-        kind, op = _INFIX[level][:2]
+        kind = _INFIX[level][0]
         node = self.expr(level + 1)
-        while self.peek().kind == kind:
-            self.advance()
-            node = Binary(op, node, self.expr(level + 1))
+        while tokens[self.pos][0] == kind:
+            self.pos += 1
+            node = Binary(_INFIX[level][1], node, self.expr(level + 1))
         return node
 
     def primary(self):
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            return EventRef(tok.text)
-        if tok.kind == "lbrace":
+        tok = self.tokens[self.pos]
+        kind = tok[0]
+        if kind == "ident":
+            self.pos += 1
+            return EventRef(tok[1])
+        if kind == "lbrace":
             return self.set_literal()
-        if tok.kind == "undefined":
-            self.advance()
+        if kind == "undefined":
+            self.pos += 1
             return Undefined()
-        if tok.kind == "lparen":
-            self.advance()
+        if kind == "lparen":
+            self.pos += 1
             node = self.expr()
             self.expect("rparen", "')'")
             return node
-        if tok.kind == "func":
-            self.advance()
+        if kind == "func":
+            self.pos += 1
             self.expect("lparen", "'('")
             left = self.expr()
             self.expect("comma", "','")
             right = self.expr()
             self.expect("rparen", "')'")
-            return Binary(tok.text, left, right)
+            return Binary(tok[1], left, right)
         self.fail({"a name", "'{'", "'('", "'~'", "a function name"})
 
     def set_literal(self):
-        self.expect("lbrace", "'{'")
+        """`{` NAME (`,` NAME)* `}` or `{}`, read in one loop."""
+        tokens = self.tokens
+        pos = self.pos + 1
         names = []
-        if self.peek().kind != "rbrace":
-            names.append(self.expect("ident", "an atom name").text)
-            while self.peek().kind == "comma":
-                self.advance()
-                names.append(self.expect("ident", "an atom name").text)
+        if tokens[pos][0] != "rbrace":
+            while True:
+                tok = tokens[pos]
+                if tok[0] != "ident":
+                    self.pos = pos
+                    self.fail({"an atom name"})
+                names.append(tok[1])
+                if tokens[pos + 1][0] != "comma":
+                    pos += 1
+                    break
+                pos += 2
+        self.pos = pos
         self.expect("rbrace", "'}'")
         return SetLiteral(tuple(names))
 
@@ -253,12 +268,12 @@ _TOO_DEEP = "expression nests too deeply"
 
 
 def parse_expr(text):
-    parser = _Parser(tokenize(text))
+    parser = _Parser(_scan(text))
     try:
         node = parser.expr()
     except RecursionError:
         raise ParseError(_TOO_DEEP) from None
-    if parser.peek().kind != "eof":
+    if parser.tokens[parser.pos][0] != "eof":
         parser.fail({"end of input", "an operator"})
     return node
 
@@ -348,20 +363,26 @@ class SpaceDoc:
         return lower(parse_expr(text), self.space, self.events)
 
 
-_WEIGHT_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
+_FRACTION_RE = re.compile(r"([0-9]+)/([0-9]+)")
 
 
-def _parse_weight(text, line_no):
-    m = _WEIGHT_RE.match(text)
-    if m is None:
-        raise BadWeight("line %d: bad weight %r" % (line_no, text))
-    num = int(m.group(1))
-    if m.group(2) is None:
-        return num
-    den = int(m.group(2))
-    if den == 0:
-        raise BadWeight("line %d: zero denominator in %r" % (line_no, text))
-    return Fraction(num, den)
+def _parse_weights(texts, line_no):
+    """The weights of a measure line: an ASCII integer as an int, and
+    `p/q` as one Fraction. `str.isdigit` alone would also pass digits
+    such as `１`, `١` and `²`, which stay bad weights."""
+    weights = []
+    for text in texts:
+        if text.isascii() and text.isdigit():
+            weights.append(int(text))
+            continue
+        m = _FRACTION_RE.fullmatch(text)
+        if m is None:
+            raise BadWeight("line %d: bad weight %r" % (line_no, text))
+        den = int(m.group(2))
+        if den == 0:
+            raise BadWeight("line %d: zero denominator in %r" % (line_no, text))
+        weights.append(Fraction(int(m.group(1)), den))
+    return weights
 
 
 def _fragment(line_text, line_no):
@@ -452,8 +473,7 @@ def parse_space(text):
                         line_no,
                         1,
                     )
-                weights = [_parse_weight(t, line_no) for t in weight_tokens]
-                measures[entry_name] = Measure(space, weights)
+                measures[entry_name] = Measure(space, _parse_weights(weight_tokens, line_no))
         else:
             raise ParseError("unknown directive %r" % (directive,), line_no, 1)
     if space is None:

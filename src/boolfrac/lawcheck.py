@@ -713,11 +713,10 @@ def _law_t3_7(space, pairs, max_weight):
         for y in pairs:
             q2, c2 = y
             count += 1
-            sub = rel.generated_subalgebra(cnd.Conditional(space, q1, c1),
-                                           cnd.Conditional(space, q2, c2))
-            if sub.is_boolean != (c1 == c2 != 0):
+            is_boolean = rel.subalgebra_bits(space, {x, y})[1]
+            if is_boolean != (c1 == c2 != 0):
                 return (count, "x=%s y=%s is_boolean=%s same_nonempty_condition=%s",
-                        x, y, sub.is_boolean, c1 == c2 != 0)
+                        x, y, is_boolean, c1 == c2 != 0)
     return count
 
 
@@ -736,9 +735,7 @@ def _law_c3_8(space, pairs, max_weight):
             if (simver and simfals) != (c1 == c2):
                 return count, _SIMVER_SIMFALS, x, y, simver, simfals
             if c1 == c2 != 0:
-                sub = rel.generated_subalgebra(cnd.Conditional(space, q1, c1),
-                                               cnd.Conditional(space, q2, c2))
-                if not sub.is_boolean:
+                if not rel.subalgebra_bits(space, {x, y})[1]:
                     return (count, "x=%s y=%s share a nonempty condition but generate a "
                             "non-Boolean subalgebra", x, y)
     return count

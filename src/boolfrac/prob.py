@@ -50,11 +50,16 @@ _CHUNK_MASK = (1 << CHUNK_ATOMS) - 1
 class Measure:
     """Nonnegative rational atom weights with a positive total.
 
-    Construction works in integers: it scales the atom weights by the
-    least common multiple of their denominators, tests the scaled
-    weights for a negative entry and a zero sum, and keeps them with the
-    scale; `total` is that sum over the scale. `weights` and `total` are
-    exact Fractions.
+    Construction works in integers, from each weight's own numerator and
+    denominator: an int or a Fraction is used as it is, and any other
+    weight (a float, a bool, a "p/q" string, a Decimal) goes through
+    Fraction once. The weights are scaled by the least common multiple
+    of their denominators, the scaled weights are tested for a negative
+    entry and a zero sum, and they are kept with the scale; `total` is
+    their sum over the scale. No Fraction is made per weight here:
+    `weights`, the tuple of exact Fractions, is built from the scaled
+    weights on its first read. `weights` and `total` are exact
+    Fractions.
 
     Subset weights are read from integer tables of the scaled weights.
     Atoms are split into chunks of CHUNK_ATOMS, and each chunk gets a
@@ -72,16 +77,17 @@ class Measure:
     attribute read.
     """
 
-    __slots__ = ("space", "weights", "total", "_scale", "_scaled", "_tables", "_iw")
+    __slots__ = ("space", "total", "_weights", "_scale", "_scaled", "_tables", "_iw")
 
     def __init__(self, space, weights):
-        weights = tuple(map(Fraction, weights))
+        weights = [w if type(w) is int or type(w) is Fraction else Fraction(w) for w in weights]
         if len(weights) != space.n:
             raise ValueError(
                 "expected %d weights, got %d" % (space.n, len(weights))
             )
-        scale = lcm(*[w.denominator for w in weights])
-        scaled = [w.numerator * (scale // w.denominator) for w in weights]
+        dens = [w.denominator for w in weights]
+        scale = lcm(*dens)
+        scaled = [w.numerator * (scale // d) for w, d in zip(weights, dens)]
         for w, s in zip(weights, scaled):
             if s < 0:
                 raise BadWeight("negative weight %s" % (w,))
@@ -89,12 +95,19 @@ class Measure:
         if total == 0:
             raise ZeroTotalWeight("all atom weights are zero")
         self.space = space
-        self.weights = weights
         self.total = Fraction(total, scale)
+        self._weights = None
         self._scale = scale
         self._scaled = scaled
         self._tables = None
         self._iw = None
+
+    @property
+    def weights(self):
+        if self._weights is None:
+            scale = self._scale
+            self._weights = tuple(Fraction(s, scale) for s in self._scaled)
+        return self._weights
 
     def _build_tables(self):
         scaled = self._scaled

@@ -27,7 +27,9 @@ the result is a Boolean algebra, which happens exactly for equal,
 nonempty conditions. The closure calls `not_bits` once per member and
 `or_bits` and `and_bits` once per ordered pair of members, keeping each
 result in a table; the Boolean sweep reads every value it compares from
-those tables and calls no kernel.
+those tables and calls no kernel. `subalgebra_bits` does the closing
+and the sweep on raw (q, c) pairs; `generated_subalgebra` adds the
+member Conditionals, which the laws `t3.7` and `c3.8` do not need.
 """
 
 from dataclasses import astuple, dataclass
@@ -325,14 +327,31 @@ def _boolean_sweep(members, neg, join, meet):
     return True
 
 
+def subalgebra_bits(space, seeds):
+    """Close raw (q, c) seeds over `space` under and/or/not and test the
+    closure for Booleanness; returns (the set of members, is_boolean).
+
+    No Conditional is built for a member that is one: the members are
+    tested in the set's order with the Conditional constructor's own
+    tests, and only the first that fails is passed to it, to raise its
+    ValueError. So a law that needs only is_boolean raises what
+    generated_subalgebra would, without m constructions and hashes."""
+    if space.n > MAX_SUBALGEBRA_ATOMS:
+        raise TooLarge("refusing to close a subalgebra over %d atoms" % space.n)
+    closed = _close(seeds)
+    full = space.full_bits
+    for q, c in closed[0]:
+        if q & ~c or not 0 <= c <= full:
+            cnd.Conditional(space, q, c)
+    return closed[0], _boolean_sweep(*closed)
+
+
 def generated_subalgebra(x, y):
     """Close {x, y} under and/or/not and test Booleanness axiomatically."""
     _pair(x, y)
     space = x.space
-    if space.n > MAX_SUBALGEBRA_ATOMS:
-        raise TooLarge("refusing to close a subalgebra over %d atoms" % space.n)
-    closed = _close({(x.q, x.c), (y.q, y.c)})
+    members, is_boolean = subalgebra_bits(space, {(x.q, x.c), (y.q, y.c)})
     return Subalgebra(
-        members=frozenset(cnd.Conditional(space, q, c) for q, c in closed[0]),
-        is_boolean=_boolean_sweep(*closed),
+        members=frozenset(cnd.Conditional(space, q, c) for q, c in members),
+        is_boolean=is_boolean,
     )

@@ -7,6 +7,10 @@ Space files are line-oriented: a `space` line, an `atoms` line, then
 `event` and `measure` definitions.
 """
 
+import json
+import pathlib
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +20,7 @@ from boolfrac import schay
 from boolfrac.errors import (
     BadWeight,
     DuplicateName,
+    Error,
     ParseError,
     UnknownName,
     ZeroTotalWeight,
@@ -384,3 +389,128 @@ def test_tokenize_matches_its_old_loop(text):
 ))
 def test_tokenize_matches_its_old_loop_on_generated_text(text):
     assert scan(text) == old_tokenize(text)
+
+
+# ------------------------------------------------------- the weight alphabet
+
+
+def measure_line(weight):
+    return "space x\natoms a b\nmeasure m = 1 %s\n" % weight
+
+
+@pytest.mark.parametrize("weight, message", [
+    ("１", "line 3: bad weight '１'"),
+    ("١", "line 3: bad weight '١'"),
+    ("²", "line 3: bad weight '²'"),
+    ("1/²", "line 3: bad weight '1/²'"),
+    ("１/2", "line 3: bad weight '１/2'"),
+    ("+1", "line 3: bad weight '+1'"),
+    ("-0", "line 3: bad weight '-0'"),
+    ("1_0", "line 3: bad weight '1_0'"),
+    ("1.5", "line 3: bad weight '1.5'"),
+    ("1/", "line 3: bad weight '1/'"),
+    ("1//2", "line 3: bad weight '1//2'"),
+    ("3/0", "line 3: zero denominator in '3/0'"),
+])
+def test_weights_outside_the_ascii_digits_stay_bad(weight, message):
+    """str.isdigit is true for `１`, `١` and `²`, and int() reads the
+    first two; a weight is still ASCII digits or nothing."""
+    with pytest.raises(BadWeight) as err:
+        lang.parse_space(measure_line(weight))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("weight, value", [
+    ("01", 1), ("3/6", Fraction(1, 2)), ("0/5", 0), ("007/014", Fraction(1, 2)),
+])
+def test_weights_read_as_exact_values(weight, value):
+    m = lang.parse_space(measure_line(weight)).measures["m"]
+    assert m.weights == (1, value)
+    assert [type(w) for w in m.weights] == [Fraction, Fraction]
+
+
+def test_integer_weights_are_read_as_ints_and_fractions_once():
+    weights = lang._parse_weights(["0", "01", "3/6", "0/5", "12"], 1)
+    assert weights == [0, 1, Fraction(1, 2), 0, 12]
+    assert [type(w) for w in weights] == [int, int, Fraction, Fraction, int]
+
+
+# --------------------------------------- parse errors against a golden table
+
+# Every row is [kind, text, exception type, message, line, col, expected]
+# for a malformed expression ("expr") or space file ("space"), recorded
+# when the parser still called a method per token and built a Token per
+# token.
+GOLDEN_PARSE_ERRORS = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "parse_errors.json"
+
+
+def parse_error_row(kind, text):
+    parse = lang.parse_expr if kind == "expr" else lang.parse_space
+    with pytest.raises(Error) as err:
+        parse(text)
+    e = err.value
+    return [kind, text, type(e).__name__, str(e), getattr(e, "line", None),
+            getattr(e, "col", None), list(getattr(e, "expected", ()))]
+
+
+def test_parse_errors_match_the_golden_table():
+    golden = json.loads(GOLDEN_PARSE_ERRORS.read_text(encoding="utf-8"))
+    assert len(golden) == 80
+    assert [parse_error_row(kind, text) for kind, text, *_ in golden] == golden
+
+
+# ------------------------------- generated space files against a reference
+
+
+@st.composite
+def space_files(draw):
+    """A space file of 1-64 atoms with set-literal and compound events and
+    measures of integer, `p/q` and zero weights, spaced and commented
+    at random. Returns the text, {event: bits} and {measure: weight
+    texts}."""
+    n = draw(st.integers(min_value=1, max_value=64))
+    atoms = ["a%d" % i for i in range(n)]
+    gap = st.sampled_from([" ", "  ", "\t", " \t "])
+    comment = st.sampled_from(["", " # note", "#", "\t# { , }"])
+    lines = ["space s" + draw(comment), "atoms" + "".join(draw(gap) + a for a in atoms)]
+    events = {}
+    for i in range(draw(st.integers(min_value=0, max_value=5))):
+        name = "e%d" % i
+        if not events or draw(st.booleans()):
+            members = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=n))
+            text = "{%s}" % ("," + draw(gap)).join(atoms[j] for j in members)
+            bits = sum(1 << j for j in set(members))
+        else:
+            refs = draw(st.lists(st.sampled_from(sorted(events) + atoms), min_size=3, max_size=3))
+            bits_of = [events[r] if r in events else 1 << atoms.index(r) for r in refs]
+            text = "(%s or %s) and ~%s" % tuple(refs)
+            bits = (bits_of[0] | bits_of[1]) & ~bits_of[2] & ((1 << n) - 1)
+        events[name] = bits
+        lines.append("event %s =%s%s%s" % (name, draw(gap), text, draw(comment)))
+    weight = st.one_of(
+        st.just("0"),
+        st.integers(min_value=0, max_value=10**20).map(str),
+        st.tuples(st.integers(min_value=0, max_value=99), st.integers(min_value=1, max_value=99))
+        .map("%d/%d".__mod__),
+    )
+    measures = {}
+    for i in range(draw(st.integers(min_value=0, max_value=3))):
+        texts = draw(st.lists(weight, min_size=n, max_size=n))
+        if all(Fraction(t) == 0 for t in texts):
+            texts[0] = "1"
+        measures["m%d" % i] = texts
+        lines.append("measure m%d =%s%s" % (i, "".join(draw(gap) + t for t in texts),
+                                             draw(comment)))
+    return "\n".join(lines) + "\n", events, measures
+
+
+@given(space_files())
+def test_generated_space_files_parse_to_their_events_and_weights(case):
+    text, events, measures = case
+    doc = lang.parse_space(text)
+    assert {name: e.bits for name, e in doc.events.items()} == events
+    for name, texts in measures.items():
+        m = doc.measures[name]
+        want = tuple(Fraction(t) for t in texts)
+        assert m.weights == want
+        assert m.total == sum(want)

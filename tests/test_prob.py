@@ -616,3 +616,29 @@ def test_measure_raises_in_the_old_order(die, weights, error, message):
         prob.Measure(die.space, weights)
     assert message is None or str(err.value) == message
     assert (type(err.value), str(err.value)) == outcome_of(reference_measure, die.space, weights)
+
+
+@pytest.mark.parametrize("weights, shown", [
+    ([1, 2], [Fraction(1), Fraction(2)]),
+    ([True, False], [Fraction(1), Fraction(0)]),
+    ([Fraction(1, 3), 2], [Fraction(1, 3), Fraction(2)]),
+    ([0.5, 1], [Fraction(1, 2), Fraction(1)]),
+    (["1/3", "2"], [Fraction(1, 3), Fraction(2)]),
+    ([Fraction(4, 6), "0/5"], [Fraction(2, 3), Fraction(0)]),
+])
+def test_measure_accepts_every_weight_type(weights, shown):
+    """int, bool, Fraction, float and "p/q" weights, as they always were:
+    `weights` a tuple of Fractions, read twice as the same tuple, `total`
+    a Fraction, and the repr of the Fraction list."""
+    m = prob.Measure(SampleSpace(["a", "b"]), weights)
+    assert m.weights == tuple(shown)
+    assert [type(w) for w in m.weights] == [Fraction, Fraction]
+    assert m.weights is m.weights
+    assert (m.total, type(m.total)) == (sum(shown), Fraction)
+    assert repr(m) == "Measure(%r)" % (shown,)
+
+
+def test_a_negative_float_weight_is_named_as_a_fraction():
+    with pytest.raises(BadWeight) as err:
+        prob.Measure(SampleSpace(["a", "b"]), [-0.5, 1])
+    assert str(err.value) == "negative weight -1/2"

@@ -433,6 +433,25 @@ def test_closure_and_sweep_match_the_naive_reference_under_odd_kernels(monkeypat
     assert 0 < raised < 2 * 81
 
 
+def subalgebra_bits_of(x, y):
+    members, is_boolean = rel.subalgebra_bits(x.space, {(x.q, x.c), (y.q, y.c)})
+    return frozenset(cnd.Conditional(x.space, q, c) for q, c in members), is_boolean
+
+
+@pytest.mark.parametrize("name, odd", [(None, None)] + ODD_KERNELS)
+def test_subalgebra_bits_raises_and_returns_what_the_naive_subalgebra_does(monkeypatch,
+                                                                           name, odd):
+    """The raw route of t3.7 and c3.8: the same members, is_boolean, or
+    exception (a member outside normal form included) as building the
+    member Conditionals first, for every pair at two atoms."""
+    if name is not None:
+        monkeypatch.setattr(cnd, name, odd_kernel(name, ODD_RESULTS[odd]))
+    _, conds = all_pairs(2)
+    for x in conds:
+        for y in conds:
+            assert outcome(subalgebra_bits_of, x, y) == outcome(subalgebra_naively, x, y)
+
+
 KERNEL_NAMES = ("or_bits", "and_bits", "not_bits", "given_bits", "osum_bits", "sasaki_bits")
 
 
