@@ -15,48 +15,62 @@ spelled out as direct bit inequalities here. A mutation in a kernel
 therefore shows up as a mismatch against the independent
 characterization rather than being silently replicated on both sides.
 
-A law runs its own instance loops, counting each instance before it
-evaluates it. It returns its count on PASS and `count, template,
-*operands` on failure. `check` renders every operand the same way: a
-(q, c) pair or a Conditional through `format_conditional`, a bool as
-true/false, anything else with %s. Only t3.11 passes with a note; it
-returns `count, None, template, *operands`. A law body that raises (a
-mutated kernel can make a probability undefined) is a FAIL whose
-counterexample reads "raised <Type>: <message>"; instances_checked is
-the law's count at the raise, the raising instance included.
+A law counts each instance before it evaluates it. It returns its
+count on PASS and `count, template, *operands` on failure. `check`
+renders every operand the same way: a (q, c) pair or a Conditional
+through `format_conditional`, a bool as true/false, anything else with
+%s. Only t3.11 passes with a note; it returns `count, None, template,
+*operands`. A law body that raises (a mutated kernel can make a
+probability undefined) is a FAIL whose counterexample reads "raised
+<Type>: <message>"; instances_checked is the law's count at the raise,
+the raising instance included.
 
-The triple-quantified checks (t2.4, c2.5, t2.6, c2.7, and the triple
-parts of props2.3, t3.15, t3.17 and schay-lattice) go through one
-driver, `_triples`; a law gives it only its kernels, its clauses (lhs
-and rhs, with a side condition for the four equations) and its
-templates. The driver bit-slices after Biham, "A fast new DES
-implementation in software" (FSE 1997). Over n atoms, one block per
-outer x packs all 9**n pairs (y, z) into one int per component: the
-pair (pairs[i], pairs[j]) sits in the n-bit lane at bit n*(3**n*i + j).
-x is broadcast to every lane by multiplying with the repunit R = sum of
-1 << n*k, so one kernel call per x evaluates every (y, z) at once. A
-check ORs the bits of each lane of `lhs ^ rhs` (and of its side
-condition) into the lane's lowest bit and masks with R, leaving one flag
-per lane. The lowest flagged lane k is the first failure in enumeration
-order: its count is the count before the block plus k + 1, and its
-operands and results are read back from lane k. A later clause is
-evaluated only while lane 0 passes the earlier ones.
+Every check whose body calls only bit kernels and raw bit inequalities
+goes through one driver, `_sweep`: a law gives it an arity (singles,
+pairs or triples), its kernels, its clauses (lhs and rhs, optionally
+with a side condition) and its templates, and chains its sweeps by
+passing each one's count to the next. The driver bit-slices after
+Biham, "A fast new DES implementation in software" (FSE 1997). Over n
+atoms a block packs instances into one int per operand component, one
+instance per n-bit lane: singles pack all 3**n conditionals into one
+block, pairs all 9**n pairs (pairs[i], pairs[j]) into one block with
+the pair at bit n*(3**n*i + j), and triples keep one such pair block
+per outer x, which is broadcast to every lane by multiplying with the
+repunit R = sum of 1 << n*k. A check ORs the bits of each lane of
+`lhs ^ rhs` (and of its side condition) into the lane's lowest bit and
+masks with R, leaving one flag per lane. The lowest flagged lane k is
+the first failure in enumeration order: its count is the count before
+the block plus k + 1, and its operands and results are read back from
+lane k. A later clause is evaluated only while lane 0 passes the
+earlier ones. A lead kernel on the outer operands (not x, say) runs
+before a block is counted, where a plain loop took it once per outer
+operand. Driver templates name their fields: %(x)s, %(y)s, %(z)s,
+%(lhs)s, %(rhs)s, %(holds)s (lhs == rhs) and %(side)s (the side
+condition holds). Only the fields a template names are rendered, so an
+unnamed result out of normal form never reaches a Conditional.
 
 A block is sliced only when every kernel it calls is lane-local: one
-call on four 16-row truth tables, one per operand component (q1, c1,
-q2, c2), which support only &, | and ~ and the constants 0 and -1,
-returns two tables that keep q inside c on the 9 normal-form rows and
-are 0 on the all-zero row, so nothing lands outside the space. Such a
-kernel computes one Boolean function at every bit position, so the
-certificate holds at every atom count and lane width and needs no
-cache. (A kernel that branched on the type of its operands could fool
-it; none here does.) A kernel that fails it (a per-atom loop, one that
-compares, branches, shifts, adds, masks with the space or leaves
-normal form) gets blocks of one instance each, stepping through (y, z)
-one pair at a time: the kernels then see the pairs themselves and
-results compare as tuples, exactly as in a plain loop, so counts at a
-raise and out-of-normal-form results are reported as before. A raise
-inside the driver is counted from the driver's own count.
+call on 16-row truth tables, one per operand component (q1, c1, q2,
+c2), which support only &, | and ~ and the constants 0 and -1, returns
+two tables that keep q inside c on the 9 normal-form rows and are 0 on
+the all-zero row, so nothing lands outside the space. Such a kernel
+computes one Boolean function at every bit position, so the
+certificate holds at every atom count and lane width. (A kernel that
+branched on the type of its operands could fool it; none here does.) A
+kernel that fails it (a per-atom loop, one that compares, branches,
+shifts, adds, masks with the space or leaves normal form) gets blocks
+of one instance each: the kernels then see the pairs themselves and
+results compare as Python values, exactly as in a plain loop, so
+counts at a raise and out-of-normal-form results are reported as
+before. A raise inside the driver is counted from the driver's own
+count.
+
+Laws whose bodies are more than bit kernels keep their own loops:
+t2.13 and superposition sum probabilities over measure grids, t2.18,
+t2.19, t3.2, t3.7, c3.8 and c3.16 call `relations`, truth-tables reads
+`trivalent` tables atom by atom and schay-2.12 builds Conditionals; so
+do t3.11's associativity sweep, which ends in a note, and t3.17's
+folded families, which enumerate multisets.
 
 Budgets: the triple-quantified laws run up to 4 atoms; laws that sweep
 measure grids, search for decompositions, or close subalgebras stop at
@@ -66,6 +80,7 @@ to its own budget.
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, product
 
 from . import conditional as cnd
@@ -116,7 +131,10 @@ def _grids(space, max_weight):
 
 def _pack(values, width):
     """One int holding values[k] in the width-bit lane at bit width*k."""
-    return int("".join(format(v, "0%db" % width) for v in reversed(values)), 2)
+    packed = 0
+    for value in reversed(values):
+        packed = packed << width | value
+    return packed
 
 
 def _rows(value):
@@ -164,17 +182,19 @@ _OPERANDS = tuple(sum(1 << r for r in range(16) if r >> i & 1) for i in range(4)
 _NORMAL_ROWS = sum(1 << r for r in range(16) if r & 0b0101 & ~(r >> 1) == 0)
 
 
-def _lane_local(kernel):
-    """Whether a binary kernel computes the same Boolean function at every
-    bit position of its operands, and so at every width and lane.
+def _lane_local(kernel, arity=2):
+    """Whether a kernel of `arity` conditionals computes the same Boolean
+    function at every bit position of its operands, and so at every width
+    and lane.
 
-    The kernel runs once on truth tables of (q1, c1, q2, c2). It is
-    certified when nothing raises and it returns two tables (or 0) with
-    q inside c on the 9 rows of normal-form operands, both 0 on the
-    all-zero row: bits outside every operand's condition stay 0.
+    The kernel runs once on truth tables of (q1, c1, q2, c2), the first
+    2 * arity of them. It is certified when nothing raises and it returns
+    two tables (or 0) with q inside c on the 9 rows of normal-form
+    operands, both 0 on the all-zero row: bits outside every operand's
+    condition stay 0.
     """
     try:
-        result = kernel(*map(_Table, _OPERANDS))
+        result = kernel(*map(_Table, _OPERANDS[:2 * arity]))
         if type(result) is not tuple or len(result) != 2:
             return False
         q, c = map(_rows, result)
@@ -183,35 +203,62 @@ def _lane_local(kernel):
     return q & ~c & _NORMAL_ROWS == 0 and (q | c) & 1 == 0
 
 
-def _triples(space, pairs, count, kernels, clauses, templates, lead=None):
-    """Check `clauses` on every triple (x, y, z) of `pairs`, x outermost,
-    continuing from `count`.
+def _diff(lhs, rhs):
+    """The bits where two results, ints or nested tuples of ints, differ."""
+    if isinstance(lhs, tuple):
+        return reduce(operator.or_, map(_diff, lhs, rhs))
+    return lhs ^ rhs
 
-    A clause maps q1, c1, q2, c2, q3, c3 (and lead(q1, c1, q2, c2) when a
-    lead kernel is given) to (lhs, rhs), failing where they differ, or
+
+@lru_cache(maxsize=16)
+def _block(n, pairs, inner):
+    """The repunit of a block over `pairs` in n-bit lanes, which has a 1
+    at the low bit of every lane, and the block's packed operand
+    components: with one operand, pairs[i] sits in the lane at bit n*i;
+    with two, (pairs[i], pairs[j]) sits in the lane at bit
+    n*(len(pairs)*i + j)."""
+    size = len(pairs)
+    row = _pack([1] * size, n)
+    components = list(zip(*pairs))
+    if inner == 1:
+        return row, tuple(_pack(v, n) for v in components)
+    column = _pack([1] * size, n * size)
+    return row * column, (*(_pack(v, n * size) * row for v in components),
+                          *(_pack(v, n) * column for v in components))
+
+
+def _sweep(space, pairs, count, arity, kernels, clauses, templates, lead=None, constants=()):
+    """Check `clauses` on every `arity`-tuple of `pairs`, first operand
+    outermost, continuing from `count`. A failure passed as `count` is
+    returned unchanged, so a law chains its sweeps.
+
+    `kernels` maps every kernel the clauses and the lead call to its
+    number of operands. A clause maps q1, c1, q2, c2, ... (then the
+    lead's result on the first max(1, arity - 1) operands, when a lead is
+    given, then `constants`, ints broadcast to every lane like an outer
+    operand) to (lhs, rhs), failing where they differ, or
     to (lhs, rhs, side), failing where they differ and side is empty or
-    agree and side is not. The lead runs before a block's instances are
-    counted, so an instance is not counted when its lead raises. A
-    clause runs only while lane 0 passes the ones before it. Returns the
-    count after the last triple, or at the first failure `count,
-    templates[i], x, y, z` for its clause i, plus lhs, rhs and `not
-    side` for a side clause.
+    agree and side is not; lhs and rhs are ints or tuples of them, which
+    may nest. The lead runs before a block's instances are counted, so
+    an instance is not counted when its lead raises. A clause runs only
+    while lane 0 passes the ones before it. Returns the count after the
+    last instance, or at the first failure `count, templates[i], fields`
+    for its clause i: the operands x, y, z, lhs, rhs, holds (whether
+    they are equal) and, for a side clause, side (whether it is empty).
     """
+    if not isinstance(count, int):
+        return count
     n = space.n
     size = len(pairs)
-    if all(map(_lane_local, kernels)):
-        # One block per x: (y, z) in the n-bit lane at bit n*(size*i + j).
-        block = size * size
-        run = n * size
-        row = _pack([1] * size, n)
-        column = _pack([1] * size, run)
-        lanes = row * column
+    if all(_lane_local(kernel, operands) for kernel, operands in kernels.items()):
+        # The last min(arity, 2) operands are packed into the block; the
+        # ones before them are broadcast to every lane.
+        inner = min(arity, 2)
+        lanes, packed = _block(n, tuple(pairs), inner)
+        blocks = (((*(v * lanes for v in sum(prefix, ())), *packed), prefix)
+                  for prefix in product(pairs, repeat=arity - inner))
+        constants = tuple(v * lanes for v in constants)
         mask = (1 << n) - 1
-        blocks = [(tuple(_pack(v, run) * row for v in zip(*pairs)),
-                   tuple(_pack(v, n) * column for v in zip(*pairs)))]
-
-        def spread(x):
-            return x[0] * lanes, x[1] * lanes
 
         def flag(bits):
             """One bit per lane, set where the lane has any bit set."""
@@ -221,7 +268,7 @@ def _triples(space, pairs, count, kernels, clauses, templates, lead=None):
             return folded & lanes
 
         def differ(lhs, rhs):
-            return flag((lhs[0] ^ rhs[0]) | (lhs[1] ^ rhs[1]))
+            return flag(_diff(lhs, rhs))
 
         def lane(value, k):
             if isinstance(value, tuple):
@@ -229,52 +276,49 @@ def _triples(space, pairs, count, kernels, clauses, templates, lead=None):
             return value >> n * k & mask
     else:
         # One instance per block: the kernels see the pairs themselves and
-        # results compare as tuples, as in a plain loop.
-        block = 1
-        blocks = list(product(pairs, repeat=2))
+        # results compare as Python values, as in a plain loop.
+        inner = 0
+        blocks = ((sum(prefix, ()), prefix) for prefix in product(pairs, repeat=arity))
         flag = bool
         differ = operator.ne
 
-        def spread(x):
-            return x
-
         def lane(value, k):
             return value
-    for x in pairs:
-        xs = spread(x)
-        for j, (ys, zs) in enumerate(blocks):
-            operands = (*xs, *ys, *zs) if lead is None else (*xs, *ys, *zs, lead(*xs, *ys))
-            count += block
-            results = []
-            flags = []
-            failed = 0
-            for clause in clauses:
-                result = clause(*operands)
-                bits = differ(result[0], result[1])
-                if len(result) == 3:
-                    bits ^= flag(result[2])
-                results.append(result)
-                flags.append(bits)
-                failed |= bits
-                if failed & 1:
-                    break
-            if failed:
-                k = ((failed & -failed).bit_length() - 1) // n
-                check = next(i for i, f in enumerate(flags) if f >> n * k & 1)
-                index = j * block + k
-                lhs, rhs, *side = results[check]
-                failure = (count - block + k + 1, templates[check], x,
-                           pairs[index // size], pairs[index % size])
-                if side:
-                    failure += (lane(lhs, k), lane(rhs, k), not lane(side[0], k))
-                return failure
+    block = size ** inner
+    leading = 2 * max(1, arity - 1)
+    for operands, prefix in blocks:
+        if lead is not None:
+            operands += (lead(*operands[:leading]),)
+        operands += constants
+        count += block
+        checked = []
+        failed = 0
+        for clause in clauses:
+            result = clause(*operands)
+            bits = differ(result[0], result[1])
+            if len(result) == 3:
+                bits ^= flag(result[2])
+            checked.append((bits, result))
+            failed |= bits
+            if failed & 1:
+                break
+        if failed:
+            k = ((failed & -failed).bit_length() - 1) // n
+            check = next(i for i, (bits, _) in enumerate(checked) if bits >> n * k & 1)
+            lhs, rhs, *side = (lane(v, k) for v in checked[check][1])
+            instance = prefix + tuple(pairs[k // size ** e % size] for e in reversed(range(inner)))
+            fields = dict(zip("xyz", instance), lhs=lhs, rhs=rhs, holds=lhs == rhs)
+            if side:
+                fields["side"] = not side[0]
+            return count - block + k + 1, templates[check], fields
     return count
 
 
 # Counterexample templates shared by laws with the same message.
-_EQUATION_SIDE = "x=%s y=%s z=%s lhs=%s rhs=%s side=%s"
-_ABSORPTION_SIDE = "x=%s z=%s lhs=%s side=%s"
-_SIMVER_SIMFALS = "x=%s y=%s simver=%s simfals=%s"
+_EQUATION_SIDE = "x=%(x)s y=%(y)s z=%(z)s lhs=%(lhs)s rhs=%(rhs)s side=%(side)s"
+_ABSORPTION_SIDE = "x=%(x)s z=%(y)s lhs=%(lhs)s side=%(side)s"
+_LATTICE_PAIRS = ("meet not commutative", "join not commutative",
+                  "absorption meet-join fails", "absorption join-meet fails")
 _LATTICE_TRIPLES = ("meet not associative", "join not associative",
                     "meet does not distribute", "join does not distribute")
 
@@ -292,7 +336,7 @@ def _law_t2_4(space, pairs, max_weight):
                 or_b(*and_b(q1, c1, q2, c2), *and_b(q1, c1, q3, c3)),
                 (q1 & c3 & ~q3 & ~c2) | (q1 & c2 & ~q2 & ~c3))
 
-    return _triples(space, pairs, 0, (or_b, and_b), [clause], [_EQUATION_SIDE])
+    return _sweep(space, pairs, 0, 3, {or_b: 2, and_b: 2}, [clause], [_EQUATION_SIDE])
 
 
 def _law_c2_5(space, pairs, max_weight):
@@ -306,7 +350,7 @@ def _law_c2_5(space, pairs, max_weight):
                 and_b(*or_b(q1, c1, q2, c2), *or_b(q1, c1, q3, c3)),
                 (nay & q3 & ~c2) | (nay & q2 & ~c3))
 
-    return _triples(space, pairs, 0, (or_b, and_b), [clause], [_EQUATION_SIDE])
+    return _sweep(space, pairs, 0, 3, {or_b: 2, and_b: 2}, [clause], [_EQUATION_SIDE])
 
 
 def _law_t2_6(space, pairs, max_weight):
@@ -319,7 +363,7 @@ def _law_t2_6(space, pairs, max_weight):
                 and_b(*or_b(q1, c1, q2, c2), q3, c3),
                 (q1 & c3 & ~q3) | (c1 & ~q1 & q3 & ~c2))
 
-    return _triples(space, pairs, 0, (or_b, and_b), [clause], [_EQUATION_SIDE])
+    return _sweep(space, pairs, 0, 3, {or_b: 2, and_b: 2}, [clause], [_EQUATION_SIDE])
 
 
 def _law_c2_7(space, pairs, max_weight):
@@ -332,37 +376,30 @@ def _law_c2_7(space, pairs, max_weight):
                 or_b(*and_b(q1, c1, q2, c2), q3, c3),
                 (c1 & ~q1 & q3) | (q1 & c3 & ~q3 & ~c2))
 
-    return _triples(space, pairs, 0, (or_b, and_b), [clause], [_EQUATION_SIDE])
+    return _sweep(space, pairs, 0, 3, {or_b: 2, and_b: 2}, [clause], [_EQUATION_SIDE])
 
 
 def _law_c2_8(space, pairs, max_weight):
     """and_(x, or_(not x, z)) == z iff b <= f and a'b <= e'f."""
     or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
-    count = 0
-    for q1, c1 in pairs:
-        neg = not_b(q1, c1)
-        for q3, c3 in pairs:
-            count += 1
-            lhs = and_b(q1, c1, *or_b(*neg, q3, c3))
-            side = (c1 & ~c3) == 0 and ((c1 & ~q1) & ~(c3 & ~q3)) == 0
-            if (lhs == (q3, c3)) != side:
-                return count, _ABSORPTION_SIDE, (q1, c1), (q3, c3), lhs, side
-    return count
+
+    def clause(q1, c1, q3, c3, neg):
+        return (and_b(q1, c1, *or_b(*neg, q3, c3)), (q3, c3),
+                (c1 & ~c3) | ((c1 & ~q1) & ~(c3 & ~q3)))
+
+    return _sweep(space, pairs, 0, 2, {or_b: 2, and_b: 2, not_b: 1}, [clause],
+                  [_ABSORPTION_SIDE], lead=not_b)
 
 
 def _law_c2_9(space, pairs, max_weight):
     """or_(x, and_(not x, z)) == z iff b <= f and ab <= ef."""
     or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
-    count = 0
-    for q1, c1 in pairs:
-        neg = not_b(q1, c1)
-        for q3, c3 in pairs:
-            count += 1
-            lhs = or_b(q1, c1, *and_b(*neg, q3, c3))
-            side = (c1 & ~c3) == 0 and (q1 & ~q3) == 0
-            if (lhs == (q3, c3)) != side:
-                return count, _ABSORPTION_SIDE, (q1, c1), (q3, c3), lhs, side
-    return count
+
+    def clause(q1, c1, q3, c3, neg):
+        return or_b(q1, c1, *and_b(*neg, q3, c3)), (q3, c3), (c1 & ~c3) | (q1 & ~q3)
+
+    return _sweep(space, pairs, 0, 2, {or_b: 2, and_b: 2, not_b: 1}, [clause],
+                  [_ABSORPTION_SIDE], lead=not_b)
 
 
 def _law_props2_3(space, pairs, max_weight):
@@ -371,47 +408,40 @@ def _law_props2_3(space, pairs, max_weight):
     absolutes, and the conditioned absorption
     and_(x, y) == and_(y, given(x, y))."""
     or_b, and_b, not_b, giv_b = cnd.or_bits, cnd.and_bits, cnd.not_bits, cnd.given_bits
-    full = space.full_bits
-    count = 0
-    for p in pairs:
-        q1, c1 = p
-        count += 1
-        checks = (
-            ("not(not x) == x", not_b(*not_b(q1, c1)) == p),
-            ("or_(x, x) == x", or_b(q1, c1, q1, c1) == p),
-            ("and_(x, x) == x", and_b(q1, c1, q1, c1) == p),
-            ("or_(x, U) == x", or_b(q1, c1, 0, 0) == p),
-            ("and_(x, U) == x", and_b(q1, c1, 0, 0) == p),
-            ("or_(x, (0|1)) == (ab|1)", or_b(q1, c1, 0, full) == (q1, full)),
-            ("and_(x, (0|1)) == (0|1)", and_b(q1, c1, 0, full) == (0, full)),
-            ("or_(x, (1|1)) == (1|1)", or_b(q1, c1, full, full) == (full, full)),
-            ("and_(x, (1|1)) == (a v b'|1)",
-             and_b(q1, c1, full, full) == (q1 | (full & ~c1), full)),
-        )
-        for label, ok in checks:
-            if not ok:
-                return count, "%s fails at x=%s", label, p
-    for p in pairs:
-        q1, c1 = p
-        for s in pairs:
-            q2, c2 = s
-            count += 1
-            if or_b(q1, c1, q2, c2) != or_b(q2, c2, q1, c1):
-                return count, "or_ not commutative at x=%s y=%s", p, s
-            if and_b(q1, c1, q2, c2) != and_b(q2, c2, q1, c1):
-                return count, "and_ not commutative at x=%s y=%s", p, s
-            if not_b(*or_b(q1, c1, q2, c2)) != and_b(*not_b(q1, c1), *not_b(q2, c2)):
-                return count, "De Morgan (or) fails at x=%s y=%s", p, s
-            if not_b(*and_b(q1, c1, q2, c2)) != or_b(*not_b(q1, c1), *not_b(q2, c2)):
-                return count, "De Morgan (and) fails at x=%s y=%s", p, s
-            if and_b(q1, c1, q2, c2) != and_b(q2, c2, *giv_b(q1, c1, q2, c2)):
-                return count, "and_(x, y) != and_(y, given(x, y)) at x=%s y=%s", p, s
-    return _triples(space, pairs, count, (or_b, and_b), [
+    singles = {  # full, the space's atoms, is a constant of the sweep
+        "not(not x) == x": lambda q1, c1, full: (not_b(*not_b(q1, c1)), (q1, c1)),
+        "or_(x, x) == x": lambda q1, c1, full: (or_b(q1, c1, q1, c1), (q1, c1)),
+        "and_(x, x) == x": lambda q1, c1, full: (and_b(q1, c1, q1, c1), (q1, c1)),
+        "or_(x, U) == x": lambda q1, c1, full: (or_b(q1, c1, 0, 0), (q1, c1)),
+        "and_(x, U) == x": lambda q1, c1, full: (and_b(q1, c1, 0, 0), (q1, c1)),
+        "or_(x, (0|1)) == (ab|1)": lambda q1, c1, full: (or_b(q1, c1, 0, full), (q1, full)),
+        "and_(x, (0|1)) == (0|1)": lambda q1, c1, full: (and_b(q1, c1, 0, full), (0, full)),
+        "or_(x, (1|1)) == (1|1)": lambda q1, c1, full: (or_b(q1, c1, full, full), (full, full)),
+        "and_(x, (1|1)) == (a v b'|1)":
+            lambda q1, c1, full: (and_b(q1, c1, full, full), (q1 | (full & ~c1), full)),
+    }
+    doubles = {
+        "or_ not commutative": lambda q1, c1, q2, c2: (or_b(q1, c1, q2, c2), or_b(q2, c2, q1, c1)),
+        "and_ not commutative":
+            lambda q1, c1, q2, c2: (and_b(q1, c1, q2, c2), and_b(q2, c2, q1, c1)),
+        "De Morgan (or) fails": lambda q1, c1, q2, c2: (
+            not_b(*or_b(q1, c1, q2, c2)), and_b(*not_b(q1, c1), *not_b(q2, c2))),
+        "De Morgan (and) fails": lambda q1, c1, q2, c2: (
+            not_b(*and_b(q1, c1, q2, c2)), or_b(*not_b(q1, c1), *not_b(q2, c2))),
+        "and_(x, y) != and_(y, given(x, y))": lambda q1, c1, q2, c2: (
+            and_b(q1, c1, q2, c2), and_b(q2, c2, *giv_b(q1, c1, q2, c2))),
+    }
+    count = _sweep(space, pairs, 0, 1, {or_b: 2, and_b: 2, not_b: 1}, list(singles.values()),
+                   ["%s fails at x=%%(x)s" % label for label in singles],
+                   constants=(space.full_bits,))
+    count = _sweep(space, pairs, count, 2, {or_b: 2, and_b: 2, not_b: 1, giv_b: 2},
+                   list(doubles.values()), ["%s at x=%%(x)s y=%%(y)s" % label for label in doubles])
+    return _sweep(space, pairs, count, 3, {or_b: 2, and_b: 2}, [
         lambda q1, c1, q2, c2, q3, c3: (or_b(*or_b(q1, c1, q2, c2), q3, c3),
                                         or_b(q1, c1, *or_b(q2, c2, q3, c3))),
         lambda q1, c1, q2, c2, q3, c3: (and_b(*and_b(q1, c1, q2, c2), q3, c3),
                                         and_b(q1, c1, *and_b(q2, c2, q3, c3))),
-    ], [op + " not associative at x=%s y=%s z=%s" for op in ("or_", "and_")])
+    ], [op + " not associative at x=%(x)s y=%(y)s z=%(z)s" for op in ("or_", "and_")])
 
 
 def _law_t2_13(space, pairs, max_weight):
@@ -496,31 +526,22 @@ def _law_p2_20(space, pairs, max_weight):
     order, and meets its relative complement laws:
     and_(x, not x) == (0|b), or_(x, not x) == (1|b)."""
     or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
-    count = 0
-    for p in pairs:
-        q1, c1 = p
-        neg = not_b(q1, c1)
-        count += 1
-        if not_b(*neg) != p:
-            return count, "negation is not an involution at x=%s", p
-        if and_b(q1, c1, *neg) != (0, c1):
-            return count, "and_(x, not x) != (0|b) at x=%s", p
-        if or_b(q1, c1, *neg) != (c1, c1):
-            return count, "or_(x, not x) != (1|b) at x=%s", p
-    for p in pairs:
-        q1, c1 = p
-        for s in pairs:
-            q2, c2 = s
-            count += 1
-            fwd = (q1 & ~q2) == 0 and ((c2 & ~q2) & ~(c1 & ~q1)) == 0
-            bwd = ((c2 & ~q2) & ~(c1 & ~q1)) == 0 and (q1 & ~q2) == 0
-            # pm(not y, not x) spelled on the negated pairs:
-            nq1, nc1 = not_b(q2, c2)
-            nq2, nc2 = not_b(q1, c1)
-            neg_pm = (nq1 & ~nq2) == 0 and ((nc2 & ~nq2) & ~(nc1 & ~nq1)) == 0
-            if fwd != neg_pm or bwd != neg_pm:
-                return count, "pm does not reverse under negation at x=%s y=%s", p, s
-    return count
+
+    def reverses(q1, c1, q2, c2):
+        # pm(not y, not x) spelled on the negated pairs:
+        nq1, nc1 = not_b(q2, c2)
+        nq2, nc2 = not_b(q1, c1)
+        return ((q1 & ~q2) | ((c2 & ~q2) & ~(c1 & ~q1)), 0,
+                (nq1 & ~nq2) | ((nc2 & ~nq2) & ~(nc1 & ~nq1)))
+
+    count = _sweep(space, pairs, 0, 1, {or_b: 2, and_b: 2, not_b: 1}, [
+        lambda q1, c1, neg: (not_b(*neg), (q1, c1)),
+        lambda q1, c1, neg: (and_b(q1, c1, *neg), (0, c1)),
+        lambda q1, c1, neg: (or_b(q1, c1, *neg), (c1, c1)),
+    ], ["negation is not an involution at x=%(x)s", "and_(x, not x) != (0|b) at x=%(x)s",
+        "or_(x, not x) != (1|b) at x=%(x)s"], lead=not_b)
+    return _sweep(space, pairs, count, 2, {not_b: 1}, [reverses],
+                  ["pm does not reverse under negation at x=%(x)s y=%(y)s"])
 
 
 def _law_truth_tables(space, pairs, max_weight):
@@ -657,51 +678,32 @@ def _law_c3_3(space, pairs, max_weight):
     """and_(x, y) == (abcd | b v d) exactly when x and y are
     simultaneously verifiable."""
     and_b = cnd.and_bits
-    count = 0
-    for x in pairs:
-        q1, c1 = x
-        for y in pairs:
-            q2, c2 = y
-            count += 1
-            collapses = and_b(q1, c1, q2, c2) == (q1 & q2, c1 | c2)
-            simver = (q1 & ~c2) == 0 and (q2 & ~c1) == 0
-            if collapses != simver:
-                return count, "x=%s y=%s collapse=%s simver=%s", x, y, collapses, simver
-    return count
+    return _sweep(space, pairs, 0, 2, {and_b: 2}, [
+        lambda q1, c1, q2, c2: (and_b(q1, c1, q2, c2), (q1 & q2, c1 | c2),
+                                (q1 & ~c2) | (q2 & ~c1)),
+    ], ["x=%(x)s y=%(y)s collapse=%(holds)s simver=%(side)s"])
 
 
 def _law_c3_5(space, pairs, max_weight):
     """Simultaneous falsifiability (a'b <= d and c'd <= b) is
     simultaneous verifiability of the negations."""
     not_b = cnd.not_bits
-    count = 0
-    for x in pairs:
-        q1, c1 = x
-        for y in pairs:
-            q2, c2 = y
-            count += 1
-            direct = ((c1 & ~q1) & ~c2) == 0 and ((c2 & ~q2) & ~c1) == 0
-            nx = not_b(q1, c1)
-            ny = not_b(q2, c2)
-            via_neg = (nx[0] & ~ny[1]) == 0 and (ny[0] & ~nx[1]) == 0
-            if direct != via_neg:
-                return count, "x=%s y=%s direct=%s negated=%s", x, y, direct, via_neg
-    return count
+
+    def clause(q1, c1, q2, c2):
+        nx, ny = not_b(q1, c1), not_b(q2, c2)
+        return (((c1 & ~q1) & ~c2) | ((c2 & ~q2) & ~c1), 0,
+                (nx[0] & ~ny[1]) | (ny[0] & ~nx[1]))
+
+    return _sweep(space, pairs, 0, 2, {not_b: 1}, [clause],
+                  ["x=%(x)s y=%(y)s direct=%(holds)s negated=%(side)s"])
 
 
 def _law_c3_6(space, pairs, max_weight):
     """Simultaneously verifiable and falsifiable == equal conditions."""
-    count = 0
-    for x in pairs:
-        q1, c1 = x
-        for y in pairs:
-            q2, c2 = y
-            count += 1
-            simver = (q1 & ~c2) == 0 and (q2 & ~c1) == 0
-            simfals = ((c1 & ~q1) & ~c2) == 0 and ((c2 & ~q2) & ~c1) == 0
-            if (simver and simfals) != (c1 == c2):
-                return count, _SIMVER_SIMFALS, x, y, simver, simfals
-    return count
+    return _sweep(space, pairs, 0, 2, {}, [
+        lambda q1, c1, q2, c2: ((q1 & ~c2) | (q2 & ~c1) | ((c1 & ~q1) & ~c2) | ((c2 & ~q2) & ~c1),
+                                0, c1 ^ c2),
+    ], ["x=%(x)s y=%(y)s simver_and_simfals=%(holds)s same_condition=%(side)s"])
 
 
 def _law_t3_7(space, pairs, max_weight):
@@ -733,7 +735,7 @@ def _law_c3_8(space, pairs, max_weight):
             simver = (q1 & ~c2) == 0 and (q2 & ~c1) == 0
             simfals = ((c1 & ~q1) & ~c2) == 0 and ((c2 & ~q2) & ~c1) == 0
             if (simver and simfals) != (c1 == c2):
-                return count, _SIMVER_SIMFALS, x, y, simver, simfals
+                return count, "x=%s y=%s simver=%s simfals=%s", x, y, simver, simfals
             if c1 == c2 != 0:
                 if not rel.subalgebra_bits(space, {x, y})[1]:
                     return (count, "x=%s y=%s share a nonempty condition but generate a "
@@ -745,19 +747,14 @@ def _law_t3_9(space, pairs, max_weight):
     """and_(x, z) == (0 | b v f) and or_(x, z) == (1 | b v f) together
     happen exactly when b == f and z == not x."""
     or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
-    count = 0
-    for x in pairs:
-        q1, c1 = x
-        neg = not_b(q1, c1)
-        for z in pairs:
-            q3, c3 = z
-            count += 1
-            union = c1 | c3
-            left = and_b(q1, c1, q3, c3) == (0, union) and or_b(q1, c1, q3, c3) == (union, union)
-            right = c1 == c3 and z == neg
-            if left != right:
-                return count, "x=%s z=%s complement_pair=%s right=%s", x, z, left, right
-    return count
+
+    def clause(q1, c1, q3, c3, neg):
+        union = c1 | c3
+        return ((and_b(q1, c1, q3, c3), or_b(q1, c1, q3, c3)), ((0, union), (union, union)),
+                (c1 ^ c3) | (q3 ^ neg[0]) | (c3 ^ neg[1]))
+
+    return _sweep(space, pairs, 0, 2, {or_b: 2, and_b: 2, not_b: 1}, [clause],
+                  ["x=%(x)s z=%(y)s complement_pair=%(holds)s right=%(side)s"], lead=not_b)
 
 
 def _law_t3_11(space, pairs, max_weight):
@@ -766,26 +763,22 @@ def _law_t3_11(space, pairs, max_weight):
     osum(x, z) == (1|b). Associativity of the total operation is not a
     law; its status is reported in the note."""
     osum_b, not_b = cnd.osum_bits, cnd.not_bits
-    count = 0
-    for x in pairs:
-        q1, c1 = x
-        count += 1
-        if osum_b(q1, c1, 0, c1) != x:
-            return count, "osum(x, (0|b)) != x at x=%s", x
-        if osum_b(q1, c1, q1, c1) != (0, c1):
-            return count, "osum(x, x) != (0|b) at x=%s", x
-        if osum_b(q1, c1, *not_b(q1, c1)) != (c1, c1):
-            return count, "osum(x, not x) != (1|b) at x=%s", x
-    for x in pairs:
-        q1, c1 = x
-        neg = not_b(q1, c1)
-        for z in pairs:
-            q2, c2 = z
-            count += 1
-            if osum_b(q1, c1, q2, c2) != osum_b(q2, c2, q1, c1):
-                return count, "osum not commutative at x=%s z=%s", x, z
-            if osum_b(q1, c1, q2, c2) == (c1, c1) and z != neg:
-                return count, "complement not unique: osum(x, z) == (1|b) at x=%s z=%s", x, z
+    count = _sweep(space, pairs, 0, 1, {osum_b: 2, not_b: 1}, [
+        lambda q1, c1: (osum_b(q1, c1, 0, c1), (q1, c1)),
+        lambda q1, c1: (osum_b(q1, c1, q1, c1), (0, c1)),
+        lambda q1, c1: (osum_b(q1, c1, *not_b(q1, c1)), (c1, c1)),
+    ], ["osum(x, (0|b)) != x at x=%(x)s", "osum(x, x) != (0|b) at x=%(x)s",
+        "osum(x, not x) != (1|b) at x=%(x)s"])
+    # The side clause fails where osum(x, z) == (1|b) and z != not x; at
+    # z == not x, osum(x, z) == (1|b) passed among the singles.
+    count = _sweep(space, pairs, count, 2, {osum_b: 2, not_b: 1}, [
+        lambda q1, c1, q2, c2, neg: (osum_b(q1, c1, q2, c2), osum_b(q2, c2, q1, c1)),
+        lambda q1, c1, q2, c2, neg: (osum_b(q1, c1, q2, c2), (c1, c1),
+                                     (q2 ^ neg[0]) | (c2 ^ neg[1])),
+    ], ["osum not commutative at x=%(x)s z=%(y)s",
+        "complement not unique: osum(x, z) == (1|b) at x=%(x)s z=%(y)s"], lead=not_b)
+    if not isinstance(count, int):
+        return count
     for x in pairs:
         for y in pairs:
             for z in pairs:
@@ -803,34 +796,31 @@ def _law_t3_15(space, pairs, max_weight):
     in its second argument; composes via and_ of the projectors; and
     two projections onto the same target commute."""
     and_b, sas_b = cnd.and_bits, cnd.sasaki_bits
-    count = 0
-    for b in pairs:
-        qb, cb = b
-        for a in pairs:
-            qa, ca = a
-            count += 1
-            proj = sas_b(qb, cb, qa, ca)
-            fixes = proj == a
-            fix_side = (cb & ~ca) == 0 and ((cb & ~qb) & ~(ca & ~qa)) == 0
-            if fixes != fix_side:
-                return count, "fixed-point criterion fails at b=%s a=%s", b, a
-            kills = proj == (0, ca | cb)
-            kill_side = (qa & ~(cb & ~qb)) == 0
-            if kills != kill_side:
-                return count, "annihilation criterion fails at b=%s a=%s", b, a
-            if sas_b(qb, cb, *proj) != proj:
-                return count, "projection not idempotent at b=%s a=%s", b, a
+
+    def idempotent(qb, cb, qa, ca):
+        proj = sas_b(qb, cb, qa, ca)
+        return sas_b(qb, cb, *proj), proj
+
+    count = _sweep(space, pairs, 0, 2, {sas_b: 2}, [
+        lambda qb, cb, qa, ca: (sas_b(qb, cb, qa, ca), (qa, ca),
+                                (cb & ~ca) | ((cb & ~qb) & ~(ca & ~qa))),
+        lambda qb, cb, qa, ca: (sas_b(qb, cb, qa, ca), (0, ca | cb), qa & ~(cb & ~qb)),
+        idempotent,
+    ], ["fixed-point criterion fails at b=%(x)s a=%(y)s",
+        "annihilation criterion fails at b=%(x)s a=%(y)s",
+        "projection not idempotent at b=%(x)s a=%(y)s"])
+
     # Triples (b, c, a); the lead is meet = and_(b, c).
     def nested(qb, cb, qc, cc, qa, ca):
         return sas_b(qc, cc, *sas_b(qb, cb, qa, ca))
 
-    return _triples(space, pairs, count, (and_b, sas_b), [
+    return _sweep(space, pairs, count, 3, {and_b: 2, sas_b: 2}, [
         lambda qb, cb, qc, cc, qa, ca, meet: (nested(qb, cb, qc, cc, qa, ca),
                                               sas_b(*meet, qa, ca)),
         lambda qb, cb, qc, cc, qa, ca, meet: (nested(qb, cb, qc, cc, qa, ca),
                                               sas_b(qb, cb, *sas_b(qc, cc, qa, ca))),
-    ], ["composition via and_ fails at b=%s c=%s a=%s",
-        "projections do not commute at b=%s c=%s a=%s"], lead=and_b)
+    ], ["composition via and_ fails at b=%(x)s c=%(y)s a=%(z)s",
+        "projections do not commute at b=%(x)s c=%(y)s a=%(z)s"], lead=and_b)
 
 
 def _law_c3_16(space, pairs, max_weight):
@@ -861,35 +851,30 @@ def _law_t3_17(space, pairs, max_weight):
     coincidence criteria, the two-sided verifiability criterion, and
     closure of joint verifiability under folded or_ and and_."""
     or_b, and_b, not_b, sas_b = cnd.or_bits, cnd.and_bits, cnd.not_bits, cnd.sasaki_bits
-    count = 0
-    for b in pairs:
-        qb, cb = b
-        nb = not_b(qb, cb)
-        for a in pairs:
-            qa, ca = a
-            count += 1
-            if or_b(qb, cb, qa, ca) != or_b(qb, cb, *sas_b(*nb, qa, ca)):
-                return count, "or_(b, a) != or_(b, sasaki(not b, a)) at b=%s a=%s", b, a
-            commutes = sas_b(qb, cb, qa, ca) == sas_b(qa, ca, qb, cb)
-            simver = (qb & ~ca) == 0 and (qa & ~cb) == 0
-            if commutes != simver:
-                return count, "commutation criterion fails at b=%s a=%s", b, a
-            as_and = sas_b(qb, cb, qa, ca) == and_b(qb, cb, qa, ca)
-            if as_and != ((qb & ~ca) == 0):
-                return count, "coincidence-with-and_ criterion fails at b=%s a=%s", b, a
-            pq, pc = sas_b(qb, cb, qa, ca)
-            same_cond_below = pc == ca and (pq & ~qa) == 0
-            if same_cond_below != ((cb & ~ca) == 0):
-                return count, "bounded-order criterion fails at b=%s a=%s", b, a
-            two_sided = ((qb & ~ca) == 0 and (qa & ~cb) == 0
-                         and (nb[0] & ~ca) == 0 and (qa & ~nb[1]) == 0)
-            if two_sided != ((qa & ~cb) == 0 and (cb & ~ca) == 0):
-                return count, "two-sided verifiability criterion fails at b=%s a=%s", b, a
+
+    def bounded(qb, cb, qa, ca, nb):
+        pq, pc = sas_b(qb, cb, qa, ca)
+        return (pq & ~qa, pc), (0, ca), cb & ~ca
+
+    # Pairs (b, a); the lead is nb = not b.
+    count = _sweep(space, pairs, 0, 2, {or_b: 2, and_b: 2, not_b: 1, sas_b: 2}, [
+        lambda qb, cb, qa, ca, nb: (or_b(qb, cb, qa, ca), or_b(qb, cb, *sas_b(*nb, qa, ca))),
+        lambda qb, cb, qa, ca, nb: (sas_b(qb, cb, qa, ca), sas_b(qa, ca, qb, cb),
+                                    (qb & ~ca) | (qa & ~cb)),
+        lambda qb, cb, qa, ca, nb: (sas_b(qb, cb, qa, ca), and_b(qb, cb, qa, ca), qb & ~ca),
+        bounded,
+        lambda qb, cb, qa, ca, nb: ((qb & ~ca) | (qa & ~cb) | (nb[0] & ~ca) | (qa & ~nb[1]), 0,
+                                    (qa & ~cb) | (cb & ~ca)),
+    ], ["or_(b, a) != or_(b, sasaki(not b, a)) at b=%(x)s a=%(y)s",
+        "commutation criterion fails at b=%(x)s a=%(y)s",
+        "coincidence-with-and_ criterion fails at b=%(x)s a=%(y)s",
+        "bounded-order criterion fails at b=%(x)s a=%(y)s",
+        "two-sided verifiability criterion fails at b=%(x)s a=%(y)s"], lead=not_b)
     # Triples (c, b, a); the lead is proj_b = sasaki(c, b).
-    count = _triples(space, pairs, count, (or_b, sas_b), [
+    count = _sweep(space, pairs, count, 3, {or_b: 2, sas_b: 2}, [
         lambda qc, cc, qb, cb, qa, ca, proj_b: (sas_b(qc, cc, *or_b(qb, cb, qa, ca)),
                                                 or_b(*proj_b, *sas_b(qc, cc, qa, ca))),
-    ], ["projection does not distribute over or_ at c=%s b=%s a=%s"], lead=sas_b)
+    ], ["projection does not distribute over or_ at c=%(x)s b=%(y)s a=%(z)s"], lead=sas_b)
     if not isinstance(count, int):
         return count
     # Folded families stay on 3 atoms; their pairs render alike on a larger law space.
@@ -924,22 +909,17 @@ def _law_schay_lattice(space, pairs, max_weight):
     )
     count = 0
     for name, meet, join in systems:
-        for x in pairs:
-            count += 1
-            if meet(*x, *x) != x or join(*x, *x) != x:
-                return count, "%s: idempotence fails at x=%s", name, x
-        for x in pairs:
-            for y in pairs:
-                count += 1
-                if meet(*x, *y) != meet(*y, *x):
-                    return count, "%s: meet not commutative at x=%s y=%s", name, x, y
-                if join(*x, *y) != join(*y, *x):
-                    return count, "%s: join not commutative at x=%s y=%s", name, x, y
-                if meet(*x, *join(*x, *y)) != x:
-                    return count, "%s: absorption meet-join fails at x=%s y=%s", name, x, y
-                if join(*x, *meet(*x, *y)) != x:
-                    return count, "%s: absorption join-meet fails at x=%s y=%s", name, x, y
-        count = _triples(space, pairs, count, (meet, join), [
+        kernels = {meet: 2, join: 2}
+        count = _sweep(space, pairs, count, 1, kernels, [
+            lambda q1, c1: ((meet(q1, c1, q1, c1), join(q1, c1, q1, c1)), ((q1, c1), (q1, c1))),
+        ], ["%s: idempotence fails at x=%%(x)s" % name])
+        count = _sweep(space, pairs, count, 2, kernels, [
+            lambda q1, c1, q2, c2: (meet(q1, c1, q2, c2), meet(q2, c2, q1, c1)),
+            lambda q1, c1, q2, c2: (join(q1, c1, q2, c2), join(q2, c2, q1, c1)),
+            lambda q1, c1, q2, c2: (meet(q1, c1, *join(q1, c1, q2, c2)), (q1, c1)),
+            lambda q1, c1, q2, c2: (join(q1, c1, *meet(q1, c1, q2, c2)), (q1, c1)),
+        ], ["%s: %s at x=%%(x)s y=%%(y)s" % (name, check) for check in _LATTICE_PAIRS])
+        count = _sweep(space, pairs, count, 3, kernels, [
             lambda q1, c1, q2, c2, q3, c3: (meet(*meet(q1, c1, q2, c2), q3, c3),
                                             meet(q1, c1, *meet(q2, c2, q3, c3))),
             lambda q1, c1, q2, c2, q3, c3: (join(*join(q1, c1, q2, c2), q3, c3),
@@ -948,30 +928,25 @@ def _law_schay_lattice(space, pairs, max_weight):
                                             join(*meet(q1, c1, q2, c2), *meet(q1, c1, q3, c3))),
             lambda q1, c1, q2, c2, q3, c3: (join(q1, c1, *meet(q2, c2, q3, c3)),
                                             meet(*join(q1, c1, q2, c2), *join(q1, c1, q3, c3))),
-        ], ["%s: %s at x=%%s y=%%s z=%%s" % (name, check) for check in _LATTICE_TRIPLES])
-        if not isinstance(count, int):
-            return count
+        ], ["%s: %s at x=%%(x)s y=%%(y)s z=%%(z)s" % (name, check) for check in _LATTICE_TRIPLES])
     return count
 
 
 def _law_schay_coincide(space, pairs, max_weight):
     """cup_s is or_, and_s is and_, and the four-term expanded form of
     the consequent of cup_s reduces to the same operation."""
-    count = 0
-    for x in pairs:
-        q1, c1 = x
-        for y in pairs:
-            q2, c2 = y
-            count += 1
-            if schay.cup_bits(q1, c1, q2, c2) != cnd.or_bits(q1, c1, q2, c2):
-                return count, "cup_s != or_ at x=%s y=%s", x, y
-            if schay.sand_bits(q1, c1, q2, c2) != cnd.and_bits(q1, c1, q2, c2):
-                return count, "and_s != and_ at x=%s y=%s", x, y
-            long_cons = (q1 & c2) | (q2 & c1) | (q1 & ~c2) | (~c1 & q2)
-            long_form = (long_cons & (c1 | c2), c1 | c2)
-            if long_form != schay.cup_bits(q1, c1, q2, c2):
-                return count, "expanded union form differs from cup_s at x=%s y=%s", x, y
-    return count
+    cup, sand, or_b, and_b = schay.cup_bits, schay.sand_bits, cnd.or_bits, cnd.and_bits
+
+    def expanded(q1, c1, q2, c2):
+        long_cons = (q1 & c2) | (q2 & c1) | (q1 & ~c2) | (~c1 & q2)
+        return (long_cons & (c1 | c2), c1 | c2), cup(q1, c1, q2, c2)
+
+    return _sweep(space, pairs, 0, 2, {cup: 2, sand: 2, or_b: 2, and_b: 2}, [
+        lambda q1, c1, q2, c2: (cup(q1, c1, q2, c2), or_b(q1, c1, q2, c2)),
+        lambda q1, c1, q2, c2: (sand(q1, c1, q2, c2), and_b(q1, c1, q2, c2)),
+        expanded,
+    ], ["cup_s != or_ at x=%(x)s y=%(y)s", "and_s != and_ at x=%(x)s y=%(y)s",
+        "expanded union form differs from cup_s at x=%(x)s y=%(y)s"])
 
 
 def _law_schay_2_12(space, pairs, max_weight):
@@ -1046,7 +1021,9 @@ def _check_sizes(atoms, max_weight):
 
 def _render(space, template, *operands):
     """Fill a law's template: (q, c) pairs and Conditionals through
-    format_conditional, bools as true/false, the rest as %s does."""
+    format_conditional, bools as true/false, the rest as %s does. A
+    sweep's fields fill a template by name, and only the fields it
+    names are rendered."""
     def text(value):
         if isinstance(value, bool):
             return "true" if value else "false"
@@ -1054,13 +1031,16 @@ def _render(space, template, *operands):
             value = cnd.Conditional(space, *value)
         return format_conditional(value) if isinstance(value, cnd.Conditional) else value
 
+    if len(operands) == 1 and isinstance(operands[0], dict):
+        return template % {name: text(value) for name, value in operands[0].items()
+                           if "%%(%s)s" % name in template}
     return template % tuple(map(text, operands))
 
 
 def _count_at_raise(exc, fn, default):
     """The instance count when the law raised: `count` in the deepest
-    frame of the law or of the triple driver it called."""
-    codes = (fn.__code__, _triples.__code__)
+    frame of the law or of the sweep it called."""
+    codes = (fn.__code__, _sweep.__code__)
     tb = exc.__traceback__
     while tb is not None:
         if tb.tb_frame.f_code in codes:

@@ -561,14 +561,50 @@ def _and_raising_on_some_pair(q1, c1, q2, c2):
      "composition via and_ fails at b=UNDEFINED c=({}|{1}) a=({1}|{1})"),
     (_and_raising_on_some_pair, "t2.4", 168, "raised RuntimeError: boom"),
     (_and_raising_on_some_pair, "t3.15", 288, "raised RuntimeError: boom"),
+    # Single and pair sweeps. c3.3 names only the operands and two
+    # truth values, so the lhs left out of normal form is never rendered.
+    (_and_leaving_normal_form, "c3.3", 1, "x=UNDEFINED y=UNDEFINED collapse=false simver=true"),
+    (_and_leaving_normal_form, "t3.9", 1,
+     "x=UNDEFINED z=UNDEFINED complement_pair=false right=true"),
+    (_and_leaving_normal_form, "props2.3", 1, "and_(x, x) == x fails at x=UNDEFINED"),
+    (_and_leaving_normal_form, "schay-coincide", 1, "and_s != and_ at x=UNDEFINED y=UNDEFINED"),
+    (_and_raising_on_some_pair, "c2.8", 22, "raised RuntimeError: boom"),
+    (_and_raising_on_some_pair, "c3.3", 24, "raised RuntimeError: boom"),
+    (_and_raising_on_some_pair, "p2.20", 7, "raised RuntimeError: boom"),
+    (_and_raising_on_some_pair, "t3.17", 24, "raised RuntimeError: boom"),
 ])
 def test_uncertified_kernels_report_as_a_plain_loop_did(monkeypatch, kernel, law, count,
                                                          counterexample):
-    """Reports recorded from a plain triple loop: one-instance blocks
-    compare results as tuples and count an instance before evaluating it."""
+    """Reports recorded from plain loops over every single, pair and
+    triple: one-instance blocks compare results as Python values and
+    count an instance before evaluating it."""
     monkeypatch.setattr(cnd, "and_bits", kernel)
     assert not lawcheck._lane_local(kernel)
     assert lawcheck.check(law, 2) == lawcheck.LawReport(law, 2, count, False, counterexample)
+
+
+NOT_BITS = cnd.not_bits
+
+
+def _not_raising_on_one_pair(q, c):
+    if (q, c) == (0b01, 0b11):
+        raise RuntimeError("not boom")
+    return NOT_BITS(q, c)
+
+
+@pytest.mark.parametrize("law, count", [
+    ("c2.8", 54), ("c2.9", 54), ("p2.20", 6), ("t3.9", 54), ("t3.11", 7), ("t3.17", 54),
+    ("props2.3", 7), ("c3.5", 7),
+])
+def test_a_lead_that_raises_is_counted_where_a_plain_loop_counted_it(monkeypatch, law, count):
+    """Counts recorded from plain loops, with x = ({1}|{1,2}) the 7th
+    conditional. Where not x was taken once per outer x before its
+    instances were counted, it is the sweep's lead and the count stops
+    at the 6 singles or 54 pairs before x; where it was taken inside an
+    instance, the count includes that instance."""
+    monkeypatch.setattr(cnd, "not_bits", _not_raising_on_one_pair)
+    assert lawcheck.check(law, 2) == lawcheck.LawReport(law, 2, count, False,
+                                                        "raised RuntimeError: not boom")
 
 
 OR_BITS = cnd.or_bits
@@ -596,7 +632,8 @@ def test_grid_laws_report_kernels_leaving_normal_form(monkeypatch, name, kernel,
     assert lawcheck.check(law, 2) == lawcheck.LawReport(law, 2, 1, False, counterexample)
 
 
-TRIPLE_LAWS = ("t2.4", "c2.5", "t2.6", "c2.7", "props2.3", "t3.15", "t3.17", "schay-lattice")
+DRIVER_LAWS = ("t2.4", "c2.5", "t2.6", "c2.7", "c2.8", "c2.9", "props2.3", "p2.20", "c3.3", "c3.5",
+               "c3.6", "t3.9", "t3.11", "t3.15", "t3.17", "schay-lattice", "schay-coincide")
 
 
 def closed_form_kernel(table):
@@ -636,7 +673,8 @@ def test_the_truth_table_and_pairwise_certificates_agree():
 def test_sliced_and_one_instance_blocks_report_alike_under_every_table_mutant(monkeypatch):
     """One table, two kernels: the closed form is certified (unless its
     (U, U) entry is defined, which needs the space mask) and runs
-    sliced; the per-atom loop is not and runs one instance per block."""
+    sliced; the per-atom loop is not and runs one instance per block.
+    Every law that calls the sweep is compared."""
     certified = 0
     for name, entry, new, per_atom in table_mutants():
         table = {**TABLES[name], entry: new}
@@ -647,10 +685,50 @@ def test_sliced_and_one_instance_blocks_report_alike_under_every_table_mutant(mo
         reports = []
         for kernel in (closed, per_atom):
             monkeypatch.setattr(cnd, name, kernel)
-            reports.append([lawcheck.check(law, 2) for law in TRIPLE_LAWS])
+            reports.append([lawcheck.check(law, 2) for law in DRIVER_LAWS])
             monkeypatch.undo()
         assert reports[0] == reports[1], (name, entry, new)
     assert certified == 80
+
+
+def closed_form_not(table):
+    """The negation table as bit operations; an entry U -> T or F needs
+    the 2-atom space to bound it."""
+    true = [a for a, value in table.items() if value is T]
+    defined = [a for a, value in table.items() if value is not U]
+
+    def atoms(entries, masks):
+        out = 0
+        for a in entries:
+            out |= masks[a] & (0b11 if a is U else -1)
+        return out
+
+    def kernel(q, c):
+        masks = {T: q, F: c & ~q, U: ~c}
+        return atoms(true, masks), atoms(defined, masks)
+
+    return kernel
+
+
+def test_sliced_and_one_instance_negation_report_alike_under_every_not_mutant(monkeypatch):
+    """The 6 negation mutants, closed form against per-atom loop: the
+    closed form is certified unless its U entry is defined."""
+    assert lawcheck._lane_local(closed_form_not(tv.NOT_TABLE), 1)
+    assert lawcheck._lane_local(cnd.not_bits, 1)
+    certified = 0
+    for name, entry, new, per_atom in not_mutants():
+        table = {**tv.NOT_TABLE, entry: new}
+        closed = closed_form_not(table)
+        assert lawcheck._lane_local(closed, 1) == (table[U] is U)
+        assert not lawcheck._lane_local(per_atom, 1)
+        certified += lawcheck._lane_local(closed, 1)
+        reports = []
+        for kernel in (closed, per_atom):
+            monkeypatch.setattr(cnd, name, kernel)
+            reports.append([lawcheck.check(law, 2) for law in DRIVER_LAWS])
+            monkeypatch.undo()
+        assert reports[0] == reports[1], (entry, new)
+    assert certified == 4
 
 
 # Single-entry table mutants of the four schay kernels. Each table is
@@ -701,45 +779,56 @@ def test_schay_closed_forms_and_per_atom_loops_report_alike(monkeypatch):
         reports = []
         for kernel in (closed, per_atom_kernel(table)):
             monkeypatch.setattr(schay, name, kernel)
-            reports.append([lawcheck.check(law, 2) for law in TRIPLE_LAWS])
+            reports.append([lawcheck.check(law, 2) for law in DRIVER_LAWS])
             monkeypatch.undo()
         assert reports[0] == reports[1], (name, entry, new)
     assert certified == 64
 
 
-# The triple driver, called directly: a certified clause set runs
-# sliced, and the same clauses over per-atom kernels run one instance
-# at a time.
+# The sweep, called directly: a certified clause set runs sliced, and
+# the same clauses over per-atom kernels run one instance at a time.
 
-DRIVER_TEMPLATES = ["clause 1 at x=%s y=%s z=%s", "clause 2 at x=%s y=%s z=%s"]
+DRIVER_TEMPLATES = ["clause 1 at x=%(x)s y=%(y)s z=%(z)s", "clause 2 at x=%(x)s y=%(y)s z=%(z)s"]
 SLICED_AND_PER_ATOM = [
     (cnd.or_bits, cnd.and_bits),
     (per_atom_kernel(tv.OR_TABLE), per_atom_kernel(tv.AND_TABLE)),
 ]
 
 
-def _drive(kernels, clauses):
+def _drive(arity, kernels, clauses):
     space = lawcheck.law_space(2)
     pairs = cnd.enumerate_conditionals_bits(space.full_bits)
-    return lawcheck._triples(space, pairs, 0, kernels, clauses, DRIVER_TEMPLATES)
+    return lawcheck._sweep(space, pairs, 0, arity, dict.fromkeys(kernels, 2), clauses,
+                           DRIVER_TEMPLATES)
 
 
-def test_certified_kernels_run_one_sliced_block_per_outer_operand(monkeypatch):
-    """t2.4 at 3 atoms: one certificate call per kernel, then five kernel
-    calls (lhs and rhs) per outer x for all 27 x 27 pairs (y, z) at once."""
-    calls = []
+def test_shift_loop_pack_matches_the_string_reference():
+    for width in (1, 2, 3, 4, 5, 18):
+        values = [(7 * k + 3) % (1 << width) for k in range(40)]
+        assert lawcheck._pack(values, width) == _pack(values, width)
+
+
+@pytest.mark.parametrize("law, calls", [
+    ("t2.4", 2 + 27 * 5),  # five calls (lhs and rhs) per outer x, all 27 x 27 pairs (y, z) at once
+    ("c3.3", 1 + 1),  # one and_ call for all 27 x 27 pairs (x, y)
+])
+def test_certified_kernels_run_one_sliced_block_per_outer_operand(monkeypatch, law, calls):
+    """At 3 atoms: one certificate call per kernel the law names, then
+    one block per outer x for a triple law and one block in all for a
+    pair law."""
+    made = []
 
     def counted(kernel):
         def wrapper(*operands):
-            calls.append(kernel)
+            made.append(kernel)
             return kernel(*operands)
 
         return wrapper
 
     monkeypatch.setattr(cnd, "or_bits", counted(cnd.or_bits))
     monkeypatch.setattr(cnd, "and_bits", counted(cnd.and_bits))
-    assert lawcheck.check("t2.4", 3).passed
-    assert len(calls) == 2 + 27 * 5
+    assert lawcheck.check(law, 3).passed
+    assert len(made) == calls
 
 
 def test_driver_finds_a_later_clause_failing_past_lane_zero():
@@ -753,6 +842,8 @@ def test_driver_finds_a_later_clause_failing_past_lane_zero():
                  if or_b(*x, *and_b(*y, *z)) != and_b(*or_b(*x, *y), *or_b(*x, *z)))
     count, x, y, z = first
     assert (y, z) != (pairs[0], pairs[0])  # lane k > 0 of x's sliced block
+    fields = dict(x=x, y=y, z=z, lhs=or_b(*x, *and_b(*y, *z)),
+                  rhs=and_b(*or_b(*x, *y), *or_b(*x, *z)), holds=False)
     assert lawcheck._lane_local(or_b) and lawcheck._lane_local(and_b)
     for or_k, and_k in SLICED_AND_PER_ATOM:
         clauses = [
@@ -760,7 +851,25 @@ def test_driver_finds_a_later_clause_failing_past_lane_zero():
             lambda q1, c1, q2, c2, q3, c3: (or_k(q1, c1, *and_k(q2, c2, q3, c3)),
                                             and_k(*or_k(q1, c1, q2, c2), *or_k(q1, c1, q3, c3))),
         ]
-        assert _drive((or_k, and_k), clauses) == (count, DRIVER_TEMPLATES[1], x, y, z)
+        assert _drive(3, (or_k, and_k), clauses) == (count, DRIVER_TEMPLATES[1], fields)
+
+
+def test_driver_finds_a_pair_failing_past_lane_zero():
+    """Arity 2 packs every pair (x, y) into one block. or_ and and_
+    first differ past its first lane; both routes report the pair, the
+    count and the results a plain loop finds first."""
+    pairs = cnd.enumerate_conditionals_bits(0b11)
+    or_b, and_b = cnd.or_bits, cnd.and_bits
+    count, x, y = next((i + 1, x, y) for i, (x, y) in enumerate(product(pairs, repeat=2))
+                       if or_b(*x, *y) != and_b(*x, *y))
+    assert count > 1
+    fields = dict(x=x, y=y, lhs=or_b(*x, *y), rhs=and_b(*x, *y), holds=False)
+    for or_k, and_k in SLICED_AND_PER_ATOM:
+        clauses = [
+            lambda q1, c1, q2, c2: (or_k(q1, c1, q2, c2), or_k(q2, c2, q1, c1)),
+            lambda q1, c1, q2, c2: (or_k(q1, c1, q2, c2), and_k(q1, c1, q2, c2)),
+        ]
+        assert _drive(2, (or_k, and_k), clauses) == (count, DRIVER_TEMPLATES[1], fields)
 
 
 def test_driver_skips_later_clauses_once_lane_zero_fails():
@@ -770,10 +879,11 @@ def test_driver_skips_later_clauses_once_lane_zero_fails():
         raise AssertionError("clause 2 ran after clause 1 failed at lane 0")
 
     undefined = (0, 0)
+    fields = dict(x=undefined, y=undefined, z=undefined, lhs=undefined, rhs=undefined, holds=True,
+                  side=False)
     for or_k, and_k in SLICED_AND_PER_ATOM:
         clauses = [
             lambda q1, c1, q2, c2, q3, c3: (or_k(q1, c1, q2, c2), or_k(q2, c2, q1, c1), ~q1),
             clause_2,
         ]
-        assert _drive((or_k, and_k), clauses) == (
-            1, DRIVER_TEMPLATES[0], undefined, undefined, undefined, undefined, undefined, False)
+        assert _drive(3, (or_k, and_k), clauses) == (1, DRIVER_TEMPLATES[0], fields)
