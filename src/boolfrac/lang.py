@@ -49,11 +49,11 @@ public view of the scan, wraps the same tuples in `Token`s.
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import conditional as cnd
 from . import schay
+from ._record import Record, _set
 from .errors import (
     BadWeight,
     DuplicateName,
@@ -154,31 +154,40 @@ def tokenize(text):
 # A Binary node's `op` is the word `dump` prints: given (for `|`), or,
 # and, or the function name.
 
-@dataclass(frozen=True)
-class EventRef:
-    name: str
+class EventRef(Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class SetLiteral:
-    names: tuple
+class SetLiteral(Record):
+    __slots__ = _fields = ("names",)
+
+    def __init__(self, names):
+        _set(self, "names", names)
 
 
-@dataclass(frozen=True)
-class Undefined:
+class Undefined(Record):
     """The literal U."""
 
-
-@dataclass(frozen=True)
-class Not:
-    arg: object
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: object
-    right: object
+class Not(Record):
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg):
+        _set(self, "arg", arg)
+
+
+class Binary(Record):
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op, left, right):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 class _Parser:
@@ -350,14 +359,20 @@ def format_conditional(c):
     return str(c)
 
 
-@dataclass
-class SpaceDoc:
-    """A parsed space file."""
+class SpaceDoc(Record):
+    """A parsed space file; unlike the syntax nodes, mutable and unhashable."""
 
-    name: str
-    space: SampleSpace
-    events: dict
-    measures: dict
+    _fields = ("name", "space", "events", "measures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __reduce__ = object.__reduce__
+    __hash__ = None
+
+    def __init__(self, name, space, events, measures):
+        self.name = name
+        self.space = space
+        self.events = events
+        self.measures = measures
 
     def lower(self, text):
         return lower(parse_expr(text), self.space, self.events)
@@ -438,7 +453,7 @@ def parse_space(text):
                 if atom in seen:
                     raise DuplicateName("line %d: duplicate atom %r" % (line_no, atom))
                 seen.add(atom)
-            space = SampleSpace(atom_names)
+            space = SampleSpace(atom_names, _checked=True)
         elif directive in ("event", "measure"):
             if space is None:
                 raise ParseError("'atoms' must come before %r" % (directive,), line_no, 1)

@@ -79,7 +79,6 @@ to its own budget.
 """
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, product
 
@@ -88,27 +87,32 @@ from . import prob
 from . import relations as rel
 from . import schay
 from . import trivalent as tv
+from ._record import Record, _set
 from .errors import TooLarge, UnknownLaw
 from .lang import format_conditional
 from .space import Event, SampleSpace
 
 
-@dataclass(frozen=True)
-class LawReport:
-    law: str
-    atom_count: int
-    instances_checked: int
-    passed: bool
-    counterexample: str = None
-    note: str = None
+class LawReport(Record):
+    __slots__ = _fields = ("law", "atom_count", "instances_checked", "passed",
+                           "counterexample", "note")
+
+    def __init__(self, law, atom_count, instances_checked, passed, counterexample=None,
+                 note=None):
+        _set(self, "law", law)
+        _set(self, "atom_count", atom_count)
+        _set(self, "instances_checked", instances_checked)
+        _set(self, "passed", passed)
+        _set(self, "counterexample", counterexample)
+        _set(self, "note", note)
 
 
 MAX_ENUMERATION_ATOMS = 5
 
 
 def law_space(atoms):
-    """The standard checking space: atoms named "1" .. str(atoms)."""
-    return SampleSpace(str(i + 1) for i in range(atoms))
+    """The standard checking space: atoms "1" .. str(atoms), valid by construction."""
+    return SampleSpace((str(i + 1) for i in range(atoms)), _checked=True)
 
 
 def enumerate_conditionals(space):

@@ -10,10 +10,11 @@ done in integers: a Measure scales its atom weights to their common
 denominator and looks subset weights up in integer tables. Up to 8
 atoms there is one table, and a lookup is that list's own __getitem__.
 Sums and comparisons are exact integer arithmetic, and each function
-builds a single fractions.Fraction for the value it returns;
-additive_law_check builds both sides but decides holds by integer
+builds a single fractions.Fraction for the value it returns.
+additive_law_check builds none: it decides holds by integer
 cross-multiplication, w(q)·wx·wy == (w(xq)·wy + w(yq)·wx)·w(c) for the
-disjunction (q|c). Nothing is rounded anywhere.
+disjunction (q|c), and its report keeps each side as a numerator and
+denominator until the side is first read. Nothing is rounded anywhere.
 
 Besides the direct quotient, this module carries three expansions of a
 probability into weighted parts, and the additivity report:
@@ -28,11 +29,11 @@ probability into weighted parts, and the additivity report:
     degenerate situations; the report lists which apply.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from . import conditional as cnd
+from ._record import Record, _set
 from .errors import (
     BadWeight,
     NotAPartition,
@@ -248,14 +249,31 @@ def partition_expansion(m, a, parts):
     return Fraction(sum(w(a.bits & part.bits) for part in parts), wu)
 
 
-@dataclass(frozen=True)
-class AdditiveReport:
-    """Outcome of the additivity probe for one instance."""
+class AdditiveReport(Record):
+    """Outcome of the additivity probe for one instance. lhs and rhs are
+    Fractions; additive_law_check passes (numerator, denominator) pairs
+    instead, each made a Fraction on its first read and kept."""
 
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
-    cases: tuple
+    __slots__ = ("_lhs", "_rhs", "holds", "cases")
+    _fields = ("lhs", "rhs", "holds", "cases")
+
+    def __init__(self, lhs, rhs, holds, cases):
+        _set(self, "_lhs", lhs)
+        _set(self, "_rhs", rhs)
+        _set(self, "holds", holds)
+        _set(self, "cases", cases)
+
+    @property
+    def lhs(self):
+        if type(self._lhs) is tuple:
+            _set(self, "_lhs", Fraction(*self._lhs))
+        return self._lhs
+
+    @property
+    def rhs(self):
+        if type(self._rhs) is tuple:
+            _set(self, "_rhs", Fraction(*self._rhs))
+        return self._rhs
 
 
 def additive_law_check(m, a, c1, b, c2):
@@ -305,8 +323,6 @@ def additive_law_check(m, a, c1, b, c2):
         raise ZeroCondition("condition %s has weight zero" % (union.condition,))
     wuq = w(q)
     num = wxq * wy + wyq * wx
-    lhs = Fraction(wuq, wu)
-    rhs = Fraction(num, wx * wy)
 
     ac1_null = wxq == 0
     bc2_null = wyq == 0
@@ -321,5 +337,4 @@ def additive_law_check(m, a, c1, b, c2):
         cases.append(3)
     if c1_in_c2 and c2_in_c1 and w(xq & yq) == 0:
         cases.append(4)
-    return AdditiveReport(lhs=lhs, rhs=rhs, holds=wuq * wx * wy == num * wu,
-                          cases=tuple(cases))
+    return AdditiveReport((wuq, wu), (num, wx * wy), wuq * wx * wy == num * wu, tuple(cases))

@@ -32,9 +32,8 @@ and the sweep on raw (q, c) pairs; `generated_subalgebra` adds the
 member Conditionals, which the laws `t3.7` and `c3.8` do not need.
 """
 
-from dataclasses import astuple, dataclass
-
 from . import conditional as cnd
+from ._record import Record, _set
 from .errors import TooLarge
 from .space import same_space
 
@@ -185,8 +184,7 @@ def decomposition_witness(x, y):
     return (u, v, w) if ok else None
 
 
-@dataclass(frozen=True)
-class VerifiabilityProfile:
+class VerifiabilityProfile(Record):
     """The seven standard joint-testability flags for an ordered pair
     x = (a1|a2), y = (b1|b2).
 
@@ -199,16 +197,22 @@ class VerifiabilityProfile:
     7. same_condition         a2 == b2      (same as 3 and 4 together)
     """
 
-    truth_applicable: bool
-    falsity_applicable: bool
-    verifiable: bool
-    falsifiable: bool
-    complement_verifiable: bool
-    applicable: bool
-    same_condition: bool
+    __slots__ = _fields = ("truth_applicable", "falsity_applicable", "verifiable",
+                           "falsifiable", "complement_verifiable", "applicable",
+                           "same_condition")
+
+    def __init__(self, truth_applicable, falsity_applicable, verifiable, falsifiable,
+                 complement_verifiable, applicable, same_condition):
+        _set(self, "truth_applicable", truth_applicable)
+        _set(self, "falsity_applicable", falsity_applicable)
+        _set(self, "verifiable", verifiable)
+        _set(self, "falsifiable", falsifiable)
+        _set(self, "complement_verifiable", complement_verifiable)
+        _set(self, "applicable", applicable)
+        _set(self, "same_condition", same_condition)
 
     def flags(self):
-        return astuple(self)
+        return self._values()
 
 
 def profile(x, y):
@@ -224,10 +228,12 @@ def profile(x, y):
     )
 
 
-@dataclass(frozen=True)
-class Subalgebra:
-    members: frozenset
-    is_boolean: bool
+class Subalgebra(Record):
+    __slots__ = _fields = ("members", "is_boolean")
+
+    def __init__(self, members, is_boolean):
+        _set(self, "members", members)
+        _set(self, "is_boolean", is_boolean)
 
 
 def _close(seeds):

@@ -29,23 +29,27 @@ def valid_atom_name(name):
 
 
 class SampleSpace:
-    """An ordered collection of distinct atom names."""
+    """An ordered collection of distinct atom names. A caller that has
+    already checked the names passes `_checked=True`."""
 
     __slots__ = ("atoms", "_index", "full_bits")
 
-    def __init__(self, atoms):
+    def __init__(self, atoms, *, _checked=False):
         atoms = tuple(atoms)
         if not atoms:
             raise ValueError("a sample space needs at least one atom")
         if len(atoms) > MAX_ATOMS:
             raise TooLarge("at most %d atoms are supported, got %d" % (MAX_ATOMS, len(atoms)))
-        index = {}
-        for i, name in enumerate(atoms):
-            if not valid_atom_name(name):
-                raise ValueError("invalid atom name: %r" % (name,))
-            if name in index:
-                raise ValueError("duplicate atom name: %r" % (name,))
-            index[name] = i
+        if _checked:
+            index = {name: i for i, name in enumerate(atoms)}
+        else:
+            index = {}
+            for i, name in enumerate(atoms):
+                if not valid_atom_name(name):
+                    raise ValueError("invalid atom name: %r" % (name,))
+                if name in index:
+                    raise ValueError("duplicate atom name: %r" % (name,))
+                index[name] = i
         self.atoms = atoms
         self._index = index
         self.full_bits = (1 << len(atoms)) - 1

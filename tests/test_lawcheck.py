@@ -370,6 +370,21 @@ def test_a_law_that_raises_reports_fail(monkeypatch, entry, count):
     assert report.counterexample == "raised ZeroCondition: condition {} has weight zero"
 
 
+@pytest.mark.parametrize("entry, new, count, counterexample", [
+    ((T, U), F, 361, "weights=[1, 1] A={2} C1={1,2} B={} C2={1} lhs=0 rhs=1/2 cases=[3]"),
+    ((F, U), U, 275, "weights=[1, 1] A={} C1={1} B={2} C2={2} lhs=1 rhs=1 cases=[]"),
+    ((U, U), F, 258, "weights=[1, 1] A={} C1={1} B={1} C2={1} lhs=1/2 rhs=1 cases=[2, 4]"),
+])
+def test_t2_13_renders_its_failing_instance(monkeypatch, entry, new, count, counterexample):
+    """An or_ table mutant that keeps every condition weighted: t2.13's
+    template prints the measure, the operands and both sides, read from
+    the additivity report. Recorded when the report still built its
+    sides eagerly."""
+    monkeypatch.setattr(cnd, "or_bits", per_atom_kernel({**tv.OR_TABLE, entry: new}))
+    assert lawcheck.check("t2.13", 2) == lawcheck.LawReport("t2.13", 2, count, False,
+                                                            counterexample)
+
+
 def test_a_kernel_leaving_normal_form_reports_fail(monkeypatch):
     """Bits outside normal form cannot become a Conditional. t3.7 builds
     one inside its body; c2.8 compares bits and meets them only when its
