@@ -15,39 +15,42 @@ spelled out as direct bit inequalities here. A mutation in a kernel
 therefore shows up as a mismatch against the independent
 characterization rather than being silently replicated on both sides.
 
-A law counts each instance before it evaluates it. It returns its
-count on PASS and `count, template, *operands` on failure. `check`
-renders every operand the same way: a (q, c) pair or a Conditional
-through `format_conditional`, a bool as true/false, anything else with
-%s. Only t3.11 passes with a note; it returns `count, None, template,
-*operands`. A law body that raises (a mutated kernel can make a
-probability undefined) is a FAIL whose counterexample reads "raised
-<Type>: <message>"; instances_checked is the law's count at the raise,
-the raising instance included.
+`check` owns the instance count. It hands each law a counter, a
+one-element list, and the law advances counter[0] by one for each
+instance before it evaluates the instance. A law returns None on PASS
+and `(template, fields)` at its first failure, a template that names its
+fields (%(x)s) and a dict of them; `check` renders every field a
+template names the same way: a (q, c) pair or a Conditional through
+`format_conditional`, a bool as true/false, anything else with %s. Only
+t3.11 passes with a note, which it returns as a string. A law body that
+raises (a mutated kernel can make a probability undefined) is a FAIL
+whose counterexample reads "raised <Type>: <message>"; instances_checked
+is the counter at the raise, the raising instance included.
 
 Every check whose body calls only bit kernels and raw bit inequalities
-goes through one driver, `_sweep`: a law gives it an arity (singles,
-pairs or triples), its kernels, its clauses (lhs and rhs, optionally
-with a side condition) and its templates, and chains its sweeps by
-passing each one's count to the next. The driver bit-slices after
-Biham, "A fast new DES implementation in software" (FSE 1997). Over n
-atoms a block packs instances into one int per operand component, one
-instance per n-bit lane: singles pack all 3**n conditionals into one
-block, pairs all 9**n pairs (pairs[i], pairs[j]) into one block with
-the pair at bit n*(3**n*i + j), and triples keep one such pair block
-per outer x, which is broadcast to every lane by multiplying with the
-repunit R = sum of 1 << n*k. A check ORs the bits of each lane of
-`lhs ^ rhs` (and of its side condition) into the lane's lowest bit and
-masks with R, leaving one flag per lane. The lowest flagged lane k is
-the first failure in enumeration order: its count is the count before
-the block plus k + 1, and its operands and results are read back from
-lane k. A later clause is evaluated only while lane 0 passes the
+goes through one driver, `_sweep`: a law gives it the counter, an arity
+(singles, pairs or triples), its kernels, its clauses (lhs and rhs,
+optionally with a side condition) and its templates, and chains its
+sweeps with `or`. The driver bit-slices after Biham, "A fast new DES
+implementation in software" (FSE 1997). Over n atoms a block packs
+instances into one int per operand component, one instance per n-bit
+lane: singles pack all 3**n conditionals into one block, pairs all 9**n
+pairs (pairs[i], pairs[j]) into one block with the pair at bit
+n*(3**n*i + j), and triples keep one such pair block per outer x, which
+is broadcast to every lane by multiplying with the repunit
+R = sum of 1 << n*k. The counter advances by the whole block before its
+clauses run. A check ORs the bits of each lane of `lhs ^ rhs` (and of
+its side condition) into the lane's lowest bit and masks with R, leaving
+one flag per lane. The lowest flagged lane k is the first failure in
+enumeration order: the counter is set back to the count before the
+block plus k + 1, and the failure's operands and results are read back
+from lane k. A later clause is evaluated only while lane 0 passes the
 earlier ones. A lead kernel on the outer operands (not x, say) runs
 before a block is counted, where a plain loop took it once per outer
-operand. Driver templates name their fields: %(x)s, %(y)s, %(z)s,
-%(lhs)s, %(rhs)s, %(holds)s (lhs == rhs) and %(side)s (the side
-condition holds). Only the fields a template names are rendered, so an
-unnamed result out of normal form never reaches a Conditional.
+operand. Driver templates name the fields %(x)s, %(y)s, %(z)s, %(lhs)s,
+%(rhs)s, %(holds)s (lhs == rhs) and %(side)s (the side condition
+holds). Only the fields a template names are rendered, so an unnamed
+result out of normal form never reaches a Conditional.
 
 A block is sliced only when every kernel it calls is lane-local: one
 call on 16-row truth tables, one per operand component (q1, c1, q2,
@@ -62,15 +65,13 @@ shifts, adds, masks with the space or leaves normal form) gets blocks
 of one instance each: the kernels then see the pairs themselves and
 results compare as Python values, exactly as in a plain loop, so
 counts at a raise and out-of-normal-form results are reported as
-before. A raise inside the driver is counted from the driver's own
-count.
+before. A raise inside a sliced block leaves the whole block counted.
 
 Laws whose bodies are more than bit kernels keep their own loops:
-t2.13 and superposition sum probabilities over measure grids, t2.18,
-t2.19, t3.2, t3.7, c3.8 and c3.16 call `relations`, truth-tables reads
-`trivalent` tables atom by atom and schay-2.12 builds Conditionals; so
-do t3.11's associativity sweep, which ends in a note, and t3.17's
-folded families, which enumerate multisets.
+t2.13 and superposition's grid part sum probabilities over measure
+grids, t2.18, t2.19, t3.2, t3.7, c3.8 and c3.16 call `relations`,
+truth-tables reads `trivalent` tables atom by atom, schay-2.12 builds
+Conditionals and t3.17's folded families enumerate multisets.
 
 Budgets: the triple-quantified laws run up to 4 atoms; laws that sweep
 measure grids, search for decompositions, or close subalgebras stop at
@@ -231,10 +232,9 @@ def _block(n, pairs, inner):
                           *(_pack(v, n) * column for v in components))
 
 
-def _sweep(space, pairs, count, arity, kernels, clauses, templates, lead=None, constants=()):
+def _sweep(space, pairs, counter, arity, kernels, clauses, templates, lead=None, constants=()):
     """Check `clauses` on every `arity`-tuple of `pairs`, first operand
-    outermost, continuing from `count`. A failure passed as `count` is
-    returned unchanged, so a law chains its sweeps.
+    outermost, advancing counter[0] by one per instance.
 
     `kernels` maps every kernel the clauses and the lead call to its
     number of operands. A clause maps q1, c1, q2, c2, ... (then the
@@ -245,13 +245,12 @@ def _sweep(space, pairs, count, arity, kernels, clauses, templates, lead=None, c
     agree and side is not; lhs and rhs are ints or tuples of them, which
     may nest. The lead runs before a block's instances are counted, so
     an instance is not counted when its lead raises. A clause runs only
-    while lane 0 passes the ones before it. Returns the count after the
-    last instance, or at the first failure `count, templates[i], fields`
-    for its clause i: the operands x, y, z, lhs, rhs, holds (whether
-    they are equal) and, for a side clause, side (whether it is empty).
+    while lane 0 passes the ones before it. Returns None when every
+    clause holds, or at the first failure `(templates[i], fields)` for
+    its clause i, with counter[0] at the failing instance: the fields are
+    the operands x, y, z, lhs, rhs, holds (whether they are equal) and,
+    for a side clause, side (whether it is empty).
     """
-    if not isinstance(count, int):
-        return count
     n = space.n
     size = len(pairs)
     if all(_lane_local(kernel, operands) for kernel, operands in kernels.items()):
@@ -294,7 +293,7 @@ def _sweep(space, pairs, count, arity, kernels, clauses, templates, lead=None, c
         if lead is not None:
             operands += (lead(*operands[:leading]),)
         operands += constants
-        count += block
+        counter[0] += block
         checked = []
         failed = 0
         for clause in clauses:
@@ -314,8 +313,9 @@ def _sweep(space, pairs, count, arity, kernels, clauses, templates, lead=None, c
             fields = dict(zip("xyz", instance), lhs=lhs, rhs=rhs, holds=lhs == rhs)
             if side:
                 fields["side"] = not side[0]
-            return count - block + k + 1, templates[check], fields
-    return count
+            counter[0] += k + 1 - block
+            return templates[check], fields
+    return None
 
 
 # Counterexample templates shared by laws with the same message.
@@ -330,7 +330,7 @@ _LATTICE_TRIPLES = ("meet not associative", "join not associative",
 # ---------------------------------------------------------------- laws
 
 
-def _law_t2_4(space, pairs, max_weight):
+def _law_t2_4(space, pairs, max_weight, counter):
     """and_(x, or_(y, z)) == or_(and_(x, y), and_(x, z)) iff
     ab & e'f <= d and ab & c'd <= f."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
@@ -340,10 +340,10 @@ def _law_t2_4(space, pairs, max_weight):
                 or_b(*and_b(q1, c1, q2, c2), *and_b(q1, c1, q3, c3)),
                 (q1 & c3 & ~q3 & ~c2) | (q1 & c2 & ~q2 & ~c3))
 
-    return _sweep(space, pairs, 0, 3, {or_b: 2, and_b: 2}, [clause], [_EQUATION_SIDE])
+    return _sweep(space, pairs, counter, 3, {or_b: 2, and_b: 2}, [clause], [_EQUATION_SIDE])
 
 
-def _law_c2_5(space, pairs, max_weight):
+def _law_c2_5(space, pairs, max_weight, counter):
     """or_(x, and_(y, z)) == and_(or_(x, y), or_(x, z)) iff
     a'b & ef <= d and a'b & cd <= f."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
@@ -354,10 +354,10 @@ def _law_c2_5(space, pairs, max_weight):
                 and_b(*or_b(q1, c1, q2, c2), *or_b(q1, c1, q3, c3)),
                 (nay & q3 & ~c2) | (nay & q2 & ~c3))
 
-    return _sweep(space, pairs, 0, 3, {or_b: 2, and_b: 2}, [clause], [_EQUATION_SIDE])
+    return _sweep(space, pairs, counter, 3, {or_b: 2, and_b: 2}, [clause], [_EQUATION_SIDE])
 
 
-def _law_t2_6(space, pairs, max_weight):
+def _law_t2_6(space, pairs, max_weight, counter):
     """or_(x, and_(y, z)) == and_(or_(x, y), z) iff
     ab & e'f == 0 and a'b & ef <= d."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
@@ -367,10 +367,10 @@ def _law_t2_6(space, pairs, max_weight):
                 and_b(*or_b(q1, c1, q2, c2), q3, c3),
                 (q1 & c3 & ~q3) | (c1 & ~q1 & q3 & ~c2))
 
-    return _sweep(space, pairs, 0, 3, {or_b: 2, and_b: 2}, [clause], [_EQUATION_SIDE])
+    return _sweep(space, pairs, counter, 3, {or_b: 2, and_b: 2}, [clause], [_EQUATION_SIDE])
 
 
-def _law_c2_7(space, pairs, max_weight):
+def _law_c2_7(space, pairs, max_weight, counter):
     """and_(x, or_(y, z)) == or_(and_(x, y), z) iff
     a'b & ef == 0 and ab & e'f <= d."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
@@ -380,10 +380,10 @@ def _law_c2_7(space, pairs, max_weight):
                 or_b(*and_b(q1, c1, q2, c2), q3, c3),
                 (c1 & ~q1 & q3) | (q1 & c3 & ~q3 & ~c2))
 
-    return _sweep(space, pairs, 0, 3, {or_b: 2, and_b: 2}, [clause], [_EQUATION_SIDE])
+    return _sweep(space, pairs, counter, 3, {or_b: 2, and_b: 2}, [clause], [_EQUATION_SIDE])
 
 
-def _law_c2_8(space, pairs, max_weight):
+def _law_c2_8(space, pairs, max_weight, counter):
     """and_(x, or_(not x, z)) == z iff b <= f and a'b <= e'f."""
     or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
 
@@ -391,22 +391,22 @@ def _law_c2_8(space, pairs, max_weight):
         return (and_b(q1, c1, *or_b(*neg, q3, c3)), (q3, c3),
                 (c1 & ~c3) | ((c1 & ~q1) & ~(c3 & ~q3)))
 
-    return _sweep(space, pairs, 0, 2, {or_b: 2, and_b: 2, not_b: 1}, [clause],
+    return _sweep(space, pairs, counter, 2, {or_b: 2, and_b: 2, not_b: 1}, [clause],
                   [_ABSORPTION_SIDE], lead=not_b)
 
 
-def _law_c2_9(space, pairs, max_weight):
+def _law_c2_9(space, pairs, max_weight, counter):
     """or_(x, and_(not x, z)) == z iff b <= f and ab <= ef."""
     or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
 
     def clause(q1, c1, q3, c3, neg):
         return or_b(q1, c1, *and_b(*neg, q3, c3)), (q3, c3), (c1 & ~c3) | (q1 & ~q3)
 
-    return _sweep(space, pairs, 0, 2, {or_b: 2, and_b: 2, not_b: 1}, [clause],
+    return _sweep(space, pairs, counter, 2, {or_b: 2, and_b: 2, not_b: 1}, [clause],
                   [_ABSORPTION_SIDE], lead=not_b)
 
 
-def _law_props2_3(space, pairs, max_weight):
+def _law_props2_3(space, pairs, max_weight, counter):
     """Basic identities: idempotence, commutativity, associativity,
     double negation, De Morgan, U as pass-through, (0|1) and (1|1) as
     absolutes, and the conditioned absorption
@@ -435,12 +435,13 @@ def _law_props2_3(space, pairs, max_weight):
         "and_(x, y) != and_(y, given(x, y))": lambda q1, c1, q2, c2: (
             and_b(q1, c1, q2, c2), and_b(q2, c2, *giv_b(q1, c1, q2, c2))),
     }
-    count = _sweep(space, pairs, 0, 1, {or_b: 2, and_b: 2, not_b: 1}, list(singles.values()),
-                   ["%s fails at x=%%(x)s" % label for label in singles],
-                   constants=(space.full_bits,))
-    count = _sweep(space, pairs, count, 2, {or_b: 2, and_b: 2, not_b: 1, giv_b: 2},
-                   list(doubles.values()), ["%s at x=%%(x)s y=%%(y)s" % label for label in doubles])
-    return _sweep(space, pairs, count, 3, {or_b: 2, and_b: 2}, [
+    failure = _sweep(space, pairs, counter, 1, {or_b: 2, and_b: 2, not_b: 1},
+                     list(singles.values()), ["%s fails at x=%%(x)s" % label for label in singles],
+                     constants=(space.full_bits,))
+    failure = failure or _sweep(space, pairs, counter, 2, {or_b: 2, and_b: 2, not_b: 1, giv_b: 2},
+                                list(doubles.values()),
+                                ["%s at x=%%(x)s y=%%(y)s" % label for label in doubles])
+    return failure or _sweep(space, pairs, counter, 3, {or_b: 2, and_b: 2}, [
         lambda q1, c1, q2, c2, q3, c3: (or_b(*or_b(q1, c1, q2, c2), q3, c3),
                                         or_b(q1, c1, *or_b(q2, c2, q3, c3))),
         lambda q1, c1, q2, c2, q3, c3: (and_b(*and_b(q1, c1, q2, c2), q3, c3),
@@ -448,12 +449,11 @@ def _law_props2_3(space, pairs, max_weight):
     ], [op + " not associative at x=%(x)s y=%(y)s z=%(z)s" for op in ("or_", "and_")])
 
 
-def _law_t2_13(space, pairs, max_weight):
+def _law_t2_13(space, pairs, max_weight, counter):
     """P(x v y) == P(x) + P(y) exactly when one of the four degenerate
     cases applies: additive_law_check.holds iff its case list is
     nonempty, over every measure on the grid."""
     events = [Event(space, bits) for bits in range(space.full_bits + 1)]
-    count = 0
     for weights in _grids(space, max_weight):
         m = prob.Measure(space, weights)
         wb = m.weight_bits
@@ -462,22 +462,21 @@ def _law_t2_13(space, pairs, max_weight):
             for e_c2 in conds:
                 for e_a in events:
                     for e_b in events:
-                        count += 1
+                        counter[0] += 1
                         rep = prob.additive_law_check(m, e_a, e_c1, e_b, e_c2)
                         if rep.holds != bool(rep.cases):
-                            return (count,
-                                    "weights=%s A=%s C1=%s B=%s C2=%s lhs=%s rhs=%s cases=%s",
-                                    list(weights), e_a, e_c1, e_b, e_c2, rep.lhs, rep.rhs,
-                                    list(rep.cases))
-    return count
+                            return ("weights=%(weights)s A=%(A)s C1=%(C1)s B=%(B)s C2=%(C2)s "
+                                    "lhs=%(lhs)s rhs=%(rhs)s cases=%(cases)s",
+                                    dict(weights=list(weights), A=e_a, C1=e_c1, B=e_b, C2=e_c2,
+                                         lhs=rep.lhs, rhs=rep.rhs, cases=list(rep.cases)))
+    return None
 
 
-def _law_t2_18(space, pairs, max_weight):
+def _law_t2_18(space, pairs, max_weight, counter):
     """The conditionals orthogonal to c are exactly the family
     (a'b & x | ab v y) over all event pairs (x, y); and the inequality
     form of orthogonality coincides with and_(c, z) == (0 | b v d)."""
     and_b = cnd.and_bits
-    count = 0
     all_bits = range(space.full_bits + 1)
     for p in pairs:
         q1, c1 = p
@@ -485,47 +484,47 @@ def _law_t2_18(space, pairs, max_weight):
         orth_set = set()
         for s in pairs:
             q2, c2 = s
-            count += 1
+            counter[0] += 1
             by_op = and_b(q1, c1, q2, c2) == (0, c1 | c2)
             by_ineq = rel.orthogonal_bits(q1, c1, q2, c2)
             if by_op != by_ineq:
-                return (count, "orthogonality routes disagree at c=%s z=%s: op=%s ineq=%s",
-                        p, s, by_op, by_ineq)
+                return ("orthogonality routes disagree at c=%(c)s z=%(z)s: op=%(op)s ineq=%(ineq)s",
+                        dict(c=p, z=s, op=by_op, ineq=by_ineq))
             if by_ineq:
                 orth_set.add(s)
         family = set()
         for xbits in all_bits:
             for ybits in all_bits:
-                count += 1
+                counter[0] += 1
                 member = rel.ortho_family_member(cond_obj, Event(space, xbits),
                                                  Event(space, ybits))
                 family.add((member.q, member.c))
         if family != orth_set:
-            return (count, "family and orthogonality set differ at c=%s, e.g. %s",
-                    p, sorted(family ^ orth_set)[0])
-    return count
+            return ("family and orthogonality set differ at c=%(c)s, e.g. %(example)s",
+                    dict(c=p, example=sorted(family ^ orth_set)[0]))
+    return None
 
 
-def _law_t2_19(space, pairs, max_weight):
+def _law_t2_19(space, pairs, max_weight, counter):
     """The set of conditionals orthogonal to c is closed under or_ and
     and_."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
-    count = 0
+    template = "%s of orthogonals leaves the set at c=%%(c)s u=%%(u)s v=%%(v)s"
     for p in pairs:
         q1, c1 = p
         members = [s for s in pairs if rel.orthogonal_bits(q1, c1, *s)]
         member_set = set(members)
         for u in members:
             for v in members:
-                count += 1
+                counter[0] += 1
                 if or_b(*u, *v) not in member_set:
-                    return count, "or_ of orthogonals leaves the set at c=%s u=%s v=%s", p, u, v
+                    return template % "or_", dict(c=p, u=u, v=v)
                 if and_b(*u, *v) not in member_set:
-                    return count, "and_ of orthogonals leaves the set at c=%s u=%s v=%s", p, u, v
-    return count
+                    return template % "and_", dict(c=p, u=u, v=v)
+    return None
 
 
-def _law_p2_20(space, pairs, max_weight):
+def _law_p2_20(space, pairs, max_weight, counter):
     """Negation is an involution (hence a bijection), reverses the pm
     order, and meets its relative complement laws:
     and_(x, not x) == (0|b), or_(x, not x) == (1|b)."""
@@ -538,17 +537,17 @@ def _law_p2_20(space, pairs, max_weight):
         return ((q1 & ~q2) | ((c2 & ~q2) & ~(c1 & ~q1)), 0,
                 (nq1 & ~nq2) | ((nc2 & ~nq2) & ~(nc1 & ~nq1)))
 
-    count = _sweep(space, pairs, 0, 1, {or_b: 2, and_b: 2, not_b: 1}, [
+    failure = _sweep(space, pairs, counter, 1, {or_b: 2, and_b: 2, not_b: 1}, [
         lambda q1, c1, neg: (not_b(*neg), (q1, c1)),
         lambda q1, c1, neg: (and_b(q1, c1, *neg), (0, c1)),
         lambda q1, c1, neg: (or_b(q1, c1, *neg), (c1, c1)),
     ], ["negation is not an involution at x=%(x)s", "and_(x, not x) != (0|b) at x=%(x)s",
         "or_(x, not x) != (1|b) at x=%(x)s"], lead=not_b)
-    return _sweep(space, pairs, count, 2, {not_b: 1}, [reverses],
-                  ["pm does not reverse under negation at x=%(x)s y=%(y)s"])
+    return failure or _sweep(space, pairs, counter, 2, {not_b: 1}, [reverses],
+                             ["pm does not reverse under negation at x=%(x)s y=%(y)s"])
 
 
-def _law_truth_tables(space, pairs, max_weight):
+def _law_truth_tables(space, pairs, max_weight, counter):
     """Pointwise soundness: evaluating op(x, y) at an outcome equals the
     three-valued table applied to the evaluations of x and y, for and_,
     or_, given and not. Over every pair this pins all thirty table
@@ -560,7 +559,6 @@ def _law_truth_tables(space, pairs, max_weight):
         ("given", cnd.given_bits, tv.tt_given),
     )
     ev = tv.eval_at_bit
-    count = 0
     for q1, c1 in pairs:
         for q2, c2 in pairs:
             results = [(name, op(q1, c1, q2, c2), table) for name, op, table in ops]
@@ -568,53 +566,52 @@ def _law_truth_tables(space, pairs, max_weight):
                 p_val = ev(q1, c1, bit)
                 s_val = ev(q2, c2, bit)
                 for name, (rq, rc), table in results:
-                    count += 1
+                    counter[0] += 1
                     if ev(rq, rc, bit) != table(p_val, s_val):
-                        return (count, "%s disagrees with its table at x=%s y=%s atom=%s",
-                                name, (q1, c1), (q2, c2), space.atoms[bit.bit_length() - 1])
+                        return ("%(op)s disagrees with its table at x=%(x)s y=%(y)s atom=%(atom)s",
+                                dict(op=name, x=(q1, c1), y=(q2, c2),
+                                     atom=space.atoms[bit.bit_length() - 1]))
     for q1, c1 in pairs:
         nq, nc = cnd.not_bits(q1, c1)
         for bit in bits:
-            count += 1
+            counter[0] += 1
             if ev(nq, nc, bit) != tv.tt_not(ev(q1, c1, bit)):
-                return (count, "not disagrees with its table at x=%s atom=%s",
-                        (q1, c1), space.atoms[bit.bit_length() - 1])
-    return count
+                return ("not disagrees with its table at x=%(x)s atom=%(atom)s",
+                        dict(x=(q1, c1), atom=space.atoms[bit.bit_length() - 1]))
+    return None
 
 
-def _law_superposition(space, pairs, max_weight):
+def _law_superposition(space, pairs, max_weight, counter):
     """The context split b&d' / b'&d / b&d: the three-term conditional
     identities for or_ and and_, the or==and criterion
     (ab & c'd == 0 == a'b & cd), and the probability expansions
     p_or_formula / p_superposition agreeing with p_cond on every grid
     measure."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
-    count = 0
-    for p in pairs:
-        q1, c1 = p
-        for s in pairs:
-            q2, c2 = s
-            count += 1
-            union = c1 | c2
-            both = c1 & c2
-            lhs_or = or_b(q1, c1, q2, c2)
-            lhs_and = and_b(q1, c1, q2, c2)
-            two = or_b(*and_b(q1, c1, c1, union), *and_b(q2, c2, c2, union))
-            if lhs_or != two:
-                return count, "two-term split fails at x=%s y=%s lhs=%s rhs=%s", p, s, lhs_or, two
-            only_x = and_b(q1, c1, c1 & ~c2, union)
-            only_y = and_b(q2, c2, c2 & ~c1, union)
-            three_or = or_b(*or_b(*only_x, *only_y), (q1 | q2) & both, union)
-            if lhs_or != three_or:
-                return (count, "three-term or split fails at x=%s y=%s lhs=%s rhs=%s",
-                        p, s, lhs_or, three_or)
-            three_and = or_b(*or_b(*only_x, *only_y), q1 & q2, union)
-            if lhs_and != three_and:
-                return (count, "three-term and split fails at x=%s y=%s lhs=%s rhs=%s",
-                        p, s, lhs_and, three_and)
-            coincide = (q1 & (c2 & ~q2)) == 0 and ((c1 & ~q1) & q2) == 0
-            if (lhs_or == lhs_and) != coincide:
-                return count, "or==and criterion fails at x=%s y=%s", p, s
+
+    def two_term(q1, c1, q2, c2):
+        union = c1 | c2
+        return or_b(q1, c1, q2, c2), or_b(*and_b(q1, c1, c1, union), *and_b(q2, c2, c2, union))
+
+    def three_term(q1, c1, q2, c2, shared):
+        """The parts of x and y on the contexts b&d' and b'&d, joined with
+        `shared` on b&d."""
+        union = c1 | c2
+        return or_b(*or_b(*and_b(q1, c1, c1 & ~c2, union), *and_b(q2, c2, c2 & ~c1, union)),
+                    shared & c1 & c2, union)
+
+    failure = _sweep(space, pairs, counter, 2, {or_b: 2, and_b: 2}, [
+        two_term,
+        lambda q1, c1, q2, c2: (or_b(q1, c1, q2, c2), three_term(q1, c1, q2, c2, q1 | q2)),
+        lambda q1, c1, q2, c2: (and_b(q1, c1, q2, c2), three_term(q1, c1, q2, c2, q1 & q2)),
+        lambda q1, c1, q2, c2: (or_b(q1, c1, q2, c2), and_b(q1, c1, q2, c2),
+                                (q1 & c2 & ~q2) | (c1 & ~q1 & q2)),
+    ], ["two-term split fails at x=%(x)s y=%(y)s lhs=%(lhs)s rhs=%(rhs)s",
+        "three-term or split fails at x=%(x)s y=%(y)s lhs=%(lhs)s rhs=%(rhs)s",
+        "three-term and split fails at x=%(x)s y=%(y)s lhs=%(lhs)s rhs=%(rhs)s",
+        "or==and criterion fails at x=%(x)s y=%(y)s"])
+    if failure:
+        return failure
     conds = [cnd.Conditional(space, q, c) for q, c in pairs]
     for weights in _grids(space, max_weight):
         m = prob.Measure(space, weights)
@@ -623,7 +620,7 @@ def _law_superposition(space, pairs, max_weight):
             for y in conds:
                 if wb(x.c | y.c) == 0:
                     continue
-                count += 1
+                counter[0] += 1
                 direct_or = prob.p_cond(m, cnd.or_(x, y))
                 direct_and = prob.p_cond(m, cnd.and_(x, y))
                 ok = (
@@ -632,9 +629,9 @@ def _law_superposition(space, pairs, max_weight):
                     and prob.p_superposition(m, x, y, "and") == direct_and
                 )
                 if not ok:
-                    return (count, "probability expansions disagree at weights=%s x=%s y=%s",
-                            list(weights), x, y)
-    return count
+                    return ("probability expansions disagree at weights=%(weights)s x=%(x)s "
+                            "y=%(y)s", dict(weights=list(weights), x=x, y=y))
+    return None
 
 
 def _decomposition_index(pairs):
@@ -651,20 +648,19 @@ def _decomposition_index(pairs):
     return index
 
 
-def _law_t3_2(space, pairs, max_weight):
+def _law_t3_2(space, pairs, max_weight, counter):
     """Simultaneous verifiability (ab <= d and cd <= b) holds exactly
     when x and y split into pairwise-orthogonal private parts plus a
     shared part: x == or_(u, w), y == or_(v, w). The search is a full
     enumeration of all splittings."""
     orth = rel.orthogonal_bits
     index = _decomposition_index(pairs)
-    count = 0
     for x in pairs:
         q1, c1 = x
         by_r_x = index.get(x, {})
         for y in pairs:
             q2, c2 = y
-            count += 1
+            counter[0] += 1
             expected = (q1 & ~c2) == 0 and (q2 & ~c1) == 0
             by_r_y = index.get(y, {})
             found = any(
@@ -673,22 +669,23 @@ def _law_t3_2(space, pairs, max_weight):
                 for u in us for v in by_r_y[r]
             )
             if found != expected:
-                return (count, "decomposition search disagrees with the inequality at "
-                        "x=%s y=%s: search=%s inequality=%s", x, y, found, expected)
-    return count
+                return ("decomposition search disagrees with the inequality at "
+                        "x=%(x)s y=%(y)s: search=%(search)s inequality=%(inequality)s",
+                        dict(x=x, y=y, search=found, inequality=expected))
+    return None
 
 
-def _law_c3_3(space, pairs, max_weight):
+def _law_c3_3(space, pairs, max_weight, counter):
     """and_(x, y) == (abcd | b v d) exactly when x and y are
     simultaneously verifiable."""
     and_b = cnd.and_bits
-    return _sweep(space, pairs, 0, 2, {and_b: 2}, [
+    return _sweep(space, pairs, counter, 2, {and_b: 2}, [
         lambda q1, c1, q2, c2: (and_b(q1, c1, q2, c2), (q1 & q2, c1 | c2),
                                 (q1 & ~c2) | (q2 & ~c1)),
     ], ["x=%(x)s y=%(y)s collapse=%(holds)s simver=%(side)s"])
 
 
-def _law_c3_5(space, pairs, max_weight):
+def _law_c3_5(space, pairs, max_weight, counter):
     """Simultaneous falsifiability (a'b <= d and c'd <= b) is
     simultaneous verifiability of the negations."""
     not_b = cnd.not_bits
@@ -698,56 +695,56 @@ def _law_c3_5(space, pairs, max_weight):
         return (((c1 & ~q1) & ~c2) | ((c2 & ~q2) & ~c1), 0,
                 (nx[0] & ~ny[1]) | (ny[0] & ~nx[1]))
 
-    return _sweep(space, pairs, 0, 2, {not_b: 1}, [clause],
+    return _sweep(space, pairs, counter, 2, {not_b: 1}, [clause],
                   ["x=%(x)s y=%(y)s direct=%(holds)s negated=%(side)s"])
 
 
-def _law_c3_6(space, pairs, max_weight):
+def _law_c3_6(space, pairs, max_weight, counter):
     """Simultaneously verifiable and falsifiable == equal conditions."""
-    return _sweep(space, pairs, 0, 2, {}, [
+    return _sweep(space, pairs, counter, 2, {}, [
         lambda q1, c1, q2, c2: ((q1 & ~c2) | (q2 & ~c1) | ((c1 & ~q1) & ~c2) | ((c2 & ~q2) & ~c1),
                                 0, c1 ^ c2),
     ], ["x=%(x)s y=%(y)s simver_and_simfals=%(holds)s same_condition=%(side)s"])
 
 
-def _law_t3_7(space, pairs, max_weight):
+def _law_t3_7(space, pairs, max_weight, counter):
     """The subalgebra generated by x and y is Boolean exactly when their
     conditions are equal and nonempty."""
-    count = 0
     for x in pairs:
         q1, c1 = x
         for y in pairs:
             q2, c2 = y
-            count += 1
+            counter[0] += 1
             is_boolean = rel.subalgebra_bits(space, {x, y})[1]
             if is_boolean != (c1 == c2 != 0):
-                return (count, "x=%s y=%s is_boolean=%s same_nonempty_condition=%s",
-                        x, y, is_boolean, c1 == c2 != 0)
-    return count
+                return ("x=%(x)s y=%(y)s is_boolean=%(is_boolean)s "
+                        "same_nonempty_condition=%(same)s",
+                        dict(x=x, y=y, is_boolean=is_boolean, same=c1 == c2 != 0))
+    return None
 
 
-def _law_c3_8(space, pairs, max_weight):
+def _law_c3_8(space, pairs, max_weight, counter):
     """Jointly verifiable and falsifiable == equal conditions; with a
     nonempty shared condition that is exactly membership in a common
     Boolean subalgebra."""
-    count = 0
     for x in pairs:
         q1, c1 = x
         for y in pairs:
             q2, c2 = y
-            count += 1
+            counter[0] += 1
             simver = (q1 & ~c2) == 0 and (q2 & ~c1) == 0
             simfals = ((c1 & ~q1) & ~c2) == 0 and ((c2 & ~q2) & ~c1) == 0
             if (simver and simfals) != (c1 == c2):
-                return count, "x=%s y=%s simver=%s simfals=%s", x, y, simver, simfals
+                return ("x=%(x)s y=%(y)s simver=%(simver)s simfals=%(simfals)s",
+                        dict(x=x, y=y, simver=simver, simfals=simfals))
             if c1 == c2 != 0:
                 if not rel.subalgebra_bits(space, {x, y})[1]:
-                    return (count, "x=%s y=%s share a nonempty condition but generate a "
-                            "non-Boolean subalgebra", x, y)
-    return count
+                    return ("x=%(x)s y=%(y)s share a nonempty condition but generate a "
+                            "non-Boolean subalgebra", dict(x=x, y=y))
+    return None
 
 
-def _law_t3_9(space, pairs, max_weight):
+def _law_t3_9(space, pairs, max_weight, counter):
     """and_(x, z) == (0 | b v f) and or_(x, z) == (1 | b v f) together
     happen exactly when b == f and z == not x."""
     or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
@@ -757,17 +754,17 @@ def _law_t3_9(space, pairs, max_weight):
         return ((and_b(q1, c1, q3, c3), or_b(q1, c1, q3, c3)), ((0, union), (union, union)),
                 (c1 ^ c3) | (q3 ^ neg[0]) | (c3 ^ neg[1]))
 
-    return _sweep(space, pairs, 0, 2, {or_b: 2, and_b: 2, not_b: 1}, [clause],
+    return _sweep(space, pairs, counter, 2, {or_b: 2, and_b: 2, not_b: 1}, [clause],
                   ["x=%(x)s z=%(y)s complement_pair=%(holds)s right=%(side)s"], lead=not_b)
 
 
-def _law_t3_11(space, pairs, max_weight):
+def _law_t3_11(space, pairs, max_weight, counter):
     """osum is commutative with (0|b) as same-condition neutral,
     osum(x, x) == (0|b), and not x as the unique z with
     osum(x, z) == (1|b). Associativity of the total operation is not a
     law; its status is reported in the note."""
     osum_b, not_b = cnd.osum_bits, cnd.not_bits
-    count = _sweep(space, pairs, 0, 1, {osum_b: 2, not_b: 1}, [
+    failure = _sweep(space, pairs, counter, 1, {osum_b: 2, not_b: 1}, [
         lambda q1, c1: (osum_b(q1, c1, 0, c1), (q1, c1)),
         lambda q1, c1: (osum_b(q1, c1, q1, c1), (0, c1)),
         lambda q1, c1: (osum_b(q1, c1, *not_b(q1, c1)), (c1, c1)),
@@ -775,25 +772,23 @@ def _law_t3_11(space, pairs, max_weight):
         "osum(x, not x) != (1|b) at x=%(x)s"])
     # The side clause fails where osum(x, z) == (1|b) and z != not x; at
     # z == not x, osum(x, z) == (1|b) passed among the singles.
-    count = _sweep(space, pairs, count, 2, {osum_b: 2, not_b: 1}, [
+    failure = failure or _sweep(space, pairs, counter, 2, {osum_b: 2, not_b: 1}, [
         lambda q1, c1, q2, c2, neg: (osum_b(q1, c1, q2, c2), osum_b(q2, c2, q1, c1)),
         lambda q1, c1, q2, c2, neg: (osum_b(q1, c1, q2, c2), (c1, c1),
                                      (q2 ^ neg[0]) | (c2 ^ neg[1])),
     ], ["osum not commutative at x=%(x)s z=%(y)s",
         "complement not unique: osum(x, z) == (1|b) at x=%(x)s z=%(y)s"], lead=not_b)
-    if not isinstance(count, int):
-        return count
-    for x in pairs:
-        for y in pairs:
-            for z in pairs:
-                count += 1
-                if osum_b(*osum_b(*x, *y), *z) != osum_b(*x, *osum_b(*y, *z)):
-                    return (count, None, "informative: the total osum is not associative, e.g. "
-                            "x=%s y=%s z=%s", x, y, z)
-    return count, None, "osum associativity holds over this space"
+    if failure:
+        return failure
+    # Not a law: a triple where osum does not associate is the note.
+    example = _sweep(space, pairs, counter, 3, {osum_b: 2}, [
+        lambda q1, c1, q2, c2, q3, c3: (osum_b(*osum_b(q1, c1, q2, c2), q3, c3),
+                                        osum_b(q1, c1, *osum_b(q2, c2, q3, c3))),
+    ], ["informative: the total osum is not associative, e.g. x=%(x)s y=%(y)s z=%(z)s"])
+    return _render(space, *example) if example else "osum associativity holds over this space"
 
 
-def _law_t3_15(space, pairs, max_weight):
+def _law_t3_15(space, pairs, max_weight, counter):
     """sasaki(b, a): fixes a iff cond(b) <= cond(a) and the falsity
     region of b lies inside that of a; annihilates to (0 | a2 v b2) iff
     the consequent of a lies in the falsity region of b; is idempotent
@@ -805,7 +800,7 @@ def _law_t3_15(space, pairs, max_weight):
         proj = sas_b(qb, cb, qa, ca)
         return sas_b(qb, cb, *proj), proj
 
-    count = _sweep(space, pairs, 0, 2, {sas_b: 2}, [
+    failure = _sweep(space, pairs, counter, 2, {sas_b: 2}, [
         lambda qb, cb, qa, ca: (sas_b(qb, cb, qa, ca), (qa, ca),
                                 (cb & ~ca) | ((cb & ~qb) & ~(ca & ~qa))),
         lambda qb, cb, qa, ca: (sas_b(qb, cb, qa, ca), (0, ca | cb), qa & ~(cb & ~qb)),
@@ -818,7 +813,7 @@ def _law_t3_15(space, pairs, max_weight):
     def nested(qb, cb, qc, cc, qa, ca):
         return sas_b(qc, cc, *sas_b(qb, cb, qa, ca))
 
-    return _sweep(space, pairs, count, 3, {and_b: 2, sas_b: 2}, [
+    return failure or _sweep(space, pairs, counter, 3, {and_b: 2, sas_b: 2}, [
         lambda qb, cb, qc, cc, qa, ca, meet: (nested(qb, cb, qc, cc, qa, ca),
                                               sas_b(*meet, qa, ca)),
         lambda qb, cb, qc, cc, qa, ca, meet: (nested(qb, cb, qc, cc, qa, ca),
@@ -827,29 +822,30 @@ def _law_t3_15(space, pairs, max_weight):
         "projections do not commute at b=%(x)s c=%(y)s a=%(z)s"], lead=and_b)
 
 
-def _law_c3_16(space, pairs, max_weight):
+def _law_c3_16(space, pairs, max_weight, counter):
     """sasaki(b, a) == a exactly when and_(a, b) == a; it annihilates
     exactly when tr(a, not b); and sasaki(c, c) == c."""
     conds = [cnd.Conditional(space, q, c) for q, c in pairs]
-    count = 0
     for c in conds:
-        count += 1
+        counter[0] += 1
         if cnd.sasaki(c, c) != c:
-            return count, "sasaki(c, c) != c at c=%s", c
+            return "sasaki(c, c) != c at c=%(c)s", dict(c=c)
     for b in conds:
         nb = cnd.negate(b)
         for a in conds:
-            count += 1
+            counter[0] += 1
             proj = cnd.sasaki(b, a)
             if (proj == a) != rel.holds("wedge", a, b):
-                return count, "fixed point does not match the wedge order at b=%s a=%s", b, a
+                return ("fixed point does not match the wedge order at b=%(b)s a=%(a)s",
+                        dict(b=b, a=a))
             zero = cnd.Conditional(space, 0, a.c | b.c)
             if (proj == zero) != rel.holds("tr", a, nb):
-                return count, "annihilation does not match tr(a, not b) at b=%s a=%s", b, a
-    return count
+                return ("annihilation does not match tr(a, not b) at b=%(b)s a=%(a)s",
+                        dict(b=b, a=a))
+    return None
 
 
-def _law_t3_17(space, pairs, max_weight):
+def _law_t3_17(space, pairs, max_weight, counter):
     """Sasaki projection interplay with or_: absorbing a projection
     through the complement, distribution over or_, the commutation /
     coincidence criteria, the two-sided verifiability criterion, and
@@ -861,7 +857,7 @@ def _law_t3_17(space, pairs, max_weight):
         return (pq & ~qa, pc), (0, ca), cb & ~ca
 
     # Pairs (b, a); the lead is nb = not b.
-    count = _sweep(space, pairs, 0, 2, {or_b: 2, and_b: 2, not_b: 1, sas_b: 2}, [
+    failure = _sweep(space, pairs, counter, 2, {or_b: 2, and_b: 2, not_b: 1, sas_b: 2}, [
         lambda qb, cb, qa, ca, nb: (or_b(qb, cb, qa, ca), or_b(qb, cb, *sas_b(*nb, qa, ca))),
         lambda qb, cb, qa, ca, nb: (sas_b(qb, cb, qa, ca), sas_b(qa, ca, qb, cb),
                                     (qb & ~ca) | (qa & ~cb)),
@@ -875,12 +871,12 @@ def _law_t3_17(space, pairs, max_weight):
         "bounded-order criterion fails at b=%(x)s a=%(y)s",
         "two-sided verifiability criterion fails at b=%(x)s a=%(y)s"], lead=not_b)
     # Triples (c, b, a); the lead is proj_b = sasaki(c, b).
-    count = _sweep(space, pairs, count, 3, {or_b: 2, sas_b: 2}, [
+    failure = failure or _sweep(space, pairs, counter, 3, {or_b: 2, sas_b: 2}, [
         lambda qc, cc, qb, cb, qa, ca, proj_b: (sas_b(qc, cc, *or_b(qb, cb, qa, ca)),
                                                 or_b(*proj_b, *sas_b(qc, cc, qa, ca))),
     ], ["projection does not distribute over or_ at c=%(x)s b=%(y)s a=%(z)s"], lead=sas_b)
-    if not isinstance(count, int):
-        return count
+    if failure:
+        return failure
     # Folded families stay on 3 atoms; their pairs render alike on a larger law space.
     family_pairs = pairs if space.n <= 3 else cnd.enumerate_conditionals_bits(0b111)
     for c in family_pairs:
@@ -888,7 +884,7 @@ def _law_t3_17(space, pairs, max_weight):
         compatible = [a for a in family_pairs if (qc & ~a[1]) == 0 and (a[0] & ~cc) == 0]
         for size in (1, 2, 3):
             for family in combinations_with_replacement(compatible, size):
-                count += 1
+                counter[0] += 1
                 oq, oc = family[0]
                 aq, ac = family[0]
                 for q2, c2 in family[1:]:
@@ -897,12 +893,14 @@ def _law_t3_17(space, pairs, max_weight):
                 or_ok = (qc & ~oc) == 0 and (oq & ~cc) == 0
                 and_ok = (qc & ~ac) == 0 and (aq & ~cc) == 0
                 if not (or_ok and and_ok):
-                    return (count, "joint verifiability not preserved by folding at c=%s "
-                            "family=[" + " ".join(["%s"] * size) + "]", c, *family)
-    return count
+                    names = "xyz"[:size]
+                    return ("joint verifiability not preserved by folding at c=%%(c)s "
+                            "family=[%s]" % " ".join("%%(%s)s" % name for name in names),
+                            dict(zip(names, family), c=c))
+    return None
 
 
-def _law_schay_lattice(space, pairs, max_weight):
+def _law_schay_lattice(space, pairs, max_weight, counter):
     """Both alternative operation pairs form distributive lattices:
     cap_s with cup_s, and and_s with vee_s. Idempotence, commutativity,
     associativity, the two absorption laws and both distributivities
@@ -911,19 +909,18 @@ def _law_schay_lattice(space, pairs, max_weight):
         ("cap_s/cup_s", schay.cap_bits, schay.cup_bits),
         ("and_s/vee_s", schay.sand_bits, schay.vee_bits),
     )
-    count = 0
     for name, meet, join in systems:
         kernels = {meet: 2, join: 2}
-        count = _sweep(space, pairs, count, 1, kernels, [
+        failure = _sweep(space, pairs, counter, 1, kernels, [
             lambda q1, c1: ((meet(q1, c1, q1, c1), join(q1, c1, q1, c1)), ((q1, c1), (q1, c1))),
         ], ["%s: idempotence fails at x=%%(x)s" % name])
-        count = _sweep(space, pairs, count, 2, kernels, [
+        failure = failure or _sweep(space, pairs, counter, 2, kernels, [
             lambda q1, c1, q2, c2: (meet(q1, c1, q2, c2), meet(q2, c2, q1, c1)),
             lambda q1, c1, q2, c2: (join(q1, c1, q2, c2), join(q2, c2, q1, c1)),
             lambda q1, c1, q2, c2: (meet(q1, c1, *join(q1, c1, q2, c2)), (q1, c1)),
             lambda q1, c1, q2, c2: (join(q1, c1, *meet(q1, c1, q2, c2)), (q1, c1)),
         ], ["%s: %s at x=%%(x)s y=%%(y)s" % (name, check) for check in _LATTICE_PAIRS])
-        count = _sweep(space, pairs, count, 3, kernels, [
+        failure = failure or _sweep(space, pairs, counter, 3, kernels, [
             lambda q1, c1, q2, c2, q3, c3: (meet(*meet(q1, c1, q2, c2), q3, c3),
                                             meet(q1, c1, *meet(q2, c2, q3, c3))),
             lambda q1, c1, q2, c2, q3, c3: (join(*join(q1, c1, q2, c2), q3, c3),
@@ -933,10 +930,12 @@ def _law_schay_lattice(space, pairs, max_weight):
             lambda q1, c1, q2, c2, q3, c3: (join(q1, c1, *meet(q2, c2, q3, c3)),
                                             meet(*join(q1, c1, q2, c2), *join(q1, c1, q3, c3))),
         ], ["%s: %s at x=%%(x)s y=%%(y)s z=%%(z)s" % (name, check) for check in _LATTICE_TRIPLES])
-    return count
+        if failure:
+            return failure
+    return None
 
 
-def _law_schay_coincide(space, pairs, max_weight):
+def _law_schay_coincide(space, pairs, max_weight, counter):
     """cup_s is or_, and_s is and_, and the four-term expanded form of
     the consequent of cup_s reduces to the same operation."""
     cup, sand, or_b, and_b = schay.cup_bits, schay.sand_bits, cnd.or_bits, cnd.and_bits
@@ -945,7 +944,7 @@ def _law_schay_coincide(space, pairs, max_weight):
         long_cons = (q1 & c2) | (q2 & c1) | (q1 & ~c2) | (~c1 & q2)
         return (long_cons & (c1 | c2), c1 | c2), cup(q1, c1, q2, c2)
 
-    return _sweep(space, pairs, 0, 2, {cup: 2, sand: 2, or_b: 2, and_b: 2}, [
+    return _sweep(space, pairs, counter, 2, {cup: 2, sand: 2, or_b: 2, and_b: 2}, [
         lambda q1, c1, q2, c2: (cup(q1, c1, q2, c2), or_b(q1, c1, q2, c2)),
         lambda q1, c1, q2, c2: (sand(q1, c1, q2, c2), and_b(q1, c1, q2, c2)),
         expanded,
@@ -953,22 +952,21 @@ def _law_schay_coincide(space, pairs, max_weight):
         "expanded union form differs from cup_s at x=%(x)s y=%(y)s"])
 
 
-def _law_schay_2_12(space, pairs, max_weight):
+def _law_schay_2_12(space, pairs, max_weight, counter):
     """For disjoint events a and b, conditioning (b | a v b) on the
     complement of b collapses to the impossible conditional (0 | a)."""
-    count = 0
     events = [Event(space, bits) for bits in range(space.full_bits + 1)]
     for ea in events:
         for eb in events:
             if ea.bits & eb.bits:
                 continue
-            count += 1
+            counter[0] += 1
             got = schay.schay_iteration_example(ea, eb)
             want = cnd.make(Event(space, 0), ea)
             if got != want:
-                return (count, "iteration example fails at a=%s b=%s: got %s want %s",
-                        ea, eb, got, want)
-    return count
+                return ("iteration example fails at a=%(a)s b=%(b)s: got %(got)s want %(want)s",
+                        dict(a=ea, b=eb, got=got, want=want))
+    return None
 
 
 # ------------------------------------------------------------- catalog
@@ -1023,11 +1021,10 @@ def _check_sizes(atoms, max_weight):
         raise ValueError("the largest grid weight must be at least 1, got %d" % max_weight)
 
 
-def _render(space, template, *operands):
-    """Fill a law's template: (q, c) pairs and Conditionals through
-    format_conditional, bools as true/false, the rest as %s does. A
-    sweep's fields fill a template by name, and only the fields it
-    names are rendered."""
+def _render(space, template, fields):
+    """Fill a law's template by name, rendering only the fields it names:
+    (q, c) pairs and Conditionals through format_conditional, bools as
+    true/false, the rest as %s does."""
     def text(value):
         if isinstance(value, bool):
             return "true" if value else "false"
@@ -1035,22 +1032,8 @@ def _render(space, template, *operands):
             value = cnd.Conditional(space, *value)
         return format_conditional(value) if isinstance(value, cnd.Conditional) else value
 
-    if len(operands) == 1 and isinstance(operands[0], dict):
-        return template % {name: text(value) for name, value in operands[0].items()
-                           if "%%(%s)s" % name in template}
-    return template % tuple(map(text, operands))
-
-
-def _count_at_raise(exc, fn, default):
-    """The instance count when the law raised: `count` in the deepest
-    frame of the law or of the sweep it called."""
-    codes = (fn.__code__, _sweep.__code__)
-    tb = exc.__traceback__
-    while tb is not None:
-        if tb.tb_frame.f_code in codes:
-            default = tb.tb_frame.f_locals.get("count", 0)
-        tb = tb.tb_next
-    return default
+    return template % {name: text(value) for name, value in fields.items()
+                       if "%%(%s)s" % name in template}
 
 
 def check(law, atoms, max_weight=3):
@@ -1073,18 +1056,15 @@ def check(law, atoms, max_weight=3):
         raise TooLarge("law %s runs on at most %d atoms, got %d" % (law, budget, atoms))
     space = law_space(atoms)
     pairs = cnd.enumerate_conditionals_bits(space.full_bits)
-    count = 0
+    counter = [0]
     try:
-        result = fn(space, pairs, max_weight)
-        if isinstance(result, int):
-            return LawReport(law, atoms, result, passed=True)
-        count, template, *operands = result
-        if template is None:
-            return LawReport(law, atoms, count, passed=True, note=_render(space, *operands))
-        return LawReport(law, atoms, count, passed=False,
-                         counterexample=_render(space, template, *operands))
+        result = fn(space, pairs, max_weight, counter)
+        if result is None or isinstance(result, str):  # a string is t3.11's note
+            return LawReport(law, atoms, counter[0], passed=True, note=result)
+        return LawReport(law, atoms, counter[0], passed=False,
+                         counterexample=_render(space, *result))
     except Exception as exc:  # a law meeting a broken kernel reports, never crashes
-        return LawReport(law, atoms, _count_at_raise(exc, fn, count), passed=False,
+        return LawReport(law, atoms, counter[0], passed=False,
                          counterexample="raised %s: %s" % (type(exc).__name__, exc))
 
 

@@ -7,6 +7,8 @@ inequalities, which is what makes the checker sensitive to mutations in
 the operation kernels.
 """
 
+import json
+import pathlib
 from itertools import product
 
 import pytest
@@ -811,10 +813,13 @@ SLICED_AND_PER_ATOM = [
 
 
 def _drive(arity, kernels, clauses):
+    """The count at the failure, then the sweep's template and fields."""
     space = lawcheck.law_space(2)
     pairs = cnd.enumerate_conditionals_bits(space.full_bits)
-    return lawcheck._sweep(space, pairs, 0, arity, dict.fromkeys(kernels, 2), clauses,
-                           DRIVER_TEMPLATES)
+    counter = [0]
+    failure = lawcheck._sweep(space, pairs, counter, arity, dict.fromkeys(kernels, 2), clauses,
+                              DRIVER_TEMPLATES)
+    return (counter[0], *failure)
 
 
 def test_shift_loop_pack_matches_the_string_reference():
@@ -823,14 +828,20 @@ def test_shift_loop_pack_matches_the_string_reference():
         assert lawcheck._pack(values, width) == _pack(values, width)
 
 
-@pytest.mark.parametrize("law, calls", [
-    ("t2.4", 2 + 27 * 5),  # five calls (lhs and rhs) per outer x, all 27 x 27 pairs (y, z) at once
-    ("c3.3", 1 + 1),  # one and_ call for all 27 x 27 pairs (x, y)
+@pytest.mark.parametrize("law, atoms, kernels, calls", [
+    # five calls (lhs and rhs) per outer x, all 27 x 27 pairs (y, z) at once
+    ("t2.4", 3, ("or_bits", "and_bits"), 2 + 27 * 5),
+    ("c3.3", 3, ("or_bits", "and_bits"), 1 + 1),  # one and_ call for all 27 x 27 pairs (x, y)
+    # a certificate per sweep, 3 calls for the singles, 3 for the pairs, 4 for the
+    # first outer x's triples, which hold the non-associative triple of the note
+    ("t3.11", 3, ("osum_bits",), 3 + 3 + 3 + 4),
+    ("superposition", 2, ("or_bits", "and_bits"), 2 + 8 + 8),  # its pairs only: no grid
 ])
-def test_certified_kernels_run_one_sliced_block_per_outer_operand(monkeypatch, law, calls):
-    """At 3 atoms: one certificate call per kernel the law names, then
-    one block per outer x for a triple law and one block in all for a
-    pair law."""
+def test_certified_kernels_run_one_sliced_block_per_outer_operand(monkeypatch, law, atoms,
+                                                                   kernels, calls):
+    """One certificate call per kernel a sweep names, then one block per
+    outer x for triples and one block in all for singles or pairs. With
+    no weight vectors, superposition runs only its pair part."""
     made = []
 
     def counted(kernel):
@@ -840,9 +851,10 @@ def test_certified_kernels_run_one_sliced_block_per_outer_operand(monkeypatch, l
 
         return wrapper
 
-    monkeypatch.setattr(cnd, "or_bits", counted(cnd.or_bits))
-    monkeypatch.setattr(cnd, "and_bits", counted(cnd.and_bits))
-    assert lawcheck.check(law, 3).passed
+    for name in kernels:
+        monkeypatch.setattr(cnd, name, counted(getattr(cnd, name)))
+    monkeypatch.setattr(lawcheck, "_grids", lambda space, max_weight: iter(()))
+    assert lawcheck.check(law, atoms, 1).passed
     assert len(made) == calls
 
 
@@ -902,3 +914,56 @@ def test_driver_skips_later_clauses_once_lane_zero_fails():
             clause_2,
         ]
         assert _drive(3, (or_k, and_k), clauses) == (1, DRIVER_TEMPLATES[0], fields)
+
+
+# Golden raise reports. Each kernel in turn raises on one operand tuple.
+# It compares its operands before it computes, so the truth-table
+# certificate rejects it and every sweep that calls it runs one instance
+# at a time: the count at a raise is the instance that raised, in every
+# law, hand loop or sweep. Recorded when each law kept its own count.
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN_RAISE_REPORTS = ROOT / "fixtures" / "raise_reports.json"
+RAISING_KERNELS = [(cnd, name) for name in ("or_bits", "and_bits", "not_bits", "given_bits",
+                                            "osum_bits", "sasaki_bits")]
+RAISING_KERNELS += [(schay, name) for name in ("cap_bits", "cup_bits", "sand_bits", "vee_bits")]
+_PAIRS_2 = cnd.enumerate_conditionals_bits(0b11)
+RAISING_OPERANDS = {  # six operand tuples per operand count, spread over the 9 conditionals
+    1: [_PAIRS_2[i] for i in (0, 1, 2, 4, 6, 8)],
+    2: [_PAIRS_2[i] + _PAIRS_2[j] for i, j in ((0, 0), (1, 2), (2, 1), (4, 6), (6, 3), (8, 8))],
+}
+
+
+def raising_on(kernel, operands):
+    label = "%s%r" % (kernel.__name__, operands)
+
+    def raising(*args):
+        if args == operands:
+            raise RuntimeError(label)
+        return kernel(*args)
+
+    return label, raising
+
+
+def raise_reports():
+    """Every report as [kernel and operands, law, instances, passed,
+    counterexample, note], at 2 atoms and weight grid 1."""
+    reports = []
+    for module, name in RAISING_KERNELS:
+        shipped = getattr(module, name)
+        for operands in RAISING_OPERANDS[1 if name == "not_bits" else 2]:
+            label, kernel = raising_on(shipped, operands)
+            setattr(module, name, kernel)
+            try:
+                assert not lawcheck._lane_local(kernel, len(operands) // 2)
+                reports += [[label, r.law, r.instances_checked, r.passed, r.counterexample, r.note]
+                            for r in lawcheck.check_all(2, 1)]
+            finally:
+                setattr(module, name, shipped)
+    return reports
+
+
+def test_raise_reports_match_the_golden_reports():
+    golden = json.loads(GOLDEN_RAISE_REPORTS.read_text(encoding="utf-8"))
+    assert len(golden) == 10 * 6 * 27
+    assert raise_reports() == golden
