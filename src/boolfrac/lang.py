@@ -36,8 +36,14 @@ Space files are line-oriented UTF-8 with `#` comments:
     measure uniform = 1 1 1 1 1 1
 
 Weights are nonnegative integers or fractions `p/q`, written in ASCII
-digits. An integer is read as an int and `p/q` as one Fraction; Measure
-uses both as they are.
+digits, one per atom, and not all zero. parse_space checks every
+measure line when it reads it, so a bad weight, a zero denominator, a
+wrong weight count, a duplicate name or an all-zero line is an error
+at parse time, in line order with the other lines. It keeps only the
+line's weight texts: a Measure is built from them the first time its
+name is read from `SpaceDoc.measures`, which is a dict of Measures to
+its readers, and kept there. An integer is read as an int and `p/q` as
+one Fraction; Measure uses both as they are.
 
 Text is read by one scan, `_scan`: line by line, each line up to its
 `#`, one `_TOKEN_RE` match per token. It yields plain (kind, text, line,
@@ -49,6 +55,7 @@ public view of the scan, wraps the same tuples in `Token`s.
 
 import operator
 import re
+from collections.abc import MutableMapping
 from fractions import Fraction
 
 from . import conditional as cnd
@@ -60,6 +67,7 @@ from .errors import (
     ParseError,
     UnknownAtom,
     UnknownName,
+    ZeroTotalWeight,
 )
 from .prob import Measure
 from .space import RESERVED_CHARS, SampleSpace, valid_atom_name
@@ -378,7 +386,64 @@ class SpaceDoc(Record):
         return lower(parse_expr(text), self.space, self.events)
 
 
+class _Unread:
+    """A measure line whose weight texts are checked but not yet read."""
+
+    __slots__ = ("texts", "line")
+
+    def __init__(self, texts, line):
+        self.texts = texts
+        self.line = line
+
+
+class _Measures(MutableMapping):
+    """The measures of a parsed space file by name, in file order: a dict
+    of Measures to its readers. A name parse_space stored as `_Unread`
+    becomes a Measure the first time it is read, and stays one."""
+
+    __slots__ = ("_space", "_entries")
+
+    def __init__(self, space, entries):
+        self._space = space
+        self._entries = entries
+
+    def __getitem__(self, name):
+        entry = self._entries[name]
+        if type(entry) is _Unread:
+            entry = self._entries[name] = Measure(self._space,
+                                                  _parse_weights(entry.texts, entry.line))
+        return entry
+
+    def __setitem__(self, name, measure):
+        self._entries[name] = measure
+
+    def __delitem__(self, name):
+        del self._entries[name]
+
+    def __contains__(self, name):
+        return name in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+    def copy(self):
+        return _Measures(self._space, dict(self._entries))
+
+    __copy__ = copy
+
+
 _FRACTION_RE = re.compile(r"([0-9]+)/([0-9]+)")
+# A weight list of ASCII integers and `p/q` with a nonzero denominator,
+# one space apart, and a weight whose numerator is not zero.
+_WEIGHT = r"[0-9]+(?:/0*[1-9][0-9]*)?"
+_WEIGHTS_RE = re.compile(r"%s(?: %s)*" % (_WEIGHT, _WEIGHT))
+_NONZERO_RE = re.compile(r"(?:^| )0*[1-9]")
 
 
 def _parse_weights(texts, line_no):
@@ -398,6 +463,17 @@ def _parse_weights(texts, line_no):
             raise BadWeight("line %d: zero denominator in %r" % (line_no, text))
         weights.append(Fraction(int(m.group(1)), den))
     return weights
+
+
+def _check_weights(texts, line_no):
+    """Raise what building a Measure from a measure line's weight texts
+    would raise, without building it: one match over the whole list, and
+    `_parse_weights` only to word a bad weight."""
+    joined = " ".join(texts)
+    if _WEIGHTS_RE.fullmatch(joined) is None:
+        _parse_weights(texts, line_no)
+    if _NONZERO_RE.search(joined) is None:
+        raise ZeroTotalWeight("all atom weights are zero")
 
 
 def _fragment(line_text, line_no):
@@ -488,9 +564,10 @@ def parse_space(text):
                         line_no,
                         1,
                     )
-                measures[entry_name] = Measure(space, _parse_weights(weight_tokens, line_no))
+                _check_weights(weight_tokens, line_no)
+                measures[entry_name] = _Unread(weight_tokens, line_no)
         else:
             raise ParseError("unknown directive %r" % (directive,), line_no, 1)
     if space is None:
         raise ParseError("file never declares atoms", last_line + 1, 1)
-    return SpaceDoc(name=name, space=space, events=events, measures=measures)
+    return SpaceDoc(name=name, space=space, events=events, measures=_Measures(space, measures))

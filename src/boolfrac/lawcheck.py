@@ -116,6 +116,14 @@ def law_space(atoms):
     return SampleSpace((str(i + 1) for i in range(atoms)), _checked=True)
 
 
+@lru_cache(maxsize=16)
+def _checking_space(atoms):
+    """law_space(atoms) and its 3**n normal-form pairs, built once per
+    atom count; the pairs are a tuple, so no law can change them."""
+    space = law_space(atoms)
+    return space, tuple(cnd.enumerate_conditionals_bits(space.full_bits))
+
+
 def enumerate_conditionals(space):
     """All 3**n conditionals of a space, in canonical enumeration order."""
     if space.n > MAX_ENUMERATION_ATOMS:
@@ -1054,8 +1062,7 @@ def check(law, atoms, max_weight=3):
     _check_sizes(atoms, max_weight)
     if atoms > budget:
         raise TooLarge("law %s runs on at most %d atoms, got %d" % (law, budget, atoms))
-    space = law_space(atoms)
-    pairs = cnd.enumerate_conditionals_bits(space.full_bits)
+    space, pairs = _checking_space(atoms)
     counter = [0]
     try:
         result = fn(space, pairs, max_weight, counter)

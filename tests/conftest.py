@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from boolfrac import lang
+from boolfrac import prob
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -20,3 +21,17 @@ def die():
 @pytest.fixture(scope="session")
 def uniform(die):
     return die.measures["uniform"]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every Measure constructed while the test runs, in order."""
+    made = []
+    init = prob.Measure.__init__
+
+    def counting_init(self, space, weights):
+        made.append(self)
+        init(self, space, weights)
+
+    monkeypatch.setattr(prob.Measure, "__init__", counting_init)
+    return made

@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -360,6 +361,56 @@ def test_undefined_as_a_name_is_a_usage_error(capsys, tmp_path, text):
     assert (code, out) == (2, "")
     assert err.startswith("boolfrac: error: ") and "'UNDEFINED' is a reserved word" in err
     assert err.count("\n") == 1
+
+
+# measures: checked at parse time, built when a request reads one
+
+THREE_MEASURES = """space coin
+atoms h t e
+event side = {h, t}
+measure flat = 1 1 1
+measure m = 1/2 2/6 1/6
+measure edge = 0 0 1
+"""
+
+
+@pytest.mark.parametrize("argv, out, count", [
+    (["prob", "--measure", "m", "--expr", "h|side"], "3/5 (0.600000)\n", 1),
+    (["prob", "--measure", "m", "--expr", "(h|side) or (e|~side)", "--formula", "or"],
+     "2/3 (0.666667)\n", 1),
+    (["prob", "--measure", "nope", "--expr", "h"], "", 0),
+    (["eval", "--expr", "h|side"], "({h}|{h,t})\n", 0),
+    (["relate", "--rel", "tr", "--lhs", "h|side", "--rhs", "side"], "true\n", 0),
+    (["profile", "--lhs", "h|side", "--rhs", "e"],
+     "".join("%d=%s\n" % (k, flag) for k, flag in enumerate(
+         ("true", "true", "false", "true", "false", "true", "false"), 1)), 0),
+])
+def test_a_request_builds_only_the_measure_it_reads(capsys, tmp_path, built, argv, out,
+                                                    count):
+    path = tmp_path / "coin.cs"
+    path.write_text(THREE_MEASURES, encoding="utf-8")
+    code, got, err = run(capsys, argv[0], "--space", str(path), *argv[1:])
+    assert (code, got) == ((0, out) if out else (1, ""))
+    assert len(built) == count
+    if count:
+        assert built[0].weights == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+
+
+@pytest.mark.parametrize("lines, code, message", [
+    (["event e = {a}", "measure m = 1 x"], 2, "line 4: bad weight 'x'"),
+    (["event e = {a}", "measure m = 1 2/0"], 2, "line 4: zero denominator in '2/0'"),
+    (["event e = {a}", "measure m = 0 0/3"], 2, "all atom weights are zero"),
+    (["event e = {a}", "measure m = 1"], 2, "line 4, column 1: expected 2 weights, got 1"),
+    (["measure m = 1 x", "event e = f"], 2, "line 3: bad weight 'x'"),
+    (["event e = f", "measure m = 1 x"], 1, "'f' names neither an event nor an atom"),
+])
+def test_a_bad_measure_line_fails_every_request_at_parse_time_in_line_order(
+        capsys, tmp_path, built, lines, code, message):
+    path = tmp_path / "bad.cs"
+    path.write_text("space x\natoms a b\n%s\n" % "\n".join(lines), encoding="utf-8")
+    assert run(capsys, "eval", "--space", str(path), "--expr", "a") == (
+        code, "", "boolfrac: error: %s\n" % message)
+    assert built == []
 
 
 # argument handling

@@ -7,8 +7,10 @@ Space files are line-oriented: a `space` line, an `atoms` line, then
 `event` and `measure` definitions.
 """
 
+import copy
 import json
 import pathlib
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import given, strategies as st
 
 from boolfrac import conditional as cnd
 from boolfrac import lang
+from boolfrac import prob
 from boolfrac import schay
 from boolfrac.errors import (
     BadWeight,
@@ -435,6 +438,96 @@ def test_integer_weights_are_read_as_ints_and_fractions_once():
     assert [type(w) for w in weights] == [int, int, Fraction, Fraction, int]
 
 
+def build_measure(texts, line_no=1):
+    """The Measure a measure line's weight texts build, or the error
+    building it raises."""
+    try:
+        return prob.Measure(space_of(len(texts)), lang._parse_weights(texts, line_no))
+    except Error as exc:
+        return exc
+
+
+@given(st.lists(st.one_of(
+    st.sampled_from(["0", "00", "1", "07", "3/6", "0/5", "2/0", "0/00", "1/", "/2", "1//2",
+                     "1/2/3", "１", "²", "+1", "1.5", "-0", "1_0"]),
+    st.text(st.sampled_from("0123456789/"), min_size=1, max_size=6),
+), min_size=1, max_size=8))
+def test_checking_weights_raises_what_building_their_measure_raised(texts):
+    """The one-match check at parse time rejects exactly the weight lists
+    that building a Measure rejected, with the same error, and reads no
+    value."""
+    built = build_measure(texts, 7)
+    if isinstance(built, Error):
+        with pytest.raises(type(built)) as err:
+            lang._check_weights(texts, 7)
+        assert str(err.value) == str(built)
+    else:
+        assert lang._check_weights(texts, 7) is None
+
+
+DIE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "die.cs"
+
+# 64 atoms and four measures of integer, `p/q` and zero weights.
+G64 = "space g\natoms %s\n%s" % (
+    " ".join("a%d" % i for i in range(64)),
+    "".join("measure m%d = %s\n" % (k, " ".join(
+        ("0", str(i + k), "%d/%d" % (i, k + 7))[(i + k) % 3] for i in range(64)))
+        for k in range(4)),
+)
+
+
+def eager_measures(text):
+    """The measures of a space file, each built at once from its line's
+    weight texts, in file order."""
+    return {words[1]: build_measure(words[3:])
+            for words in (line.split("#")[0].split() for line in text.splitlines())
+            if words[:1] == ["measure"]}
+
+
+@pytest.mark.parametrize("name", ["die", "g64"])
+def test_parse_space_builds_no_measure_and_a_read_builds_one(built, name):
+    text = DIE.read_text(encoding="utf-8") if name == "die" else G64
+    names = [line.split()[1] for line in text.splitlines() if line.startswith("measure")]
+    doc = lang.parse_space(text)
+    assert built == []
+    assert list(doc.measures) == names and len(doc.measures) == len(names)
+    assert names[-1] in doc.measures and "nope" not in doc.measures
+    assert doc.measures.get("nope") is None and built == []
+    m = doc.measures[names[-1]]
+    assert built == [m] and doc.measures.get(names[-1]) is m
+    assert dict(doc.measures.items())[names[-1]] is m
+    assert len(built) == len(names)
+
+
+def test_an_unread_space_doc_reprs_as_one_built_eagerly():
+    doc = lang.parse_space(G64)
+    eager = lang.SpaceDoc(doc.name, doc.space, doc.events, eager_measures(G64))
+    assert repr(doc) == repr(eager)
+    assert repr(doc.measures) == repr(eager.measures)
+
+
+def test_an_unread_space_doc_survives_copy_deepcopy_and_pickle(built):
+    doc = lang.parse_space(G64)
+    twins = [copy.copy(doc), copy.deepcopy(doc), pickle.loads(pickle.dumps(doc))]
+    assert built == []
+    for twin in twins:
+        assert list(twin.measures) == list(doc.measures)
+        for name, want in eager_measures(G64).items():
+            assert twin.measures[name].weights == want.weights
+            assert twin.measures[name].total == want.total
+
+
+def test_a_copy_of_the_measures_is_a_mapping_of_its_own(built):
+    doc = lang.parse_space(G64)
+    for twin in (copy.copy(doc.measures), doc.measures.copy()):
+        twin["extra"] = twin["m0"]
+        del twin["m1"]
+        assert list(twin) == ["m0", "m2", "m3", "extra"]
+    assert list(doc.measures) == ["m0", "m1", "m2", "m3"]
+    assert len(built) == 2
+    assert doc.measures["m0"] not in built[:2] and len(built) == 3
+
+
 # --------------------------------------- parse errors against a golden table
 
 # Every row is [kind, text, exception type, message, line, col, expected]
@@ -509,8 +602,12 @@ def test_generated_space_files_parse_to_their_events_and_weights(case):
     text, events, measures = case
     doc = lang.parse_space(text)
     assert {name: e.bits for name, e in doc.events.items()} == events
+    assert list(doc.measures) == list(measures)
+    every = dict(doc.measures.items())
     for name, texts in measures.items():
-        m = doc.measures[name]
         want = tuple(Fraction(t) for t in texts)
-        assert m.weights == want
-        assert m.total == sum(want)
+        # The measure read from a fresh parse, with every other one unread.
+        alone = lang.parse_space(text).measures[name]
+        for m in (every[name], alone):
+            assert m.weights == want
+            assert m.total == sum(want)

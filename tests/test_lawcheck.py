@@ -24,6 +24,20 @@ def test_law_space_names_atoms_by_position():
     assert lawcheck.law_space(3).atoms == ("1", "2", "3")
 
 
+def test_check_builds_each_atom_count_space_once(monkeypatch):
+    made = []
+    law_space = lawcheck.law_space
+    monkeypatch.setattr(lawcheck, "law_space", lambda atoms: made.append(atoms) or law_space(atoms))
+    lawcheck._checking_space.cache_clear()
+    try:
+        reports = [lawcheck.check(law, atoms) for law, atoms in
+                   (("c3.3", 2), ("c3.3", 2), ("t2.4", 2), ("c3.3", 1))]
+    finally:
+        lawcheck._checking_space.cache_clear()
+    assert made == [2, 1] and reports[0] == reports[1]
+    assert all(r.passed for r in reports)
+
+
 def test_enumerate_conditionals_counts():
     assert len(lawcheck.enumerate_conditionals(lawcheck.law_space(1))) == 3
     assert len(lawcheck.enumerate_conditionals(lawcheck.law_space(2))) == 9
