@@ -40,10 +40,11 @@ digits, one per atom, and not all zero. parse_space checks every
 measure line when it reads it, so a bad weight, a zero denominator, a
 wrong weight count, a duplicate name or an all-zero line is an error
 at parse time, in line order with the other lines. It keeps only the
-line's weight texts: a Measure is built from them the first time its
-name is read from `SpaceDoc.measures`, which is a dict of Measures to
-its readers, and kept there. An integer is read as an int and `p/q` as
-one Fraction; Measure uses both as they are.
+line's weight texts and number: a Measure, with its weight tables, is
+built from them the first time its name is read from
+`SpaceDoc.measures`, which is a dict of Measures to its readers, and
+kept there. An integer is read as an int and `p/q` as one Fraction;
+Measure uses both as they are.
 
 Text is read by one scan, `_scan`: line by line, each line up to its
 `#`, one `_TOKEN_RE` match per token. It yields plain (kind, text, line,
@@ -386,20 +387,11 @@ class SpaceDoc(Record):
         return lower(parse_expr(text), self.space, self.events)
 
 
-class _Unread:
-    """A measure line whose weight texts are checked but not yet read."""
-
-    __slots__ = ("texts", "line")
-
-    def __init__(self, texts, line):
-        self.texts = texts
-        self.line = line
-
-
 class _Measures(MutableMapping):
     """The measures of a parsed space file by name, in file order: a dict
-    of Measures to its readers. A name parse_space stored as `_Unread`
-    becomes a Measure the first time it is read, and stays one."""
+    of Measures to its readers. parse_space stores each name as the tuple
+    (weight texts, line number) of its checked line; the first read of
+    the name builds its Measure, which stays in the tuple's place."""
 
     __slots__ = ("_space", "_entries")
 
@@ -409,9 +401,8 @@ class _Measures(MutableMapping):
 
     def __getitem__(self, name):
         entry = self._entries[name]
-        if type(entry) is _Unread:
-            entry = self._entries[name] = Measure(self._space,
-                                                  _parse_weights(entry.texts, entry.line))
+        if type(entry) is tuple:
+            entry = self._entries[name] = Measure(self._space, _parse_weights(*entry))
         return entry
 
     def __setitem__(self, name, measure):
@@ -565,7 +556,7 @@ def parse_space(text):
                         1,
                     )
                 _check_weights(weight_tokens, line_no)
-                measures[entry_name] = _Unread(weight_tokens, line_no)
+                measures[entry_name] = (weight_tokens, line_no)
         else:
             raise ParseError("unknown directive %r" % (directive,), line_no, 1)
     if space is None:

@@ -623,7 +623,7 @@ def _law_superposition(space, pairs, max_weight, counter):
     conds = [cnd.Conditional(space, q, c) for q, c in pairs]
     for weights in _grids(space, max_weight):
         m = prob.Measure(space, weights)
-        wb = m._iw or m._build_tables()
+        wb = m._iw
         for x in conds:
             for y in conds:
                 if wb(x.c | y.c) == 0:

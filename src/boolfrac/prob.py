@@ -7,8 +7,9 @@ zero.
 
 Every probability here is a quotient of subset weights, so the work is
 done in integers: a Measure scales its atom weights to their common
-denominator and looks subset weights up in integer tables. Up to 8
-atoms there is one table, and a lookup is that list's own __getitem__.
+denominator and builds its integer tables of subset weights when it is
+made (its `weights` Fractions only when first read). Up to 8 atoms
+there is one table, and a lookup is that list's own __getitem__.
 Sums and comparisons are exact integer arithmetic, and each function
 builds a single fractions.Fraction for the value it returns.
 additive_law_check builds none: it decides holds by integer
@@ -30,6 +31,7 @@ probability into weighted parts, and the additivity report:
 """
 
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 from . import conditional as cnd
@@ -62,23 +64,17 @@ class Measure:
     weights on its first read. `weights` and `total` are exact
     Fractions.
 
-    Subset weights are read from integer tables of the scaled weights.
-    Atoms are split into chunks of CHUNK_ATOMS, and each chunk gets a
-    table of the scaled weight of every subset of it, so the weight of
-    an event is one lookup per chunk (one lookup up to 8 atoms, eight at
-    64). The tables are built on the first lookup, not here: a space
-    file declares measures that a request may never use. weight and
-    weight_bits still return the exact Fraction.
-
-    `_iw(bits)` is the integer weight of the atoms in `bits`, in units
-    of 1/_scale. With one table it is the table's own `__getitem__`, so
-    a lookup runs no Python code; with several it sums one entry per
-    chunk. It is None until the tables exist, so a lookup takes
-    `m._iw or m._build_tables()`, which costs a built measure one
-    attribute read.
+    Subset weights are read from integer tables of the scaled weights,
+    built here: each chunk of CHUNK_ATOMS atoms gets a table of the
+    scaled weight of every subset of it. `_iw(bits)` is the integer
+    weight of the atoms in `bits`, in units of 1/_scale: up to 8 atoms
+    it is the one table's own `__getitem__`, so a lookup runs no Python
+    code, and above that `_chunked_weight` bound to the tables, one
+    lookup per chunk (eight at 64 atoms). weight and weight_bits still
+    return the exact Fraction.
     """
 
-    __slots__ = ("space", "total", "_weights", "_scale", "_scaled", "_tables", "_iw")
+    __slots__ = ("space", "total", "_weights", "_scale", "_scaled", "_iw")
 
     def __init__(self, space, weights):
         weights = [w if type(w) is int or type(w) is Fraction else Fraction(w) for w in weights]
@@ -100,18 +96,6 @@ class Measure:
         self._weights = None
         self._scale = scale
         self._scaled = scaled
-        self._tables = None
-        self._iw = None
-
-    @property
-    def weights(self):
-        if self._weights is None:
-            scale = self._scale
-            self._weights = tuple(Fraction(s, scale) for s in self._scaled)
-        return self._weights
-
-    def _build_tables(self):
-        scaled = self._scaled
         tables = []
         for start in range(0, len(scaled), CHUNK_ATOMS):
             # Adding atom i appends the subsets that contain it, which
@@ -120,15 +104,19 @@ class Measure:
             for w in scaled[start:start + CHUNK_ATOMS]:
                 table += [t + w for t in table]
             tables.append(table)
-        self._tables = tables
-        self._iw = tables[0].__getitem__ if len(tables) == 1 else _chunked_weight(tables)
-        return self._iw
+        self._iw = tables[0].__getitem__ if len(tables) == 1 else partial(_chunked_weight, tables)
+
+    @property
+    def weights(self):
+        if self._weights is None:
+            scale = self._scale
+            self._weights = tuple(Fraction(s, scale) for s in self._scaled)
+        return self._weights
 
     def weight_bits(self, bits):
         if not 0 <= bits <= self.space.full_bits:
             raise ValueError("event bits 0x%x out of range for %d atoms" % (bits, self.space.n))
-        total = (self._iw or self._build_tables())(bits)
-        return Fraction(total, self._scale)
+        return Fraction(self._iw(bits), self._scale)
 
     def weight(self, event):
         if event.space != self.space:
@@ -139,17 +127,13 @@ class Measure:
         return "Measure(%r)" % (list(self.weights),)
 
 
-def _chunked_weight(tables):
+def _chunked_weight(tables, bits):
     """`_iw` over several tables: one lookup per chunk of the bits."""
-
-    def iw(bits):
-        total = 0
-        for table in tables:
-            total += table[bits & _CHUNK_MASK]
-            bits >>= CHUNK_ATOMS
-        return total
-
-    return iw
+    total = 0
+    for table in tables:
+        total += table[bits & _CHUNK_MASK]
+        bits >>= CHUNK_ATOMS
+    return total
 
 
 def _check(m, x):
@@ -165,7 +149,7 @@ def p_event(m, a):
 def p_cond(m, x):
     """Probability of a conditional: weight of consequent over condition."""
     _check(m, x)
-    w = m._iw or m._build_tables()
+    w = m._iw
     wc = w(x.c)
     if wc == 0:
         raise ZeroCondition("condition %s has weight zero" % (x.condition,))
@@ -185,7 +169,7 @@ def p_or_formula(m, x, y):
     """
     _check(m, x)
     _check(m, y)
-    w = m._iw or m._build_tables()
+    w = m._iw
     wu = w(x.c | y.c)
     if wu == 0:
         raise ZeroCondition("condition %s has weight zero" % (x.condition | y.condition,))
@@ -210,7 +194,7 @@ def p_superposition(m, x, y, mode="or"):
     _check(m, y)
     if mode not in ("or", "and"):
         raise ValueError("mode must be 'or' or 'and', got %r" % (mode,))
-    w = m._iw or m._build_tables()
+    w = m._iw
     wu = w(x.c | y.c)
     if wu == 0:
         raise ZeroCondition("condition %s has weight zero" % (x.condition | y.condition,))
@@ -242,7 +226,7 @@ def partition_expansion(m, a, parts):
             raise NotAPartition("parts overlap at %s" % (part,))
         union |= part.bits
     _check(m, a)
-    w = m._iw or m._build_tables()
+    w = m._iw
     wu = w(union)
     if wu == 0:
         raise ZeroCondition("partition union has weight zero")
@@ -307,7 +291,7 @@ def additive_law_check(m, a, c1, b, c2):
         same_space(b, c2)
     _check(m, a)
     _check(m, b)
-    w = m._iw or m._build_tables()
+    w = m._iw
     xc, yc = c1.bits, c2.bits
     xq, yq = a.bits & xc, b.bits & yc
     wx = w(xc)

@@ -517,6 +517,18 @@ def test_an_unread_space_doc_survives_copy_deepcopy_and_pickle(built):
             assert twin.measures[name].total == want.total
 
 
+def test_a_read_space_doc_survives_pickle_and_deepcopy():
+    doc = lang.parse_space(G64)
+    m0 = doc.measures["m0"]
+    want = m0.weight_bits(5), m0.weight_bits(0x1FF), m0.weight_bits(doc.space.full_bits)
+    for twin in (pickle.loads(pickle.dumps(doc)), copy.deepcopy(doc)):
+        assert list(twin.measures) == list(doc.measures)
+        t0 = twin.measures["m0"]
+        assert (t0.weights, t0.total, repr(t0)) == (m0.weights, m0.total, repr(m0))
+        assert (t0.weight_bits(5), t0.weight_bits(0x1FF),
+                t0.weight_bits(doc.space.full_bits)) == want
+
+
 def test_a_copy_of_the_measures_is_a_mapping_of_its_own(built):
     doc = lang.parse_space(G64)
     for twin in (copy.copy(doc.measures), doc.measures.copy()):

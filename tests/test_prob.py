@@ -9,6 +9,8 @@ function to a per-atom Fraction reference on both sides of the 8-atom
 table chunks.
 """
 
+import copy
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -201,12 +203,19 @@ def test_additive_report_is_frozen(die, uniform):
         report.holds = False
 
 
-def test_tables_are_built_on_the_first_lookup():
-    space = SampleSpace(["a", "b"])
-    m = prob.Measure(space, [Fraction(1, 3), Fraction(1, 2)])
-    assert m._tables is None
-    assert m.weight_bits(0b11) == frac(5, 6)
-    assert m._tables is not None
+@pytest.mark.parametrize("n", [8, 9, 64])
+def test_a_measure_survives_pickle_and_deepcopy_after_a_lookup(n):
+    """One table up to 8 atoms, one per 8-atom chunk above; the masks
+    straddle the chunk boundary at bit 8 where the space has one."""
+    space = SampleSpace("a%d" % i for i in range(n))
+    m = prob.Measure(space, [Fraction(i % 5, i % 3 + 1) if i % 4 else i + 1 for i in range(n)])
+    masks = [0, 1, space.full_bits, 0b11 << 7 & space.full_bits, 0x1FF & space.full_bits,
+             0x5A5 << (n - 11) if n > 11 else 0b1010]
+    want = [m.weight_bits(bits) for bits in masks]
+    for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert type(twin) is prob.Measure and twin.space == space
+        assert (twin.weights, twin.total, repr(twin)) == (m.weights, m.total, repr(m))
+        assert [twin.weight_bits(bits) for bits in masks] == want
 
 
 @pytest.mark.parametrize("n, bits", [(3, 1 << 3), (8, 1 << 8), (9, 1 << 9), (3, -1)])
@@ -364,7 +373,7 @@ def reference_additive_law_check(m, a, c1, b, c2):
     y = cnd.make(b, c2)
     prob._check(m, x)
     prob._check(m, y)
-    w = m._iw or m._build_tables()
+    w = m._iw
     wx = w(x.c)
     wy = w(y.c)
     if wx == 0 or wy == 0:

@@ -6,6 +6,7 @@ orthogonality through and_ collapsing to (0|bvd), and simultaneous
 verifiability through the existence of an orthogonal decomposition.
 """
 
+import functools
 import json
 import pathlib
 import sys
@@ -87,6 +88,90 @@ def test_vee_and_wedge_match_their_operation_forms():
             assert rel.orthogonal(x, y) == (
                 cnd.and_(x, y) == cnd.Conditional(x.space, 0, x.c | y.c)
             )
+
+
+# Every `relate` tag against a route through the `conditional`
+# operations, none of which reads `relations._RELATIONS`. "No true
+# region" means q == 0, "no false region" q == c.
+def _ap_route(x, y):
+    unit = cnd.or_(y, cnd.negate(y))
+    return cnd.or_(x, unit) == unit
+
+
+def _collapse_route(x, y):
+    return cnd.and_(x, y) == cnd.Conditional(x.space, x.q & y.q, x.c | y.c)
+
+
+def _no_false_region(z):
+    return z.q == z.c
+
+
+RELATION_ROUTES = {
+    "tr": lambda x, y: cnd.given(x, cnd.negate(y)).q == 0,
+    "nf": lambda x, y: _no_false_region(cnd.given(y, x)),
+    "ap": _ap_route,
+    "pm": lambda x, y: _no_false_region(cnd.or_(cnd.negate(x), y)),
+    "vee": lambda x, y: cnd.or_(x, y) == y,
+    "wedge": lambda x, y: cnd.and_(x, y) == x,
+    "bo": lambda x, y: (_ap_route(x, y) and _ap_route(y, x)
+                        and cnd.given(x, cnd.negate(y)).q == 0),
+    "orth": lambda x, y: cnd.and_(x, y) == cnd.Conditional(x.space, 0, x.c | y.c),
+    "simver": _collapse_route,
+    "simfals": lambda x, y: _collapse_route(cnd.negate(x), cnd.negate(y)),
+    "compat": lambda x, y: _ap_route(x, y) and _ap_route(y, x),
+    "subalg": lambda x, y: rel.generated_subalgebra(x, y).is_boolean,
+}
+ROUTE_ATOMS = (1, 2, 3)
+
+
+@functools.lru_cache(maxsize=None)
+def route_table():
+    """(x, y, {tag: route verdict}) for every pair at 1, 2 and 3 atoms."""
+    table = []
+    for n in ROUTE_ATOMS:
+        _, conds = all_pairs(n)
+        for x in conds:
+            for y in conds:
+                table.append((x, y, {tag: route(x, y) for tag, route in RELATION_ROUTES.items()}))
+    return table
+
+
+def first_route_mismatch(tag):
+    """The first pair where rel.holds(tag) and the tag's route disagree."""
+    for x, y, want in route_table():
+        if rel.holds(tag, x, y) != want[tag]:
+            return x, y
+    return None
+
+
+def test_every_relation_tag_matches_its_kernel_route():
+    assert set(RELATION_ROUTES) == set(rel.RELATION_TAGS)
+    assert len(route_table()) == sum(9 ** n for n in ROUTE_ATOMS)
+    for tag in rel.RELATION_TAGS:
+        assert first_route_mismatch(tag) is None, tag
+
+
+SYMMETRIC_TAGS = ("orth", "simver", "simfals", "compat", "subalg")
+
+
+def relation_mutants():
+    """Swapped, always-true and always-false for the asymmetric tags;
+    always-true and always-false for the symmetric ones, where a swap
+    changes nothing."""
+    for tag, kernel in rel._RELATIONS.items():
+        if tag not in SYMMETRIC_TAGS:
+            yield tag, "swapped", (lambda k: lambda q1, c1, q2, c2: k(q2, c2, q1, c1))(kernel)
+        yield tag, "true", lambda q1, c1, q2, c2: True
+        yield tag, "false", lambda q1, c1, q2, c2: False
+
+
+def test_the_route_check_kills_every_relation_mutant(monkeypatch):
+    mutants = list(relation_mutants())
+    assert len(mutants) == 31
+    for tag, kind, mutant in mutants:
+        with monkeypatch.context() as patch:
+            patch.setitem(rel._RELATIONS, tag, mutant)
+            assert first_route_mismatch(tag) is not None, (tag, kind)
 
 
 def test_orthogonality_golden(die, die_pair):
