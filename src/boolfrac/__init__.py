@@ -8,6 +8,16 @@ pointwise evaluation, exact rational conditional probability, the
 verifiability relations between conditionals, a small expression
 language with a line-oriented space-file format, and an exhaustive
 checker that verifies the algebra's laws over small spaces.
+
+Only the probabilities need rational arithmetic, so `prob`, with
+`fractions` and `decimal`, is imported the first time one is asked
+for: on the first read of `boolfrac.prob` or of one of its eight names
+here (`Measure`, `p_cond`, ...), on the first read of a space file's
+measure, and by the laws `t2.13` and `superposition`. Everything else
+(the operations, evaluation, the relations and the other laws) runs
+without it. From the shell, `prob` and `check` of `t2.13`,
+`superposition` or `all` load it; `eval`, `relate`, `profile`, `parse`
+and `check` of any other law do not.
 """
 
 from .conditional import (
@@ -54,16 +64,6 @@ from .lawcheck import (
     enumerate_conditionals,
     law_space,
 )
-from .prob import (
-    AdditiveReport,
-    Measure,
-    additive_law_check,
-    p_cond,
-    p_event,
-    p_or_formula,
-    p_superposition,
-    partition_expansion,
-)
 from .relations import (
     RELATION_TAGS,
     Subalgebra,
@@ -82,3 +82,34 @@ from .relations import (
 from .schay import and_s, cap_s, cup_s, schay_iteration_example, vee_s
 from .space import Event, SampleSpace, enumerate_events, same_space
 from .trivalent import F, T, TruthValue, U, eval_at
+
+_PROB_NAMES = frozenset((
+    "AdditiveReport",
+    "Measure",
+    "additive_law_check",
+    "p_cond",
+    "p_event",
+    "p_or_formula",
+    "p_superposition",
+    "partition_expansion",
+))
+
+
+def __getattr__(name):
+    """Import `prob` on the first read of it or of one of its names, and
+    bind those names here, so every later read is a plain one."""
+    if name != "prob" and name not in _PROB_NAMES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from importlib import import_module
+
+    prob = import_module(".prob", __name__)
+    for attr in _PROB_NAMES:
+        globals()[attr] = getattr(prob, attr)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | _PROB_NAMES | {"prob"})
+
+
+__all__ = sorted({name for name in globals() if name[0] != "_"} | _PROB_NAMES | {"prob"})

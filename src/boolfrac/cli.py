@@ -17,7 +17,6 @@ import sys
 
 from . import lang
 from . import lawcheck
-from . import prob
 from . import relations as rel
 from . import trivalent
 from .errors import (
@@ -55,6 +54,8 @@ def _cmd_eval(args):
 
 
 def _cmd_prob(args):
+    from . import prob
+
     doc = _load_doc(args.space)
     measure = doc.measures.get(args.measure)
     if measure is None:

@@ -44,7 +44,10 @@ line's weight texts and number: a Measure, with its weight tables, is
 built from them the first time its name is read from
 `SpaceDoc.measures`, which is a dict of Measures to its readers, and
 kept there. An integer is read as an int and `p/q` as one Fraction;
-Measure uses both as they are.
+Measure uses both as they are. That first read is also where `prob`,
+with `fractions` and `decimal`, is imported: parsing a space file and
+lowering, evaluating or relating its expressions import neither, so
+the CLI's `eval`, `relate` and `profile` never load them.
 
 Text is read by one scan, `_scan`: line by line, each line up to its
 `#`, one `_TOKEN_RE` match per token. It yields plain (kind, text, line,
@@ -57,7 +60,6 @@ public view of the scan, wraps the same tuples in `Token`s.
 import operator
 import re
 from collections.abc import MutableMapping
-from fractions import Fraction
 
 from . import conditional as cnd
 from . import schay
@@ -70,7 +72,6 @@ from .errors import (
     UnknownName,
     ZeroTotalWeight,
 )
-from .prob import Measure
 from .space import RESERVED_CHARS, SampleSpace, valid_atom_name
 
 _SPECIALS = {
@@ -402,6 +403,8 @@ class _Measures(MutableMapping):
     def __getitem__(self, name):
         entry = self._entries[name]
         if type(entry) is tuple:
+            from .prob import Measure
+
             entry = self._entries[name] = Measure(self._space, _parse_weights(*entry))
         return entry
 
@@ -441,6 +444,8 @@ def _parse_weights(texts, line_no):
     """The weights of a measure line: an ASCII integer as an int, and
     `p/q` as one Fraction. `str.isdigit` alone would also pass digits
     such as `１`, `١` and `²`, which stay bad weights."""
+    from fractions import Fraction
+
     weights = []
     for text in texts:
         if text.isascii() and text.isdigit():

@@ -69,9 +69,10 @@ before. A raise inside a sliced block leaves the whole block counted.
 
 Laws whose bodies are more than bit kernels keep their own loops:
 t2.13 and superposition's grid part sum probabilities over measure
-grids, t2.18, t2.19, t3.2, t3.7, c3.8 and c3.16 call `relations`,
-truth-tables reads `trivalent` tables atom by atom, schay-2.12 builds
-Conditionals and t3.17's folded families enumerate multisets.
+grids (they are the only laws that import `prob`), t2.18, t2.19, t3.2,
+t3.7, c3.8 and c3.16 call `relations`, truth-tables reads `trivalent`
+tables atom by atom, schay-2.12 builds Conditionals and t3.17's folded
+families enumerate multisets.
 
 Budgets: the triple-quantified laws run up to 4 atoms; laws that sweep
 measure grids, search for decompositions, or close subalgebras stop at
@@ -84,7 +85,6 @@ from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, product
 
 from . import conditional as cnd
-from . import prob
 from . import relations as rel
 from . import schay
 from . import trivalent as tv
@@ -461,6 +461,8 @@ def _law_t2_13(space, pairs, max_weight, counter):
     """P(x v y) == P(x) + P(y) exactly when one of the four degenerate
     cases applies: additive_law_check.holds iff its case list is
     nonempty, over every measure on the grid."""
+    from . import prob
+
     events = [Event(space, bits) for bits in range(space.full_bits + 1)]
     for weights in _grids(space, max_weight):
         m = prob.Measure(space, weights)
@@ -595,6 +597,8 @@ def _law_superposition(space, pairs, max_weight, counter):
     (ab & c'd == 0 == a'b & cd), and the probability expansions
     p_or_formula / p_superposition agreeing with p_cond on every grid
     measure."""
+    from . import prob
+
     or_b, and_b = cnd.or_bits, cnd.and_bits
 
     def two_term(q1, c1, q2, c2):

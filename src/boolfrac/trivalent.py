@@ -20,6 +20,10 @@ class TruthValue(Enum):
     F = "F"
     U = "U"
 
+    # Members are singletons and compare by identity, so they hash by it
+    # too: Enum's own __hash__ is Python code, run twice per table lookup.
+    __hash__ = object.__hash__
+
     def __str__(self):
         return self.value
 

@@ -5,10 +5,15 @@ import `dataclasses`. Each one must still behave as the dataclass it
 replaced: the same repr, == (NotImplemented against any other class),
 hash, immutability and construction. The references below are those
 dataclasses, kept here under the same names.
+
+The last tests start fresh interpreters: importing the package loads
+neither `dataclasses` nor `prob` (with `fractions`, `decimal` and
+`numbers`), and `prob` is loaded on its first use and only then.
 """
 
 import copy
 import os
+import pathlib
 import pickle
 import subprocess
 import sys
@@ -20,6 +25,8 @@ import pytest
 import boolfrac
 from boolfrac import lang, lawcheck, prob, relations
 from boolfrac.space import SampleSpace
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @dataclass(frozen=True)
@@ -229,13 +236,98 @@ def test_additive_law_check_reports_equal_their_fraction_form(die, uniform):
                         "holds=False, cases=())"
 
 
+def _fresh(code):
+    """What `code` prints in a fresh isolated interpreter that imports
+    boolfrac from this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(boolfrac.__file__)))
+    code = "import sys\nsys.path.insert(0, %r)\n%s" % (src, code)
+    return subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                           check=True).stdout
+
+
+PROB_MODULES = ("print(sorted({'fractions', 'decimal', 'numbers', 'boolfrac.prob'}"
+                " & set(sys.modules)))")
+PROB_NAMES = ("AdditiveReport", "Measure", "additive_law_check", "p_cond", "p_event",
+              "p_or_formula", "p_superposition", "partition_expansion")
+
+
 def test_importing_the_package_leaves_out_dataclasses_and_inspect():
     """A fresh isolated interpreter imports the CLI and the package
     without `dataclasses` or `inspect`, which would add about 15 ms to
-    every shell command."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(boolfrac.__file__)))
-    code = ("import sys; sys.path.insert(0, %r); import boolfrac.cli, boolfrac; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % (src,))
-    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
-                         check=True).stdout
-    assert out == "[]\n"
+    every shell command, and without `prob` and the `fractions`,
+    `decimal` and `numbers` it needs, which would add about 4 ms."""
+    out = _fresh("import boolfrac.cli, boolfrac\n"
+                 "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'numbers',"
+                 " 'boolfrac.prob'} & set(sys.modules)))\n"
+                 "print(sorted({'argparse', 'boolfrac.lawcheck', 'boolfrac.relations',"
+                 " 'boolfrac.trivalent'} - set(sys.modules)))")
+    assert out == "[]\n[]\n"
+
+
+@pytest.mark.parametrize("first_use", [
+    "got = {name: getattr(boolfrac, name) for name in NAMES}",
+    "got = {name: getattr(boolfrac.prob, name) for name in NAMES}",
+    "from boolfrac import Measure\ngot = {'Measure': Measure}",
+    "from boolfrac import *\ngot = {name: globals()[name] for name in NAMES + ('prob',)}",
+], ids=["attribute", "prob-attribute", "from-import", "star-import"])
+def test_the_first_use_of_a_prob_name_gives_prob_own_object(first_use):
+    """`dir(boolfrac)` lists `prob` and its names before they are
+    imported. `prob` is imported on the first read of one of them, by
+    attribute, by `from boolfrac import` or by `import *`, and every
+    route gives the object `boolfrac.prob` holds."""
+    out = _fresh("NAMES = %r\nimport boolfrac\n%s\n"
+                 "print(sorted(set(NAMES + ('prob',)) - set(dir(boolfrac))))\n"
+                 "%s\nimport boolfrac.prob as prob\n"
+                 "print(all(got[name] is getattr(boolfrac, name) is"
+                 " getattr(prob, name) for name in got if name != 'prob'),"
+                 " got.get('prob', prob) is prob is boolfrac.prob)"
+                 % (PROB_NAMES, PROB_MODULES, first_use))
+    assert out == "[]\n[]\nTrue True\n"
+
+
+def test_a_sweep_law_and_the_commands_without_a_measure_leave_prob_unloaded():
+    """A kernel law and every command that reads no measure print what
+    they always printed and import neither `prob` nor `fractions`."""
+    code = ("from boolfrac import cli, lawcheck\n"
+            "print(repr(lawcheck.check('t3.7', 2)))\n"
+            "for argv in (['eval', '--space', DIE, '--expr', 'two|even'],\n"
+            "             ['eval', '--space', DIE, '--expr', 'two|even', '--state', '4'],\n"
+            "             ['relate', '--space', DIE, '--rel', 'orth', '--lhs', 'two|even',"
+            " '--rhs', 'lt4|lt5'],\n"
+            "             ['profile', '--space', DIE, '--lhs', 'two|even', '--rhs', 'lt4|lt5'],\n"
+            "             ['check', '--law', 't3.7', '--atoms', '2'],\n"
+            "             ['parse', '--expr', 'two|even']):\n"
+            "    print(cli.main(argv))\n")
+    out = _fresh("DIE = %r\n%s%s" % (str(FIXTURES / "die.cs"), code, PROB_MODULES))
+    assert out == (
+        "LawReport(law='t3.7', atom_count=2, instances_checked=81, passed=True, "
+        "counterexample=None, note=None)\n"
+        "({2}|{2,4,6})\n0\n"
+        "F\n0\n"
+        "false\n0\n"
+        "1=true\n2=false\n3=false\n4=false\n5=false\n6=false\n7=false\n0\n"
+        "t3.7 n=2 instances=81 PASS\n0\n"
+        "(given (ref two) (ref even))\n0\n"
+        "[]\n"
+    )
+
+
+@pytest.mark.parametrize("use, printed", [
+    ("print(repr(lawcheck.check('t2.13', 2, 1)))",
+     "LawReport(law='t2.13', atom_count=2, instances_checked=272, passed=True, "
+     "counterexample=None, note=None)\n"),
+    ("print(cli.main(['check', '--law', 'superposition', '--atoms', '2', '--grid', '1']))",
+     "superposition n=2 instances=305 PASS\n0\n"),
+    ("print(cli.main(['prob', '--space', COIN, '--measure', 'm', '--expr', 'h|side']))",
+     "3/5 (0.600000)\n0\n"),
+], ids=["t2.13", "superposition", "prob"])
+def test_a_grid_law_and_prob_load_prob_and_print_as_before(tmp_path, use, printed):
+    """A measure-grid law and `prob` on a `p/q` space file import `prob`,
+    with `fractions`, `decimal` and `numbers`, and print what they
+    always printed."""
+    coin = tmp_path / "coin.cs"
+    coin.write_text("space coin\natoms h t e\nevent side = {h, t}\nmeasure m = 1/2 2/6 1/6\n",
+                    encoding="utf-8")
+    out = _fresh("COIN = %r\nfrom boolfrac import cli, lawcheck\n%s\n%s\n%s"
+                 % (str(coin), PROB_MODULES, use, PROB_MODULES))
+    assert out == "[]\n%s['boolfrac.prob', 'decimal', 'fractions', 'numbers']\n" % printed

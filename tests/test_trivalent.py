@@ -7,6 +7,9 @@ confirms they agree with the operations themselves (the full-size sweep
 lives in the acceptance suite).
 """
 
+import copy
+import pickle
+
 import pytest
 
 from boolfrac import conditional as cnd
@@ -55,6 +58,33 @@ def test_given_table():
 def test_not_table():
     for value, want in NOT_ENTRIES:
         assert tv.tt_not(value) is want
+
+
+def test_the_tables_hold_exactly_their_entries():
+    """The dicts themselves, looked up by key: a truth value's hash must
+    find its entry, not only equal one."""
+    assert tv.AND_TABLE == {(left, right): want for left, right, want in AND_ENTRIES}
+    assert tv.OR_TABLE == {(left, right): want for left, right, want in OR_ENTRIES}
+    assert tv.GIVEN_TABLE == {(left, right): want for left, right, want in GIVEN_ENTRIES}
+    assert tv.NOT_TABLE == dict(NOT_ENTRIES)
+
+
+@pytest.mark.parametrize("value", [T, F, U])
+def test_truth_values_hash_and_compare_by_identity(value):
+    assert hash(value) == object.__hash__(value)
+    assert value == value and not value != value
+    assert [other for other in (T, F, U) if other == value] == [value]
+    assert value != value.value and value != str(value)
+    assert {value: 1}[value] == 1 and len({T, F, U, value}) == 3
+    assert tv.TruthValue(value.value) is value and tv.TruthValue[value.name] is value
+
+
+@pytest.mark.parametrize("value", [T, F, U])
+def test_truth_values_survive_pickle_and_copy_as_themselves(value):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(value, protocol)) is value
+    assert copy.copy(value) is value and copy.deepcopy(value) is value
+    assert copy.deepcopy({(value, value): [value]}) == {(value, value): [value]}
 
 
 def test_truth_values_print_as_single_letters():
