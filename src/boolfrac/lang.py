@@ -27,7 +27,9 @@ otherwise to the atom of that name. Every leaf lowers to the conditional
 (event | whole space), so plain Boolean formulas come out with the full
 space as condition and `a | b` produces the ordinary conditional event.
 
-Space files are line-oriented UTF-8 with `#` comments:
+Space files are line-oriented UTF-8 with `#` comments. A line ends at
+\\n, \\r\\n or \\r; any other whitespace, such as \\x0c or \\u2028,
+separates words within a line, as it does in an expression:
 
     space die
     atoms 1 2 3 4 5 6
@@ -49,17 +51,21 @@ with `fractions` and `decimal`, is imported: parsing a space file and
 lowering, evaluating or relating its expressions import neither, so
 the CLI's `eval`, `relate` and `profile` never load them.
 
-Text is read by one scan, `_scan`: line by line, each line up to its
-`#`, one `_TOKEN_RE` match per token. It yields plain (kind, text, line,
-col) tuples, and `_Parser` walks that list by index, with no method
-call and no object per token; a ParseError takes its position and its
-"unexpected ..." text from the tuple it stopped at. `tokenize`, the
-public view of the scan, wraps the same tuples in `Token`s.
+Text is read by one scan, `_scan`: comments cut, then one
+`_TOKEN_RE.findall` and one `map` over the words for their kinds, all
+in C. It yields two parallel lists, the kinds and the texts, with no
+positions; `_Parser` walks them by index, with no method call and no
+object per token, and reads a set literal from slices. Positions are
+needed only by an error, so `_Parser.fail` scans the text again with
+`_located`, line by line, and takes its position and its "unexpected
+..." text from the token it stopped at. `tokenize`, the public view
+of the scan, wraps `_located`'s tuples in `Token`s.
 """
 
 import operator
 import re
 from collections.abc import MutableMapping
+from itertools import repeat
 
 from . import conditional as cnd
 from . import schay
@@ -92,6 +98,9 @@ _INFIX = (
     ("or", "or", "or_", operator.or_),
     ("and", "and", "and_", operator.and_),
 )
+_INFIX_LEVEL = {kind: level for level, (kind, *_) in enumerate(_INFIX)}
+# The floor of `expr` past every infix level: an operand alone.
+_OPERAND = len(_INFIX)
 _CONDITIONAL_OPS = {op: name for _, op, name, _ in _INFIX}
 _EVENT_OPS = {op: fn for _, op, _, fn in _INFIX if fn is not None}
 
@@ -130,17 +139,31 @@ class Token:
         return "end of input" if self.kind == "eof" else "'%s'" % self.text
 
 
-# The scan runs line by line, on each line up to its comment. A token is
-# a special character or a word: a run of characters that are none of
-# those, not `#` and not whitespace. finditer skips the whitespace.
+# A token is a special character or a word: a run of characters that are
+# none of those, not `#` and not whitespace. A comment runs from `#` to
+# the end of its line. findall skips the whitespace.
 _SPECIAL_CLASS = re.escape("".join(_SPECIALS))
 _TOKEN_RE = re.compile(r"[%s]|[^\s#%s]+" % (_SPECIAL_CLASS, _SPECIAL_CLASS))
+_COMMENT_RE = re.compile(r"#[^\n]*")
 _TOKEN_KINDS = {**_SPECIALS, **_WORD_KINDS}
 
 
 def _scan(text):
-    """The tokens of `text` as (kind, text, line, col) tuples, the form
-    the parser walks, ending with eof."""
+    """The kinds and the texts of the tokens of `text`, as two lists of
+    one length, each ending with eof: the form the parser walks. It
+    keeps no positions; `_located` finds them when an error needs them."""
+    if "#" in text:
+        text = _COMMENT_RE.sub("", text)
+    words = _TOKEN_RE.findall(text)
+    kinds = list(map(_TOKEN_KINDS.get, words, repeat("ident")))
+    kinds.append("eof")
+    words.append("")
+    return kinds, words
+
+
+def _located(text):
+    """The tokens of `_scan(text)`, in the same order, as (kind, text,
+    line, col) tuples: line by line, each line up to its `#`."""
     tokens = []
     kind_of = _TOKEN_KINDS.get
     for line_no, line in enumerate(text.split("\n"), 1):
@@ -157,7 +180,7 @@ def tokenize(text):
     """Tokens with 1-based line and column; a column counts code points.
     Only \\n starts a line. The eof token sits at the end of the text or,
     after a trailing comment, where the comment starts."""
-    return [Token(*tok) for tok in _scan(text)]
+    return [Token(*tok) for tok in _located(text)]
 
 
 # Abstract syntax. Leaves name events; the operators mirror the algebra.
@@ -201,45 +224,51 @@ class Binary(Record):
 
 
 class _Parser:
-    """Recursive descent over the scan's (kind, text, line, col) tuples;
-    `pos` indexes the next one."""
+    """Recursive descent over the scan's kinds and texts; `pos` indexes
+    the next token, and `text` is kept to locate an error."""
 
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, text):
+        self.text = text
+        self.kinds, self.words = _scan(text)
         self.pos = 0
 
     def fail(self, expected):
-        tok = Token(*self.tokens[self.pos])
+        tok = Token(*_located(self.text)[self.pos])
         raise ParseError("unexpected %s" % tok.describe(), tok.line, tok.col, expected)
 
     def expect(self, kind, what):
-        if self.tokens[self.pos][0] != kind:
+        if self.kinds[self.pos] != kind:
             self.fail({what})
         self.pos += 1
 
-    def expr(self, level=0):
-        """_INFIX[level:], each left-associative, then prefix `~`. A
-        parenthesis costs five frames (four levels and `primary`); the
+    def expr(self, floor=0):
+        """An operand, then every infix operator of level `floor` or
+        tighter (the rows of `_INFIX` from `floor` on), each
+        left-associative: one precedence-climbing loop. An operand is a
+        name, prefix `~` applied to an operand, or `primary`. A nesting
+        level costs frames: a `~` one, a parenthesis two (this and
+        `primary`) and the right operand of an infix operator one; the
         depth at which parse_expr reports nesting depends on that."""
-        tokens = self.tokens
-        if level == len(_INFIX):
-            if tokens[self.pos][0] == "tilde":
-                self.pos += 1
-                return Not(self.expr(level))
-            return self.primary()
-        kind = _INFIX[level][0]
-        node = self.expr(level + 1)
-        while tokens[self.pos][0] == kind:
+        kinds = self.kinds
+        kind = kinds[self.pos]
+        if kind == "ident":
+            node = EventRef(self.words[self.pos])
+            self.pos += 1
+        elif kind == "tilde":
+            self.pos += 1
+            node = Not(self.expr(_OPERAND))
+        else:
+            node = self.primary()
+        while True:
+            level = _INFIX_LEVEL.get(kinds[self.pos], -1)
+            if level < floor:
+                return node
             self.pos += 1
             node = Binary(_INFIX[level][1], node, self.expr(level + 1))
-        return node
 
     def primary(self):
-        tok = self.tokens[self.pos]
-        kind = tok[0]
-        if kind == "ident":
-            self.pos += 1
-            return EventRef(tok[1])
+        """Any operand but a name or `~`, which `expr` reads itself."""
+        kind = self.kinds[self.pos]
         if kind == "lbrace":
             return self.set_literal()
         if kind == "undefined":
@@ -251,34 +280,44 @@ class _Parser:
             self.expect("rparen", "')'")
             return node
         if kind == "func":
+            func = self.words[self.pos]
             self.pos += 1
             self.expect("lparen", "'('")
             left = self.expr()
             self.expect("comma", "','")
             right = self.expr()
             self.expect("rparen", "')'")
-            return Binary(tok[1], left, right)
+            return Binary(func, left, right)
         self.fail({"a name", "'{'", "'('", "'~'", "a function name"})
 
     def set_literal(self):
-        """`{` NAME (`,` NAME)* `}` or `{}`, read in one loop."""
-        tokens = self.tokens
-        pos = self.pos + 1
-        names = []
-        if tokens[pos][0] != "rbrace":
-            while True:
-                tok = tokens[pos]
-                if tok[0] != "ident":
-                    self.pos = pos
-                    self.fail({"an atom name"})
-                names.append(tok[1])
-                if tokens[pos + 1][0] != "comma":
-                    pos += 1
-                    break
-                pos += 2
-        self.pos = pos
+        """`{` NAME (`,` NAME)* `}` or `{}`. One test on the kinds up to
+        the first `}` reads a well-formed literal; the loop runs only when
+        that test fails, to word the first error."""
+        kinds = self.kinds
+        start = pos = self.pos + 1
+        try:
+            end = kinds.index("rbrace", start)
+        except ValueError:
+            end = None
+        if end is not None:
+            names = kinds[start:end:2]
+            commas = kinds[start + 1:end:2]
+            if end == start or (len(commas) == len(names) - 1
+                                and names.count("ident") == len(names)
+                                and commas.count("comma") == len(commas)):
+                self.pos = end + 1
+                return SetLiteral(tuple(self.words[start:end:2]))
+        while True:
+            if kinds[pos] != "ident":
+                self.pos = pos
+                self.fail({"an atom name"})
+            if kinds[pos + 1] != "comma":
+                break
+            pos += 2
+        self.pos = pos + 1
         self.expect("rbrace", "'}'")
-        return SetLiteral(tuple(names))
+        return SetLiteral(tuple(self.words[start:pos + 1:2]))
 
 
 # lower_event, lower and dump catch RecursionError inside their own bodies
@@ -287,12 +326,12 @@ _TOO_DEEP = "expression nests too deeply"
 
 
 def parse_expr(text):
-    parser = _Parser(_scan(text))
+    parser = _Parser(text)
     try:
         node = parser.expr()
     except RecursionError:
         raise ParseError(_TOO_DEEP) from None
-    if parser.tokens[parser.pos][0] != "eof":
+    if parser.kinds[parser.pos] != "eof":
         parser.fail({"end of input", "an operator"})
     return node
 
@@ -312,14 +351,15 @@ def lower_event(expr, space, events=None):
     try:
         if isinstance(expr, EventRef):
             return _resolve(expr.name, space, events)
-        if isinstance(expr, SetLiteral):
+        if isinstance(expr, Binary):
+            op = _EVENT_OPS.get(expr.op)
+            if op is not None:
+                return op(lower_event(expr.left, space, events),
+                          lower_event(expr.right, space, events))
+        elif isinstance(expr, SetLiteral):
             return space.event(expr.names)
-        if isinstance(expr, Not):
+        elif isinstance(expr, Not):
             return lower_event(expr.arg, space, events).complement()
-        if isinstance(expr, Binary) and expr.op in _EVENT_OPS:
-            return _EVENT_OPS[expr.op](
-                lower_event(expr.left, space, events), lower_event(expr.right, space, events)
-            )
     except RecursionError:
         raise ParseError(_TOO_DEEP) from None
     raise ParseError("conditional operators are not allowed here")
@@ -485,15 +525,42 @@ def _fragment(line_text, line_no):
         raise ParseError(e.bare_message, line_no, col, e.expected) from None
 
 
+def _lines(text):
+    """The lines of a space file. It breaks only at \\n, \\r\\n and \\r,
+    so other whitespace (\\x0c, \\x85, \\u2028, ...) stays in its line,
+    and a break at the very end starts no line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _check_atoms(atom_names, line_no):
+    """Raise the error for the first bad name on an `atoms` line: the
+    name is invalid, a reserved word or a repeat."""
+    seen = set()
+    for atom in atom_names:
+        if not valid_atom_name(atom):
+            raise ParseError("invalid atom name %r" % (atom,), line_no, 1)
+        if atom in RESERVED_WORDS:
+            raise ParseError(
+                "%r is a reserved word and cannot name an atom" % (atom,), line_no, 1
+            )
+        if atom in seen:
+            raise DuplicateName("line %d: duplicate atom %r" % (line_no, atom))
+        seen.add(atom)
+
+
 def parse_space(text):
     """Parse a space file into a SpaceDoc."""
     name = None
     space = None
     events = {}
     measures = {}
-    last_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
+    lines = _lines(text)
+    for line_no, raw in enumerate(lines, start=1):
         cut = raw.find("#")
         line = raw if cut < 0 else raw[:cut]
         tokens = line.split()
@@ -514,17 +581,11 @@ def parse_space(text):
             atom_names = tokens[1:]
             if not atom_names:
                 raise ParseError("'atoms' needs at least one name", line_no, 1)
-            seen = set()
-            for atom in atom_names:
-                if not valid_atom_name(atom):
-                    raise ParseError("invalid atom name %r" % (atom,), line_no, 1)
-                if atom in RESERVED_WORDS:
-                    raise ParseError(
-                        "%r is a reserved word and cannot name an atom" % (atom,), line_no, 1
-                    )
-                if atom in seen:
-                    raise DuplicateName("line %d: duplicate atom %r" % (line_no, atom))
-                seen.add(atom)
+            # One test of every name; _check_atoms words the first error.
+            if (len(set(atom_names)) != len(atom_names)
+                    or not RESERVED_WORDS.isdisjoint(atom_names)
+                    or not RESERVED_CHARS.isdisjoint("".join(atom_names))):
+                _check_atoms(atom_names, line_no)
             space = SampleSpace(atom_names, _checked=True)
         elif directive in ("event", "measure"):
             if space is None:
@@ -565,5 +626,5 @@ def parse_space(text):
         else:
             raise ParseError("unknown directive %r" % (directive,), line_no, 1)
     if space is None:
-        raise ParseError("file never declares atoms", last_line + 1, 1)
+        raise ParseError("file never declares atoms", len(lines) + 1, 1)
     return SpaceDoc(name=name, space=space, events=events, measures=_Measures(space, measures))

@@ -41,7 +41,7 @@ class SampleSpace:
         if len(atoms) > MAX_ATOMS:
             raise TooLarge("at most %d atoms are supported, got %d" % (MAX_ATOMS, len(atoms)))
         if _checked:
-            index = {name: i for i, name in enumerate(atoms)}
+            index = dict(zip(atoms, range(len(atoms))))
         else:
             index = {}
             for i, name in enumerate(atoms):
@@ -66,9 +66,13 @@ class SampleSpace:
 
     def event(self, names=()):
         """The event containing exactly the given atoms."""
+        index = self._index
         bits = 0
         for name in names:
-            bits |= 1 << self.index(name)
+            i = index.get(name)
+            if i is None:
+                self.index(name)  # raises UnknownAtom
+            bits |= 1 << i
         return Event(self, bits)
 
     def event_from_bits(self, bits):

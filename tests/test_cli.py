@@ -16,6 +16,8 @@ import pytest
 
 from boolfrac import cli
 from boolfrac import conditional as cnd
+from boolfrac import lang
+from boolfrac.errors import ParseError
 
 
 def run(capsys, *argv):
@@ -328,6 +330,74 @@ def test_long_flat_chain_is_a_parse_error(capsys, die_path, command):
     code, out, err = run(capsys, command, *space, "--expr", chain)
     assert (code, out) == (2, "")
     assert err == "boolfrac: error: expression nests too deeply\n"
+
+
+# Four ways to nest an expression n levels deep, each with its own deepest
+# n under the interpreter's recursion limit.
+NESTINGS = {
+    "parens": lambda n: "(" * n + "two" + ")" * n,
+    "tildes": lambda n: "~" * n + "two",
+    "negated parens": lambda n: "~(" * n + "two" + ")" * n,
+    "right-nested or": lambda n: "(two or " * n + "two" + ")" * n,
+}
+TOO_DEEP = "boolfrac: error: expression nests too deeply\n"
+
+
+def deepest_parse(nest):
+    """The largest n whose nesting parse_expr accepts; every deeper one
+    is a 'nests too deeply' ParseError."""
+    def parses(n):
+        try:
+            lang.parse_expr(nest(n))
+        except ParseError as e:
+            assert str(e) == "expression nests too deeply"
+            return False
+        return True
+
+    lo, hi = 0, 4096
+    assert parses(lo) and not parses(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if parses(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def deeper(frames, fn, *args):
+    """fn(*args), called `frames` frames further down the stack."""
+    if frames:
+        return deeper(frames - 1, fn, *args)
+    return fn(*args)
+
+
+def test_the_deepest_parsed_nestings_lower_dump_and_run_without_a_recursion_error(
+        capsys, die, die_path):
+    depths = {}
+    for form, nest in NESTINGS.items():
+        depths[form] = n = deepest_parse(nest)
+        node = lang.parse_expr(nest(n))
+        # Also from 50 frames further down, where the deepest trees run
+        # out of stack while they are lowered or dumped.
+        for frames in (0, 50):
+            for step in (lang.dump, lambda node: lang.lower(node, die.space, die.events)):
+                try:
+                    deeper(frames, step, node)
+                except ParseError as e:
+                    assert str(e) == "expression nests too deeply"
+        for command in ("parse", "eval"):
+            space = ["--space", die_path] if command == "eval" else []
+            code, out, err = run(capsys, command, *space, "--expr", nest(n))
+            if code == 0:
+                assert err == "" and out.count("\n") == 1
+            else:
+                assert (code, out, err) == (2, "", TOO_DEEP)
+    # Frames per level: one for a `~`, two for a parenthesis and three
+    # for a parenthesis with a `~` or an infix operator before it.
+    assert abs(depths["tildes"] - 2 * depths["parens"]) <= 4
+    assert abs(depths["tildes"] - 3 * depths["negated parens"]) <= 4
+    assert depths["right-nested or"] == depths["negated parens"]
 
 
 def test_space_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):

@@ -11,6 +11,7 @@ import copy
 import json
 import pathlib
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,61 @@ def test_space_file_error_positions_point_at_the_line():
     assert err.value.line == 3
 
 
+ATOM_PIECES = ("a", "b", "é", "1", "or", "and", "UNDEFINED", "s_cup", "a{", "b)", "x=y", "~", ",")
+
+
+@given(st.lists(st.sampled_from(ATOM_PIECES), min_size=1, max_size=6))
+def test_an_atoms_line_reports_its_first_bad_name(names):
+    """Each name in turn is checked for a reserved character, then for a
+    reserved word, then for a repeat."""
+    want = None
+    seen = set()
+    for atom in names:
+        if any(ch in "{},|()~=" for ch in atom):
+            want = (ParseError, "line 2, column 1: invalid atom name %r" % (atom,))
+        elif atom in lang.RESERVED_WORDS:
+            want = (ParseError,
+                    "line 2, column 1: %r is a reserved word and cannot name an atom" % (atom,))
+        elif atom in seen:
+            want = (DuplicateName, "line 2: duplicate atom %r" % (atom,))
+        if want is not None:
+            break
+        seen.add(atom)
+    text = "space x\natoms %s\n" % " ".join(names)
+    if want is None:
+        assert lang.parse_space(text).space.atoms == tuple(names)
+    else:
+        with pytest.raises(Error) as err:
+            lang.parse_space(text)
+        assert (type(err.value), str(err.value)) == want
+
+
+# Whitespace that str.splitlines breaks at but a space file does not.
+EXOTIC_SPACE = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("ch", EXOTIC_SPACE)
+def test_space_file_lines_break_only_at_line_feeds_and_returns(ch):
+    text = "space x{0}\natoms a{0}b\nevent e = {{a,{0}b}}{0}\nevent f = ~{0}(e\n".format(ch)
+    with pytest.raises(ParseError) as err:
+        lang.parse_space(text)
+    assert (err.value.line, err.value.col) == (4, 15)
+    doc = lang.parse_space(text.replace("(e", "e"))
+    assert doc.events["e"] == doc.space.event(["a", "b"])
+    assert doc.lower("{a,%sb}" % ch) == cnd.make(doc.events["e"], doc.space.full)
+    assert doc.events["f"] == doc.space.empty
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_space_file_lines_break_at_each_line_break(newline):
+    text = newline.join(["space x", "atoms a b", "", "event e = {a,"]) + newline
+    with pytest.raises(ParseError) as err:
+        lang.parse_space(text)
+    assert (err.value.line, err.value.col) == (4, 14)
+    with pytest.raises(ParseError, match="^line 3, column 1: file never declares atoms$"):
+        lang.parse_space("space x" + newline + newline)
+
+
 # Property tests. A tree is a tuple: ("ref", name), ("set", names),
 # ("not", arg) or (op, left, right) for the nine binary operators.
 
@@ -392,6 +448,92 @@ def test_tokenize_matches_its_old_loop(text):
 ))
 def test_tokenize_matches_its_old_loop_on_generated_text(text):
     assert scan(text) == old_tokenize(text)
+
+
+# --------------------------------- positions against a reference scanner
+
+# A reference scanner of its own: line by line (only \n breaks a line),
+# each line up to its `#`, one finditer match per token.
+ORACLE_TOKEN = re.compile(r"[{},|()~]|[^\s#{},|()~]+")
+
+
+def oracle_tokens(text):
+    """(kind, text, line, col) of every token of `text`, then eof."""
+    tokens = []
+    lines = text.split("\n")
+    for line_no, line in enumerate(lines, 1):
+        code = line.split("#", 1)[0]
+        for m in ORACLE_TOKEN.finditer(code):
+            word = m.group()
+            kind = lang._SPECIALS.get(word) or lang._WORD_KINDS.get(word, "ident")
+            tokens.append((kind, word, line_no, m.start() + 1))
+    tokens.append(("eof", "", len(lines), len(code) + 1))
+    return tokens
+
+
+def oracle_error(text):
+    """The (message, line, col, expected) of the ParseError parse_expr
+    must raise on `text`, or None if it must parse. The parser sees only
+    the token sequence, so it stops at the same token of the one-line
+    respelling (the token texts one space apart), where a column names
+    one token plainly; the error then sits at that token of `text`."""
+    tokens = oracle_tokens(text)
+    flat = " ".join(word for _, word, _, _ in tokens[:-1])
+    starts = []
+    col = 1
+    for _, word, _, _ in tokens[:-1]:
+        starts.append(col)
+        col += len(word) + 1
+    starts.append(len(flat) + 1)
+    try:
+        lang.parse_expr(flat)
+    except ParseError as e:
+        assert e.line == 1
+        kind, word, line, col = tokens[starts.index(e.col)]
+        what = "end of input" if kind == "eof" else "'%s'" % word
+        assert e.bare_message == "unexpected " + what
+        return (e.bare_message, line, col, e.expected)
+    return None
+
+
+SOUP_PIECES = (
+    "two", "even", "a", "x1", "éλ", "or", "and", "|", "~", "(", ")", "{", "}", ",",
+    "osum", "proj", "s_cup", "UNDEFINED", "orb",
+)
+SOUP_GAPS = ("", " ", "  ", "\t", "\n", "\n\t ", " # note\n", "#", "\t#{,\n", "\x0c", "\u3000")
+
+
+@st.composite
+def respaced(draw, tree):
+    """A valid expression, maybe with one token dropped or one piece put
+    in, and random gaps, comments and line breaks between its tokens."""
+    words = [word for _, word, _, _ in oracle_tokens(render(tree))[:-1]]
+    at = draw(st.integers(min_value=0, max_value=len(words)))
+    edit = draw(st.sampled_from(["keep", "drop", "insert"]))
+    if edit == "drop":
+        del words[at:at + 1]
+    elif edit == "insert":
+        words.insert(at, draw(st.sampled_from(SOUP_PIECES)))
+    gap = st.sampled_from([g for g in SOUP_GAPS if g and g != "#"])
+    return draw(gap) + "".join(word + draw(gap) for word in words)
+
+
+@given(st.one_of(
+    st.lists(st.tuples(st.sampled_from(SOUP_PIECES), st.sampled_from(SOUP_GAPS)),
+             min_size=1, max_size=20).map(lambda pairs: "".join(p + g for p, g in pairs)),
+    trees(3).flatmap(respaced),
+))
+def test_tokens_and_parse_errors_sit_where_a_reference_scanner_puts_them(text):
+    assert scan(text) == oracle_tokens(text)
+    want = oracle_error(text)
+    try:
+        node = lang.parse_expr(text)
+    except ParseError as e:
+        assert (e.bare_message, e.line, e.col, e.expected) == want
+    else:
+        assert want is None
+        flat = " ".join(word for _, word, _, _ in oracle_tokens(text)[:-1])
+        assert node == lang.parse_expr(flat)
 
 
 # ------------------------------------------------------- the weight alphabet
@@ -570,13 +712,14 @@ def test_parse_errors_match_the_golden_table():
 @st.composite
 def space_files(draw):
     """A space file of 1-64 atoms with set-literal and compound events and
-    measures of integer, `p/q` and zero weights, spaced and commented
-    at random. Returns the text, {event: bits} and {measure: weight
+    measures of integer, `p/q` and zero weights, spaced (with any
+    whitespace that does not break a line) and commented at random, its
+    lines ended by one of the three line breaks. Returns the text, {event: bits} and {measure: weight
     texts}."""
     n = draw(st.integers(min_value=1, max_value=64))
     atoms = ["a%d" % i for i in range(n)]
-    gap = st.sampled_from([" ", "  ", "\t", " \t "])
-    comment = st.sampled_from(["", " # note", "#", "\t# { , }"])
+    gap = st.sampled_from([" ", "  ", "\t", " \t "] + list(EXOTIC_SPACE))
+    comment = st.sampled_from(["", " # note", "#", "\t# { , }", " #\x0c\u2028"])
     lines = ["space s" + draw(comment), "atoms" + "".join(draw(gap) + a for a in atoms)]
     events = {}
     for i in range(draw(st.integers(min_value=0, max_value=5))):
@@ -606,7 +749,8 @@ def space_files(draw):
         measures["m%d" % i] = texts
         lines.append("measure m%d =%s%s" % (i, "".join(draw(gap) + t for t in texts),
                                              draw(comment)))
-    return "\n".join(lines) + "\n", events, measures
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + newline, events, measures
 
 
 @given(space_files())
