@@ -67,12 +67,27 @@ results compare as Python values, exactly as in a plain loop, so
 counts at a raise and out-of-normal-form results are reported as
 before. A raise inside a sliced block leaves the whole block counted.
 
+Two laws slice outside the driver, under the same certificate, and
+keep their loops for uncertified kernels. truth-tables counts one
+instance per (pair, atom, op): with and_, or_, given and not certified
+it calls each op once on the pair block, and not once on the single
+block, and compares where a result is T (q), F (c & ~q) and U (~c
+within the block) with the masks the `trivalent` tables give, read at
+check time. Op j at atom i of pair lane k is instance 3n*k + 3i + j,
+and not at atom i of lane k is n*k + i: the lowest bit set in any
+difference gives k and i, and the first difference that has it gives
+j. t3.17's folded families, with or_ and and_ certified, take one block
+per condition c and family size, the multisets of 1 to 3 conditionals
+jointly verifiable with c in byte lanes in combinations_with_replacement
+order, folded with one or_ and one and_ call per position; the lowest
+failing lane is the first failing family. Only their packed operands,
+which no kernel computed, are cached.
+
 Laws whose bodies are more than bit kernels keep their own loops:
 t2.13 and superposition's grid part sum probabilities over measure
 grids (they are the only laws that import `prob`), t2.18, t2.19, t3.2,
-t3.7, c3.8 and c3.16 call `relations`, truth-tables reads `trivalent`
-tables atom by atom, schay-2.12 builds Conditionals and t3.17's folded
-families enumerate multisets.
+t3.7, c3.8 and c3.16 call `relations`, and schay-2.12 builds
+Conditionals.
 
 Budgets: the triple-quantified laws run up to 4 atoms; laws that sweep
 measure grids, search for decompositions, or close subalgebras stop at
@@ -82,7 +97,7 @@ to its own budget.
 
 import operator
 from functools import lru_cache, reduce
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, islice, product
 
 from . import conditional as cnd
 from . import relations as rel
@@ -557,17 +572,78 @@ def _law_p2_20(space, pairs, max_weight, counter):
                              ["pm does not reverse under negation at x=%(x)s y=%(y)s"])
 
 
+_TRUTH_VALUES = (tv.T, tv.F, tv.U)
+_BINARY_TABLE = "%(op)s disagrees with its table at x=%(x)s y=%(y)s atom=%(atom)s"
+_NOT_TABLE = "not disagrees with its table at x=%(x)s atom=%(atom)s"
+
+
+def _truth_masks(q, c, full):
+    """The bits where a (q, c) value evaluates to T, to F and to U, as
+    eval_at_bit reads them; `full` has every bit of the block set."""
+    return q, c & ~q, full & ~c
+
+
+def _table_masks(table, *operands):
+    """The bits where `table`, applied bit by bit to operands given by
+    their T, F and U masks, gives T, F and U. An entry that is none of
+    the three lands in no mask, so every result mismatches it."""
+    masks = [0, 0, 0]
+    for entry in product(range(3), repeat=len(operands)):
+        value = table(*(_TRUTH_VALUES[v] for v in entry))
+        if value in _TRUTH_VALUES:
+            masks[_TRUTH_VALUES.index(value)] |= reduce(
+                operator.and_, map(operator.getitem, operands, entry))
+    return tuple(masks)
+
+
+def _first_mismatch(diffs, n):
+    """(lane, atom, j) for the lowest bit set in any of `diffs`, where
+    lanes are n bits wide and diffs[j] is the first that has the bit;
+    None when every diff is 0."""
+    failed = reduce(operator.or_, diffs)
+    if not failed:
+        return None
+    bit = (failed & -failed).bit_length() - 1
+    return (*divmod(bit, n), next(j for j, d in enumerate(diffs) if d >> bit & 1))
+
+
 def _law_truth_tables(space, pairs, max_weight, counter):
     """Pointwise soundness: evaluating op(x, y) at an outcome equals the
     three-valued table applied to the evaluations of x and y, for and_,
     or_, given and not. Over every pair this pins all thirty table
     entries."""
-    bits = [1 << i for i in range(space.n)]
     ops = (
         ("and", cnd.and_bits, tv.tt_and),
         ("or", cnd.or_bits, tv.tt_or),
         ("given", cnd.given_bits, tv.tt_given),
     )
+    if all(_lane_local(op) for _, op, _ in ops) and _lane_local(cnd.not_bits, 1):
+        # The pair block and the single block: an atom is a bit of a lane,
+        # so the loop's instance (pair lane k, atom i, op j) is number
+        # 3n*k + 3i + j, and (lane k, atom i) of the negations is n*k + i.
+        n, size = space.n, len(pairs)
+        lanes, (q1, c1, q2, c2) = _block(n, tuple(pairs), 2)
+        full = lanes * space.full_bits
+        xs, ys = _truth_masks(q1, c1, full), _truth_masks(q2, c2, full)
+        miss = _first_mismatch([_diff(_truth_masks(*op(q1, c1, q2, c2), full),
+                                      _table_masks(table, xs, ys)) for _, op, table in ops], n)
+        if miss:
+            k, i, j = miss
+            counter[0] += 3 * n * k + 3 * i + j + 1
+            return _BINARY_TABLE, dict(op=ops[j][0], x=pairs[k // size], y=pairs[k % size],
+                                       atom=space.atoms[i])
+        counter[0] += 3 * n * size * size
+        lanes, (q1, c1) = _block(n, tuple(pairs), 1)
+        full = lanes * space.full_bits
+        miss = _first_mismatch([_diff(_truth_masks(*cnd.not_bits(q1, c1), full),
+                                      _table_masks(tv.tt_not, _truth_masks(q1, c1, full)))], n)
+        if miss:
+            k, i, _ = miss
+            counter[0] += n * k + i + 1
+            return _NOT_TABLE, dict(x=pairs[k], atom=space.atoms[i])
+        counter[0] += n * size
+        return None
+    bits = [1 << i for i in range(space.n)]
     ev = tv.eval_at_bit
     for q1, c1 in pairs:
         for q2, c2 in pairs:
@@ -578,16 +654,14 @@ def _law_truth_tables(space, pairs, max_weight, counter):
                 for name, (rq, rc), table in results:
                     counter[0] += 1
                     if ev(rq, rc, bit) != table(p_val, s_val):
-                        return ("%(op)s disagrees with its table at x=%(x)s y=%(y)s atom=%(atom)s",
-                                dict(op=name, x=(q1, c1), y=(q2, c2),
-                                     atom=space.atoms[bit.bit_length() - 1]))
+                        return _BINARY_TABLE, dict(op=name, x=(q1, c1), y=(q2, c2),
+                                                   atom=space.atoms[bit.bit_length() - 1])
     for q1, c1 in pairs:
         nq, nc = cnd.not_bits(q1, c1)
         for bit in bits:
             counter[0] += 1
             if ev(nq, nc, bit) != tv.tt_not(ev(q1, c1, bit)):
-                return ("not disagrees with its table at x=%(x)s atom=%(atom)s",
-                        dict(x=(q1, c1), atom=space.atoms[bit.bit_length() - 1]))
+                return _NOT_TABLE, dict(x=(q1, c1), atom=space.atoms[bit.bit_length() - 1])
     return None
 
 
@@ -890,25 +964,84 @@ def _law_t3_17(space, pairs, max_weight, counter):
     if failure:
         return failure
     # Folded families stay on 3 atoms; their pairs render alike on a larger law space.
-    family_pairs = pairs if space.n <= 3 else cnd.enumerate_conditionals_bits(0b111)
-    for c in family_pairs:
+    return _folded_families(min(space.n, 3), counter)
+
+
+def _folding_failure(c, family):
+    names = "xyz"[:len(family)]
+    return ("joint verifiability not preserved by folding at c=%%(c)s family=[%s]"
+            % " ".join("%%(%s)s" % name for name in names), dict(zip(names, family), c=c))
+
+
+@lru_cache(maxsize=4)
+def _family_blocks(atoms):
+    """For every c over `atoms` atoms (at most 7 bits, so one byte per
+    lane), the conditionals jointly verifiable with it and, for each
+    family size 1 to 3, a block of the size-multisets of them in
+    combinations_with_replacement order, one family per byte lane:
+    (c, compatible, size, lanes, R, packed), where R has a 1 at the low
+    bit of every lane and packed holds one (q, c) int per position."""
+    pairs = cnd.enumerate_conditionals_bits((1 << atoms) - 1)
+    blocks = []
+    for qc, cc in pairs:
+        compatible = [a for a in pairs if (qc & ~a[1]) == 0 and (a[0] & ~cc) == 0]
+        # Bytes that map a member's index in compatible to its q and to its c.
+        tables = [bytes(a[v] for a in compatible).ljust(256, b"\0") for v in (0, 1)]
+        for size in (1, 2, 3):
+            # The families' member indices, a byte each: position p of
+            # every family is every size-th byte from byte p.
+            members = bytes(chain.from_iterable(
+                combinations_with_replacement(range(len(compatible)), size)))
+            lanes = len(members) // size
+            packed = tuple(tuple(int.from_bytes(members[p::size].translate(table), "little")
+                                 for table in tables) for p in range(size))
+            blocks.append(((qc, cc), compatible, size, lanes,
+                           int.from_bytes(b"\x01" * lanes, "little"), packed))
+    return tuple(blocks)
+
+
+def _folded_families(atoms, counter):
+    """t3.17's closure step: for every c over `atoms` atoms and every
+    multiset of 1 to 3 conditionals jointly verifiable with c, the or_
+    fold and the and_ fold of the family, left to right, stay jointly
+    verifiable with c. Families count in the order c, size, then
+    combinations_with_replacement order.
+
+    With certified kernels each (c, size) block folds all its families
+    at once, one or_ and one and_ call per position after the first, and
+    the lowest failing byte lane is the first failing family."""
+    or_b, and_b = cnd.or_bits, cnd.and_bits
+    if _lane_local(or_b) and _lane_local(and_b):
+        for (qc, cc), compatible, size, lanes, repunit, packed in _family_blocks(atoms):
+            counter[0] += lanes
+            (oq, oc), *rest = packed
+            aq, ac = oq, oc
+            for q2, c2 in rest:
+                oq, oc = or_b(oq, oc, q2, c2)
+                aq, ac = and_b(aq, ac, q2, c2)
+            failed = (qc * repunit & ~(oc & ac)) | ((oq | aq) & ~(cc * repunit))
+            if failed:
+                k = ((failed & -failed).bit_length() - 1) // 8
+                counter[0] += k + 1 - lanes
+                family = next(islice(combinations_with_replacement(compatible, size), k, None))
+                return _folding_failure((qc, cc), family)
+        return None
+    pairs = cnd.enumerate_conditionals_bits((1 << atoms) - 1)
+    for c in pairs:
         qc, cc = c
-        compatible = [a for a in family_pairs if (qc & ~a[1]) == 0 and (a[0] & ~cc) == 0]
+        compatible = [a for a in pairs if (qc & ~a[1]) == 0 and (a[0] & ~cc) == 0]
         for size in (1, 2, 3):
             for family in combinations_with_replacement(compatible, size):
                 counter[0] += 1
                 oq, oc = family[0]
                 aq, ac = family[0]
                 for q2, c2 in family[1:]:
-                    oq, oc = cnd.or_bits(oq, oc, q2, c2)
-                    aq, ac = cnd.and_bits(aq, ac, q2, c2)
+                    oq, oc = or_b(oq, oc, q2, c2)
+                    aq, ac = and_b(aq, ac, q2, c2)
                 or_ok = (qc & ~oc) == 0 and (oq & ~cc) == 0
                 and_ok = (qc & ~ac) == 0 and (aq & ~cc) == 0
                 if not (or_ok and and_ok):
-                    names = "xyz"[:size]
-                    return ("joint verifiability not preserved by folding at c=%%(c)s "
-                            "family=[%s]" % " ".join("%%(%s)s" % name for name in names),
-                            dict(zip(names, family), c=c))
+                    return _folding_failure(c, family)
     return None
 
 

@@ -9,7 +9,9 @@ the operation kernels.
 
 import json
 import pathlib
-from itertools import product
+import subprocess
+import sys
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -295,10 +297,10 @@ TABLES = {
 ATOM_BITS = (0b01, 0b10)  # the mutants act on the 2-atom law space
 
 
-def per_atom_kernel(table):
+def per_atom_kernel(table, atom_bits=ATOM_BITS):
     def kernel(q1, c1, q2, c2):
         q = c = 0
-        for bit in ATOM_BITS:
+        for bit in atom_bits:
             value = table[tv.eval_at_bit(q1, c1, bit), tv.eval_at_bit(q2, c2, bit)]
             if value is not U:
                 c |= bit
@@ -318,10 +320,10 @@ def table_mutants():
                     yield name, entry, new, per_atom_kernel({**table, entry: new})
 
 
-def per_atom_not(table):
+def per_atom_not(table, atom_bits=ATOM_BITS):
     def kernel(q, c):
         nq = nc = 0
-        for bit in ATOM_BITS:
+        for bit in atom_bits:
             value = table[tv.eval_at_bit(q, c, bit)]
             if value is not U:
                 nc |= bit
@@ -663,21 +665,23 @@ def test_grid_laws_report_kernels_leaving_normal_form(monkeypatch, name, kernel,
     assert lawcheck.check(law, 2) == lawcheck.LawReport(law, 2, 1, False, counterexample)
 
 
-DRIVER_LAWS = ("t2.4", "c2.5", "t2.6", "c2.7", "c2.8", "c2.9", "props2.3", "p2.20", "c3.3", "c3.5",
-               "c3.6", "t3.9", "t3.11", "t3.15", "t3.17", "schay-lattice", "schay-coincide")
+DRIVER_LAWS = ("t2.4", "c2.5", "t2.6", "c2.7", "c2.8", "c2.9", "props2.3", "p2.20", "truth-tables",
+               "c3.3", "c3.5", "c3.6", "t3.9", "t3.11", "t3.15", "t3.17", "schay-lattice",
+               "schay-coincide")
 
 
-def closed_form_kernel(table):
+def closed_form_kernel(table, full=0b11):
     """A table as bit operations: the atoms giving a value are the union,
     over the entries giving it, of the operands' masks for the entry.
-    Only an entry (U, U) needs the 2-atom space to bound it."""
+    Only an entry (U, U) needs the space, 2 atoms unless `full` says
+    otherwise, to bound it."""
     true = [entry for entry, value in table.items() if value is T]
     defined = [entry for entry, value in table.items() if value is not U]
 
     def atoms(entries, m1, m2):
         out = 0
         for a, b in entries:
-            out |= m1[a] & m2[b] & (0b11 if a is b is U else -1)
+            out |= m1[a] & m2[b] & (full if a is b is U else -1)
         return out
 
     def kernel(q1, c1, q2, c2):
@@ -722,16 +726,16 @@ def test_sliced_and_one_instance_blocks_report_alike_under_every_table_mutant(mo
     assert certified == 80
 
 
-def closed_form_not(table):
+def closed_form_not(table, full=0b11):
     """The negation table as bit operations; an entry U -> T or F needs
-    the 2-atom space to bound it."""
+    the space, 2 atoms unless `full` says otherwise, to bound it."""
     true = [a for a, value in table.items() if value is T]
     defined = [a for a, value in table.items() if value is not U]
 
     def atoms(entries, masks):
         out = 0
         for a in entries:
-            out |= masks[a] & (0b11 if a is U else -1)
+            out |= masks[a] & (full if a is U else -1)
         return out
 
     def kernel(q, c):
@@ -760,6 +764,139 @@ def test_sliced_and_one_instance_negation_report_alike_under_every_not_mutant(mo
             monkeypatch.undo()
         assert reports[0] == reports[1], (entry, new)
     assert certified == 4
+
+
+# The two laws whose hand loops became lane blocks, on 3 atoms: a pair
+# lane then holds three atoms, and the folded families of t3.17 fill
+# whole blocks of byte lanes.
+
+THREE_ATOM_BITS = (0b001, 0b010, 0b100)
+
+
+def three_atom_mutants():
+    """Every table and negation mutant as (kernel name, closed form,
+    per-atom loop), both over the 3-atom space."""
+    for name, entry, new, _ in table_mutants():
+        table = {**TABLES[name], entry: new}
+        yield name, closed_form_kernel(table, 0b111), per_atom_kernel(table, THREE_ATOM_BITS)
+    for name, entry, new, _ in not_mutants():
+        table = {**tv.NOT_TABLE, entry: new}
+        yield name, closed_form_not(table, 0b111), per_atom_not(table, THREE_ATOM_BITS)
+
+
+def test_sliced_and_one_instance_routes_report_alike_at_three_atoms(monkeypatch):
+    """The unmutated 3-atom closed forms and loops reproduce the kernels;
+    under each of the 96 mutants, truth-tables and t3.17 report alike
+    through the closed form and through the per-atom loop."""
+    pairs = cnd.enumerate_conditionals_bits(0b111)
+    for name, table in TABLES.items():
+        reference = getattr(cnd, name)
+        for kernel in (closed_form_kernel(table, 0b111), per_atom_kernel(table, THREE_ATOM_BITS)):
+            assert all(kernel(*x, *y) == reference(*x, *y) for x in pairs for y in pairs), name
+    for kernel in (closed_form_not(tv.NOT_TABLE, 0b111),
+                   per_atom_not(tv.NOT_TABLE, THREE_ATOM_BITS)):
+        assert all(kernel(*x) == cnd.not_bits(*x) for x in pairs)
+    mutants = list(three_atom_mutants())
+    assert len(mutants) == 96
+    for name, closed, per_atom in mutants:
+        reports = []
+        for kernel in (closed, per_atom):
+            monkeypatch.setattr(cnd, name, kernel)
+            reports.append([lawcheck.check(law, 3) for law in ("truth-tables", "t3.17")])
+            monkeypatch.undo()
+        assert reports[0] == reports[1], name
+
+
+def flipping_bit_1(kernel, certified):
+    """The kernel on the certificate's truth tables (or a TypeError there,
+    when not `certified`); on ints its result with bit 1 of q flipped. A
+    kernel that acts alike at every atom fails truth-tables first at atom
+    0 of some lane; this one fails at atom 1 of lane 0 alone."""
+    def flipping(*operands):
+        if isinstance(operands[0], lawcheck._Table):
+            if not certified:
+                raise TypeError("not certified")
+            return kernel(*operands)
+        q, c = kernel(*operands)
+        return q ^ 0b10, c
+
+    return flipping
+
+
+@pytest.mark.parametrize("name, count, counterexample", [
+    ("and_bits", 4, "and disagrees with its table at x=UNDEFINED y=UNDEFINED atom=2"),
+    ("or_bits", 5, "or disagrees with its table at x=UNDEFINED y=UNDEFINED atom=2"),
+    ("given_bits", 6, "given disagrees with its table at x=UNDEFINED y=UNDEFINED atom=2"),
+    ("not_bits", 3 * 3 * 27 * 27 + 2, "not disagrees with its table at x=UNDEFINED atom=2"),
+], ids=["and", "or", "given", "not"])
+def test_truth_tables_number_a_failure_past_the_first_atom_as_the_loop_does(monkeypatch, name,
+                                                                            count,
+                                                                            counterexample):
+    """Lane 0 holds x = y = UNDEFINED; its atom 1 comes after the three
+    ops (or the one negation) at atom 0, sliced as in the loop."""
+    reports = []
+    for certified in (True, False):
+        monkeypatch.setattr(cnd, name, flipping_bit_1(getattr(cnd, name), certified))
+        reports.append(lawcheck.check("truth-tables", 3))
+        monkeypatch.undo()
+    assert reports[0] == reports[1] == lawcheck.LawReport("truth-tables", 3, count, False,
+                                                          counterexample)
+
+
+def reference_folded_families(atoms, counter):
+    """t3.17's folded families as the plain loop over every family that
+    the law ran before its blocks were sliced: the reference for
+    `lawcheck._folded_families`."""
+    pairs = cnd.enumerate_conditionals_bits((1 << atoms) - 1)
+    for c in pairs:
+        qc, cc = c
+        compatible = [a for a in pairs if (qc & ~a[1]) == 0 and (a[0] & ~cc) == 0]
+        for size in (1, 2, 3):
+            for family in combinations_with_replacement(compatible, size):
+                counter[0] += 1
+                oq, oc = family[0]
+                aq, ac = family[0]
+                for q2, c2 in family[1:]:
+                    oq, oc = cnd.or_bits(oq, oc, q2, c2)
+                    aq, ac = cnd.and_bits(aq, ac, q2, c2)
+                or_ok = (qc & ~oc) == 0 and (oq & ~cc) == 0
+                and_ok = (qc & ~ac) == 0 and (aq & ~cc) == 0
+                if not (or_ok and and_ok):
+                    names = "xyz"[:size]
+                    return ("joint verifiability not preserved by folding at c=%%(c)s "
+                            "family=[%s]" % " ".join("%%(%s)s" % name for name in names),
+                            dict(zip(names, family), c=c))
+    return None
+
+
+@pytest.mark.parametrize("atoms, families", [(2, 687), (3, 18793)])
+def test_folded_families_match_the_plain_loop_under_every_or_and_mutant(monkeypatch, atoms,
+                                                                         families):
+    """The families step, called directly: check("t3.17") never reaches
+    a failing family, because its sweeps kill those mutants first. With
+    the shipped kernels every family passes; under each of the 36 or_
+    and and_ table mutants, as closed forms over the space, the step
+    and the plain loop reach the same count and the same failure. The
+    32 with an undefined (U, U) entry are certified and run sliced; 14
+    of those fail inside the families."""
+    got, want = [0], [0]
+    assert lawcheck._folded_families(atoms, got) is None
+    assert reference_folded_families(atoms, want) is None
+    assert got == want == [families]
+    certified = failing = 0
+    for name, entry, new, _ in table_mutants():
+        if name not in ("or_bits", "and_bits"):
+            continue
+        kernel = closed_form_kernel({**TABLES[name], entry: new}, (1 << atoms) - 1)
+        monkeypatch.setattr(cnd, name, kernel)
+        got, want = [0], [0]
+        failure = lawcheck._folded_families(atoms, got)
+        assert (got, failure) == (want, reference_folded_families(atoms, want)), (name, entry, new)
+        monkeypatch.undo()
+        if lawcheck._lane_local(kernel):
+            certified += 1
+            failing += failure is not None
+    assert (certified, failing) == (32, 14)
 
 
 # Single-entry table mutants of the four schay kernels. Each table is
@@ -850,6 +987,9 @@ def test_shift_loop_pack_matches_the_string_reference():
     # first outer x's triples, which hold the non-associative triple of the note
     ("t3.11", 3, ("osum_bits",), 3 + 3 + 3 + 4),
     ("superposition", 2, ("or_bits", "and_bits"), 2 + 8 + 8),  # its pairs only: no grid
+    # a certificate and one call per kernel: and_, or_ and given on all 81 x 81
+    # pairs at once, not on all 81 conditionals
+    ("truth-tables", 4, ("and_bits", "or_bits", "given_bits", "not_bits"), 4 + 4),
 ])
 def test_certified_kernels_run_one_sliced_block_per_outer_operand(monkeypatch, law, atoms,
                                                                    kernels, calls):
@@ -981,3 +1121,36 @@ def test_raise_reports_match_the_golden_reports():
     golden = json.loads(GOLDEN_RAISE_REPORTS.read_text(encoding="utf-8"))
     assert len(golden) == 10 * 6 * 27
     assert raise_reports() == golden
+
+
+# A cache may hold operand packings, never a kernel result. Run with the
+# shipped kernels, under an or_ mutant ((F, F) -> T) that fails inside
+# the folded families, then with the shipped kernels again: each run
+# prints what a fresh interpreter prints.
+
+FOLD_MUTANT = "lambda q1, c1, q2, c2: (q1 | q2 | (c1 & ~q1 & c2 & ~q2), c1 | c2)"
+KERNEL_RESULTS = (
+    "counter = [0]\n"
+    "family = lawcheck._folded_families(3, counter)\n"
+    "print(repr(([lawcheck.check(law, atoms) for law, atoms in"
+    " (('truth-tables', 3), ('t3.17', 3), ('t3.17', 4))], family, counter)))\n")
+
+
+def _fresh_kernel_results(install):
+    code = ("import sys\nsys.path.insert(0, %r)\n"
+            "from boolfrac import conditional as cnd, lawcheck\n%s\n%s"
+            % (str(pathlib.Path(lawcheck.__file__).resolve().parents[1]), install, KERNEL_RESULTS))
+    return subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                          check=True).stdout
+
+
+def test_every_report_matches_a_fresh_interpreter_across_a_mutant(monkeypatch, capsys):
+    shipped = _fresh_kernel_results("")
+    mutated = _fresh_kernel_results("cnd.or_bits = " + FOLD_MUTANT)
+    assert shipped != mutated and "folding" in mutated
+    runs = ((cnd.or_bits, shipped), (eval(FOLD_MUTANT), mutated), (cnd.or_bits, shipped))
+    for kernel, fresh in runs:
+        monkeypatch.setattr(cnd, "or_bits", kernel)
+        exec(KERNEL_RESULTS, {"lawcheck": lawcheck})
+        monkeypatch.undo()
+        assert capsys.readouterr().out == fresh
