@@ -15,73 +15,42 @@ spelled out as direct bit inequalities here. A mutation in a kernel
 therefore shows up as a mismatch against the independent
 characterization rather than being silently replicated on both sides.
 
-`check` owns the instance count. It hands each law a counter, a
-one-element list, and the law advances counter[0] by one for each
-instance before it evaluates the instance. A law returns None on PASS
-and `(template, fields)` at its first failure, a template that names its
-fields (%(x)s) and a dict of them; `check` renders every field a
-template names the same way: a (q, c) pair or a Conditional through
-`format_conditional`, a bool as true/false, anything else with %s. Only
-t3.11 passes with a note, which it returns as a string. A law body that
+A catalog record holds a law's id, its atom budget, its function and
+the names of every kernel the function calls. `check` hands the
+function one `_Run`: the law space, its pairs, max_weight, the
+instance count and the block route. The law advances run.count by one
+for each instance before it evaluates the instance, and returns None
+on PASS, `(template, fields)` at its first failure, or, t3.11 only, a
+note. `check` renders only the fields a template names, so an unnamed
+result out of normal form never reaches a Conditional. A law body that
 raises (a mutated kernel can make a probability undefined) is a FAIL
-whose counterexample reads "raised <Type>: <message>"; instances_checked
-is the counter at the raise, the raising instance included.
+whose counterexample reads "raised <Type>: <message>", counted up to
+the raising instance included.
 
 Every check whose body calls only bit kernels and raw bit inequalities
-goes through one driver, `_sweep`: a law gives it the counter, an arity
-(singles, pairs or triples), its kernels, its clauses (lhs and rhs,
-optionally with a side condition) and its templates, and chains its
-sweeps with `or`. The driver bit-slices after Biham, "A fast new DES
-implementation in software" (FSE 1997). Over n atoms a block packs
+goes through one driver, `_sweep`, which bit-slices after Biham, "A
+fast new DES implementation in software" (FSE 1997): a block packs
 instances into one int per operand component, one instance per n-bit
-lane: singles pack all 3**n conditionals into one block, pairs all 9**n
-pairs (pairs[i], pairs[j]) into one block with the pair at bit
-n*(3**n*i + j), and triples keep one such pair block per outer x, which
-is broadcast to every lane by multiplying with the repunit
-R = sum of 1 << n*k. The counter advances by the whole block before its
-clauses run. A check ORs the bits of each lane of `lhs ^ rhs` (and of
-its side condition) into the lane's lowest bit and masks with R, leaving
-one flag per lane. The lowest flagged lane k is the first failure in
-enumeration order: the counter is set back to the count before the
-block plus k + 1, and the failure's operands and results are read back
-from lane k. A later clause is evaluated only while lane 0 passes the
-earlier ones. A lead kernel on the outer operands (not x, say) runs
-before a block is counted, where a plain loop took it once per outer
-operand. Driver templates name the fields %(x)s, %(y)s, %(z)s, %(lhs)s,
-%(rhs)s, %(holds)s (lhs == rhs) and %(side)s (the side condition
-holds). Only the fields a template names are rendered, so an unnamed
-result out of normal form never reaches a Conditional.
+lane, and one kernel call evaluates every lane. The lowest failing
+lane is the first failure in enumeration order, so counts and
+counterexamples are those of a plain loop.
 
-A block is sliced only when every kernel it calls is lane-local: one
-call on 16-row truth tables, one per operand component (q1, c1, q2,
-c2), which support only &, | and ~ and the constants 0 and -1, returns
-two tables that keep q inside c on the 9 normal-form rows and are 0 on
-the all-zero row, so nothing lands outside the space. Such a kernel
-computes one Boolean function at every bit position, so the
-certificate holds at every atom count and lane width. (A kernel that
-branched on the type of its operands could fool it; none here does.) A
-kernel that fails it (a per-atom loop, one that compares, branches,
-shifts, adds, masks with the space or leaves normal form) gets blocks
-of one instance each: the kernels then see the pairs themselves and
-results compare as Python values, exactly as in a plain loop, so
-counts at a raise and out-of-normal-form results are reported as
-before. A raise inside a sliced block leaves the whole block counted.
+The route is chosen per law, once per check. The first time a block
+route asks, the run certifies every kernel the law's record names with
+`_lane_local`: one call on truth tables shows that the kernel computes
+one Boolean function at every bit position and stays in normal form (a
+kernel that branched on the type of its operands could fool it; none
+here does). Blocks are sliced only when every kernel passes; otherwise
+every block of the law holds one instance, the kernels see the pairs
+themselves and results compare as Python values, as in a plain loop.
+A test runs every law under recording kernels, so a record names
+exactly the kernels its law calls and a sliced block never meets an
+uncertified one. A raise inside a sliced block counts the whole block.
 
-Two laws slice outside the driver, under the same certificate, and
-keep their loops for uncertified kernels. truth-tables counts one
-instance per (pair, atom, op): with and_, or_, given and not certified
-it calls each op once on the pair block, and not once on the single
-block, and compares where a result is T (q), F (c & ~q) and U (~c
-within the block) with the masks the `trivalent` tables give, read at
-check time. Op j at atom i of pair lane k is instance 3n*k + 3i + j,
-and not at atom i of lane k is n*k + i: the lowest bit set in any
-difference gives k and i, and the first difference that has it gives
-j. t3.17's folded families, with or_ and and_ certified, take one block
-per condition c and family size, the multisets of 1 to 3 conditionals
-jointly verifiable with c in byte lanes in combinations_with_replacement
-order, folded with one or_ and one and_ call per position; the lowest
-failing lane is the first failing family. Only their packed operands,
-which no kernel computed, are cached.
+Two laws read the same verdict outside the driver and keep their
+loops for the one-instance route: truth-tables, one instance per
+(pair, atom, op), and t3.17's folded families, one byte lane per
+family. Only operand packings, which no kernel computed, are cached.
 
 Laws whose bodies are more than bit kernels keep their own loops:
 t2.13 and superposition's grid part sum probabilities over measure
@@ -89,14 +58,16 @@ grids (they are the only laws that import `prob`), t2.18, t2.19, t3.2,
 t3.7, c3.8 and c3.16 call `relations`, and schay-2.12 builds
 Conditionals.
 
-Budgets: the triple-quantified laws run up to 4 atoms; laws that sweep
-measure grids, search for decompositions, or close subalgebras stop at
-3 (their instance spaces grow much faster). check_all clamps each law
-to its own budget.
+Budgets: most laws, the triple-quantified sweeps among them, run up to
+4 atoms. Laws that sweep measure grids (t2.13, superposition), search
+for decompositions (t3.2), close subalgebras (t3.7, c3.8), compare
+orthogonal families (t2.18, t2.19) or sweep schay-lattice's triples
+stop at 3, as their instance spaces grow much faster. check_all clamps
+each law to its own budget.
 """
 
 import operator
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations_with_replacement, islice, product
 
 from . import conditional as cnd
@@ -255,32 +226,46 @@ def _block(n, pairs, inner):
                           *(_pack(v, n) * column for v in components))
 
 
-def _sweep(space, pairs, counter, arity, kernels, clauses, templates, lead=None, constants=()):
-    """Check `clauses` on every `arity`-tuple of `pairs`, first operand
-    outermost, advancing counter[0] by one per instance.
+class _Run:
+    """One check of one law: the law space, its 3**n pairs, max_weight,
+    the count the law advances, and each kernel it calls with its arity."""
 
-    `kernels` maps every kernel the clauses and the lead call to its
-    number of operands. A clause maps q1, c1, q2, c2, ... (then the
-    lead's result on the first max(1, arity - 1) operands, when a lead is
-    given, then `constants`, ints broadcast to every lane like an outer
-    operand) to (lhs, rhs), failing where they differ, or
-    to (lhs, rhs, side), failing where they differ and side is empty or
-    agree and side is not; lhs and rhs are ints or tuples of them, which
-    may nest. The lead runs before a block's instances are counted, so
-    an instance is not counted when its lead raises. A clause runs only
-    while lane 0 passes the ones before it. Returns None when every
-    clause holds, or at the first failure `(templates[i], fields)` for
-    its clause i, with counter[0] at the failing instance: the fields are
-    the operands x, y, z, lhs, rhs, holds (whether they are equal) and,
-    for a side clause, side (whether it is empty).
+    def __init__(self, atoms, max_weight, kernels):
+        self.space, self.pairs = _checking_space(atoms)
+        self.max_weight, self.kernels, self.count = max_weight, kernels, 0
+
+    @cached_property
+    def sliced(self):
+        """Whether blocks are sliced: every kernel of the law is lane-local,
+        certified on the first read and kept for the rest of the check."""
+        return all(_lane_local(kernel, operands) for kernel, operands in self.kernels.items())
+
+
+def _sweep(run, arity, clauses, templates, lead=None, constants=()):
+    """Check `clauses` on every `arity`-tuple of the run's pairs, first
+    operand outermost, advancing run.count by one per instance.
+
+    A clause maps q1, c1, q2, c2, ... (then the lead's result on the
+    first max(1, arity - 1) operands, when a lead is given, then
+    `constants`, ints broadcast to every lane like an outer operand) to
+    (lhs, rhs), failing where they differ, or to (lhs, rhs, side),
+    failing where they differ and side is empty or agree and side is
+    not; lhs and rhs are ints or tuples of them, which may nest. The lead
+    runs before a block's instances are counted, so an instance is not
+    counted when its lead raises. A clause runs only while lane 0 passes
+    the ones before it. Returns None when every clause holds, or at the
+    first failure `(templates[i], fields)` for its clause i, with
+    run.count at the failing instance: the fields are the operands x, y,
+    z, lhs, rhs, holds (whether they are equal) and, for a side clause,
+    side (whether it is empty).
     """
-    n = space.n
+    n, pairs = run.space.n, run.pairs
     size = len(pairs)
-    if all(_lane_local(kernel, operands) for kernel, operands in kernels.items()):
+    if run.sliced:
         # The last min(arity, 2) operands are packed into the block; the
         # ones before them are broadcast to every lane.
         inner = min(arity, 2)
-        lanes, packed = _block(n, tuple(pairs), inner)
+        lanes, packed = _block(n, pairs, inner)
         blocks = (((*(v * lanes for v in sum(prefix, ())), *packed), prefix)
                   for prefix in product(pairs, repeat=arity - inner))
         constants = tuple(v * lanes for v in constants)
@@ -316,7 +301,7 @@ def _sweep(space, pairs, counter, arity, kernels, clauses, templates, lead=None,
         if lead is not None:
             operands += (lead(*operands[:leading]),)
         operands += constants
-        counter[0] += block
+        run.count += block
         checked = []
         failed = 0
         for clause in clauses:
@@ -336,7 +321,7 @@ def _sweep(space, pairs, counter, arity, kernels, clauses, templates, lead=None,
             fields = dict(zip("xyz", instance), lhs=lhs, rhs=rhs, holds=lhs == rhs)
             if side:
                 fields["side"] = not side[0]
-            counter[0] += k + 1 - block
+            run.count += k + 1 - block
             return templates[check], fields
     return None
 
@@ -353,7 +338,7 @@ _LATTICE_TRIPLES = ("meet not associative", "join not associative",
 # ---------------------------------------------------------------- laws
 
 
-def _law_t2_4(space, pairs, max_weight, counter):
+def _law_t2_4(run):
     """and_(x, or_(y, z)) == or_(and_(x, y), and_(x, z)) iff
     ab & e'f <= d and ab & c'd <= f."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
@@ -363,10 +348,10 @@ def _law_t2_4(space, pairs, max_weight, counter):
                 or_b(*and_b(q1, c1, q2, c2), *and_b(q1, c1, q3, c3)),
                 (q1 & c3 & ~q3 & ~c2) | (q1 & c2 & ~q2 & ~c3))
 
-    return _sweep(space, pairs, counter, 3, {or_b: 2, and_b: 2}, [clause], [_EQUATION_SIDE])
+    return _sweep(run, 3, [clause], [_EQUATION_SIDE])
 
 
-def _law_c2_5(space, pairs, max_weight, counter):
+def _law_c2_5(run):
     """or_(x, and_(y, z)) == and_(or_(x, y), or_(x, z)) iff
     a'b & ef <= d and a'b & cd <= f."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
@@ -377,10 +362,10 @@ def _law_c2_5(space, pairs, max_weight, counter):
                 and_b(*or_b(q1, c1, q2, c2), *or_b(q1, c1, q3, c3)),
                 (nay & q3 & ~c2) | (nay & q2 & ~c3))
 
-    return _sweep(space, pairs, counter, 3, {or_b: 2, and_b: 2}, [clause], [_EQUATION_SIDE])
+    return _sweep(run, 3, [clause], [_EQUATION_SIDE])
 
 
-def _law_t2_6(space, pairs, max_weight, counter):
+def _law_t2_6(run):
     """or_(x, and_(y, z)) == and_(or_(x, y), z) iff
     ab & e'f == 0 and a'b & ef <= d."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
@@ -390,10 +375,10 @@ def _law_t2_6(space, pairs, max_weight, counter):
                 and_b(*or_b(q1, c1, q2, c2), q3, c3),
                 (q1 & c3 & ~q3) | (c1 & ~q1 & q3 & ~c2))
 
-    return _sweep(space, pairs, counter, 3, {or_b: 2, and_b: 2}, [clause], [_EQUATION_SIDE])
+    return _sweep(run, 3, [clause], [_EQUATION_SIDE])
 
 
-def _law_c2_7(space, pairs, max_weight, counter):
+def _law_c2_7(run):
     """and_(x, or_(y, z)) == or_(and_(x, y), z) iff
     a'b & ef == 0 and ab & e'f <= d."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
@@ -403,10 +388,10 @@ def _law_c2_7(space, pairs, max_weight, counter):
                 or_b(*and_b(q1, c1, q2, c2), q3, c3),
                 (c1 & ~q1 & q3) | (q1 & c3 & ~q3 & ~c2))
 
-    return _sweep(space, pairs, counter, 3, {or_b: 2, and_b: 2}, [clause], [_EQUATION_SIDE])
+    return _sweep(run, 3, [clause], [_EQUATION_SIDE])
 
 
-def _law_c2_8(space, pairs, max_weight, counter):
+def _law_c2_8(run):
     """and_(x, or_(not x, z)) == z iff b <= f and a'b <= e'f."""
     or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
 
@@ -414,22 +399,20 @@ def _law_c2_8(space, pairs, max_weight, counter):
         return (and_b(q1, c1, *or_b(*neg, q3, c3)), (q3, c3),
                 (c1 & ~c3) | ((c1 & ~q1) & ~(c3 & ~q3)))
 
-    return _sweep(space, pairs, counter, 2, {or_b: 2, and_b: 2, not_b: 1}, [clause],
-                  [_ABSORPTION_SIDE], lead=not_b)
+    return _sweep(run, 2, [clause], [_ABSORPTION_SIDE], lead=not_b)
 
 
-def _law_c2_9(space, pairs, max_weight, counter):
+def _law_c2_9(run):
     """or_(x, and_(not x, z)) == z iff b <= f and ab <= ef."""
     or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
 
     def clause(q1, c1, q3, c3, neg):
         return or_b(q1, c1, *and_b(*neg, q3, c3)), (q3, c3), (c1 & ~c3) | (q1 & ~q3)
 
-    return _sweep(space, pairs, counter, 2, {or_b: 2, and_b: 2, not_b: 1}, [clause],
-                  [_ABSORPTION_SIDE], lead=not_b)
+    return _sweep(run, 2, [clause], [_ABSORPTION_SIDE], lead=not_b)
 
 
-def _law_props2_3(space, pairs, max_weight, counter):
+def _law_props2_3(run):
     """Basic identities: idempotence, commutativity, associativity,
     double negation, De Morgan, U as pass-through, (0|1) and (1|1) as
     absolutes, and the conditioned absorption
@@ -458,13 +441,12 @@ def _law_props2_3(space, pairs, max_weight, counter):
         "and_(x, y) != and_(y, given(x, y))": lambda q1, c1, q2, c2: (
             and_b(q1, c1, q2, c2), and_b(q2, c2, *giv_b(q1, c1, q2, c2))),
     }
-    failure = _sweep(space, pairs, counter, 1, {or_b: 2, and_b: 2, not_b: 1},
-                     list(singles.values()), ["%s fails at x=%%(x)s" % label for label in singles],
-                     constants=(space.full_bits,))
-    failure = failure or _sweep(space, pairs, counter, 2, {or_b: 2, and_b: 2, not_b: 1, giv_b: 2},
-                                list(doubles.values()),
+    failure = _sweep(run, 1, list(singles.values()),
+                     ["%s fails at x=%%(x)s" % label for label in singles],
+                     constants=(run.space.full_bits,))
+    failure = failure or _sweep(run, 2, list(doubles.values()),
                                 ["%s at x=%%(x)s y=%%(y)s" % label for label in doubles])
-    return failure or _sweep(space, pairs, counter, 3, {or_b: 2, and_b: 2}, [
+    return failure or _sweep(run, 3, [
         lambda q1, c1, q2, c2, q3, c3: (or_b(*or_b(q1, c1, q2, c2), q3, c3),
                                         or_b(q1, c1, *or_b(q2, c2, q3, c3))),
         lambda q1, c1, q2, c2, q3, c3: (and_b(*and_b(q1, c1, q2, c2), q3, c3),
@@ -472,22 +454,22 @@ def _law_props2_3(space, pairs, max_weight, counter):
     ], [op + " not associative at x=%(x)s y=%(y)s z=%(z)s" for op in ("or_", "and_")])
 
 
-def _law_t2_13(space, pairs, max_weight, counter):
+def _law_t2_13(run):
     """P(x v y) == P(x) + P(y) exactly when one of the four degenerate
     cases applies: additive_law_check.holds iff its case list is
     nonempty, over every measure on the grid."""
     from . import prob
 
-    events = [Event(space, bits) for bits in range(space.full_bits + 1)]
-    for weights in _grids(space, max_weight):
-        m = prob.Measure(space, weights)
+    events = [Event(run.space, bits) for bits in range(run.space.full_bits + 1)]
+    for weights in _grids(run.space, run.max_weight):
+        m = prob.Measure(run.space, weights)
         wb = m.weight_bits
         conds = [e for e in events if wb(e.bits) != 0]
         for e_c1 in conds:
             for e_c2 in conds:
                 for e_a in events:
                     for e_b in events:
-                        counter[0] += 1
+                        run.count += 1
                         rep = prob.additive_law_check(m, e_a, e_c1, e_b, e_c2)
                         if rep.holds != bool(rep.cases):
                             return ("weights=%(weights)s A=%(A)s C1=%(C1)s B=%(B)s C2=%(C2)s "
@@ -497,19 +479,19 @@ def _law_t2_13(space, pairs, max_weight, counter):
     return None
 
 
-def _law_t2_18(space, pairs, max_weight, counter):
+def _law_t2_18(run):
     """The conditionals orthogonal to c are exactly the family
     (a'b & x | ab v y) over all event pairs (x, y); and the inequality
     form of orthogonality coincides with and_(c, z) == (0 | b v d)."""
     and_b = cnd.and_bits
-    all_bits = range(space.full_bits + 1)
-    for p in pairs:
+    all_bits = range(run.space.full_bits + 1)
+    for p in run.pairs:
         q1, c1 = p
-        cond_obj = cnd.Conditional(space, q1, c1)
+        cond_obj = cnd.Conditional(run.space, q1, c1)
         orth_set = set()
-        for s in pairs:
+        for s in run.pairs:
             q2, c2 = s
-            counter[0] += 1
+            run.count += 1
             by_op = and_b(q1, c1, q2, c2) == (0, c1 | c2)
             by_ineq = rel.orthogonal_bits(q1, c1, q2, c2)
             if by_op != by_ineq:
@@ -520,9 +502,9 @@ def _law_t2_18(space, pairs, max_weight, counter):
         family = set()
         for xbits in all_bits:
             for ybits in all_bits:
-                counter[0] += 1
-                member = rel.ortho_family_member(cond_obj, Event(space, xbits),
-                                                 Event(space, ybits))
+                run.count += 1
+                member = rel.ortho_family_member(cond_obj, Event(run.space, xbits),
+                                                 Event(run.space, ybits))
                 family.add((member.q, member.c))
         if family != orth_set:
             return ("family and orthogonality set differ at c=%(c)s, e.g. %(example)s",
@@ -530,18 +512,18 @@ def _law_t2_18(space, pairs, max_weight, counter):
     return None
 
 
-def _law_t2_19(space, pairs, max_weight, counter):
+def _law_t2_19(run):
     """The set of conditionals orthogonal to c is closed under or_ and
     and_."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
     template = "%s of orthogonals leaves the set at c=%%(c)s u=%%(u)s v=%%(v)s"
-    for p in pairs:
+    for p in run.pairs:
         q1, c1 = p
-        members = [s for s in pairs if rel.orthogonal_bits(q1, c1, *s)]
+        members = [s for s in run.pairs if rel.orthogonal_bits(q1, c1, *s)]
         member_set = set(members)
         for u in members:
             for v in members:
-                counter[0] += 1
+                run.count += 1
                 if or_b(*u, *v) not in member_set:
                     return template % "or_", dict(c=p, u=u, v=v)
                 if and_b(*u, *v) not in member_set:
@@ -549,7 +531,7 @@ def _law_t2_19(space, pairs, max_weight, counter):
     return None
 
 
-def _law_p2_20(space, pairs, max_weight, counter):
+def _law_p2_20(run):
     """Negation is an involution (hence a bijection), reverses the pm
     order, and meets its relative complement laws:
     and_(x, not x) == (0|b), or_(x, not x) == (1|b)."""
@@ -562,13 +544,13 @@ def _law_p2_20(space, pairs, max_weight, counter):
         return ((q1 & ~q2) | ((c2 & ~q2) & ~(c1 & ~q1)), 0,
                 (nq1 & ~nq2) | ((nc2 & ~nq2) & ~(nc1 & ~nq1)))
 
-    failure = _sweep(space, pairs, counter, 1, {or_b: 2, and_b: 2, not_b: 1}, [
+    failure = _sweep(run, 1, [
         lambda q1, c1, neg: (not_b(*neg), (q1, c1)),
         lambda q1, c1, neg: (and_b(q1, c1, *neg), (0, c1)),
         lambda q1, c1, neg: (or_b(q1, c1, *neg), (c1, c1)),
     ], ["negation is not an involution at x=%(x)s", "and_(x, not x) != (0|b) at x=%(x)s",
         "or_(x, not x) != (1|b) at x=%(x)s"], lead=not_b)
-    return failure or _sweep(space, pairs, counter, 2, {not_b: 1}, [reverses],
+    return failure or _sweep(run, 2, [reverses],
                              ["pm does not reverse under negation at x=%(x)s y=%(y)s"])
 
 
@@ -607,7 +589,7 @@ def _first_mismatch(diffs, n):
     return (*divmod(bit, n), next(j for j, d in enumerate(diffs) if d >> bit & 1))
 
 
-def _law_truth_tables(space, pairs, max_weight, counter):
+def _law_truth_tables(run):
     """Pointwise soundness: evaluating op(x, y) at an outcome equals the
     three-valued table applied to the evaluations of x and y, for and_,
     or_, given and not. Over every pair this pins all thirty table
@@ -617,31 +599,32 @@ def _law_truth_tables(space, pairs, max_weight, counter):
         ("or", cnd.or_bits, tv.tt_or),
         ("given", cnd.given_bits, tv.tt_given),
     )
-    if all(_lane_local(op) for _, op, _ in ops) and _lane_local(cnd.not_bits, 1):
+    space, pairs = run.space, run.pairs
+    if run.sliced:
         # The pair block and the single block: an atom is a bit of a lane,
         # so the loop's instance (pair lane k, atom i, op j) is number
         # 3n*k + 3i + j, and (lane k, atom i) of the negations is n*k + i.
         n, size = space.n, len(pairs)
-        lanes, (q1, c1, q2, c2) = _block(n, tuple(pairs), 2)
+        lanes, (q1, c1, q2, c2) = _block(n, pairs, 2)
         full = lanes * space.full_bits
         xs, ys = _truth_masks(q1, c1, full), _truth_masks(q2, c2, full)
         miss = _first_mismatch([_diff(_truth_masks(*op(q1, c1, q2, c2), full),
                                       _table_masks(table, xs, ys)) for _, op, table in ops], n)
         if miss:
             k, i, j = miss
-            counter[0] += 3 * n * k + 3 * i + j + 1
+            run.count += 3 * n * k + 3 * i + j + 1
             return _BINARY_TABLE, dict(op=ops[j][0], x=pairs[k // size], y=pairs[k % size],
                                        atom=space.atoms[i])
-        counter[0] += 3 * n * size * size
-        lanes, (q1, c1) = _block(n, tuple(pairs), 1)
+        run.count += 3 * n * size * size
+        lanes, (q1, c1) = _block(n, pairs, 1)
         full = lanes * space.full_bits
         miss = _first_mismatch([_diff(_truth_masks(*cnd.not_bits(q1, c1), full),
                                       _table_masks(tv.tt_not, _truth_masks(q1, c1, full)))], n)
         if miss:
             k, i, _ = miss
-            counter[0] += n * k + i + 1
+            run.count += n * k + i + 1
             return _NOT_TABLE, dict(x=pairs[k], atom=space.atoms[i])
-        counter[0] += n * size
+        run.count += n * size
         return None
     bits = [1 << i for i in range(space.n)]
     ev = tv.eval_at_bit
@@ -652,20 +635,20 @@ def _law_truth_tables(space, pairs, max_weight, counter):
                 p_val = ev(q1, c1, bit)
                 s_val = ev(q2, c2, bit)
                 for name, (rq, rc), table in results:
-                    counter[0] += 1
+                    run.count += 1
                     if ev(rq, rc, bit) != table(p_val, s_val):
                         return _BINARY_TABLE, dict(op=name, x=(q1, c1), y=(q2, c2),
                                                    atom=space.atoms[bit.bit_length() - 1])
     for q1, c1 in pairs:
         nq, nc = cnd.not_bits(q1, c1)
         for bit in bits:
-            counter[0] += 1
+            run.count += 1
             if ev(nq, nc, bit) != tv.tt_not(ev(q1, c1, bit)):
                 return _NOT_TABLE, dict(x=(q1, c1), atom=space.atoms[bit.bit_length() - 1])
     return None
 
 
-def _law_superposition(space, pairs, max_weight, counter):
+def _law_superposition(run):
     """The context split b&d' / b'&d / b&d: the three-term conditional
     identities for or_ and and_, the or==and criterion
     (ab & c'd == 0 == a'b & cd), and the probability expansions
@@ -686,7 +669,7 @@ def _law_superposition(space, pairs, max_weight, counter):
         return or_b(*or_b(*and_b(q1, c1, c1 & ~c2, union), *and_b(q2, c2, c2 & ~c1, union)),
                     shared & c1 & c2, union)
 
-    failure = _sweep(space, pairs, counter, 2, {or_b: 2, and_b: 2}, [
+    failure = _sweep(run, 2, [
         two_term,
         lambda q1, c1, q2, c2: (or_b(q1, c1, q2, c2), three_term(q1, c1, q2, c2, q1 | q2)),
         lambda q1, c1, q2, c2: (and_b(q1, c1, q2, c2), three_term(q1, c1, q2, c2, q1 & q2)),
@@ -698,15 +681,15 @@ def _law_superposition(space, pairs, max_weight, counter):
         "or==and criterion fails at x=%(x)s y=%(y)s"])
     if failure:
         return failure
-    conds = [cnd.Conditional(space, q, c) for q, c in pairs]
-    for weights in _grids(space, max_weight):
-        m = prob.Measure(space, weights)
+    conds = [cnd.Conditional(run.space, q, c) for q, c in run.pairs]
+    for weights in _grids(run.space, run.max_weight):
+        m = prob.Measure(run.space, weights)
         wb = m._iw
         for x in conds:
             for y in conds:
                 if wb(x.c | y.c) == 0:
                     continue
-                counter[0] += 1
+                run.count += 1
                 direct_or = prob.p_cond(m, cnd.or_(x, y))
                 direct_and = prob.p_cond(m, cnd.and_(x, y))
                 ok = (
@@ -734,19 +717,19 @@ def _decomposition_index(pairs):
     return index
 
 
-def _law_t3_2(space, pairs, max_weight, counter):
+def _law_t3_2(run):
     """Simultaneous verifiability (ab <= d and cd <= b) holds exactly
     when x and y split into pairwise-orthogonal private parts plus a
     shared part: x == or_(u, w), y == or_(v, w). The search is a full
     enumeration of all splittings."""
     orth = rel.orthogonal_bits
-    index = _decomposition_index(pairs)
-    for x in pairs:
+    index = _decomposition_index(run.pairs)
+    for x in run.pairs:
         q1, c1 = x
         by_r_x = index.get(x, {})
-        for y in pairs:
+        for y in run.pairs:
             q2, c2 = y
-            counter[0] += 1
+            run.count += 1
             expected = (q1 & ~c2) == 0 and (q2 & ~c1) == 0
             by_r_y = index.get(y, {})
             found = any(
@@ -761,17 +744,17 @@ def _law_t3_2(space, pairs, max_weight, counter):
     return None
 
 
-def _law_c3_3(space, pairs, max_weight, counter):
+def _law_c3_3(run):
     """and_(x, y) == (abcd | b v d) exactly when x and y are
     simultaneously verifiable."""
     and_b = cnd.and_bits
-    return _sweep(space, pairs, counter, 2, {and_b: 2}, [
+    return _sweep(run, 2, [
         lambda q1, c1, q2, c2: (and_b(q1, c1, q2, c2), (q1 & q2, c1 | c2),
                                 (q1 & ~c2) | (q2 & ~c1)),
     ], ["x=%(x)s y=%(y)s collapse=%(holds)s simver=%(side)s"])
 
 
-def _law_c3_5(space, pairs, max_weight, counter):
+def _law_c3_5(run):
     """Simultaneous falsifiability (a'b <= d and c'd <= b) is
     simultaneous verifiability of the negations."""
     not_b = cnd.not_bits
@@ -781,27 +764,26 @@ def _law_c3_5(space, pairs, max_weight, counter):
         return (((c1 & ~q1) & ~c2) | ((c2 & ~q2) & ~c1), 0,
                 (nx[0] & ~ny[1]) | (ny[0] & ~nx[1]))
 
-    return _sweep(space, pairs, counter, 2, {not_b: 1}, [clause],
-                  ["x=%(x)s y=%(y)s direct=%(holds)s negated=%(side)s"])
+    return _sweep(run, 2, [clause], ["x=%(x)s y=%(y)s direct=%(holds)s negated=%(side)s"])
 
 
-def _law_c3_6(space, pairs, max_weight, counter):
+def _law_c3_6(run):
     """Simultaneously verifiable and falsifiable == equal conditions."""
-    return _sweep(space, pairs, counter, 2, {}, [
+    return _sweep(run, 2, [
         lambda q1, c1, q2, c2: ((q1 & ~c2) | (q2 & ~c1) | ((c1 & ~q1) & ~c2) | ((c2 & ~q2) & ~c1),
                                 0, c1 ^ c2),
     ], ["x=%(x)s y=%(y)s simver_and_simfals=%(holds)s same_condition=%(side)s"])
 
 
-def _law_t3_7(space, pairs, max_weight, counter):
+def _law_t3_7(run):
     """The subalgebra generated by x and y is Boolean exactly when their
     conditions are equal and nonempty."""
-    for x in pairs:
+    for x in run.pairs:
         q1, c1 = x
-        for y in pairs:
+        for y in run.pairs:
             q2, c2 = y
-            counter[0] += 1
-            is_boolean = rel.subalgebra_bits(space, {x, y})[1]
+            run.count += 1
+            is_boolean = rel.subalgebra_bits(run.space, {x, y})[1]
             if is_boolean != (c1 == c2 != 0):
                 return ("x=%(x)s y=%(y)s is_boolean=%(is_boolean)s "
                         "same_nonempty_condition=%(same)s",
@@ -809,28 +791,28 @@ def _law_t3_7(space, pairs, max_weight, counter):
     return None
 
 
-def _law_c3_8(space, pairs, max_weight, counter):
+def _law_c3_8(run):
     """Jointly verifiable and falsifiable == equal conditions; with a
     nonempty shared condition that is exactly membership in a common
     Boolean subalgebra."""
-    for x in pairs:
+    for x in run.pairs:
         q1, c1 = x
-        for y in pairs:
+        for y in run.pairs:
             q2, c2 = y
-            counter[0] += 1
+            run.count += 1
             simver = (q1 & ~c2) == 0 and (q2 & ~c1) == 0
             simfals = ((c1 & ~q1) & ~c2) == 0 and ((c2 & ~q2) & ~c1) == 0
             if (simver and simfals) != (c1 == c2):
                 return ("x=%(x)s y=%(y)s simver=%(simver)s simfals=%(simfals)s",
                         dict(x=x, y=y, simver=simver, simfals=simfals))
             if c1 == c2 != 0:
-                if not rel.subalgebra_bits(space, {x, y})[1]:
+                if not rel.subalgebra_bits(run.space, {x, y})[1]:
                     return ("x=%(x)s y=%(y)s share a nonempty condition but generate a "
                             "non-Boolean subalgebra", dict(x=x, y=y))
     return None
 
 
-def _law_t3_9(space, pairs, max_weight, counter):
+def _law_t3_9(run):
     """and_(x, z) == (0 | b v f) and or_(x, z) == (1 | b v f) together
     happen exactly when b == f and z == not x."""
     or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
@@ -840,17 +822,17 @@ def _law_t3_9(space, pairs, max_weight, counter):
         return ((and_b(q1, c1, q3, c3), or_b(q1, c1, q3, c3)), ((0, union), (union, union)),
                 (c1 ^ c3) | (q3 ^ neg[0]) | (c3 ^ neg[1]))
 
-    return _sweep(space, pairs, counter, 2, {or_b: 2, and_b: 2, not_b: 1}, [clause],
-                  ["x=%(x)s z=%(y)s complement_pair=%(holds)s right=%(side)s"], lead=not_b)
+    return _sweep(run, 2, [clause], ["x=%(x)s z=%(y)s complement_pair=%(holds)s right=%(side)s"],
+                  lead=not_b)
 
 
-def _law_t3_11(space, pairs, max_weight, counter):
+def _law_t3_11(run):
     """osum is commutative with (0|b) as same-condition neutral,
     osum(x, x) == (0|b), and not x as the unique z with
     osum(x, z) == (1|b). Associativity of the total operation is not a
     law; its status is reported in the note."""
     osum_b, not_b = cnd.osum_bits, cnd.not_bits
-    failure = _sweep(space, pairs, counter, 1, {osum_b: 2, not_b: 1}, [
+    failure = _sweep(run, 1, [
         lambda q1, c1: (osum_b(q1, c1, 0, c1), (q1, c1)),
         lambda q1, c1: (osum_b(q1, c1, q1, c1), (0, c1)),
         lambda q1, c1: (osum_b(q1, c1, *not_b(q1, c1)), (c1, c1)),
@@ -858,7 +840,7 @@ def _law_t3_11(space, pairs, max_weight, counter):
         "osum(x, not x) != (1|b) at x=%(x)s"])
     # The side clause fails where osum(x, z) == (1|b) and z != not x; at
     # z == not x, osum(x, z) == (1|b) passed among the singles.
-    failure = failure or _sweep(space, pairs, counter, 2, {osum_b: 2, not_b: 1}, [
+    failure = failure or _sweep(run, 2, [
         lambda q1, c1, q2, c2, neg: (osum_b(q1, c1, q2, c2), osum_b(q2, c2, q1, c1)),
         lambda q1, c1, q2, c2, neg: (osum_b(q1, c1, q2, c2), (c1, c1),
                                      (q2 ^ neg[0]) | (c2 ^ neg[1])),
@@ -867,14 +849,14 @@ def _law_t3_11(space, pairs, max_weight, counter):
     if failure:
         return failure
     # Not a law: a triple where osum does not associate is the note.
-    example = _sweep(space, pairs, counter, 3, {osum_b: 2}, [
+    example = _sweep(run, 3, [
         lambda q1, c1, q2, c2, q3, c3: (osum_b(*osum_b(q1, c1, q2, c2), q3, c3),
                                         osum_b(q1, c1, *osum_b(q2, c2, q3, c3))),
     ], ["informative: the total osum is not associative, e.g. x=%(x)s y=%(y)s z=%(z)s"])
-    return _render(space, *example) if example else "osum associativity holds over this space"
+    return _render(run.space, *example) if example else "osum associativity holds over this space"
 
 
-def _law_t3_15(space, pairs, max_weight, counter):
+def _law_t3_15(run):
     """sasaki(b, a): fixes a iff cond(b) <= cond(a) and the falsity
     region of b lies inside that of a; annihilates to (0 | a2 v b2) iff
     the consequent of a lies in the falsity region of b; is idempotent
@@ -886,7 +868,7 @@ def _law_t3_15(space, pairs, max_weight, counter):
         proj = sas_b(qb, cb, qa, ca)
         return sas_b(qb, cb, *proj), proj
 
-    failure = _sweep(space, pairs, counter, 2, {sas_b: 2}, [
+    failure = _sweep(run, 2, [
         lambda qb, cb, qa, ca: (sas_b(qb, cb, qa, ca), (qa, ca),
                                 (cb & ~ca) | ((cb & ~qb) & ~(ca & ~qa))),
         lambda qb, cb, qa, ca: (sas_b(qb, cb, qa, ca), (0, ca | cb), qa & ~(cb & ~qb)),
@@ -899,7 +881,7 @@ def _law_t3_15(space, pairs, max_weight, counter):
     def nested(qb, cb, qc, cc, qa, ca):
         return sas_b(qc, cc, *sas_b(qb, cb, qa, ca))
 
-    return failure or _sweep(space, pairs, counter, 3, {and_b: 2, sas_b: 2}, [
+    return failure or _sweep(run, 3, [
         lambda qb, cb, qc, cc, qa, ca, meet: (nested(qb, cb, qc, cc, qa, ca),
                                               sas_b(*meet, qa, ca)),
         lambda qb, cb, qc, cc, qa, ca, meet: (nested(qb, cb, qc, cc, qa, ca),
@@ -908,30 +890,30 @@ def _law_t3_15(space, pairs, max_weight, counter):
         "projections do not commute at b=%(x)s c=%(y)s a=%(z)s"], lead=and_b)
 
 
-def _law_c3_16(space, pairs, max_weight, counter):
+def _law_c3_16(run):
     """sasaki(b, a) == a exactly when and_(a, b) == a; it annihilates
     exactly when tr(a, not b); and sasaki(c, c) == c."""
-    conds = [cnd.Conditional(space, q, c) for q, c in pairs]
+    conds = [cnd.Conditional(run.space, q, c) for q, c in run.pairs]
     for c in conds:
-        counter[0] += 1
+        run.count += 1
         if cnd.sasaki(c, c) != c:
             return "sasaki(c, c) != c at c=%(c)s", dict(c=c)
     for b in conds:
         nb = cnd.negate(b)
         for a in conds:
-            counter[0] += 1
+            run.count += 1
             proj = cnd.sasaki(b, a)
             if (proj == a) != rel.holds("wedge", a, b):
                 return ("fixed point does not match the wedge order at b=%(b)s a=%(a)s",
                         dict(b=b, a=a))
-            zero = cnd.Conditional(space, 0, a.c | b.c)
+            zero = cnd.Conditional(run.space, 0, a.c | b.c)
             if (proj == zero) != rel.holds("tr", a, nb):
                 return ("annihilation does not match tr(a, not b) at b=%(b)s a=%(a)s",
                         dict(b=b, a=a))
     return None
 
 
-def _law_t3_17(space, pairs, max_weight, counter):
+def _law_t3_17(run):
     """Sasaki projection interplay with or_: absorbing a projection
     through the complement, distribution over or_, the commutation /
     coincidence criteria, the two-sided verifiability criterion, and
@@ -943,7 +925,7 @@ def _law_t3_17(space, pairs, max_weight, counter):
         return (pq & ~qa, pc), (0, ca), cb & ~ca
 
     # Pairs (b, a); the lead is nb = not b.
-    failure = _sweep(space, pairs, counter, 2, {or_b: 2, and_b: 2, not_b: 1, sas_b: 2}, [
+    failure = _sweep(run, 2, [
         lambda qb, cb, qa, ca, nb: (or_b(qb, cb, qa, ca), or_b(qb, cb, *sas_b(*nb, qa, ca))),
         lambda qb, cb, qa, ca, nb: (sas_b(qb, cb, qa, ca), sas_b(qa, ca, qb, cb),
                                     (qb & ~ca) | (qa & ~cb)),
@@ -957,14 +939,14 @@ def _law_t3_17(space, pairs, max_weight, counter):
         "bounded-order criterion fails at b=%(x)s a=%(y)s",
         "two-sided verifiability criterion fails at b=%(x)s a=%(y)s"], lead=not_b)
     # Triples (c, b, a); the lead is proj_b = sasaki(c, b).
-    failure = failure or _sweep(space, pairs, counter, 3, {or_b: 2, sas_b: 2}, [
+    failure = failure or _sweep(run, 3, [
         lambda qc, cc, qb, cb, qa, ca, proj_b: (sas_b(qc, cc, *or_b(qb, cb, qa, ca)),
                                                 or_b(*proj_b, *sas_b(qc, cc, qa, ca))),
     ], ["projection does not distribute over or_ at c=%(x)s b=%(y)s a=%(z)s"], lead=sas_b)
     if failure:
         return failure
     # Folded families stay on 3 atoms; their pairs render alike on a larger law space.
-    return _folded_families(min(space.n, 3), counter)
+    return _folded_families(run, min(run.space.n, 3))
 
 
 def _folding_failure(c, family):
@@ -1000,20 +982,20 @@ def _family_blocks(atoms):
     return tuple(blocks)
 
 
-def _folded_families(atoms, counter):
+def _folded_families(run, atoms):
     """t3.17's closure step: for every c over `atoms` atoms and every
     multiset of 1 to 3 conditionals jointly verifiable with c, the or_
     fold and the and_ fold of the family, left to right, stay jointly
     verifiable with c. Families count in the order c, size, then
     combinations_with_replacement order.
 
-    With certified kernels each (c, size) block folds all its families
-    at once, one or_ and one and_ call per position after the first, and
+    On the sliced route each (c, size) block folds all its families at
+    once, one or_ and one and_ call per position after the first, and
     the lowest failing byte lane is the first failing family."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
-    if _lane_local(or_b) and _lane_local(and_b):
+    if run.sliced:
         for (qc, cc), compatible, size, lanes, repunit, packed in _family_blocks(atoms):
-            counter[0] += lanes
+            run.count += lanes
             (oq, oc), *rest = packed
             aq, ac = oq, oc
             for q2, c2 in rest:
@@ -1022,30 +1004,26 @@ def _folded_families(atoms, counter):
             failed = (qc * repunit & ~(oc & ac)) | ((oq | aq) & ~(cc * repunit))
             if failed:
                 k = ((failed & -failed).bit_length() - 1) // 8
-                counter[0] += k + 1 - lanes
+                run.count += k + 1 - lanes
                 family = next(islice(combinations_with_replacement(compatible, size), k, None))
                 return _folding_failure((qc, cc), family)
         return None
-    pairs = cnd.enumerate_conditionals_bits((1 << atoms) - 1)
-    for c in pairs:
-        qc, cc = c
-        compatible = [a for a in pairs if (qc & ~a[1]) == 0 and (a[0] & ~cc) == 0]
-        for size in (1, 2, 3):
-            for family in combinations_with_replacement(compatible, size):
-                counter[0] += 1
-                oq, oc = family[0]
-                aq, ac = family[0]
-                for q2, c2 in family[1:]:
-                    oq, oc = or_b(oq, oc, q2, c2)
-                    aq, ac = and_b(aq, ac, q2, c2)
-                or_ok = (qc & ~oc) == 0 and (oq & ~cc) == 0
-                and_ok = (qc & ~ac) == 0 and (aq & ~cc) == 0
-                if not (or_ok and and_ok):
-                    return _folding_failure(c, family)
+    for (qc, cc), compatible, size, *_ in _family_blocks(atoms):
+        for family in combinations_with_replacement(compatible, size):
+            run.count += 1
+            oq, oc = family[0]
+            aq, ac = family[0]
+            for q2, c2 in family[1:]:
+                oq, oc = or_b(oq, oc, q2, c2)
+                aq, ac = and_b(aq, ac, q2, c2)
+            or_ok = (qc & ~oc) == 0 and (oq & ~cc) == 0
+            and_ok = (qc & ~ac) == 0 and (aq & ~cc) == 0
+            if not (or_ok and and_ok):
+                return _folding_failure((qc, cc), family)
     return None
 
 
-def _law_schay_lattice(space, pairs, max_weight, counter):
+def _law_schay_lattice(run):
     """Both alternative operation pairs form distributive lattices:
     cap_s with cup_s, and and_s with vee_s. Idempotence, commutativity,
     associativity, the two absorption laws and both distributivities
@@ -1055,17 +1033,16 @@ def _law_schay_lattice(space, pairs, max_weight, counter):
         ("and_s/vee_s", schay.sand_bits, schay.vee_bits),
     )
     for name, meet, join in systems:
-        kernels = {meet: 2, join: 2}
-        failure = _sweep(space, pairs, counter, 1, kernels, [
+        failure = _sweep(run, 1, [
             lambda q1, c1: ((meet(q1, c1, q1, c1), join(q1, c1, q1, c1)), ((q1, c1), (q1, c1))),
         ], ["%s: idempotence fails at x=%%(x)s" % name])
-        failure = failure or _sweep(space, pairs, counter, 2, kernels, [
+        failure = failure or _sweep(run, 2, [
             lambda q1, c1, q2, c2: (meet(q1, c1, q2, c2), meet(q2, c2, q1, c1)),
             lambda q1, c1, q2, c2: (join(q1, c1, q2, c2), join(q2, c2, q1, c1)),
             lambda q1, c1, q2, c2: (meet(q1, c1, *join(q1, c1, q2, c2)), (q1, c1)),
             lambda q1, c1, q2, c2: (join(q1, c1, *meet(q1, c1, q2, c2)), (q1, c1)),
         ], ["%s: %s at x=%%(x)s y=%%(y)s" % (name, check) for check in _LATTICE_PAIRS])
-        failure = failure or _sweep(space, pairs, counter, 3, kernels, [
+        failure = failure or _sweep(run, 3, [
             lambda q1, c1, q2, c2, q3, c3: (meet(*meet(q1, c1, q2, c2), q3, c3),
                                             meet(q1, c1, *meet(q2, c2, q3, c3))),
             lambda q1, c1, q2, c2, q3, c3: (join(*join(q1, c1, q2, c2), q3, c3),
@@ -1080,7 +1057,7 @@ def _law_schay_lattice(space, pairs, max_weight, counter):
     return None
 
 
-def _law_schay_coincide(space, pairs, max_weight, counter):
+def _law_schay_coincide(run):
     """cup_s is or_, and_s is and_, and the four-term expanded form of
     the consequent of cup_s reduces to the same operation."""
     cup, sand, or_b, and_b = schay.cup_bits, schay.sand_bits, cnd.or_bits, cnd.and_bits
@@ -1089,7 +1066,7 @@ def _law_schay_coincide(space, pairs, max_weight, counter):
         long_cons = (q1 & c2) | (q2 & c1) | (q1 & ~c2) | (~c1 & q2)
         return (long_cons & (c1 | c2), c1 | c2), cup(q1, c1, q2, c2)
 
-    return _sweep(space, pairs, counter, 2, {cup: 2, sand: 2, or_b: 2, and_b: 2}, [
+    return _sweep(run, 2, [
         lambda q1, c1, q2, c2: (cup(q1, c1, q2, c2), or_b(q1, c1, q2, c2)),
         lambda q1, c1, q2, c2: (sand(q1, c1, q2, c2), and_b(q1, c1, q2, c2)),
         expanded,
@@ -1097,17 +1074,17 @@ def _law_schay_coincide(space, pairs, max_weight, counter):
         "expanded union form differs from cup_s at x=%(x)s y=%(y)s"])
 
 
-def _law_schay_2_12(space, pairs, max_weight, counter):
+def _law_schay_2_12(run):
     """For disjoint events a and b, conditioning (b | a v b) on the
     complement of b collapses to the impossible conditional (0 | a)."""
-    events = [Event(space, bits) for bits in range(space.full_bits + 1)]
+    events = [Event(run.space, bits) for bits in range(run.space.full_bits + 1)]
     for ea in events:
         for eb in events:
             if ea.bits & eb.bits:
                 continue
-            counter[0] += 1
+            run.count += 1
             got = schay.schay_iteration_example(ea, eb)
-            want = cnd.make(Event(space, 0), ea)
+            want = cnd.make(Event(run.space, 0), ea)
             if got != want:
                 return ("iteration example fails at a=%(a)s b=%(b)s: got %(got)s want %(want)s",
                         dict(a=ea, b=eb, got=got, want=want))
@@ -1117,46 +1094,73 @@ def _law_schay_2_12(space, pairs, max_weight, counter):
 # ------------------------------------------------------------- catalog
 
 
-_CATALOG = (
-    ("t2.4", 4, _law_t2_4),
-    ("c2.5", 4, _law_c2_5),
-    ("t2.6", 4, _law_t2_6),
-    ("c2.7", 4, _law_c2_7),
-    ("c2.8", 4, _law_c2_8),
-    ("c2.9", 4, _law_c2_9),
-    ("props2.3", 4, _law_props2_3),
-    ("t2.13", 3, _law_t2_13),
-    ("t2.18", 3, _law_t2_18),
-    ("t2.19", 3, _law_t2_19),
-    ("p2.20", 4, _law_p2_20),
-    ("truth-tables", 4, _law_truth_tables),
-    ("superposition", 3, _law_superposition),
-    ("t3.2", 3, _law_t3_2),
-    ("c3.3", 4, _law_c3_3),
-    ("c3.5", 4, _law_c3_5),
-    ("c3.6", 4, _law_c3_6),
-    ("t3.7", 3, _law_t3_7),
-    ("c3.8", 3, _law_c3_8),
-    ("t3.9", 4, _law_t3_9),
-    ("t3.11", 4, _law_t3_11),
-    ("t3.15", 4, _law_t3_15),
-    ("c3.16", 4, _law_c3_16),
-    ("t3.17", 4, _law_t3_17),
-    ("schay-lattice", 3, _law_schay_lattice),
-    ("schay-coincide", 4, _law_schay_coincide),
-    ("schay-2.12", 4, _law_schay_2_12),
-)
+class _Law(Record):
+    """A catalog record: the law's id, its atom budget, its function and
+    the names of every kernel the function calls."""
 
-_BY_ID = {law: (budget, fn) for law, budget, fn in _CATALOG}
+    __slots__ = _fields = ("id", "budget", "fn", "kernels")
 
-LAW_IDS = tuple(law for law, _, _ in _CATALOG)
+    def __init__(self, law_id, budget, fn, kernels):
+        _set(self, "id", law_id)
+        _set(self, "budget", budget)
+        _set(self, "fn", fn)
+        _set(self, "kernels", kernels)
+
+
+# Every kernel a record may name, with its module and operand count.
+# `check` reads it from the module when it runs: a mutant replaces it there.
+_KERNELS = dict.fromkeys(("or_bits", "and_bits", "given_bits", "osum_bits", "sasaki_bits"),
+                         (cnd, 2))
+_KERNELS.update(dict.fromkeys(("cap_bits", "cup_bits", "sand_bits", "vee_bits"), (schay, 2)),
+                not_bits=(cnd, 1))
+
+_CATALOG = tuple(_Law(law, budget, fn, tuple(kernels.split())) for law, budget, fn, kernels in (
+    ("t2.4", 4, _law_t2_4, "or_bits and_bits"),
+    ("c2.5", 4, _law_c2_5, "or_bits and_bits"),
+    ("t2.6", 4, _law_t2_6, "or_bits and_bits"),
+    ("c2.7", 4, _law_c2_7, "or_bits and_bits"),
+    ("c2.8", 4, _law_c2_8, "or_bits and_bits not_bits"),
+    ("c2.9", 4, _law_c2_9, "or_bits and_bits not_bits"),
+    ("props2.3", 4, _law_props2_3, "or_bits and_bits not_bits given_bits"),
+    ("t2.13", 3, _law_t2_13, "or_bits"),
+    ("t2.18", 3, _law_t2_18, "and_bits"),
+    ("t2.19", 3, _law_t2_19, "or_bits and_bits"),
+    ("p2.20", 4, _law_p2_20, "or_bits and_bits not_bits"),
+    ("truth-tables", 4, _law_truth_tables, "and_bits or_bits given_bits not_bits"),
+    ("superposition", 3, _law_superposition, "or_bits and_bits"),
+    ("t3.2", 3, _law_t3_2, "or_bits"),
+    ("c3.3", 4, _law_c3_3, "and_bits"),
+    ("c3.5", 4, _law_c3_5, "not_bits"),
+    ("c3.6", 4, _law_c3_6, ""),
+    ("t3.7", 3, _law_t3_7, "or_bits and_bits not_bits"),
+    ("c3.8", 3, _law_c3_8, "or_bits and_bits not_bits"),
+    ("t3.9", 4, _law_t3_9, "or_bits and_bits not_bits"),
+    ("t3.11", 4, _law_t3_11, "osum_bits not_bits"),
+    ("t3.15", 4, _law_t3_15, "and_bits sasaki_bits"),
+    ("c3.16", 4, _law_c3_16, "not_bits sasaki_bits"),
+    ("t3.17", 4, _law_t3_17, "or_bits and_bits not_bits sasaki_bits"),
+    ("schay-lattice", 3, _law_schay_lattice, "cap_bits cup_bits sand_bits vee_bits"),
+    ("schay-coincide", 4, _law_schay_coincide, "cup_bits sand_bits or_bits and_bits"),
+    ("schay-2.12", 4, _law_schay_2_12, "given_bits"),
+))
+
+_BY_ID = {law.id: law for law in _CATALOG}
+
+LAW_IDS = tuple(_BY_ID)
+
+
+def _lookup(law):
+    """The catalog record of a law id; UnknownLaw for any other id."""
+    if law not in _BY_ID:
+        if law == "all":
+            raise UnknownLaw("'all' is the whole catalog; use check_all")
+        raise UnknownLaw("unknown law id: %r" % (law,))
+    return _BY_ID[law]
 
 
 def law_budget(law):
     """Largest atom count a law accepts."""
-    if law not in _BY_ID:
-        raise UnknownLaw("unknown law id: %r" % (law,))
-    return _BY_ID[law][0]
+    return _lookup(law).budget
 
 
 def _check_sizes(atoms, max_weight):
@@ -1191,28 +1195,24 @@ def check(law, atoms, max_weight=3):
     measure to check). An exception inside the law itself is a FAIL
     whose counterexample names it.
     """
-    if law not in _BY_ID:
-        if law == "all":
-            raise UnknownLaw("'all' is the whole catalog; use check_all")
-        raise UnknownLaw("unknown law id: %r" % (law,))
-    budget, fn = _BY_ID[law]
+    record = _lookup(law)
     _check_sizes(atoms, max_weight)
-    if atoms > budget:
-        raise TooLarge("law %s runs on at most %d atoms, got %d" % (law, budget, atoms))
-    space, pairs = _checking_space(atoms)
-    counter = [0]
+    if atoms > record.budget:
+        raise TooLarge("law %s runs on at most %d atoms, got %d" % (law, record.budget, atoms))
+    run = _Run(atoms, max_weight, {getattr(_KERNELS[name][0], name): _KERNELS[name][1]
+                                   for name in record.kernels})
     try:
-        result = fn(space, pairs, max_weight, counter)
+        result = record.fn(run)
         if result is None or isinstance(result, str):  # a string is t3.11's note
-            return LawReport(law, atoms, counter[0], passed=True, note=result)
-        return LawReport(law, atoms, counter[0], passed=False,
-                         counterexample=_render(space, *result))
+            return LawReport(law, atoms, run.count, passed=True, note=result)
+        return LawReport(law, atoms, run.count, passed=False,
+                         counterexample=_render(run.space, *result))
     except Exception as exc:  # a law meeting a broken kernel reports, never crashes
-        return LawReport(law, atoms, counter[0], passed=False,
+        return LawReport(law, atoms, run.count, passed=False,
                          counterexample="raised %s: %s" % (type(exc).__name__, exc))
 
 
 def check_all(atoms, max_weight=3):
     """Check the whole catalog, clamping each law to its own budget."""
     _check_sizes(atoms, max_weight)
-    return [check(law, min(atoms, budget), max_weight) for law, budget, _ in _CATALOG]
+    return [check(law.id, min(atoms, law.budget), max_weight) for law in _CATALOG]

@@ -869,6 +869,14 @@ def reference_folded_families(atoms, counter):
     return None
 
 
+def folded_families(atoms):
+    """`lawcheck._folded_families` on a run whose route or_ and and_
+    decide, as (count, failure)."""
+    run = lawcheck._Run(atoms, 1, {cnd.or_bits: 2, cnd.and_bits: 2})
+    failure = lawcheck._folded_families(run, atoms)
+    return run.count, failure
+
+
 @pytest.mark.parametrize("atoms, families", [(2, 687), (3, 18793)])
 def test_folded_families_match_the_plain_loop_under_every_or_and_mutant(monkeypatch, atoms,
                                                                          families):
@@ -879,19 +887,18 @@ def test_folded_families_match_the_plain_loop_under_every_or_and_mutant(monkeypa
     and the plain loop reach the same count and the same failure. The
     32 with an undefined (U, U) entry are certified and run sliced; 14
     of those fail inside the families."""
-    got, want = [0], [0]
-    assert lawcheck._folded_families(atoms, got) is None
+    want = [0]
     assert reference_folded_families(atoms, want) is None
-    assert got == want == [families]
+    assert folded_families(atoms) == (want[0], None) == (families, None)
     certified = failing = 0
     for name, entry, new, _ in table_mutants():
         if name not in ("or_bits", "and_bits"):
             continue
         kernel = closed_form_kernel({**TABLES[name], entry: new}, (1 << atoms) - 1)
         monkeypatch.setattr(cnd, name, kernel)
-        got, want = [0], [0]
-        failure = lawcheck._folded_families(atoms, got)
-        assert (got, failure) == (want, reference_folded_families(atoms, want)), (name, entry, new)
+        want = [0]
+        failure = reference_folded_families(atoms, want)
+        assert folded_families(atoms) == (want[0], failure), (name, entry, new)
         monkeypatch.undo()
         if lawcheck._lane_local(kernel):
             certified += 1
@@ -965,12 +972,9 @@ SLICED_AND_PER_ATOM = [
 
 def _drive(arity, kernels, clauses):
     """The count at the failure, then the sweep's template and fields."""
-    space = lawcheck.law_space(2)
-    pairs = cnd.enumerate_conditionals_bits(space.full_bits)
-    counter = [0]
-    failure = lawcheck._sweep(space, pairs, counter, arity, dict.fromkeys(kernels, 2), clauses,
-                              DRIVER_TEMPLATES)
-    return (counter[0], *failure)
+    run = lawcheck._Run(2, 1, dict.fromkeys(kernels, 2))
+    failure = lawcheck._sweep(run, arity, clauses, DRIVER_TEMPLATES)
+    return (run.count, *failure)
 
 
 def test_shift_loop_pack_matches_the_string_reference():
@@ -983,9 +987,9 @@ def test_shift_loop_pack_matches_the_string_reference():
     # five calls (lhs and rhs) per outer x, all 27 x 27 pairs (y, z) at once
     ("t2.4", 3, ("or_bits", "and_bits"), 2 + 27 * 5),
     ("c3.3", 3, ("or_bits", "and_bits"), 1 + 1),  # one and_ call for all 27 x 27 pairs (x, y)
-    # a certificate per sweep, 3 calls for the singles, 3 for the pairs, 4 for the
+    # one certificate per check, 3 calls for the singles, 3 for the pairs, 4 for the
     # first outer x's triples, which hold the non-associative triple of the note
-    ("t3.11", 3, ("osum_bits",), 3 + 3 + 3 + 4),
+    ("t3.11", 3, ("osum_bits",), 1 + 3 + 3 + 4),
     ("superposition", 2, ("or_bits", "and_bits"), 2 + 8 + 8),  # its pairs only: no grid
     # a certificate and one call per kernel: and_, or_ and given on all 81 x 81
     # pairs at once, not on all 81 conditionals
@@ -993,7 +997,7 @@ def test_shift_loop_pack_matches_the_string_reference():
 ])
 def test_certified_kernels_run_one_sliced_block_per_outer_operand(monkeypatch, law, atoms,
                                                                    kernels, calls):
-    """One certificate call per kernel a sweep names, then one block per
+    """One certificate call per kernel the law names, then one block per
     outer x for triples and one block in all for singles or pairs. With
     no weight vectors, superposition runs only its pair part."""
     made = []
@@ -1123,6 +1127,60 @@ def test_raise_reports_match_the_golden_reports():
     assert raise_reports() == golden
 
 
+# Law records. `check` picks a law's route once, from the kernels its
+# record names, so a record must name every kernel the law calls: a
+# sliced block must never meet a kernel the certificate did not see.
+
+BLOCKLESS_LAWS = {"t2.13", "t2.18", "t2.19", "t3.2", "t3.7", "c3.8", "c3.16", "schay-2.12"}
+
+
+def test_every_law_record_names_exactly_the_kernels_its_law_calls(monkeypatch):
+    """Each of the ten kernels (RAISING_KERNELS lists them) records the
+    laws that call it on ints, at 2 atoms and grid 1; the certificate's
+    calls on truth tables do not count."""
+    called = {law: set() for law in lawcheck.LAW_IDS}
+    running = [None]
+
+    def recording(name, kernel):
+        def recorded(*operands):
+            if type(operands[0]) is int:
+                called[running[0]].add(name)
+            return kernel(*operands)
+
+        return recorded
+
+    for module, name in RAISING_KERNELS:
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    for record in lawcheck._CATALOG:
+        running[0] = record.id
+        assert lawcheck.check(record.id, 2, 1).passed
+        assert len(set(record.kernels)) == len(record.kernels), record.id
+    assert called == {record.id: set(record.kernels) for record in lawcheck._CATALOG}
+
+
+def test_check_all_certifies_each_kernel_of_a_law_once(monkeypatch):
+    """check_all(2, 1) runs the lane certificate once per kernel a law's
+    record names, 48 times in all, when a block route first asks. c3.6
+    names no kernel, and the laws without a block route never ask."""
+    certified = []
+    running = [None]
+    check, lane_local = lawcheck.check, lawcheck._lane_local
+
+    def checking(law, *sizes):
+        running[0] = law
+        return check(law, *sizes)
+
+    def certifying(kernel, arity=2):
+        certified.append((running[0], kernel))
+        return lane_local(kernel, arity)
+
+    monkeypatch.setattr(lawcheck, "check", checking)
+    monkeypatch.setattr(lawcheck, "_lane_local", certifying)
+    assert all(report.passed for report in lawcheck.check_all(2, 1))
+    assert len(certified) == len(set(certified)) == 48
+    assert set(lawcheck.LAW_IDS) - {law for law, _ in certified} == BLOCKLESS_LAWS | {"c3.6"}
+
+
 # A cache may hold operand packings, never a kernel result. Run with the
 # shipped kernels, under an or_ mutant ((F, F) -> T) that fails inside
 # the folded families, then with the shipped kernels again: each run
@@ -1130,10 +1188,10 @@ def test_raise_reports_match_the_golden_reports():
 
 FOLD_MUTANT = "lambda q1, c1, q2, c2: (q1 | q2 | (c1 & ~q1 & c2 & ~q2), c1 | c2)"
 KERNEL_RESULTS = (
-    "counter = [0]\n"
-    "family = lawcheck._folded_families(3, counter)\n"
+    "run = lawcheck._Run(3, 1, {cnd.or_bits: 2, cnd.and_bits: 2})\n"
+    "family = lawcheck._folded_families(run, 3)\n"
     "print(repr(([lawcheck.check(law, atoms) for law, atoms in"
-    " (('truth-tables', 3), ('t3.17', 3), ('t3.17', 4))], family, counter)))\n")
+    " (('truth-tables', 3), ('t3.17', 3), ('t3.17', 4))], family, run.count)))\n")
 
 
 def _fresh_kernel_results(install):
@@ -1151,6 +1209,6 @@ def test_every_report_matches_a_fresh_interpreter_across_a_mutant(monkeypatch, c
     runs = ((cnd.or_bits, shipped), (eval(FOLD_MUTANT), mutated), (cnd.or_bits, shipped))
     for kernel, fresh in runs:
         monkeypatch.setattr(cnd, "or_bits", kernel)
-        exec(KERNEL_RESULTS, {"lawcheck": lawcheck})
+        exec(KERNEL_RESULTS, {"lawcheck": lawcheck, "cnd": cnd})
         monkeypatch.undo()
         assert capsys.readouterr().out == fresh
