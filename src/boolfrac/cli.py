@@ -10,6 +10,17 @@ every later call in the process. argparse keeps no per-call state in the
 tree, and it reads sys.stdout, sys.stderr and the terminal width when it
 prints, so a reused parser prints what a fresh one would.
 `build_parser` still returns a new parser on every call.
+
+A request whose first argument is exactly a subcommand name is parsed
+by that subcommand's parser alone. The top-level parser would do nothing
+more: it has only -h/--help, and its subcommand positional hands every
+argument after the name to the same subparser, whose errors and help
+argparse prints and words either way. Anything else falls back to the
+full parse, with its top-level usage and messages: no arguments, an
+option or an unknown or abbreviated name first, or arguments the
+subparser leaves over (which the top level reports as unrecognized).
+The name-to-subparser table is read from the kept parser, so it is
+rebuilt whenever the parser is.
 """
 
 import argparse
@@ -180,14 +191,37 @@ def build_parser():
 
 
 _parser = None
+_routes = None
+
+
+def _subcommands(parser):
+    """The parser's subcommand names, each mapped to its subparser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+
+
+def _parse(argv):
+    """What `_parser.parse_args(argv)` returns, in one argparse pass when
+    argv starts with a subcommand name."""
+    if argv is None:
+        argv = sys.argv[1:]
+    subparser = _routes.get(argv[0]) if argv else None
+    if subparser is not None:
+        args, extras = subparser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _parser.parse_args(argv)
 
 
 def main(argv=None):
-    global _parser
+    global _parser, _routes
     if _parser is None:
         _parser = build_parser()
+        _routes = _subcommands(_parser)
     try:
-        args = _parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:

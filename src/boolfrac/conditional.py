@@ -101,7 +101,7 @@ class Conditional:
     def __eq__(self, other):
         return (
             isinstance(other, Conditional)
-            and self.space == other.space
+            and (self.space is other.space or self.space == other.space)
             and self.q == other.q
             and self.c == other.c
         )

@@ -154,7 +154,11 @@ class Event:
         return self.bits != 0
 
     def __eq__(self, other):
-        return isinstance(other, Event) and self.space == other.space and self.bits == other.bits
+        return (
+            isinstance(other, Event)
+            and (self.space is other.space or self.space == other.space)
+            and self.bits == other.bits
+        )
 
     def __hash__(self):
         return hash((self.space, self.bits))

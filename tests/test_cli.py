@@ -6,6 +6,7 @@ codes: 0 success (for ``check``: every law passed), 1 domain error or a
 failed law, 2 usage or parse error.
 """
 
+import argparse
 import os
 import pathlib
 import subprocess
@@ -560,6 +561,116 @@ def test_build_parser_returns_a_new_parser_each_call():
     cli.main(["parse", "--expr", "a"])
     parsers = [cli.build_parser() for _ in range(3)]
     assert len({id(parser) for parser in parsers + [cli._parser]}) == 4
+
+
+# one argparse pass per request
+
+
+def edge_argvs(die_path):
+    """Requests the top-level parser must still see, or whose subparser
+    parse must print exactly what the full parse prints, in three
+    groups: no subcommand name first, a name first and nothing left
+    over, a name first and arguments left over."""
+    request = ["eval", "--space", die_path, "--expr", "two"]
+    unrouted = [[], ["-h"], ["--help"], ["bogus"], ["ev"], ["-x", "eval"]]
+    routed = [
+        ["eval"], ["eval", "-h"], ["eval", "-h", "--bogus"], ["eval", "--bogus"],
+        ["eval", "--sp", die_path, "--ex", "two"],
+        ["eval", "--space=" + die_path, "--expr", "two"],
+        ["eval", "--space", die_path, "--", "--expr", "two"],
+        ["eval", "--space", "/no/such/file.cs", "--space", die_path, "--expr", "two"],
+        ["eval", "--space", die_path, "--expr=-x"],
+        ["eval", "--space", die_path, "--expr", "--"],
+        ["check", "--atoms", "x"],
+        ["prob", "--space", die_path, "--measure", "uniform", "--expr", "two",
+         "--formula", "bad"],
+        ["parse"],
+    ]
+    leftover = [request + ["extra"], request + ["x", "y"]]
+    return unrouted, routed, leftover
+
+
+def full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_main_prints_what_a_full_parse_of_every_request_prints(capsys, monkeypatch,
+                                                               die_path, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    argvs = reuse_sequence(die_path) + sum(edge_argvs(die_path), [])
+    routed = [run(capsys, *argv) for argv in argvs]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse", full_parse)
+        reference = [run(capsys, *argv) for argv in argvs]
+    assert routed == reference
+    assert {code for code, _, _ in routed} == {0, 1, 2}
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """(prog, args) of every ArgumentParser.parse_known_args call, in order."""
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, args=None, namespace=None):
+        calls.append((self.prog, None if args is None else list(args)))
+        return parse_known_args(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    return calls
+
+
+def test_a_subcommand_request_is_parsed_once_by_its_subparser(capsys, parse_calls, die_path):
+    cli.main(["parse", "--expr", "a"])
+    for argv in reuse_sequence(die_path)[5:]:
+        parse_calls.clear()
+        cli.main(argv)
+        assert parse_calls == [("boolfrac " + argv[0], argv[1:])]
+    capsys.readouterr()
+
+
+def test_other_requests_make_the_calls_of_the_full_parse(capsys, monkeypatch, parse_calls,
+                                                        die_path):
+    """A request with no subcommand name first is parsed in full. One with
+    arguments left over is parsed by its subparser, then in full."""
+    cli.main(["parse", "--expr", "a"])
+    unrouted, routed, leftover = edge_argvs(die_path)
+    for argvs in (unrouted, routed, leftover):
+        for argv in argvs:
+            parse_calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_parse", full_parse)
+                cli.main(argv)
+            full = list(parse_calls)
+            parse_calls.clear()
+            cli.main(argv)
+            if argvs is unrouted:
+                assert parse_calls == full
+                continue
+            assert full == [("boolfrac", argv), ("boolfrac " + argv[0], argv[1:])]
+            if argvs is routed:
+                assert parse_calls == full[1:]
+            else:
+                assert parse_calls == full[1:] + full
+    capsys.readouterr()
+
+
+def test_main_gets_its_parser_from_the_module_level_build_parser(capsys, monkeypatch,
+                                                                 die_path):
+    built = []
+
+    def build_parser():
+        built.append(cli_build_parser())
+        return built[-1]
+
+    cli_build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    monkeypatch.setattr(cli, "_parser", None)
+    for argv in reuse_sequence(die_path):
+        run(capsys, *argv)
+    assert len(built) == 1 and cli._parser is built[0]
+    assert cli._routes is cli._subcommands(built[0])
 
 
 # a fresh process

@@ -121,6 +121,38 @@ def test_equal_but_distinct_spaces_still_combine(monkeypatch):
         op(z, z)
 
 
+def four_events(space):
+    return [Event(space, bits) for bits in range(4)]
+
+
+def four_by_four_conditionals(space):
+    return [cnd.make(x, y) for x in four_events(space) for y in four_events(space)]
+
+
+def test_equality_compares_one_shared_space_by_identity(monkeypatch):
+    a, b, c = space_of(2), space_of(2), space_of(3)
+    for make in (four_events, four_by_four_conditionals):
+        # Equal but distinct spaces compare equal; unequal ones do not.
+        assert make(a) == make(b)
+        assert not any(x == y for x, y in zip(make(a), make(c)))
+        # A value of another type is never equal.
+        for x in make(a):
+            assert not x == x.space and not x == (x.space, 0) and x != None  # noqa: E711
+    assert Event(a, 1) != cnd.make(Event(a, 1), a.full)
+    assert cnd.make(Event(a, 1), a.full) != Event(a, 1)
+
+    # Operands that carry one space object never compare the spaces.
+    def no_eq(self, other):
+        raise AssertionError("SampleSpace.__eq__ called")
+
+    monkeypatch.setattr(SampleSpace, "__eq__", no_eq)
+    for make, key in ((four_events, lambda x: x.bits),
+                      (four_by_four_conditionals, lambda x: (x.q, x.c))):
+        values = make(a)
+        assert [[x == y for y in values] for x in values] == [
+            [key(x) == key(y) for y in values] for x in values]
+
+
 def old_valid_atom_name(name):
     """valid_atom_name as it was first written, one character at a time."""
     if not name:
