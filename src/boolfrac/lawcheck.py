@@ -42,15 +42,16 @@ one Boolean function at every bit position and stays in normal form (a
 kernel that branched on the type of its operands could fool it; none
 here does). Blocks are sliced only when every kernel passes; otherwise
 every block of the law holds one instance, the kernels see the pairs
-themselves and results compare as Python values, as in a plain loop.
-A test runs every law under recording kernels, so a record names
-exactly the kernels its law calls and a sliced block never meets an
-uncertified one. A raise inside a sliced block counts the whole block.
+themselves and the driver compares results as Python values, as in a
+plain loop. A test runs every law under recording kernels, so a record
+names exactly the kernels its law calls and a sliced block never meets
+an uncertified one. A raise inside a sliced sweep counts the whole block.
 
-Two laws read the same verdict outside the driver and keep their
-loops for the one-instance route: truth-tables, one instance per
-(pair, atom, op), and t3.17's folded families, one byte lane per
-family. Only operand packings, which no kernel computed, are cached.
+Two laws run blocks of their own on the same route: truth-tables, one
+instance per (pair, atom, op), and t3.17's folded families, one byte
+lane per family. Unsliced, a block holds one pair, single or family,
+counted as a plain loop counts it. Only operand packings, which no
+kernel computed, are cached.
 
 Laws whose bodies are more than bit kernels keep their own loops:
 t2.13 and superposition's grid part sum probabilities over measure
@@ -559,10 +560,11 @@ _BINARY_TABLE = "%(op)s disagrees with its table at x=%(x)s y=%(y)s atom=%(atom)
 _NOT_TABLE = "not disagrees with its table at x=%(x)s atom=%(atom)s"
 
 
-def _truth_masks(q, c, full):
-    """The bits where a (q, c) value evaluates to T, to F and to U, as
-    eval_at_bit reads them; `full` has every bit of the block set."""
-    return q, c & ~q, full & ~c
+def _truth_masks(result, block):
+    """The bits of `block` where a (q, c) result evaluates to T, to F and
+    to U, read as eval_at_bit reads them, in normal form or not."""
+    q, c = result
+    return q & block, c & ~q & block, block & ~(q | c)
 
 
 def _table_masks(table, *operands):
@@ -578,73 +580,47 @@ def _table_masks(table, *operands):
     return tuple(masks)
 
 
-def _first_mismatch(diffs, n):
-    """(lane, atom, j) for the lowest bit set in any of `diffs`, where
-    lanes are n bits wide and diffs[j] is the first that has the bit;
-    None when every diff is 0."""
-    failed = reduce(operator.or_, diffs)
-    if not failed:
-        return None
-    bit = (failed & -failed).bit_length() - 1
-    return (*divmod(bit, n), next(j for j, d in enumerate(diffs) if d >> bit & 1))
-
-
 def _law_truth_tables(run):
     """Pointwise soundness: evaluating op(x, y) at an outcome equals the
     three-valued table applied to the evaluations of x and y, for and_,
     or_, given and not. Over every pair this pins all thirty table
-    entries."""
-    ops = (
-        ("and", cnd.and_bits, tv.tt_and),
-        ("or", cnd.or_bits, tv.tt_or),
-        ("given", cnd.given_bits, tv.tt_given),
-    )
+    entries.
+
+    The binary ops run on the pair block, negation on the single block.
+    An atom is a bit of a lane, so op j of a part's m ops at atom i of
+    lane k is the part's instance m*(n*k + i) + j: 3n*k + 3i + j for the
+    binary ops, n*k + i for negation. The expected masks come from the
+    kernel-free block; unsliced, each block is one pair or single and
+    reads its lane of them."""
     space, pairs = run.space, run.pairs
-    if run.sliced:
-        # The pair block and the single block: an atom is a bit of a lane,
-        # so the loop's instance (pair lane k, atom i, op j) is number
-        # 3n*k + 3i + j, and (lane k, atom i) of the negations is n*k + i.
-        n, size = space.n, len(pairs)
-        lanes, (q1, c1, q2, c2) = _block(n, pairs, 2)
-        full = lanes * space.full_bits
-        xs, ys = _truth_masks(q1, c1, full), _truth_masks(q2, c2, full)
-        miss = _first_mismatch([_diff(_truth_masks(*op(q1, c1, q2, c2), full),
-                                      _table_masks(table, xs, ys)) for _, op, table in ops], n)
-        if miss:
-            k, i, j = miss
-            run.count += 3 * n * k + 3 * i + j + 1
-            return _BINARY_TABLE, dict(op=ops[j][0], x=pairs[k // size], y=pairs[k % size],
-                                       atom=space.atoms[i])
-        run.count += 3 * n * size * size
-        lanes, (q1, c1) = _block(n, pairs, 1)
-        full = lanes * space.full_bits
-        miss = _first_mismatch([_diff(_truth_masks(*cnd.not_bits(q1, c1), full),
-                                      _table_masks(tv.tt_not, _truth_masks(q1, c1, full)))], n)
-        if miss:
-            k, i, _ = miss
-            run.count += n * k + i + 1
-            return _NOT_TABLE, dict(x=pairs[k], atom=space.atoms[i])
-        run.count += n * size
-        return None
-    bits = [1 << i for i in range(space.n)]
-    ev = tv.eval_at_bit
-    for q1, c1 in pairs:
-        for q2, c2 in pairs:
-            results = [(name, op(q1, c1, q2, c2), table) for name, op, table in ops]
-            for bit in bits:
-                p_val = ev(q1, c1, bit)
-                s_val = ev(q2, c2, bit)
-                for name, (rq, rc), table in results:
-                    run.count += 1
-                    if ev(rq, rc, bit) != table(p_val, s_val):
-                        return _BINARY_TABLE, dict(op=name, x=(q1, c1), y=(q2, c2),
-                                                   atom=space.atoms[bit.bit_length() - 1])
-    for q1, c1 in pairs:
-        nq, nc = cnd.not_bits(q1, c1)
-        for bit in bits:
-            run.count += 1
-            if ev(nq, nc, bit) != tv.tt_not(ev(q1, c1, bit)):
-                return _NOT_TABLE, dict(x=(q1, c1), atom=space.atoms[bit.bit_length() - 1])
+    n, full = space.n, space.full_bits
+    parts = (
+        (2, _BINARY_TABLE, (("and", cnd.and_bits, tv.tt_and), ("or", cnd.or_bits, tv.tt_or),
+                            ("given", cnd.given_bits, tv.tt_given))),
+        (1, _NOT_TABLE, (("not", cnd.not_bits, tv.tt_not),)),
+    )
+    for inner, template, ops in parts:
+        lanes, packed = _block(n, pairs, inner)
+        inputs = [_truth_masks(qc, lanes * full) for qc in zip(packed[::2], packed[1::2])]
+        expected = [_table_masks(table, *inputs) for _, _, table in ops]
+        if run.sliced:
+            blocks = [(0, len(pairs) ** inner, packed, lanes * full, expected)]
+        else:
+            blocks = ((k, 1, sum(instance, ()), full, [[m >> n * k & full for m in masks]
+                                                       for masks in expected])
+                      for k, instance in enumerate(product(pairs, repeat=inner)))
+        for first, count, operands, block, want in blocks:
+            results = [op(*operands) for _, op, _ in ops]
+            diffs = [_diff(_truth_masks(result, block), masks)
+                     for result, masks in zip(results, want)]
+            failed = reduce(operator.or_, diffs)
+            if failed:
+                bit = (failed & -failed).bit_length() - 1
+                (k, i), j = divmod(bit, n), next(o for o, d in enumerate(diffs) if d >> bit & 1)
+                run.count += len(ops) * (n * k + i) + j + 1
+                instance = next(islice(product(pairs, repeat=inner), first + k, None))
+                return template, dict(zip("xy", instance), op=ops[j][0], atom=space.atoms[i])
+            run.count += len(ops) * n * count
     return None
 
 
@@ -989,36 +965,30 @@ def _folded_families(run, atoms):
     verifiable with c. Families count in the order c, size, then
     combinations_with_replacement order.
 
-    On the sliced route each (c, size) block folds all its families at
-    once, one or_ and one and_ call per position after the first, and
-    the lowest failing byte lane is the first failing family."""
+    Sliced, each (c, size) block folds all its families at once, one or_
+    and one and_ call per position after the first, and the lowest
+    failing byte lane is the first failing family; unsliced, each family
+    is a block of its own."""
     or_b, and_b = cnd.or_bits, cnd.and_bits
-    if run.sliced:
-        for (qc, cc), compatible, size, lanes, repunit, packed in _family_blocks(atoms):
-            run.count += lanes
-            (oq, oc), *rest = packed
+    for (qc, cc), compatible, size, lanes, repunit, packed in _family_blocks(atoms):
+        families = combinations_with_replacement(compatible, size)
+        if run.sliced:
+            blocks = [(0, lanes, repunit, packed)]
+        else:
+            blocks = ((k, 1, 1, family) for k, family in enumerate(families))
+        for first, count, ones, ((oq, oc), *rest) in blocks:
+            run.count += count
             aq, ac = oq, oc
             for q2, c2 in rest:
                 oq, oc = or_b(oq, oc, q2, c2)
                 aq, ac = and_b(aq, ac, q2, c2)
-            failed = (qc * repunit & ~(oc & ac)) | ((oq | aq) & ~(cc * repunit))
+            failed = (qc * ones & ~(oc & ac)) | ((oq | aq) & ~(cc * ones))
             if failed:
-                k = ((failed & -failed).bit_length() - 1) // 8
-                run.count += k + 1 - lanes
-                family = next(islice(combinations_with_replacement(compatible, size), k, None))
-                return _folding_failure((qc, cc), family)
-        return None
-    for (qc, cc), compatible, size, *_ in _family_blocks(atoms):
-        for family in combinations_with_replacement(compatible, size):
-            run.count += 1
-            oq, oc = family[0]
-            aq, ac = family[0]
-            for q2, c2 in family[1:]:
-                oq, oc = or_b(oq, oc, q2, c2)
-                aq, ac = and_b(aq, ac, q2, c2)
-            or_ok = (qc & ~oc) == 0 and (oq & ~cc) == 0
-            and_ok = (qc & ~ac) == 0 and (aq & ~cc) == 0
-            if not (or_ok and and_ok):
+                # A block of one family fails at that family, whichever bit differs.
+                k = min(((failed & -failed).bit_length() - 1) // 8, count - 1)
+                run.count += k + 1 - count
+                family = next(islice(combinations_with_replacement(compatible, size), first + k,
+                                     None))
                 return _folding_failure((qc, cc), family)
     return None
 

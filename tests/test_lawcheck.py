@@ -665,9 +665,74 @@ def test_grid_laws_report_kernels_leaving_normal_form(monkeypatch, name, kernel,
     assert lawcheck.check(law, 2) == lawcheck.LawReport(law, 2, 1, False, counterexample)
 
 
-DRIVER_LAWS = ("t2.4", "c2.5", "t2.6", "c2.7", "c2.8", "c2.9", "props2.3", "p2.20", "truth-tables",
-               "c3.3", "c3.5", "c3.6", "t3.9", "t3.11", "t3.15", "t3.17", "schay-lattice",
-               "schay-coincide")
+DRIVER_LAWS = ("t2.4", "c2.5", "t2.6", "c2.7", "c2.8", "c2.9", "props2.3", "p2.20", "c3.3", "c3.5",
+               "c3.6", "t3.9", "t3.11", "t3.15", "t3.17", "schay-lattice", "schay-coincide")
+
+
+def reference_truth_tables(atoms, counter):
+    """truth-tables as the plain loop over every pair, atom and op that
+    the law ran before its blocks were sliced: the reference for
+    `lawcheck._law_truth_tables`."""
+    space = lawcheck.law_space(atoms)
+    pairs = cnd.enumerate_conditionals_bits(space.full_bits)
+    ops = (("and", cnd.and_bits, tv.tt_and), ("or", cnd.or_bits, tv.tt_or),
+           ("given", cnd.given_bits, tv.tt_given))
+    bits = [1 << i for i in range(atoms)]
+    ev = tv.eval_at_bit
+    for q1, c1 in pairs:
+        for q2, c2 in pairs:
+            results = [(name, op(q1, c1, q2, c2), table) for name, op, table in ops]
+            for bit in bits:
+                p_val = ev(q1, c1, bit)
+                s_val = ev(q2, c2, bit)
+                for name, (rq, rc), table in results:
+                    counter[0] += 1
+                    if ev(rq, rc, bit) != table(p_val, s_val):
+                        return ("%(op)s disagrees with its table at x=%(x)s y=%(y)s atom=%(atom)s",
+                                dict(op=name, x=(q1, c1), y=(q2, c2),
+                                     atom=space.atoms[bit.bit_length() - 1]))
+    for q1, c1 in pairs:
+        nq, nc = cnd.not_bits(q1, c1)
+        for bit in bits:
+            counter[0] += 1
+            if ev(nq, nc, bit) != tv.tt_not(ev(q1, c1, bit)):
+                return ("not disagrees with its table at x=%(x)s atom=%(atom)s",
+                        dict(x=(q1, c1), atom=space.atoms[bit.bit_length() - 1]))
+    return None
+
+
+def reference_outcome(reference, atoms):
+    """(count, failure) of a reference loop; a raise is its failure,
+    rendered as `check` renders it."""
+    counter = [0]
+    try:
+        failure = reference(atoms, counter)
+    except Exception as exc:
+        failure = "raised %s: %s" % (type(exc).__name__, exc)
+    return counter[0], failure
+
+
+def reference_truth_tables_report(atoms):
+    count, failure = reference_outcome(reference_truth_tables, atoms)
+    if isinstance(failure, tuple):
+        failure = lawcheck._render(lawcheck.law_space(atoms), *failure)
+    return lawcheck.LawReport("truth-tables", atoms, count, failure is None, failure)
+
+
+def assert_forms_report_as_the_reference(monkeypatch, name, kernels, atoms, laws):
+    """Under each of the two kernels, truth-tables reports as its
+    reference loop does under the first, and the laws that call the
+    sweep report alike."""
+    monkeypatch.setattr(cnd, name, kernels[0])
+    reference = reference_truth_tables_report(atoms)
+    monkeypatch.undo()
+    reports = []
+    for kernel in kernels:
+        monkeypatch.setattr(cnd, name, kernel)
+        assert lawcheck.check("truth-tables", atoms) == reference, name
+        reports.append([lawcheck.check(law, atoms) for law in laws])
+        monkeypatch.undo()
+    assert reports[0] == reports[1], name
 
 
 def closed_form_kernel(table, full=0b11):
@@ -705,11 +770,12 @@ def test_the_truth_table_and_pairwise_certificates_agree():
             assert lawcheck._lane_local(kernel) == lane_certificate(kernel, 2), (name, entry, new)
 
 
-def test_sliced_and_one_instance_blocks_report_alike_under_every_table_mutant(monkeypatch):
+def test_both_kernel_forms_report_as_the_reference_under_every_table_mutant(monkeypatch):
     """One table, two kernels: the closed form is certified (unless its
     (U, U) entry is defined, which needs the space mask) and runs
     sliced; the per-atom loop is not and runs one instance per block.
-    Every law that calls the sweep is compared."""
+    truth-tables is compared with its reference loop, and every law that
+    calls the sweep with itself under the other kernel."""
     certified = 0
     for name, entry, new, per_atom in table_mutants():
         table = {**TABLES[name], entry: new}
@@ -717,12 +783,7 @@ def test_sliced_and_one_instance_blocks_report_alike_under_every_table_mutant(mo
         assert lawcheck._lane_local(closed) == (table[U, U] is U)
         assert not lawcheck._lane_local(per_atom)
         certified += lawcheck._lane_local(closed)
-        reports = []
-        for kernel in (closed, per_atom):
-            monkeypatch.setattr(cnd, name, kernel)
-            reports.append([lawcheck.check(law, 2) for law in DRIVER_LAWS])
-            monkeypatch.undo()
-        assert reports[0] == reports[1], (name, entry, new)
+        assert_forms_report_as_the_reference(monkeypatch, name, (closed, per_atom), 2, DRIVER_LAWS)
     assert certified == 80
 
 
@@ -745,9 +806,10 @@ def closed_form_not(table, full=0b11):
     return kernel
 
 
-def test_sliced_and_one_instance_negation_report_alike_under_every_not_mutant(monkeypatch):
-    """The 6 negation mutants, closed form against per-atom loop: the
-    closed form is certified unless its U entry is defined."""
+def test_both_kernel_forms_report_as_the_reference_under_every_not_mutant(monkeypatch):
+    """The 6 negation mutants as a closed form and as a per-atom loop,
+    compared as the table mutants are: the closed form is certified
+    unless its U entry is defined."""
     assert lawcheck._lane_local(closed_form_not(tv.NOT_TABLE), 1)
     assert lawcheck._lane_local(cnd.not_bits, 1)
     certified = 0
@@ -757,12 +819,7 @@ def test_sliced_and_one_instance_negation_report_alike_under_every_not_mutant(mo
         assert lawcheck._lane_local(closed, 1) == (table[U] is U)
         assert not lawcheck._lane_local(per_atom, 1)
         certified += lawcheck._lane_local(closed, 1)
-        reports = []
-        for kernel in (closed, per_atom):
-            monkeypatch.setattr(cnd, name, kernel)
-            reports.append([lawcheck.check(law, 2) for law in DRIVER_LAWS])
-            monkeypatch.undo()
-        assert reports[0] == reports[1], (entry, new)
+        assert_forms_report_as_the_reference(monkeypatch, name, (closed, per_atom), 2, DRIVER_LAWS)
     assert certified == 4
 
 
@@ -784,10 +841,11 @@ def three_atom_mutants():
         yield name, closed_form_not(table, 0b111), per_atom_not(table, THREE_ATOM_BITS)
 
 
-def test_sliced_and_one_instance_routes_report_alike_at_three_atoms(monkeypatch):
+def test_both_kernel_forms_report_as_the_reference_at_three_atoms(monkeypatch):
     """The unmutated 3-atom closed forms and loops reproduce the kernels;
-    under each of the 96 mutants, truth-tables and t3.17 report alike
-    through the closed form and through the per-atom loop."""
+    under each of the 96 mutants, truth-tables reports as its reference
+    loop does through the closed form and through the per-atom loop, and
+    t3.17 reports alike through both."""
     pairs = cnd.enumerate_conditionals_bits(0b111)
     for name, table in TABLES.items():
         reference = getattr(cnd, name)
@@ -799,12 +857,7 @@ def test_sliced_and_one_instance_routes_report_alike_at_three_atoms(monkeypatch)
     mutants = list(three_atom_mutants())
     assert len(mutants) == 96
     for name, closed, per_atom in mutants:
-        reports = []
-        for kernel in (closed, per_atom):
-            monkeypatch.setattr(cnd, name, kernel)
-            reports.append([lawcheck.check(law, 3) for law in ("truth-tables", "t3.17")])
-            monkeypatch.undo()
-        assert reports[0] == reports[1], name
+        assert_forms_report_as_the_reference(monkeypatch, name, (closed, per_atom), 3, ["t3.17"])
 
 
 def flipping_bit_1(kernel, certified):
@@ -871,9 +924,13 @@ def reference_folded_families(atoms, counter):
 
 def folded_families(atoms):
     """`lawcheck._folded_families` on a run whose route or_ and and_
-    decide, as (count, failure)."""
+    decide, as (count, failure), rendered as reference_outcome renders
+    them."""
     run = lawcheck._Run(atoms, 1, {cnd.or_bits: 2, cnd.and_bits: 2})
-    failure = lawcheck._folded_families(run, atoms)
+    try:
+        failure = lawcheck._folded_families(run, atoms)
+    except Exception as exc:
+        failure = "raised %s: %s" % (type(exc).__name__, exc)
     return run.count, failure
 
 
@@ -883,27 +940,134 @@ def test_folded_families_match_the_plain_loop_under_every_or_and_mutant(monkeypa
     """The families step, called directly: check("t3.17") never reaches
     a failing family, because its sweeps kill those mutants first. With
     the shipped kernels every family passes; under each of the 36 or_
-    and and_ table mutants, as closed forms over the space, the step
-    and the plain loop reach the same count and the same failure. The
-    32 with an undefined (U, U) entry are certified and run sliced; 14
-    of those fail inside the families."""
-    want = [0]
-    assert reference_folded_families(atoms, want) is None
-    assert folded_families(atoms) == (want[0], None) == (families, None)
+    and and_ table mutants, as a closed form over the space and as a
+    per-atom loop, the step and the plain loop reach the same count and
+    the same failure. The 32 closed forms with an undefined (U, U) entry
+    are certified and run sliced; 14 of those fail inside the families.
+    The rest run one family per block."""
+    assert reference_outcome(reference_folded_families, atoms) == (families, None)
+    assert folded_families(atoms) == (families, None)
+    atom_bits = tuple(1 << i for i in range(atoms))
     certified = failing = 0
     for name, entry, new, _ in table_mutants():
         if name not in ("or_bits", "and_bits"):
             continue
-        kernel = closed_form_kernel({**TABLES[name], entry: new}, (1 << atoms) - 1)
-        monkeypatch.setattr(cnd, name, kernel)
-        want = [0]
-        failure = reference_folded_families(atoms, want)
-        assert folded_families(atoms) == (want[0], failure), (name, entry, new)
+        table = {**TABLES[name], entry: new}
+        closed = closed_form_kernel(table, (1 << atoms) - 1)
+        monkeypatch.setattr(cnd, name, closed)
+        want = reference_outcome(reference_folded_families, atoms)
+        for kernel in (closed, per_atom_kernel(table, atom_bits)):
+            monkeypatch.setattr(cnd, name, kernel)
+            assert folded_families(atoms) == want, (name, entry, new)
         monkeypatch.undo()
-        if lawcheck._lane_local(kernel):
+        if lawcheck._lane_local(closed):
             certified += 1
-            failing += failure is not None
+            failing += want[1] is not None
     assert (certified, failing) == (32, 14)
+
+
+# Kernels whose results a truth table can read in more than one way, or
+# not at all: the shipped kernel with bits set above the space, a result
+# out of normal form, a negated condition, and so on. None is certified,
+# so every block holds one instance.
+
+
+def _raising_at_q_1(q, c):
+    if q == 1:
+        raise ArithmeticError("result q=1")
+    return q, c
+
+
+ODD_RESULTS = {
+    "above the space": lambda q, c: (q | 64, c | 64),
+    "out of normal form": lambda q, c: (q | 1, c),
+    "negated condition": lambda q, c: (q, ~c),
+    "above the first byte": lambda q, c: (q | 256, c | 256),
+    "masked with the space": lambda q, c: (q & 7, c & 7),
+    "a list": lambda q, c: [q, c],
+    "a 3-tuple": lambda q, c: (q, c, 0),
+    "raising": _raising_at_q_1,
+}
+
+
+def odd_kernel(kernel, odd):
+    def odd_result(*operands):
+        return ODD_RESULTS[odd](*kernel(*operands))
+
+    return odd_result
+
+
+# truth-tables reports recorded from the plain loop, at 2 and 3 atoms: a
+# result above the space passes, and a result out of normal form or with
+# a negated condition fails at atom 1 of x = y = U.
+ODD_TRUTH_TABLES = {
+    "and_bits": (1, 1, "and disagrees with its table at x=UNDEFINED y=UNDEFINED atom=1"),
+    "or_bits": (2, 2, "or disagrees with its table at x=UNDEFINED y=UNDEFINED atom=1"),
+    "given_bits": (3, 3, "given disagrees with its table at x=UNDEFINED y=UNDEFINED atom=1"),
+    "not_bits": (487, 6562, "not disagrees with its table at x=UNDEFINED atom=1"),
+}
+
+
+@pytest.mark.parametrize("atoms", [2, 3])
+@pytest.mark.parametrize("odd", ["above the space", "out of normal form", "negated condition"])
+@pytest.mark.parametrize("name", list(ODD_TRUTH_TABLES))
+def test_truth_tables_read_odd_results_as_the_loop_did(monkeypatch, name, odd, atoms):
+    """T where q, F where c & ~q, U where neither, and only inside the
+    block: the bits above the space are not read."""
+    monkeypatch.setattr(cnd, name, odd_kernel(getattr(cnd, name), odd))
+    report = lawcheck.check("truth-tables", atoms)
+    assert report == reference_truth_tables_report(atoms)
+    if odd == "above the space":
+        assert report == lawcheck.LawReport("truth-tables", atoms, (504, 6642)[atoms - 2], True)
+    else:
+        *counts, counterexample = ODD_TRUTH_TABLES[name]
+        assert report == lawcheck.LawReport("truth-tables", atoms, counts[atoms - 2], False,
+                                             counterexample)
+
+
+def three_tuple_where_conditions_differ(kernel):
+    """The kernel with a 0 appended to its result where its operands'
+    conditions differ (for negation, where the condition is atom 1
+    alone), as in the odd kernels of test_relations."""
+    def odd(*operands):
+        q, c = kernel(*operands)
+        differ = operands[1] != operands[3] if len(operands) == 4 else operands[1] == 1
+        return (q, c, 0) if differ else (q, c)
+
+    return odd
+
+
+@pytest.mark.parametrize("atoms", [2, 3])
+@pytest.mark.parametrize("name, everywhere, where_conditions_differ", [
+    ("and_bits", (0, 0), (6, 9)), ("or_bits", (0, 0), (6, 9)), ("given_bits", (0, 0), (6, 9)),
+    ("not_bits", (486, 6561), (488, 6564)),
+])
+def test_truth_tables_count_a_result_that_does_not_unpack_at_its_pair(
+        monkeypatch, name, everywhere, where_conditions_differ, atoms):
+    """A 3-tuple result raises where it is unpacked, after every op of
+    its pair (or single) ran and before any of its instances counts, as
+    a raise inside a kernel does. The plain loop unpacked each op's
+    result after counting the ops before it at the first atom, so it
+    counted 1 and 2 more under or_ and given: 1, 7 and 10 for or_, and
+    2, 8 and 11 for given."""
+    kernel = getattr(cnd, name)
+    for odd, counts in ((odd_kernel(kernel, "a 3-tuple"), everywhere),
+                        (three_tuple_where_conditions_differ(kernel), where_conditions_differ)):
+        monkeypatch.setattr(cnd, name, odd)
+        assert lawcheck.check("truth-tables", atoms) == lawcheck.LawReport(
+            "truth-tables", atoms, counts[atoms - 2], False,
+            "raised ValueError: too many values to unpack (expected 2)")
+
+
+@pytest.mark.parametrize("atoms", [2, 3])
+@pytest.mark.parametrize("odd", list(ODD_RESULTS))
+@pytest.mark.parametrize("name", ["or_bits", "and_bits"])
+def test_folded_families_match_the_plain_loop_under_odd_kernels(monkeypatch, name, odd, atoms):
+    """A family is its own block, and it fails at itself whichever bit
+    of its result differs, the ones above its byte included."""
+    monkeypatch.setattr(cnd, name, odd_kernel(getattr(cnd, name), odd))
+    assert not lawcheck._lane_local(getattr(cnd, name))
+    assert folded_families(atoms) == reference_outcome(reference_folded_families, atoms)
 
 
 # Single-entry table mutants of the four schay kernels. Each table is
