@@ -39,27 +39,29 @@ separates words within a line, as it does in an expression:
 
 Weights are nonnegative integers or fractions `p/q`, written in ASCII
 digits, one per atom, and not all zero. parse_space checks every
-measure line when it reads it, so a bad weight, a zero denominator, a
-wrong weight count, a duplicate name or an all-zero line is an error
-at parse time, in line order with the other lines. It keeps only the
-line's weight texts and number: a Measure, with its weight tables, is
-built from them the first time its name is read from
-`SpaceDoc.measures`, which is a dict of Measures to its readers, and
-kept there. An integer is read as an int and `p/q` as one Fraction;
-Measure uses both as they are. That first read is also where `prob`,
-with `fractions` and `decimal`, is imported: parsing a space file and
-lowering, evaluating or relating its expressions import neither, so
-the CLI's `eval`, `relate` and `profile` never load them.
+measure line as it reads it, so a bad one is an error at parse time,
+in line order with the other lines, but keeps only its weight texts:
+`SpaceDoc.measures`, a dict of Measures to its readers, builds a
+line's Measure (an int per integer, one Fraction per `p/q`) the first
+time its name is read. Only then are `prob`, `fractions` and `decimal`
+imported, so the CLI's `eval`, `relate` and `profile` never load them.
 
 Text is read by one scan, `_scan`: comments cut, then one
 `_TOKEN_RE.findall` and one `map` over the words for their kinds, all
-in C. It yields two parallel lists, the kinds and the texts, with no
-positions; `_Parser` walks them by index, with no method call and no
-object per token, and reads a set literal from slices. Positions are
-needed only by an error, so `_Parser.fail` scans the text again with
-`_located`, line by line, and takes its position and its "unexpected
-..." text from the token it stopped at. `tokenize`, the public view
-of the scan, wraps `_located`'s tuples in `Token`s.
+in C, into two parallel lists, the kinds and the texts, with no
+positions, which `_Parser` walks by index. Positions are needed only
+by an error, so `_Parser.fail` scans the text again with `_located`
+and takes its position and its "unexpected ..." text from the token it
+stopped at. `tokenize`, the public view of the scan, wraps
+`_located`'s tuples in `Token`s.
+
+An event line takes the event mode, `_EventParser`: the same parser
+whose builders make the event's bits from the atoms and the earlier
+events rather than tree nodes, after a body that is only `{...}` has
+been tried as one split at its commas. The mode declines whatever it
+cannot lower as it reads (an unknown name, `|`, a function, UNDEFINED,
+a syntax error, a long body); the tree path, parse_expr then
+lower_event, reads that line again, so it words every error.
 """
 
 import operator
@@ -70,25 +72,12 @@ from itertools import repeat
 from . import conditional as cnd
 from . import schay
 from ._record import Record, _set
-from .errors import (
-    BadWeight,
-    DuplicateName,
-    ParseError,
-    UnknownAtom,
-    UnknownName,
-    ZeroTotalWeight,
-)
-from .space import RESERVED_CHARS, SampleSpace, valid_atom_name
+from .errors import (BadWeight, DuplicateName, ParseError, UnknownAtom, UnknownName,
+                     ZeroTotalWeight)
+from .space import RESERVED_CHARS, Event, SampleSpace, valid_atom_name
 
-_SPECIALS = {
-    "{": "lbrace",
-    "}": "rbrace",
-    ",": "comma",
-    "|": "pipe",
-    "(": "lparen",
-    ")": "rparen",
-    "~": "tilde",
-}
+_SPECIALS = {"{": "lbrace", "}": "rbrace", ",": "comma", "|": "pipe", "(": "lparen",
+             ")": "rparen", "~": "tilde"}
 
 # Infix operators, loosest first: token kind, the word `dump` prints, the
 # `conditional` function it lowers to (looked up by name when called) and
@@ -104,14 +93,8 @@ _OPERAND = len(_INFIX)
 _CONDITIONAL_OPS = {op: name for _, op, name, _ in _INFIX}
 _EVENT_OPS = {op: fn for _, op, _, fn in _INFIX if fn is not None}
 
-_FUNC_OPS = {
-    "osum": cnd.osum,
-    "proj": cnd.sasaki,
-    "s_and": schay.and_s,
-    "s_or": schay.vee_s,
-    "s_cap": schay.cap_s,
-    "s_cup": schay.cup_s,
-}
+_FUNC_OPS = {"osum": cnd.osum, "proj": cnd.sasaki, "s_and": schay.and_s, "s_or": schay.vee_s,
+             "s_cap": schay.cap_s, "s_cup": schay.cup_s}
 FUNC_NAMES = tuple(_FUNC_OPS)
 
 # The reserved words and the token kind each one lexes to.
@@ -225,7 +208,11 @@ class Binary(Record):
 
 class _Parser:
     """Recursive descent over the scan's kinds and texts; `pos` indexes
-    the next token, and `text` is kept to locate an error."""
+    the next token, and `text` is kept to locate an error. The five node
+    builders are attributes, so that the event mode (`_EventParser`) can
+    build bits on the same loop."""
+
+    EventRef, Not, Binary, Undefined, SetLiteral = EventRef, Not, Binary, Undefined, SetLiteral
 
     def __init__(self, text):
         self.text = text
@@ -252,11 +239,11 @@ class _Parser:
         kinds = self.kinds
         kind = kinds[self.pos]
         if kind == "ident":
-            node = EventRef(self.words[self.pos])
+            node = self.EventRef(self.words[self.pos])
             self.pos += 1
         elif kind == "tilde":
             self.pos += 1
-            node = Not(self.expr(_OPERAND))
+            node = self.Not(self.expr(_OPERAND))
         else:
             node = self.primary()
         while True:
@@ -264,7 +251,7 @@ class _Parser:
             if level < floor:
                 return node
             self.pos += 1
-            node = Binary(_INFIX[level][1], node, self.expr(level + 1))
+            node = self.Binary(_INFIX[level][1], node, self.expr(level + 1))
 
     def primary(self):
         """Any operand but a name or `~`, which `expr` reads itself."""
@@ -273,7 +260,7 @@ class _Parser:
             return self.set_literal()
         if kind == "undefined":
             self.pos += 1
-            return Undefined()
+            return self.Undefined()
         if kind == "lparen":
             self.pos += 1
             node = self.expr()
@@ -287,37 +274,25 @@ class _Parser:
             self.expect("comma", "','")
             right = self.expr()
             self.expect("rparen", "')'")
-            return Binary(func, left, right)
+            return self.Binary(func, left, right)
         self.fail({"a name", "'{'", "'('", "'~'", "a function name"})
 
     def set_literal(self):
-        """`{` NAME (`,` NAME)* `}` or `{}`. One test on the kinds up to
-        the first `}` reads a well-formed literal; the loop runs only when
-        that test fails, to word the first error."""
+        """`{` NAME (`,` NAME)* `}` or `{}`."""
         kinds = self.kinds
         start = pos = self.pos + 1
-        try:
-            end = kinds.index("rbrace", start)
-        except ValueError:
-            end = None
-        if end is not None:
-            names = kinds[start:end:2]
-            commas = kinds[start + 1:end:2]
-            if end == start or (len(commas) == len(names) - 1
-                                and names.count("ident") == len(names)
-                                and commas.count("comma") == len(commas)):
-                self.pos = end + 1
-                return SetLiteral(tuple(self.words[start:end:2]))
-        while True:
-            if kinds[pos] != "ident":
-                self.pos = pos
-                self.fail({"an atom name"})
-            if kinds[pos + 1] != "comma":
-                break
-            pos += 2
-        self.pos = pos + 1
+        if kinds[pos] != "rbrace":
+            while True:
+                if kinds[pos] != "ident":
+                    self.pos = pos
+                    self.fail({"an atom name"})
+                pos += 1
+                if kinds[pos] != "comma":
+                    break
+                pos += 1
+        self.pos = pos
         self.expect("rbrace", "'}'")
-        return SetLiteral(tuple(self.words[start:pos + 1:2]))
+        return self.SetLiteral(tuple(self.words[start:pos:2]))
 
 
 # lower_event, lower and dump catch RecursionError inside their own bodies
@@ -512,17 +487,76 @@ def _check_weights(texts, line_no):
         raise ZeroTotalWeight("all atom weights are zero")
 
 
-def _fragment(line_text, line_no):
-    """Parse everything after the '=' of a definition line, keeping the
-    original line/column positions in errors."""
-    eq = line_text.find("=")
-    prefix_cols = eq + 1
-    fragment = line_text[eq + 1 :]
+def _fragment(fragment, prefix_cols, line_no):
+    """Parse the body of a definition line, which follows its first
+    prefix_cols columns, keeping the line's positions in errors."""
     try:
         return parse_expr(fragment)
     except ParseError as e:
         col = (e.col or 1) + (prefix_cols if (e.line or 1) == 1 else 0)
         raise ParseError(e.bare_message, line_no, col, e.expected) from None
+
+
+class _Decline(Exception):
+    """The event mode leaves a line to the tree path, which words it."""
+
+
+# The event mode reads no longer body than this. It reads a flat chain such
+# as `a or ... or a` in a loop, but the tree path nests it to the left and
+# may run out of stack lowering it, an error only the tree path words.
+_EVENT_TOKENS = 128
+
+
+class _EventParser(_Parser):
+    """The parser in event mode: its builders make bits, not nodes, and
+    raise _Decline on whatever the tree path must word."""
+
+    def __init__(self, text, space, events):
+        _Parser.__init__(self, text)
+        if len(self.kinds) > _EVENT_TOKENS:
+            raise _Decline
+        self.space, self.full, self.events = space, space.full_bits, events
+
+    def fail(self, expected=None):
+        raise _Decline
+
+    Undefined = fail
+
+    def EventRef(self, name):
+        event = self.events.get(name)
+        return self.SetLiteral((name,)) if event is None else event.bits
+
+    def SetLiteral(self, names):
+        try:
+            return self.space.event(names).bits
+        except UnknownAtom:
+            raise _Decline from None
+
+    def Not(self, bits):
+        return self.full & ~bits
+
+    def Binary(self, op, left, right):
+        if op not in _EVENT_OPS:
+            raise _Decline
+        return _EVENT_OPS[op](left, right)
+
+
+def _event_of(body, space, events):
+    """The event an event line's body defines, or None where the event
+    mode declines. A body that is only `{...}` is first read by one split
+    at its commas; a name that is not an atom leaves it to the parser."""
+    body = body.strip()
+    if body[:1] == "{" and body[-1:] == "}":
+        try:
+            return space.event(map(str.strip, body[1:-1].split(",")))
+        except UnknownAtom:
+            pass
+    try:
+        parser = _EventParser(body, space, events)
+        bits = parser.expr()
+    except (_Decline, RecursionError):
+        return None
+    return Event(space, bits) if parser.kinds[parser.pos] == "eof" else None
 
 
 def _lines(text):
@@ -604,7 +638,12 @@ def parse_space(text):
             if directive == "event":
                 if entry_name in events:
                     raise DuplicateName("line %d: duplicate event %r" % (line_no, entry_name))
-                node = _fragment(line, line_no)
+                eq = line.find("=") + 1
+                event = _event_of(line[eq:], space, events)
+                if event is not None:
+                    events[entry_name] = event
+                    continue
+                node = _fragment(line[eq:], eq, line_no)
                 try:
                     events[entry_name] = lower_event(node, space, events)
                 except ParseError as e:

@@ -69,7 +69,7 @@ each law to its own budget.
 
 import operator
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, combinations_with_replacement, islice, product
+from itertools import chain, combinations_with_replacement, count, islice, product
 
 from . import conditional as cnd
 from . import relations as rel
@@ -135,6 +135,24 @@ def _pack(values, width):
     for value in reversed(values):
         packed = packed << width | value
     return packed
+
+
+def _lane_reads(masks, width):
+    """Lane k of every block mask in `masks` (lists of ints), in the same
+    lists, for k = 0, 1, ...: lazily and in linear time. The first 64
+    lanes are shifted out of the masks themselves, as a single read
+    would be; then each mask is turned into bytes once, and each run of
+    64 lanes (8*width bytes) is read back from them when it is reached."""
+    full = (1 << width) - 1
+    runs = masks
+    for start in count(8 * width, 8 * width):
+        for shift in range(0, 64 * width, width):
+            yield [[m >> shift & full for m in row] for row in runs]
+        if runs is masks:
+            data = [[m.to_bytes((m.bit_length() + 7) // 8, "little") for m in row]
+                    for row in masks]
+        runs = [[int.from_bytes(b[start:start + 8 * width], "little") for b in row]
+                for row in data]
 
 
 def _rows(value):
@@ -606,9 +624,8 @@ def _law_truth_tables(run):
         if run.sliced:
             blocks = [(0, len(pairs) ** inner, packed, lanes * full, expected)]
         else:
-            blocks = ((k, 1, sum(instance, ()), full, [[m >> n * k & full for m in masks]
-                                                       for masks in expected])
-                      for k, instance in enumerate(product(pairs, repeat=inner)))
+            blocks = ((k, 1, sum(instance, ()), full, want) for k, (instance, want) in
+                      enumerate(zip(product(pairs, repeat=inner), _lane_reads(expected, n))))
         for first, count, operands, block, want in blocks:
             results = [op(*operands) for _, op, _ in ops]
             diffs = [_diff(_truth_masks(result, block), masks)

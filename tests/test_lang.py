@@ -12,6 +12,7 @@ import json
 import pathlib
 import pickle
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -687,7 +688,10 @@ def test_a_copy_of_the_measures_is_a_mapping_of_its_own(built):
 # Every row is [kind, text, exception type, message, line, col, expected]
 # for a malformed expression ("expr") or space file ("space"), recorded
 # when the parser still called a method per token and built a Token per
-# token.
+# token. The last five rows, recorded before event lines were lowered
+# straight to bits, are event lines that the event mode must leave to
+# the tree path: a set literal and then more, a reserved word in braces,
+# a syntax error after an unknown name, and `|` after one.
 GOLDEN_PARSE_ERRORS = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "parse_errors.json"
 
 
@@ -702,7 +706,7 @@ def parse_error_row(kind, text):
 
 def test_parse_errors_match_the_golden_table():
     golden = json.loads(GOLDEN_PARSE_ERRORS.read_text(encoding="utf-8"))
-    assert len(golden) == 80
+    assert len(golden) == 85
     assert [parse_error_row(kind, text) for kind, text, *_ in golden] == golden
 
 
@@ -767,3 +771,143 @@ def test_generated_space_files_parse_to_their_events_and_weights(case):
         for m in (every[name], alone):
             assert m.weights == want
             assert m.total == sum(want)
+
+
+# ------------------------------------- event lines lowered without a tree
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# Atom `c` is shadowed by an event of that name; `zz` names nothing and
+# `z` is no atom, so a tree that uses either is an error for the tree path.
+SHADOW_SPACE = (
+    "space s\natoms a b c d e f\nevent even = {b, d, f}\nevent c = {a}\nevent odd = ~even\n")
+BODY_NAMES = ("a", "b", "c", "d", "e", "f", "even", "odd", "c", "zz")
+SET_NAMES = ("a", "b", "c", "d", "e", "f", "a", "z", "even")
+BODY_GAPS = ("", " ", "  ", "\t", "\x0c", "\u3000", "\xa0", " \t\x0c ")
+WORD_GAPS = BODY_GAPS[1:]
+EVENT_INFIX = {"or": 1, "and": 2, "|": 0}
+
+
+def event_trees(depth):
+    leaves = st.one_of(
+        st.sampled_from(BODY_NAMES).map(lambda name: ("ref", name)),
+        st.lists(st.sampled_from(SET_NAMES), max_size=6).map(lambda names: ("set", tuple(names))),
+        st.just(("UNDEFINED",)),
+    )
+    if depth == 0:
+        return leaves
+    sub = event_trees(depth - 1)
+    return st.one_of(
+        leaves,
+        sub.map(lambda arg: ("not", arg)),
+        st.tuples(st.sampled_from(("or", "and", "or", "and", "|", "osum")), sub, sub),
+    )
+
+
+def lowers_as_an_event(tree):
+    """Whether the tree path lowers the tree to an event without error."""
+    kind = tree[0]
+    if kind == "ref":
+        return tree[1] != "zz"
+    if kind == "set":
+        return "z" not in tree[1] and "even" not in tree[1]
+    if kind == "not":
+        return lowers_as_an_event(tree[1])
+    if kind in ("or", "and"):
+        return lowers_as_an_event(tree[1]) and lowers_as_an_event(tree[2])
+    return False
+
+
+@st.composite
+def event_bodies(draw):
+    """An event line's body and its tree: minimally parenthesized, with
+    whitespace of every kind between tokens and around set-literal names."""
+    tree = draw(event_trees(3))
+
+    def gap(gaps=BODY_GAPS):
+        return draw(st.sampled_from(gaps))
+
+    def text(tree, need=0):
+        kind = tree[0]
+        if kind in ("ref", "UNDEFINED"):
+            return tree[-1]
+        if kind == "set":
+            return "{%s}" % (",".join(gap() + name + gap() for name in tree[1]) or gap())
+        if kind == "not":
+            level, body = 3, "~" + gap() + text(tree[1], 3)
+        elif kind in EVENT_INFIX:
+            level = EVENT_INFIX[kind]
+            body = text(tree[1], level) + gap(WORD_GAPS) + kind + gap(WORD_GAPS) + text(
+                tree[2], level + 1)
+        else:
+            return "%s(%s,%s%s)" % (kind, text(tree[1]), gap(), text(tree[2]))
+        return "(" + gap() + body + gap() + ")" if level < need else body
+
+    return gap() + text(tree) + gap(), tree
+
+
+@given(event_bodies())
+def test_event_mode_lowers_as_the_tree_path(case):
+    """The event mode gives the tree path's event, or declines where the
+    tree path raises; it declines nothing else short enough to read."""
+    body, tree = case
+    doc = lang.parse_space(SHADOW_SPACE)
+    event = lang._event_of(body, doc.space, doc.events)
+    try:
+        want = lang.lower_event(lang.parse_expr(body), doc.space, doc.events)
+    except Error:
+        want = None
+    assert (want is not None) == lowers_as_an_event(tree)
+    if len(lang._scan(body)[0]) <= lang._EVENT_TOKENS:
+        assert event == want
+    else:
+        assert event in (None, want)
+    line = "event x = %s\n" % body
+    if want is not None:
+        assert lang.parse_space(SHADOW_SPACE + line).events["x"] == want
+
+
+def query_space_files(seed, run_dir):
+    """The paths of the three space files of the benchmark's `query` stream."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import inputs
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    path = inputs.generate("query", seed, str(ROOT), str(run_dir))
+    return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))["spaces"]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_event_mode_reads_every_event_line_of_the_query_space_files(seed, tmp_path, monkeypatch):
+    lowered = 0
+    for path in query_space_files(seed, tmp_path):
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+        doc = lang.parse_space(text)
+        events = {}
+        for line in text.splitlines():
+            line = line.split("#")[0]
+            if line.split()[:1] != ["event"]:
+                continue
+            name, body = line.split()[1], line.split("=", 1)[1]
+            want = lang.lower_event(lang.parse_expr(body), doc.space, events)
+            assert lang._event_of(body, doc.space, events) == want
+            assert doc.events[name] == want
+            events[name] = want
+            lowered += 1
+        # Not one event line of these files goes through the tree path.
+        calls = []
+        monkeypatch.setattr(lang, "parse_expr", lambda text: calls.append(text))
+        assert lang.parse_space(text).events == doc.events
+        assert calls == []
+        monkeypatch.undo()
+    assert lowered == 6 + 8 + 12
+
+
+def test_a_long_flat_chain_on_an_event_line_still_nests_too_deeply():
+    """The event mode would read the chain in a loop; the tree path's
+    left-deep tree is too deep to lower, and that error stands."""
+    text = "space x\natoms a b\nevent e = %s\n" % " or ".join(["a"] * 1200)
+    with pytest.raises(ParseError) as err:
+        lang.parse_space(text)
+    assert str(err.value) == "line 3, column 1: expression nests too deeply"

@@ -1147,6 +1147,18 @@ def test_shift_loop_pack_matches_the_string_reference():
         assert lawcheck._pack(values, width) == _pack(values, width)
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_lane_reads_give_every_lane_past_the_first_runs(width):
+    """Lane k of each mask, as a shift reads it, across the first run of
+    64 lanes and the byte runs after it, and zero past the highest bit."""
+    masks = [[_pack([(5 * k + i) % (1 << width) for k in range(200)], width) for i in (0, 1)],
+             [_pack([(3 * k) % (1 << width) for k in range(150)], width)]]
+    full = (1 << width) - 1
+    reads = lawcheck._lane_reads(masks, width)
+    for k in range(260):
+        assert next(reads) == [[m >> width * k & full for m in row] for row in masks]
+
+
 @pytest.mark.parametrize("law, atoms, kernels, calls", [
     # five calls (lhs and rhs) per outer x, all 27 x 27 pairs (y, z) at once
     ("t2.4", 3, ("or_bits", "and_bits"), 2 + 27 * 5),
