@@ -39,21 +39,27 @@ separates words within a line, as it does in an expression:
 
 Weights are nonnegative integers or fractions `p/q`, written in ASCII
 digits, one per atom, and not all zero. parse_space checks every
-measure line as it reads it, so a bad one is an error at parse time,
-in line order with the other lines, but keeps only its weight texts:
-`SpaceDoc.measures`, a dict of Measures to its readers, builds a
-line's Measure (an int per integer, one Fraction per `p/q`) the first
-time its name is read. Only then are `prob`, `fractions` and `decimal`
-imported, so the CLI's `eval`, `relate` and `profile` never load them.
+measure line when it reads it, so a bad weight, a zero denominator, a
+wrong weight count, a duplicate name or an all-zero line is an error
+at parse time, in line order with the other lines. It keeps only the
+line's weight texts and number: a Measure, with its weight tables, is
+built from them the first time its name is read from
+`SpaceDoc.measures`, which is a dict of Measures to its readers, and
+kept there. An integer is read as an int and `p/q` as one Fraction;
+Measure uses both as they are. That first read is also where `prob`,
+with `fractions` and `decimal`, is imported: parsing a space file and
+lowering, evaluating or relating its expressions import neither, so
+the CLI's `eval`, `relate` and `profile` never load them.
 
 Text is read by one scan, `_scan`: comments cut, then one
 `_TOKEN_RE.findall` and one `map` over the words for their kinds, all
-in C, into two parallel lists, the kinds and the texts, with no
-positions, which `_Parser` walks by index. Positions are needed only
-by an error, so `_Parser.fail` scans the text again with `_located`
-and takes its position and its "unexpected ..." text from the token it
-stopped at. `tokenize`, the public view of the scan, wraps
-`_located`'s tuples in `Token`s.
+in C. It yields two parallel lists, the kinds and the texts, with no
+positions; `_Parser` walks them by index, with no method call and no
+object per token. Positions are needed only by an error, so
+`_Parser.fail` scans the text again with `_located`, line by line, and
+takes its position and its "unexpected ..." text from the token it
+stopped at. `tokenize`, the public view
+of the scan, wraps `_located`'s tuples in `Token`s.
 
 An event line takes the event mode, `_EventParser`: the same parser
 whose builders make the event's bits from the atoms and the earlier
@@ -72,12 +78,25 @@ from itertools import repeat
 from . import conditional as cnd
 from . import schay
 from ._record import Record, _set
-from .errors import (BadWeight, DuplicateName, ParseError, UnknownAtom, UnknownName,
-                     ZeroTotalWeight)
+from .errors import (
+    BadWeight,
+    DuplicateName,
+    ParseError,
+    UnknownAtom,
+    UnknownName,
+    ZeroTotalWeight,
+)
 from .space import RESERVED_CHARS, Event, SampleSpace, valid_atom_name
 
-_SPECIALS = {"{": "lbrace", "}": "rbrace", ",": "comma", "|": "pipe", "(": "lparen",
-             ")": "rparen", "~": "tilde"}
+_SPECIALS = {
+    "{": "lbrace",
+    "}": "rbrace",
+    ",": "comma",
+    "|": "pipe",
+    "(": "lparen",
+    ")": "rparen",
+    "~": "tilde",
+}
 
 # Infix operators, loosest first: token kind, the word `dump` prints, the
 # `conditional` function it lowers to (looked up by name when called) and
@@ -93,8 +112,14 @@ _OPERAND = len(_INFIX)
 _CONDITIONAL_OPS = {op: name for _, op, name, _ in _INFIX}
 _EVENT_OPS = {op: fn for _, op, _, fn in _INFIX if fn is not None}
 
-_FUNC_OPS = {"osum": cnd.osum, "proj": cnd.sasaki, "s_and": schay.and_s, "s_or": schay.vee_s,
-             "s_cap": schay.cap_s, "s_cup": schay.cup_s}
+_FUNC_OPS = {
+    "osum": cnd.osum,
+    "proj": cnd.sasaki,
+    "s_and": schay.and_s,
+    "s_or": schay.vee_s,
+    "s_cap": schay.cap_s,
+    "s_cup": schay.cup_s,
+}
 FUNC_NAMES = tuple(_FUNC_OPS)
 
 # The reserved words and the token kind each one lexes to.
