@@ -11,16 +11,21 @@ tree, and it reads sys.stdout, sys.stderr and the terminal width when it
 prints, so a reused parser prints what a fresh one would.
 `build_parser` still returns a new parser on every call.
 
-A request whose first argument is exactly a subcommand name is parsed
-by that subcommand's parser alone. The top-level parser would do nothing
-more: it has only -h/--help, and its subcommand positional hands every
-argument after the name to the same subparser, whose errors and help
-argparse prints and words either way. Anything else falls back to the
-full parse, with its top-level usage and messages: no arguments, an
-option or an unknown or abbreviated name first, or arguments the
-subparser leaves over (which the top level reports as unrecognized).
-The name-to-subparser table is read from the kept parser, so it is
-rebuilt whenever the parser is.
+A request whose first argument is exactly a subcommand name, followed
+by whole `--option value` pairs, is read with no argparse parse when each
+option is one of that subcommand's own option strings in full, given
+once, with a value that does not start with '-' and that argparse's
+own type and choices check takes, and every required option is given.
+Any other request with a subcommand name first is parsed by that
+subcommand's parser alone, so argparse reads help, abbreviations,
+`--opt=value`, `--` and repeats, and words every usage, error and help
+text. The top-level parser would do nothing more: it has only
+-h/--help, and its subcommand positional hands every argument after the
+name to the same subparser. Anything else falls back to the full parse,
+with its top-level usage and messages: no arguments, an option or an
+unknown or abbreviated name first, or arguments the subparser leaves
+over (which the top level reports as unrecognized). The routing table
+is built from the kept parser, so it is rebuilt whenever the parser is.
 """
 
 import argparse
@@ -201,14 +206,45 @@ def _subcommands(parser):
             return action.choices
 
 
+def _route(subparser):
+    """A subparser, its own option strings mapped to their store actions,
+    the defaults argparse starts its namespace with, and the dests it
+    requires."""
+    actions = [a for a in subparser._actions if a.dest is not argparse.SUPPRESS]
+    options = {s: a for a in actions if type(a) is argparse._StoreAction for s in a.option_strings}
+    defaults = dict(subparser._defaults)
+    defaults.update((a.dest, a.default) for a in actions if a.default is not argparse.SUPPRESS)
+    return subparser, options, defaults, {a.dest for a in actions if a.required}
+
+
+def _parse_plain(argv, subparser, options, defaults, required):
+    """The namespace of a plain request, or None for any other."""
+    values = {}
+    for option, value in zip(argv[1::2], argv[2::2]):
+        action = options.get(option)
+        if action is None or action.dest in values or value[:1] == "-":
+            return None
+        try:
+            values[action.dest] = subparser._get_values(action, [value])
+        except argparse.ArgumentError:
+            return None
+    if len(argv) % 2 == 0 or not values.keys() >= required:
+        return None
+    return argparse.Namespace(command=argv[0], **dict(defaults, **values))
+
+
 def _parse(argv):
-    """What `_parser.parse_args(argv)` returns, in one argparse pass when
-    argv starts with a subcommand name."""
+    """What `_parser.parse_args(argv)` returns: read with no argparse
+    parse from a plain request, and in one argparse pass from any other
+    whose argv starts with a subcommand name."""
     if argv is None:
         argv = sys.argv[1:]
-    subparser = _routes.get(argv[0]) if argv else None
-    if subparser is not None:
-        args, extras = subparser.parse_known_args(argv[1:])
+    route = _routes.get(argv[0]) if argv else None
+    if route is not None:
+        args = _parse_plain(argv, *route)
+        if args is not None:
+            return args
+        args, extras = route[0].parse_known_args(argv[1:])
         if not extras:
             args.command = argv[0]
             return args
@@ -219,7 +255,7 @@ def main(argv=None):
     global _parser, _routes
     if _parser is None:
         _parser = build_parser()
-        _routes = _subcommands(_parser)
+        _routes = {name: _route(sub) for name, sub in _subcommands(_parser).items()}
     try:
         args = _parse(argv)
     except SystemExit as exc:

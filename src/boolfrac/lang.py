@@ -42,8 +42,8 @@ digits, one per atom, and not all zero. parse_space checks every
 measure line when it reads it, so a bad weight, a zero denominator, a
 wrong weight count, a duplicate name or an all-zero line is an error
 at parse time, in line order with the other lines. It keeps only the
-line's weight texts and number: a Measure, with its weight tables, is
-built from them the first time its name is read from
+line's weight texts and number: a Measure, with its weight table if
+it has one, is built from them the first time its name is read from
 `SpaceDoc.measures`, which is a dict of Measures to its readers, and
 kept there. An integer is read as an int and `p/q` as one Fraction;
 Measure uses both as they are. That first read is also where `prob`,

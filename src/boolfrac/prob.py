@@ -7,10 +7,11 @@ zero.
 
 Every probability here is a quotient of subset weights, so the work is
 done in integers: a Measure scales its atom weights to their common
-denominator and builds its integer tables of subset weights when it is
-made (its `weights` Fractions only when first read). Up to 8 atoms
-there is one table, and a lookup is that list's own __getitem__.
-Sums and comparisons are exact integer arithmetic, and each function
+denominator when it is made (its `weights` Fractions only when first
+read). Up to 8 atoms it builds one table of subset weights, and a
+lookup is that list's own __getitem__; above that a lookup sums the
+scaled weights of the set bits, and no table is built. Sums and
+comparisons are exact integer arithmetic, and each function
 builds a single fractions.Fraction for the value it returns.
 additive_law_check builds none: it decides holds by integer
 cross-multiplication, w(q)·wx·wy == (w(xq)·wy + w(yq)·wx)·w(c) for the
@@ -32,6 +33,7 @@ probability into weighted parts, and the additivity report:
 
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 from math import lcm
 
 from . import conditional as cnd
@@ -45,9 +47,10 @@ from .errors import (
 )
 from .space import Event, same_space
 
-# Atoms per subset-weight table: a table holds 2**CHUNK_ATOMS entries.
+# The most atoms a Measure builds its table of 2**n subset weights for.
 CHUNK_ATOMS = 8
-_CHUNK_MASK = (1 << CHUNK_ATOMS) - 1
+# bin()'s digits as the 0 and 1 bytes itertools.compress selects by.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 class Measure:
@@ -64,14 +67,14 @@ class Measure:
     weights on its first read. `weights` and `total` are exact
     Fractions.
 
-    Subset weights are read from integer tables of the scaled weights,
-    built here: each chunk of CHUNK_ATOMS atoms gets a table of the
-    scaled weight of every subset of it. `_iw(bits)` is the integer
-    weight of the atoms in `bits`, in units of 1/_scale: up to 8 atoms
-    it is the one table's own `__getitem__`, so a lookup runs no Python
-    code, and above that `_chunked_weight` bound to the tables, one
-    lookup per chunk (eight at 64 atoms). weight and weight_bits still
-    return the exact Fraction.
+    `_iw(bits)` is the integer weight of the atoms in `bits`, in units
+    of 1/_scale. Up to CHUNK_ATOMS atoms it is the `__getitem__` of a
+    table of the scaled weight of every subset, built here, so a lookup
+    runs no Python code. Above that it is `_sparse_weight` bound to the
+    scaled weights, which sums those of the set bits in C: a measure
+    that wide is read for a few weights, and those sums cost less than
+    building a 256-entry table per 8 atoms did. weight and
+    weight_bits still return the exact Fraction.
     """
 
     __slots__ = ("space", "total", "_weights", "_scale", "_scaled", "_iw")
@@ -96,15 +99,15 @@ class Measure:
         self._weights = None
         self._scale = scale
         self._scaled = scaled
-        tables = []
-        for start in range(0, len(scaled), CHUNK_ATOMS):
-            # Adding atom i appends the subsets that contain it, which
-            # are exactly the indices with bit i set.
-            table = [0]
-            for w in scaled[start:start + CHUNK_ATOMS]:
-                table += [t + w for t in table]
-            tables.append(table)
-        self._iw = tables[0].__getitem__ if len(tables) == 1 else partial(_chunked_weight, tables)
+        if len(scaled) > CHUNK_ATOMS:
+            self._iw = partial(_sparse_weight, scaled)
+            return
+        # Adding atom i appends the subsets that contain it, which are
+        # exactly the indices with bit i set.
+        table = [0]
+        for w in scaled:
+            table += [t + w for t in table]
+        self._iw = table.__getitem__
 
     @property
     def weights(self):
@@ -127,13 +130,10 @@ class Measure:
         return "Measure(%r)" % (list(self.weights),)
 
 
-def _chunked_weight(tables, bits):
-    """`_iw` over several tables: one lookup per chunk of the bits."""
-    total = 0
-    for table in tables:
-        total += table[bits & _CHUNK_MASK]
-        bits >>= CHUNK_ATOMS
-    return total
+def _sparse_weight(scaled, bits):
+    """`_iw` without a table: the sum of the scaled weights of the set
+    bits, lowest bit first, selected by compress from bin()'s digits."""
+    return sum(compress(scaled, bin(bits)[:1:-1].encode().translate(_BIT_BYTES)))
 
 
 def _check(m, x):

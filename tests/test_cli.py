@@ -7,13 +7,16 @@ failed law, 2 usage or parse error.
 """
 
 import argparse
+import io
 import os
 import pathlib
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from boolfrac import cli
 from boolfrac import conditional as cnd
@@ -181,6 +184,61 @@ def test_prob_unknown_measure(capsys, die_path):
     )
     assert code == 1
     assert "unknown measure" in err
+
+
+WIDE = """space wide
+atoms %s
+measure m = %s
+measure odd = %s
+""" % (" ".join("a%d" % i for i in range(1, 65)),
+       " ".join(str(i) for i in range(1, 65)),
+       " ".join("0" if i % 2 else "1/%d" % i for i in range(1, 65)))
+
+
+def w(*atoms):
+    """Weight of atoms a<i> under m: atom a<i> weighs i."""
+    return sum(Fraction(i) for i in atoms)
+
+
+def w_odd(*atoms):
+    """Weight under odd: atom a<i> weighs 0 when i is odd, 1/i when even."""
+    return sum(Fraction(0) if i % 2 else Fraction(1, i) for i in atoms)
+
+
+ALL = range(1, 65)
+
+
+@pytest.mark.parametrize("measure, expr, formula, value", [
+    ("m", "a64|{a1,a64}", "direct", w(64) / w(1, 64)),
+    ("m", "a64", "direct", w(64) / w(*ALL)),
+    ("m", "{a1,a2,a3}", "direct", w(1, 2, 3) / w(*ALL)),
+    ("m", "~a64 | ~{a1}", "direct", w(*range(2, 64)) / w(*range(2, 65))),
+    ("m", "(a1|{a1,a2}) or (a64|{a63,a64})", "or", w(1, 64) / w(1, 2, 63, 64)),
+    ("m", "(a1|{a1,a2}) or (a64|{a63,a64})", "direct", w(1, 64) / w(1, 2, 63, 64)),
+    ("m", "({a1,a3}|{a1,a2,a3}) and ({a3,a64}|{a3,a64})", "and", w(1, 3, 64) / w(1, 2, 3, 64)),
+    ("m", "({a1,a3}|{a1,a2,a3}) and ({a3,a64}|{a3,a64})", "direct",
+     w(1, 3, 64) / w(1, 2, 3, 64)),
+    ("odd", "a64|{a9,a63,a64}", "direct", w_odd(64) / w_odd(9, 63, 64)),
+    ("odd", "{a2,a64}", "direct", w_odd(2, 64) / w_odd(*ALL)),
+    ("odd", "(a2|{a1,a2}) or (a63|{a63,a64})", "or", w_odd(2) / w_odd(1, 2, 63, 64)),
+    ("odd", "(a2|{a1,a2}) and (a64|{a63,a64})", "and", w_odd(2, 64) / w_odd(1, 2, 63, 64)),
+    ("odd", "a64|{a1,a63}", "direct", None),
+    ("odd", "(a2|{a1,a3}) or (a64|{a63})", "or", None),
+    ("odd", "(a2|{a1,a3}) and (a64|{a63})", "and", None),
+])
+def test_prob_on_64_atoms_sums_the_atom_weights(capsys, tmp_path, measure, expr, formula,
+                                                value):
+    """Above 8 atoms a measure has no subset table; a lookup sums the
+    weights of the set bits, up to atom a64 at bit 63. None is a
+    condition of weight zero."""
+    path = tmp_path / "wide.cs"
+    path.write_text(WIDE, encoding="utf-8")
+    answer = run(capsys, "prob", "--space", str(path), "--measure", measure, "--expr", expr,
+                 "--formula", formula)
+    if value is None:
+        assert answer == (1, "", "boolfrac: error: undefined: condition has probability 0\n")
+    else:
+        assert answer == (0, "%s (%.6f)\n" % (value, float(value)), "")
 
 
 # relate
@@ -621,12 +679,14 @@ def parse_calls(monkeypatch):
     return calls
 
 
-def test_a_subcommand_request_is_parsed_once_by_its_subparser(capsys, parse_calls, die_path):
+def test_a_plain_subcommand_request_makes_no_argparse_call(capsys, parse_calls, die_path):
+    """Whole `--option value` pairs after a subcommand name are read
+    without argparse."""
     cli.main(["parse", "--expr", "a"])
     for argv in reuse_sequence(die_path)[5:]:
         parse_calls.clear()
         cli.main(argv)
-        assert parse_calls == [("boolfrac " + argv[0], argv[1:])]
+        assert parse_calls == []
     capsys.readouterr()
 
 
@@ -656,6 +716,68 @@ def test_other_requests_make_the_calls_of_the_full_parse(capsys, monkeypatch, pa
     capsys.readouterr()
 
 
+# the plain route against argparse
+
+
+OPTIONS = {
+    name: [option for action in sub._actions for option in action.option_strings
+           if option != "--help" and option.startswith("--")]
+    for name, sub in cli._subcommands(cli.build_parser()).items()
+}
+PLAIN_VALUES = ["", "3", "\u0663", "x"]
+DASHED_VALUES = ["-x", "--"]
+FORMULAS = ["direct", "or", "and", "bad"]
+
+
+@st.composite
+def requests(draw):
+    """A subcommand name, then each of its options in any order: in full
+    with a value, left out, given twice, with a value that starts with
+    '-', abbreviated, joined to its value by '=' or with no value; and
+    perhaps '--', '-h' or a stray value first or last."""
+    name = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [name]
+    for option in draw(st.permutations(OPTIONS[name])):
+        value = draw(st.sampled_from(PLAIN_VALUES + FORMULAS if option == "--formula"
+                                     else PLAIN_VALUES))
+        form = draw(st.sampled_from(["full"] * 10 + ["out", "twice", "dashed", "short",
+                                                     "joined", "bare"]))
+        if form == "full":
+            argv += [option, value]
+        elif form == "twice":
+            argv += [option, value, option, draw(st.sampled_from(PLAIN_VALUES))]
+        elif form == "dashed":
+            argv += [option, draw(st.sampled_from(DASHED_VALUES))]
+        elif form == "short":
+            argv += [option[:draw(st.integers(3, len(option) - 1))], value]
+        elif form == "joined":
+            argv.append(option + "=" + draw(st.sampled_from(PLAIN_VALUES + DASHED_VALUES)))
+        elif form == "bare":
+            argv.append(option)
+    extra = draw(st.sampled_from([None] * 4 + ["--", "-h", "x"]))
+    if extra is not None:
+        argv.insert(draw(st.sampled_from([1, len(argv)])), extra)
+    return argv
+
+
+def outcome(parse, argv):
+    """vars of the namespace, or the exit code, with what was printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@given(requests())
+def test_the_plain_route_parses_what_argparse_parses(argv):
+    with redirect_stdout(io.StringIO()):
+        cli.main(["parse", "--expr", "a"])
+    assert outcome(cli._parse, argv) == outcome(full_parse, argv)
+
+
 def test_main_gets_its_parser_from_the_module_level_build_parser(capsys, monkeypatch,
                                                                  die_path):
     built = []
@@ -670,7 +792,7 @@ def test_main_gets_its_parser_from_the_module_level_build_parser(capsys, monkeyp
     for argv in reuse_sequence(die_path):
         run(capsys, *argv)
     assert len(built) == 1 and cli._parser is built[0]
-    assert cli._routes is cli._subcommands(built[0])
+    assert {name: route[0] for name, route in cli._routes.items()} == cli._subcommands(built[0])
 
 
 # a fresh process

@@ -4,9 +4,9 @@ P(a|b) is weight(ab)/weight(b) as a Fraction; conditions of weight zero
 raise instead of returning a junk value. The or-expansion and the
 context-split superposition are pinned factor by factor on the die bet,
 and the additivity check reports exactly when P(x or y) == P(x) + P(y).
-Measures compute with integer subset-weight tables; hypothesis pins every
-function to a per-atom Fraction reference on both sides of the 8-atom
-table chunks.
+Measures compute with integer subset weights, from a table up to 8 atoms
+and as a sum over the set bits above; hypothesis pins every function to
+a per-atom Fraction reference on both sides of that boundary.
 """
 
 import copy
@@ -205,8 +205,8 @@ def test_additive_report_is_frozen(die, uniform):
 
 @pytest.mark.parametrize("n", [8, 9, 64])
 def test_a_measure_survives_pickle_and_deepcopy_after_a_lookup(n):
-    """One table up to 8 atoms, one per 8-atom chunk above; the masks
-    straddle the chunk boundary at bit 8 where the space has one."""
+    """One subset table up to 8 atoms, a sum over the set bits above;
+    the masks straddle bit 8 where the space has one."""
     space = SampleSpace("a%d" % i for i in range(n))
     m = prob.Measure(space, [Fraction(i % 5, i % 3 + 1) if i % 4 else i + 1 for i in range(n)])
     masks = [0, 1, space.full_bits, 0b11 << 7 & space.full_bits, 0x1FF & space.full_bits,
@@ -225,7 +225,7 @@ def test_weight_bits_rejects_bits_outside_the_space(n, bits):
         m.weight_bits(bits)
 
 
-# -------------------------------------------- integer tables vs per-atom sums
+# ------------------------------------ integer subset weights vs per-atom sums
 
 ATOM_COUNTS = (1, 7, 8, 9, 16, 17, 64)
 
