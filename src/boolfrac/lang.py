@@ -45,8 +45,9 @@ at parse time, in line order with the other lines. It keeps only the
 line's weight texts and number: a Measure, with its weight table if
 it has one, is built from them the first time its name is read from
 `SpaceDoc.measures`, which is a dict of Measures to its readers, and
-kept there. An integer is read as an int and `p/q` as one Fraction;
-Measure uses both as they are. That first read is also where `prob`,
+kept there. The texts are read in ints, each `p/q` in lowest terms and
+scaled to the lcm of the denominators, and Measure's own tail of
+construction takes the result. That first read is also where `prob`,
 with `fractions` and `decimal`, is imported: parsing a space file and
 lowering, evaluating or relating its expressions import neither, so
 the CLI's `eval`, `relate` and `profile` never load them.
@@ -68,12 +69,21 @@ been tried as one split at its commas. The mode declines whatever it
 cannot lower as it reads (an unknown name, `|`, a function, UNDEFINED,
 a syntax error, a long body); the tree path, parse_expr then
 lower_event, reads that line again, so it words every error.
+
+`SpaceDoc.lower` first takes the conditional mode, `_ConditionalParser`:
+a leaf is the pair (bits, full), UNDEFINED is (0, 0), and `~` and each
+binary operator call their bit kernel (`_KERNELS`, looked up by name as
+they are called), so one Conditional is built at the end. It declines
+an unknown name, a syntax error, a long text, a kernel that raises and
+a result that is not two values the Conditional constructor takes; the
+tree path, parse_expr then lower, reads the text again and words it.
 """
 
 import operator
 import re
 from collections.abc import MutableMapping
 from itertools import repeat
+from math import gcd, lcm
 
 from . import conditional as cnd
 from . import schay
@@ -121,6 +131,14 @@ _FUNC_OPS = {
     "s_cup": schay.cup_s,
 }
 FUNC_NAMES = tuple(_FUNC_OPS)
+# The bit kernel of each binary operator, as (module, name): the
+# conditional mode looks it up when it calls it, as the wrappers do.
+_KERNELS = {
+    "given": (cnd, "given_bits"), "or": (cnd, "or_bits"), "and": (cnd, "and_bits"),
+    "osum": (cnd, "osum_bits"), "proj": (cnd, "sasaki_bits"),
+    "s_and": (schay, "sand_bits"), "s_or": (schay, "vee_bits"),
+    "s_cap": (schay, "cap_bits"), "s_cup": (schay, "cup_bits"),
+}
 
 # The reserved words and the token kind each one lexes to.
 _UNDEFINED = "UNDEFINED"
@@ -425,6 +443,13 @@ class SpaceDoc(Record):
         self.measures = measures
 
     def lower(self, text):
+        try:
+            parser = _ConditionalParser(text, self.space, self.events)
+            q, c = parser.expr()
+            if parser.kinds[parser.pos] == "eof":
+                return cnd.Conditional(self.space, q, c)
+        except Exception:  # a decline, or a kernel's error, which the tree path meets again
+            pass
         return lower(parse_expr(text), self.space, self.events)
 
 
@@ -445,7 +470,10 @@ class _Measures(MutableMapping):
         if type(entry) is tuple:
             from .prob import Measure
 
-            entry = self._entries[name] = Measure(self._space, _parse_weights(*entry))
+            scaled, scale = _scaled_weights(entry[0])
+            entry = Measure.__new__(Measure)
+            entry._fill(self._space, scaled, scale)
+            self._entries[name] = entry
         return entry
 
     def __setitem__(self, name, measure):
@@ -499,6 +527,15 @@ def _parse_weights(texts, line_no):
             raise BadWeight("line %d: zero denominator in %r" % (line_no, text))
         weights.append(Fraction(int(m.group(1)), den))
     return weights
+
+
+def _scaled_weights(texts):
+    """The scaled weights and scale that Measure makes of what
+    `_parse_weights` reads from checked weight texts, in ints alone."""
+    pairs = [(int(p), int(q or 1)) for p, _, q in (text.partition("/") for text in texts)]
+    pairs = [(p // g, q // g) for p, q in pairs for g in (gcd(p, q),)]
+    scale = lcm(*[q for _, q in pairs])
+    return [p * (scale // q) for p, q in pairs], scale
 
 
 def _check_weights(texts, line_no):
@@ -564,6 +601,37 @@ class _EventParser(_Parser):
         if op not in _EVENT_OPS:
             raise _Decline
         return _EVENT_OPS[op](left, right)
+
+
+class _ConditionalParser(_EventParser):
+    """The parser in conditional mode: its builders make (q, c) pairs
+    with the bit kernels, and decline where the tree path could raise."""
+
+    def Undefined(self):
+        return 0, 0
+
+    def EventRef(self, name):
+        event = self.events.get(name)
+        if event is None:
+            return self.SetLiteral((name,))
+        if type(event) is not Event or event.space is not self.space:
+            raise _Decline
+        return event.bits, self.full
+
+    def SetLiteral(self, names):
+        return _EventParser.SetLiteral(self, names), self.full
+
+    def Not(self, arg):
+        return self.pair(*cnd.not_bits(*arg))
+
+    def Binary(self, op, left, right):
+        module, name = _KERNELS[op]
+        return self.pair(*getattr(module, name)(*left, *right))
+
+    def pair(self, q, c):
+        if q & ~c or not 0 <= c <= self.full:
+            raise _Decline
+        return q, c
 
 
 def _event_of(body, space, events):

@@ -91,6 +91,11 @@ class Measure:
         for w, s in zip(weights, scaled):
             if s < 0:
                 raise BadWeight("negative weight %s" % (w,))
+        self._fill(space, scaled, scale)
+
+    def _fill(self, space, scaled, scale):
+        """The rest of construction, from the scaled weights and their
+        scale; `lang` builds a space file's measures with it alone."""
         total = sum(scaled)
         if total == 0:
             raise ZeroTotalWeight("all atom weights are zero")

@@ -25,13 +25,15 @@ def uniform(die):
 
 @pytest.fixture
 def built(monkeypatch):
-    """Every Measure constructed while the test runs, in order."""
+    """Every Measure built while the test runs, in order: by the public
+    constructor or from a space file's weight texts, which both end in
+    `Measure._fill`."""
     made = []
-    init = prob.Measure.__init__
+    fill = prob.Measure._fill
 
-    def counting_init(self, space, weights):
+    def counting_fill(self, space, scaled, scale):
         made.append(self)
-        init(self, space, weights)
+        fill(self, space, scaled, scale)
 
-    monkeypatch.setattr(prob.Measure, "__init__", counting_init)
+    monkeypatch.setattr(prob.Measure, "_fill", counting_fill)
     return made

@@ -819,10 +819,11 @@ def lowers_as_an_event(tree):
 
 
 @st.composite
-def event_bodies(draw):
-    """An event line's body and its tree: minimally parenthesized, with
-    whitespace of every kind between tokens and around set-literal names."""
-    tree = draw(event_trees(3))
+def bodies(draw, trees):
+    """A body drawn from `trees` and its tree: minimally parenthesized,
+    with whitespace of every kind between tokens and around set-literal
+    names."""
+    tree = draw(trees)
 
     def gap(gaps=BODY_GAPS):
         return draw(st.sampled_from(gaps))
@@ -846,6 +847,10 @@ def event_bodies(draw):
     return gap() + text(tree) + gap(), tree
 
 
+def event_bodies():
+    return bodies(event_trees(3))
+
+
 @given(event_bodies())
 def test_event_mode_lowers_as_the_tree_path(case):
     """The event mode gives the tree path's event, or declines where the
@@ -867,15 +872,24 @@ def test_event_mode_lowers_as_the_tree_path(case):
         assert lang.parse_space(SHADOW_SPACE + line).events["x"] == want
 
 
-def query_space_files(seed, run_dir):
-    """The paths of the three space files of the benchmark's `query` stream."""
+def perfbench_module(name):
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        import inputs
+        return __import__(name)
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
-    path = inputs.generate("query", seed, str(ROOT), str(run_dir))
-    return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))["spaces"]
+
+
+def query_inputs(seed, run_dir):
+    """The benchmark's `query` inputs: the paths of its three space files
+    ("spaces") and its requests, each (argv, known answer)."""
+    path = perfbench_module("inputs").generate("query", seed, str(ROOT), str(run_dir))
+    return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+
+
+def query_space_files(seed, run_dir):
+    """The paths of the three space files of the benchmark's `query` stream."""
+    return query_inputs(seed, run_dir)["spaces"]
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -911,3 +925,221 @@ def test_a_long_flat_chain_on_an_event_line_still_nests_too_deeply():
     with pytest.raises(ParseError) as err:
         lang.parse_space(text)
     assert str(err.value) == "line 3, column 1: expression nests too deeply"
+
+
+# ----------------------------- request expressions lowered without a tree
+
+CONDITIONAL_FUNCS = ("osum", "proj", "s_and", "s_or", "s_cap", "s_cup")
+# Stray text put into a body: tokens that break the grammar, and a `#`
+# that cuts the rest.
+STRAYS = ("(", ")", ",", "{", "}", "|", "or", "and", "~", "s_cup", "UNDEFINED", "zz", "#")
+
+
+def conditional_trees(depth):
+    """Trees over SHADOW_SPACE's names with all nine binary operators."""
+    if depth == 0:
+        return event_trees(0)
+    sub = conditional_trees(depth - 1)
+    return st.one_of(
+        sub,
+        sub.map(lambda arg: ("not", arg)),
+        st.tuples(st.sampled_from(tuple(EVENT_INFIX) + CONDITIONAL_FUNCS), sub, sub),
+    )
+
+
+def outcome(fn):
+    """What fn returns, with its operands' types, or the type and text of
+    what it raises."""
+    try:
+        x = fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(x), x.space, type(x.q), x.q, type(x.c), x.c
+
+
+def tree_path(doc, text):
+    return lang.lower(lang.parse_expr(text), doc.space, doc.events)
+
+
+def conditional_mode(doc, text):
+    """The (q, c) pair the conditional mode reads text to, or None where
+    it declines: where it raises, a kernel's error included."""
+    try:
+        parser = lang._ConditionalParser(text, doc.space, doc.events)
+        pair = parser.expr()
+    except Exception:
+        return None
+    return pair if parser.kinds[parser.pos] == "eof" else None
+
+
+@st.composite
+def request_bodies(draw):
+    """A request expression over SHADOW_SPACE, at times with stray text
+    put in anywhere."""
+    body, _ = draw(bodies(conditional_trees(3)))
+    if draw(st.booleans()):
+        at = draw(st.integers(min_value=0, max_value=len(body)))
+        body = body[:at] + draw(st.sampled_from(BODY_GAPS)) + draw(
+            st.sampled_from(STRAYS)) + body[at:]
+    return body
+
+
+@given(request_bodies())
+def test_conditional_mode_lowers_as_the_tree_path(body):
+    """SpaceDoc.lower gives the tree path's Conditional or raises its
+    error, and the conditional mode declines nothing the tree path lowers
+    that is short enough to read."""
+    doc = lang.parse_space(SHADOW_SPACE)
+    want = outcome(lambda: tree_path(doc, body))
+    assert outcome(lambda: doc.lower(body)) == want
+    if want[0] is cnd.Conditional and len(lang._scan(body)[0]) <= lang._EVENT_TOKENS:
+        assert conditional_mode(doc, body) == (want[3], want[5])
+
+
+def test_the_conditional_mode_leaves_foreign_events_and_long_texts_to_the_tree_path():
+    """Events of another space, values that are not events, and a token
+    count past the bound are left to the tree path."""
+    doc = lang.parse_space(SHADOW_SPACE)
+    other = lang.parse_space(SHADOW_SPACE)
+    doc.events["alien"] = other.events["even"]
+    doc.events["cond"] = doc.lower("a | b")
+    for text in ("alien", "cond or a", "a" + " or a" * 64):
+        assert conditional_mode(doc, text) is None
+        assert outcome(lambda: doc.lower(text)) == outcome(lambda: tree_path(doc, text))
+    assert doc.lower("alien").space is other.space
+    assert conditional_mode(doc, "a" + " or a" * 63) == (1, doc.space.full_bits)
+
+
+# Operands whose conditions differ from each other's, and one, `~(b|a)`,
+# that negates a conditional whose condition is the first atom alone:
+# where the odd kernels misbehave.
+ODD_OPERANDS = ("a | a", "b | {a, b}", "~(b | a)", "UNDEFINED", "even", "c | odd")
+ODD_TEXTS = [
+    text
+    for left in ODD_OPERANDS for right in ODD_OPERANDS
+    for text in ["(%s) %s (%s)" % (left, op, right) for op in EVENT_INFIX]
+    + ["%s(%s, %s)" % (op, left, right) for op in CONDITIONAL_FUNCS]
+] + ["~(%s)" % text for text in ODD_OPERANDS] + [
+    "s_cup(~(b | a), osum(a | c, even) | proj(UNDEFINED, odd)) and ~(c | a)",
+    "zz or (a | b)", "(a | b) or (", "s_and(a | b, {a, z})",
+]
+
+
+def odd_kernel_cases():
+    """(module, kernel name, kernel) for each odd result in each of the
+    ten kernels, and for each of the 90 table mutants."""
+    from test_relations import ODD_RESULTS
+
+    def odd(module, name, result):
+        base = getattr(module, name)
+        if name == "not_bits":
+            return lambda q, c: result((q, c), *base(q, c)) if c == 1 else base(q, c)
+        return lambda q1, c1, q2, c2: (result((q1, c1, q2, c2), *base(q1, c1, q2, c2))
+                                       if c1 != c2 else base(q1, c1, q2, c2))
+
+    kernels = [(cnd, name) for name in ("given_bits", "or_bits", "and_bits", "not_bits",
+                                        "osum_bits", "sasaki_bits")]
+    kernels += [(schay, name) for name in ("sand_bits", "vee_bits", "cap_bits", "cup_bits")]
+    cases = [(module, name, odd(module, name, result))
+             for module, name in kernels for result in ODD_RESULTS.values()]
+    mutants = perfbench_module("mutants")
+    full = lang.parse_space(SHADOW_SPACE).space.full_bits
+    return cases + [(cnd, spec[0], mutants.build(spec, full)) for spec in mutants.specs()]
+
+
+def test_the_conditional_mode_answers_as_the_tree_path_under_odd_kernels(monkeypatch):
+    """Under a kernel that raises or returns a list, a 3-tuple or a pair
+    outside normal form where conditions differ, and under each table
+    mutant, SpaceDoc.lower returns or raises what the tree path does,
+    with the same type and message."""
+    doc = lang.parse_space(SHADOW_SPACE)
+    cases = odd_kernel_cases()
+    assert len(cases) == 4 * 10 + 90
+    declined = read = 0
+    for module, name, kernel in cases:
+        monkeypatch.setattr(module, name, kernel)
+        for text in ODD_TEXTS:
+            want = outcome(lambda: tree_path(doc, text))
+            assert outcome(lambda: doc.lower(text)) == want, (name, text)
+            if conditional_mode(doc, text) is None:
+                declined += 1
+            else:
+                read += 1
+        monkeypatch.undo()
+    # Both routes are taken: the mode reads most texts and declines some.
+    assert read > declined > 0
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_no_request_expression_of_the_query_streams_goes_through_the_tree(
+        seed, tmp_path, monkeypatch, capsys):
+    """No `eval`, `relate`, `profile` or `prob --formula direct` request
+    of the benchmark's `query` stream that succeeds calls parse_expr."""
+    from boolfrac import cli
+
+    parse_expr, calls = lang.parse_expr, []
+    monkeypatch.setattr(lang, "parse_expr", lambda text: calls.append(text) or parse_expr(text))
+    lowered = 0
+    for argv, answer in query_inputs(seed, tmp_path)["requests"]:
+        del calls[:]
+        code = cli.main(argv)
+        capsys.readouterr()
+        assert code == answer["code"]
+        options = dict(zip(argv[1::2], argv[2::2]))
+        if code == 0 and (argv[0] in ("eval", "relate", "profile")
+                          or argv[0] == "prob" and options.get("--formula") in (None, "direct")):
+            assert calls == [], argv
+            lowered += 1
+    assert lowered > 800
+
+
+# --------------------------------------- file measures built from integers
+
+def measure_fields(m):
+    full = m.space.full_bits
+    bits = (0, 1, 5 & full, full >> 1, full)
+    return (type(m), m.space, m._scale, m._scaled, m.total, repr(m), m.weights,
+            [m.weight_bits(b) for b in bits])
+
+
+def assert_built_as_the_constructor_builds(space, texts):
+    """The Measure of a measure line's weight texts, read in integers,
+    equals the one the public constructor builds from `_parse_weights`:
+    field by field, in pickle and after a pickle round trip."""
+    got = lang._Measures(space, {"m": (texts, 1)})["m"]
+    want = prob.Measure(space, lang._parse_weights(texts, 1))
+    assert pickle.dumps(got) == pickle.dumps(want)
+    assert [type(s) for s in got._scaled] == [int] * space.n and type(got._scale) is int
+    assert measure_fields(got) == measure_fields(want)
+    assert pickle.dumps(got) == pickle.dumps(want)
+    assert measure_fields(pickle.loads(pickle.dumps(got))) == measure_fields(want)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_every_measure_line_of_the_query_files_builds_as_the_constructor(seed, tmp_path):
+    lines = 0
+    for path in query_space_files(seed, tmp_path):
+        doc = lang.parse_space(pathlib.Path(path).read_text(encoding="utf-8"))
+        for texts, _ in doc.measures._entries.values():
+            assert_built_as_the_constructor_builds(doc.space, texts)
+            lines += 1
+    assert lines >= 4
+
+
+WEIGHT_TEXTS = st.one_of(
+    st.sampled_from(["0", "01", "3/6", "0/5", "007/014", "1", "0" * 30, "9" * 30]),
+    st.integers(min_value=0, max_value=10**30).map(str),
+    st.tuples(st.integers(min_value=0, max_value=10**30),
+              st.integers(min_value=1, max_value=10**30)).map("%d/%d".__mod__),
+    st.tuples(st.sampled_from(["", "0", "000"]), st.integers(min_value=0, max_value=99),
+              st.sampled_from(["", "/", "/0", "/00"]), st.integers(min_value=1, max_value=99))
+    .map(lambda t: t[0] + str(t[1]) + (t[2] + str(t[3]) if t[2] else "")),
+)
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.lists(WEIGHT_TEXTS, min_size=n, max_size=n)))
+def test_weight_texts_build_as_the_constructor(texts):
+    if all(Fraction(text) == 0 for text in texts):
+        texts = ["1"] + texts[1:]
+    assert_built_as_the_constructor_builds(space_of(len(texts)), texts)
