@@ -4,6 +4,7 @@ Subcommands: eval, prob, relate, profile, check, parse. Exit codes:
 0 success (for check: every law passed), 1 domain error or a law
 failed, 2 usage or parse error. Output is byte-deterministic for fixed
 inputs; every error path prints a single diagnostic line to stderr.
+A space file is read as bytes and decoded once; `lang` splits its lines.
 
 `main` builds its argument parser on its first call and reuses it for
 every later call in the process. argparse keeps no per-call state in the
@@ -15,7 +16,8 @@ A request whose first argument is exactly a subcommand name, followed
 by whole `--option value` pairs, is read with no argparse parse when each
 option is one of that subcommand's own option strings in full, given
 once, with a value that does not start with '-' and that argparse's
-own type and choices check takes, and every required option is given.
+own type and choices check takes (a value is taken as given when its
+option has neither), and every required option is given.
 Any other request with a subcommand name first is parsed by that
 subcommand's parser alone, so argparse reads help, abbreviations,
 `--opt=value`, `--` and repeats, and words every usage, error and help
@@ -51,11 +53,12 @@ def _fail(message):
 
 
 def _load_doc(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError("%s is not UTF-8 text: %s" % (path, exc)) from None
+    with open(path, "rb", buffering=0) as handle:
+        data = handle.readall()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not UTF-8 text: %s" % (path, exc)) from None
     return lang.parse_space(text)
 
 
@@ -207,11 +210,12 @@ def _subcommands(parser):
 
 
 def _route(subparser):
-    """A subparser, its own option strings mapped to their store actions,
-    the defaults argparse starts its namespace with, and the dests it
-    requires."""
+    """A subparser, its own option strings mapped to their dests and store
+    actions (None for one with no type or choices), the defaults argparse
+    starts its namespace with, and the dests it requires."""
     actions = [a for a in subparser._actions if a.dest is not argparse.SUPPRESS]
-    options = {s: a for a in actions if type(a) is argparse._StoreAction for s in a.option_strings}
+    options = {s: (a.dest, None if a.type is None and a.choices is None else a)
+               for a in actions if type(a) is argparse._StoreAction for s in a.option_strings}
     defaults = dict(subparser._defaults)
     defaults.update((a.dest, a.default) for a in actions if a.default is not argparse.SUPPRESS)
     return subparser, options, defaults, {a.dest for a in actions if a.required}
@@ -221,13 +225,15 @@ def _parse_plain(argv, subparser, options, defaults, required):
     """The namespace of a plain request, or None for any other."""
     values = {}
     for option, value in zip(argv[1::2], argv[2::2]):
-        action = options.get(option)
-        if action is None or action.dest in values or value[:1] == "-":
+        dest, action = options.get(option, (None, None))
+        if dest is None or dest in values or value[:1] == "-":
             return None
-        try:
-            values[action.dest] = subparser._get_values(action, [value])
-        except argparse.ArgumentError:
-            return None
+        if action is not None:
+            try:
+                value = subparser._get_values(action, [value])
+            except argparse.ArgumentError:
+                return None
+        values[dest] = value
     if len(argv) % 2 == 0 or not values.keys() >= required:
         return None
     return argparse.Namespace(command=argv[0], **dict(defaults, **values))

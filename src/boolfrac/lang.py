@@ -41,9 +41,12 @@ Weights are nonnegative integers or fractions `p/q`, written in ASCII
 digits, one per atom, and not all zero. parse_space checks every
 measure line when it reads it, so a bad weight, a zero denominator, a
 wrong weight count, a duplicate name or an all-zero line is an error
-at parse time, in line order with the other lines. It keeps only the
-line's weight texts and number: a Measure, with its weight table if
-it has one, is built from them the first time its name is read from
+at parse time, in line order with the other lines. The weights are
+checked by flat scans over the joined list, and read one by one only
+to word an error; an `atoms` line is searched once for a reserved
+character. Of a measure line parse_space keeps only the weight texts
+and number: a Measure, with its weight table if it has one, is built
+from them the first time its name is read from
 `SpaceDoc.measures`, which is a dict of Measures to its readers, and
 kept there. The texts are read in ints, each `p/q` in lowest terms and
 scaled to the lcm of the denominators, and Measure's own tail of
@@ -167,10 +170,12 @@ class Token:
 
 # A token is a special character or a word: a run of characters that are
 # none of those, not `#` and not whitespace. A comment runs from `#` to
-# the end of its line. findall skips the whitespace.
+# the end of its line. findall skips the whitespace. _RESERVED_CHAR_RE finds
+# a character that no atom name may hold.
 _SPECIAL_CLASS = re.escape("".join(_SPECIALS))
 _TOKEN_RE = re.compile(r"[%s]|[^\s#%s]+" % (_SPECIAL_CLASS, _SPECIAL_CLASS))
 _COMMENT_RE = re.compile(r"#[^\n]*")
+_RESERVED_CHAR_RE = re.compile("[%s]" % re.escape("".join(sorted(RESERVED_CHARS))))
 _TOKEN_KINDS = {**_SPECIALS, **_WORD_KINDS}
 
 
@@ -501,10 +506,12 @@ class _Measures(MutableMapping):
 
 
 _FRACTION_RE = re.compile(r"([0-9]+)/([0-9]+)")
-# A weight list of ASCII integers and `p/q` with a nonzero denominator,
-# one space apart, and a weight whose numerator is not zero.
-_WEIGHT = r"[0-9]+(?:/0*[1-9][0-9]*)?"
-_WEIGHTS_RE = re.compile(r"%s(?: %s)*" % (_WEIGHT, _WEIGHT))
+# A weight list of ASCII integers and `p/q` with a nonzero denominator, one
+# space apart, is these characters, with no weight starting with `/` and no
+# `/` before a second `/` or an empty or all-zero denominator; a weight whose
+# numerator is not zero.
+_WEIGHT_CHARS_RE = re.compile(r"[0-9/ ]*")
+_BAD_DENOMINATOR_RE = re.compile(r"/(?:[0-9]*/|0*(?: |$))")
 _NONZERO_RE = re.compile(r"(?:^| )0*[1-9]")
 
 
@@ -540,10 +547,11 @@ def _scaled_weights(texts):
 
 def _check_weights(texts, line_no):
     """Raise what building a Measure from a measure line's weight texts
-    would raise, without building it: one match over the whole list, and
+    would raise, without building it: flat scans over the whole list, and
     `_parse_weights` only to word a bad weight."""
     joined = " ".join(texts)
-    if _WEIGHTS_RE.fullmatch(joined) is None:
+    if (_WEIGHT_CHARS_RE.fullmatch(joined) is None or joined[:1] == "/" or " /" in joined
+            or _BAD_DENOMINATOR_RE.search(joined) is not None):
         _parse_weights(texts, line_no)
     if _NONZERO_RE.search(joined) is None:
         raise ZeroTotalWeight("all atom weights are zero")
@@ -711,7 +719,7 @@ def parse_space(text):
             # One test of every name; _check_atoms words the first error.
             if (len(set(atom_names)) != len(atom_names)
                     or not RESERVED_WORDS.isdisjoint(atom_names)
-                    or not RESERVED_CHARS.isdisjoint("".join(atom_names))):
+                    or _RESERVED_CHAR_RE.search(line) is not None):
                 _check_atoms(atom_names, line_no)
             space = SampleSpace(atom_names, _checked=True)
         elif directive in ("event", "measure"):

@@ -8,6 +8,7 @@ failed law, 2 usage or parse error.
 
 import argparse
 import io
+import json
 import os
 import pathlib
 import subprocess
@@ -459,13 +460,34 @@ def test_the_deepest_parsed_nestings_lower_dump_and_run_without_a_recursion_erro
     assert depths["right-nested or"] == depths["negated parens"]
 
 
-def test_space_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+NOT_UTF8 = "boolfrac: error: {} is not UTF-8 text: 'utf-8' codec can't decode "
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe", NOT_UTF8 + "byte 0xff in position 0: invalid start byte\n"),
+    # The position counts raw bytes, each \r\n two of them.
+    (b"space s\r\natoms a b\r\n\xff\r\n",
+     NOT_UTF8 + "byte 0xff in position 20: invalid start byte\n"),
+    (b"space s\natoms a b\n\xe2\x82",
+     NOT_UTF8 + "bytes in position 18-19: unexpected end of data\n"),
+    (b"space s\natoms a \xed\xa0\x80\n",
+     NOT_UTF8 + "byte 0xed in position 16: invalid continuation byte\n"),
+    # A byte order mark is read as part of the first line.
+    (b"\xef\xbb\xbfspace s\natoms a b\n",
+     "boolfrac: error: line 1, column 1: unknown directive '\\ufeffspace'\n"),
+    ("directory", "boolfrac: error: [Errno 21] Is a directory: '{}'\n"),
+    ("missing", "boolfrac: error: [Errno 2] No such file or directory: '{}'\n"),
+])
+def test_space_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, data, message):
+    """A space file that is not UTF-8 text, or that cannot be opened, is
+    one exact diagnostic line and exit code 2."""
     path = tmp_path / "bad.cs"
-    path.write_bytes(b"\xff\xfe")
+    if data == "directory":
+        path.mkdir()
+    elif data != "missing":
+        path.write_bytes(data)
     code, out, err = run(capsys, "eval", "--space", str(path), "--expr", "a")
-    assert (code, out) == (2, "")
-    assert err.startswith("boolfrac: error: %s is not UTF-8 text: " % path)
-    assert err.count("\n") == 1
+    assert (code, out, err) == (2, "", message.format(path))
 
 
 def test_reserved_word_as_atom_name_is_a_usage_error(capsys, tmp_path):
@@ -776,6 +798,64 @@ def test_the_plain_route_parses_what_argparse_parses(argv):
     with redirect_stdout(io.StringIO()):
         cli.main(["parse", "--expr", "a"])
     assert outcome(cli._parse, argv) == outcome(full_parse, argv)
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def query_argvs(seed, run_dir):
+    """The argvs of the benchmark's `query` request stream of a seed."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        path = __import__("inputs").generate("query", seed, str(ROOT), str(run_dir))
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    requests = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))["requests"]
+    return [argv for argv, _ in requests]
+
+
+def typed_outcome(parse, argv):
+    """outcome, with the type of every namespace value."""
+    result, out, err = outcome(parse, argv)
+    if isinstance(result, dict):
+        result = {dest: (type(value), value) for dest, value in result.items()}
+    return result, out, err
+
+
+def test_the_plain_route_reads_every_query_request_as_argparse_does(die_path, tmp_path):
+    with redirect_stdout(io.StringIO()):
+        cli.main(["parse", "--expr", "a"])
+    argvs = reuse_sequence(die_path)
+    for seed in (1, 7):
+        argvs += query_argvs(seed, tmp_path)
+    full = cli.build_parser().parse_args
+    for argv in argvs:
+        assert typed_outcome(cli._parse, argv) == typed_outcome(full, argv), argv
+
+
+def test_only_an_option_with_a_type_or_choices_has_its_value_converted(die_path, monkeypatch):
+    """A value whose option has neither is taken as given; the others
+    still go through argparse's own conversion, once each."""
+    with redirect_stdout(io.StringIO()):
+        cli.main(["parse", "--expr", "a"])
+    converted = []
+    get_values = argparse.ArgumentParser._get_values
+
+    def recording(self, action, arg_strings):
+        converted.append(action.dest)
+        return get_values(self, action, arg_strings)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_get_values", recording)
+    for argv, dests in [
+        (["eval", "--space", die_path, "--expr", "two", "--state", "2"], []),
+        (["check", "--law", "all", "--atoms", "3"], ["atoms"]),
+        (["check", "--grid", "2", "--law", "all", "--atoms", "3"], ["grid", "atoms"]),
+        (["prob", "--space", die_path, "--measure", "uniform", "--formula", "or",
+          "--expr", "two|even"], ["formula"]),
+    ]:
+        converted.clear()
+        assert isinstance(cli._parse(argv), argparse.Namespace)
+        assert converted == dests
 
 
 def test_main_gets_its_parser_from_the_module_level_build_parser(capsys, monkeypatch,

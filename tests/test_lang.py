@@ -30,7 +30,7 @@ from boolfrac.errors import (
     UnknownName,
     ZeroTotalWeight,
 )
-from boolfrac.space import SampleSpace
+from boolfrac.space import RESERVED_CHARS, SampleSpace
 
 
 def space_of(n):
@@ -247,6 +247,36 @@ def test_an_atoms_line_reports_its_first_bad_name(names):
         with pytest.raises(Error) as err:
             lang.parse_space(text)
         assert (type(err.value), str(err.value)) == want
+
+
+def atoms_outcome(line):
+    """The atoms of `space s` with this `atoms` line, or the error's type
+    and text."""
+    try:
+        return lang.parse_space("space s\n%s\n" % line).space.atoms
+    except Error as exc:
+        return type(exc), str(exc)
+
+
+def old_atoms_outcome(line):
+    """atoms_outcome as it was when one isdisjoint test over the joined
+    names decided whether `_check_atoms` looked at the line."""
+    names = line.partition("#")[0].split()[1:]
+    if (len(set(names)) != len(names) or not lang.RESERVED_WORDS.isdisjoint(names)
+            or not RESERVED_CHARS.isdisjoint("".join(names))):
+        try:
+            lang._check_atoms(names, 2)
+        except Error as exc:
+            return type(exc), str(exc)
+    return tuple(names)
+
+
+@pytest.mark.parametrize("char", sorted(RESERVED_CHARS) + [" ", "\uff11", "\u00b2"])
+def test_the_reserved_character_search_fails_an_atoms_line_as_before(char):
+    for name in ("x%sy" % char, char + "x", "x" + char, char):
+        for line in ("atoms a %s" % name, "atoms a %s b" % name, "atoms a b %s a" % name,
+                     "atoms a %s # c" % name, "atoms or %s" % name):
+            assert atoms_outcome(line) == old_atoms_outcome(line), line
 
 
 # Whitespace that str.splitlines breaks at but a space file does not.
@@ -596,7 +626,7 @@ def build_measure(texts, line_no=1):
     st.text(st.sampled_from("0123456789/"), min_size=1, max_size=6),
 ), min_size=1, max_size=8))
 def test_checking_weights_raises_what_building_their_measure_raised(texts):
-    """The one-match check at parse time rejects exactly the weight lists
+    """The flat scans at parse time reject exactly the weight lists
     that building a Measure rejected, with the same error, and reads no
     value."""
     built = build_measure(texts, 7)
@@ -606,6 +636,39 @@ def test_checking_weights_raises_what_building_their_measure_raised(texts):
         assert str(err.value) == str(built)
     else:
         assert lang._check_weights(texts, 7) is None
+
+
+# The pattern a joined weight list had to match in full before the flat scans.
+OLD_WEIGHT = r"[0-9]+(?:/0*[1-9][0-9]*)?"
+OLD_WEIGHTS_RE = re.compile(r"%s(?: %s)*" % (OLD_WEIGHT, OLD_WEIGHT))
+
+
+def weight_lists(max_len):
+    """Every string of 1 to max_len characters from `0`, `1`, `/`, `x`
+    and single inner spaces."""
+    texts = [""]
+    for _ in range(max_len):
+        texts = [t + c for t in texts for c in "01/x " if c != " " or t[-1:] not in ("", " ")]
+        yield from (t for t in texts if t[-1] != " ")
+
+
+def test_the_flat_weight_scans_accept_what_the_old_pattern_matched(monkeypatch):
+    def reject(texts, line_no):
+        raise LookupError
+
+    def scanned(joined):
+        try:
+            lang._check_weights(joined.split(" "), 1)
+        except ZeroTotalWeight:
+            pass
+        except LookupError:
+            return False
+        return True
+
+    monkeypatch.setattr(lang, "_parse_weights", reject)
+    mismatches = [joined for joined in weight_lists(7)
+                  if scanned(joined) != (OLD_WEIGHTS_RE.fullmatch(joined) is not None)]
+    assert mismatches == []
 
 
 DIE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "die.cs"
