@@ -17,17 +17,11 @@ by whole `--option value` pairs, is read with no argparse parse when each
 option is one of that subcommand's own option strings in full, given
 once, with a value that does not start with '-' and that argparse's
 own type and choices check takes (a value is taken as given when its
-option has neither), and every required option is given.
-Any other request with a subcommand name first is parsed by that
-subcommand's parser alone, so argparse reads help, abbreviations,
+option has neither), and every required option is given. Any other
+request is parsed in full by argparse, which reads help, abbreviations,
 `--opt=value`, `--` and repeats, and words every usage, error and help
-text. The top-level parser would do nothing more: it has only
--h/--help, and its subcommand positional hands every argument after the
-name to the same subparser. Anything else falls back to the full parse,
-with its top-level usage and messages: no arguments, an option or an
-unknown or abbreviated name first, or arguments the subparser leaves
-over (which the top level reports as unrecognized). The routing table
-is built from the kept parser, so it is rebuilt whenever the parser is.
+text. The routing table of each subcommand's options is built from the
+kept parser, so it is rebuilt whenever the parser is.
 """
 
 import argparse
@@ -221,39 +215,27 @@ def _route(subparser):
     return subparser, options, defaults, {a.dest for a in actions if a.required}
 
 
-def _parse_plain(argv, subparser, options, defaults, required):
-    """The namespace of a plain request, or None for any other."""
-    values = {}
-    for option, value in zip(argv[1::2], argv[2::2]):
-        dest, action = options.get(option, (None, None))
-        if dest is None or dest in values or value[:1] == "-":
-            return None
-        if action is not None:
-            try:
-                value = subparser._get_values(action, [value])
-            except argparse.ArgumentError:
-                return None
-        values[dest] = value
-    if len(argv) % 2 == 0 or not values.keys() >= required:
-        return None
-    return argparse.Namespace(command=argv[0], **dict(defaults, **values))
-
-
 def _parse(argv):
-    """What `_parser.parse_args(argv)` returns: read with no argparse
-    parse from a plain request, and in one argparse pass from any other
-    whose argv starts with a subcommand name."""
+    """What `_parser.parse_args(argv)` returns: a plain request read into
+    its namespace with no argparse parse, or any other parsed in full."""
     if argv is None:
         argv = sys.argv[1:]
-    route = _routes.get(argv[0]) if argv else None
-    if route is not None:
-        args = _parse_plain(argv, *route)
-        if args is not None:
-            return args
-        args, extras = route[0].parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
+    if len(argv) % 2 and argv[0] in _routes:
+        subparser, options, defaults, required = _routes[argv[0]]
+        values = {}
+        for option, value in zip(argv[1::2], argv[2::2]):
+            dest, action = options.get(option, (None, None))
+            if dest is None or dest in values or value[:1] == "-":
+                break
+            if action is not None:
+                try:
+                    value = subparser._get_values(action, [value])
+                except argparse.ArgumentError:
+                    break
+            values[dest] = value
+        else:
+            if values.keys() >= required:
+                return argparse.Namespace(command=argv[0], **dict(defaults, **values))
     return _parser.parse_args(argv)
 
 

@@ -65,21 +65,15 @@ takes its position and its "unexpected ..." text from the token it
 stopped at. `tokenize`, the public view
 of the scan, wraps `_located`'s tuples in `Token`s.
 
-An event line takes the event mode, `_EventParser`: the same parser
-whose builders make the event's bits from the atoms and the earlier
-events rather than tree nodes, after a body that is only `{...}` has
-been tried as one split at its commas. The mode declines whatever it
-cannot lower as it reads (an unknown name, `|`, a function, UNDEFINED,
-a syntax error, a long body); the tree path, parse_expr then
-lower_event, reads that line again, so it words every error.
-
-`SpaceDoc.lower` first takes the conditional mode, `_ConditionalParser`:
-a leaf is the pair (bits, full), UNDEFINED is (0, 0), and `~` and each
-binary operator call their bit kernel (`_KERNELS`, looked up by name as
-they are called), so one Conditional is built at the end. It declines
-an unknown name, a syntax error, a long text, a kernel that raises and
-a result that is not two values the Conditional constructor takes; the
-tree path, parse_expr then lower, reads the text again and words it.
+Lowering has one set of rules: the builders of `_Events`, which make an
+event's bits, and of `_Conditionals`, which make a conditional with the
+bit kernels. `_Parser` reads a text with either set, as it reads it with
+the tree nodes for parse_expr, and lower_event and lower fold a tree
+through them. A builder returns an error as its value, a fault, and a
+node passes up the first fault of its own check, its operands and its
+kernel, in the tree's pre-order. A syntax error raises at once, a fault
+once the whole text has parsed. A text of more than 128 tokens is
+folded from its tree, so a flat chain too deep to fold stays an error.
 """
 
 import operator
@@ -95,6 +89,7 @@ from .errors import (
     BadWeight,
     DuplicateName,
     ParseError,
+    SpaceMismatch,
     UnknownAtom,
     UnknownName,
     ZeroTotalWeight,
@@ -111,37 +106,30 @@ _SPECIALS = {
     "~": "tilde",
 }
 
-# Infix operators, loosest first: token kind, the word `dump` prints, the
-# `conditional` function it lowers to (looked up by name when called) and
+# Infix operators, loosest first: token kind, the word `dump` prints and
 # its meaning in an event definition, if it has one.
 _INFIX = (
-    ("pipe", "given", "given", None),
-    ("or", "or", "or_", operator.or_),
-    ("and", "and", "and_", operator.and_),
+    ("pipe", "given", None),
+    ("or", "or", operator.or_),
+    ("and", "and", operator.and_),
 )
 _INFIX_LEVEL = {kind: level for level, (kind, *_) in enumerate(_INFIX)}
 # The floor of `expr` past every infix level: an operand alone.
 _OPERAND = len(_INFIX)
-_CONDITIONAL_OPS = {op: name for _, op, name, _ in _INFIX}
-_EVENT_OPS = {op: fn for _, op, _, fn in _INFIX if fn is not None}
+_EVENT_OPS = {op: fn for _, op, fn in _INFIX if fn is not None}
 
+# The bit kernel of each function and, in `_KERNELS`, of every operator,
+# as (module, name): the lowering builders look it up when they call it,
+# as the `conditional` and `schay` operations do, so a replaced kernel
+# (a mutant, a tracer) is seen.
 _FUNC_OPS = {
-    "osum": cnd.osum,
-    "proj": cnd.sasaki,
-    "s_and": schay.and_s,
-    "s_or": schay.vee_s,
-    "s_cap": schay.cap_s,
-    "s_cup": schay.cup_s,
-}
-FUNC_NAMES = tuple(_FUNC_OPS)
-# The bit kernel of each binary operator, as (module, name): the
-# conditional mode looks it up when it calls it, as the wrappers do.
-_KERNELS = {
-    "given": (cnd, "given_bits"), "or": (cnd, "or_bits"), "and": (cnd, "and_bits"),
     "osum": (cnd, "osum_bits"), "proj": (cnd, "sasaki_bits"),
     "s_and": (schay, "sand_bits"), "s_or": (schay, "vee_bits"),
     "s_cap": (schay, "cap_bits"), "s_cup": (schay, "cup_bits"),
 }
+FUNC_NAMES = tuple(_FUNC_OPS)
+_KERNELS = {**_FUNC_OPS, "not": (cnd, "not_bits"), "given": (cnd, "given_bits"),
+            "or": (cnd, "or_bits"), "and": (cnd, "and_bits")}
 
 # The reserved words and the token kind each one lexes to.
 _UNDEFINED = "UNDEFINED"
@@ -256,16 +244,47 @@ class Binary(Record):
 
 class _Parser:
     """Recursive descent over the scan's kinds and texts; `pos` indexes
-    the next token, and `text` is kept to locate an error. The five node
-    builders are attributes, so that the event mode (`_EventParser`) can
-    build bits on the same loop."""
+    the next token, and `text` is kept to locate an error. The five
+    builders are attributes: here the tree nodes, and in `_Events` and
+    `_Conditionals` the lowering builders, which `fold` also applies to
+    a tree."""
 
     EventRef, Not, Binary, Undefined, SetLiteral = EventRef, Not, Binary, Undefined, SetLiteral
+    most_tokens = float("inf")
 
-    def __init__(self, text):
+    def read(self, text):
+        """The builders' value of the whole text, which may be a fault; a
+        text of more than `most_tokens` tokens is folded from its tree."""
         self.text = text
         self.kinds, self.words = _scan(text)
         self.pos = 0
+        if len(self.kinds) > self.most_tokens:
+            return self.fold(parse_expr(text))
+        try:
+            value = self.expr()
+        except RecursionError:
+            raise ParseError(_TOO_DEEP) from None
+        if self.kinds[self.pos] != "eof":
+            self.fail({"end of input", "an operator"})
+        return value
+
+    def fold(self, node):
+        """The builders' value of a tree, in `read`'s order. A level that
+        runs out of stack is a fault, in pre-order with the others."""
+        try:
+            if isinstance(node, Binary):
+                return self.Binary(node.op, self.fold(node.left), self.fold(node.right))
+            if isinstance(node, Not):
+                return self.Not(self.fold(node.arg))
+            if isinstance(node, EventRef):
+                return self.EventRef(node.name)
+            if isinstance(node, SetLiteral):
+                return self.SetLiteral(node.names)
+            if isinstance(node, Undefined):
+                return self.Undefined()
+        except RecursionError:
+            return ParseError(_TOO_DEEP)
+        raise TypeError("not an expression node: %r" % (node,))
 
     def fail(self, expected):
         tok = Token(*_located(self.text)[self.pos])
@@ -343,67 +362,125 @@ class _Parser:
         return self.SetLiteral(tuple(self.words[start:pos:2]))
 
 
-# lower_event, lower and dump catch RecursionError inside their own bodies
-# rather than through a wrapper, which would double the frames per level.
+# dump and the lowering builders' fold catch RecursionError inside their own
+# bodies rather than through a wrapper, which would double the frames per level.
 _TOO_DEEP = "expression nests too deeply"
+_NOT_HERE = "conditional operators are not allowed here"
+
+
+def _fault(error):
+    """A caught error as a fault, without the traceback and context whose frames hold it."""
+    error.__traceback__ = error.__context__ = None
+    return error
+
+
+def _lowered(value):
+    """A lowering builders' value, or the fault it is raised."""
+    if isinstance(value, Exception):
+        try:
+            raise value
+        finally:
+            del value  # the fault's new traceback holds this frame
+    return value
+
+
+class _Events(_Parser):
+    """The builders that lower an event: its bits. UNDEFINED, `|` and
+    the functions are faults before their operands', and so is a name
+    or a set that names nothing. A named event is read by its bits."""
+
+    most_tokens = 128
+
+    def __init__(self, space, events):
+        self.space, self.full, self.events = space, space.full_bits, events
+
+    def EventRef(self, name):
+        event = self.events.get(name)
+        if event is not None:
+            return event.bits
+        value = self.SetLiteral((name,))
+        if isinstance(value, Exception):
+            return UnknownName("%r names neither an event nor an atom" % (name,))
+        return value
+
+    def SetLiteral(self, names):
+        try:
+            return self.space.event(names).bits
+        except UnknownAtom as exc:
+            return _fault(exc)
+
+    def Undefined(self):
+        return ParseError(_NOT_HERE)
+
+    def Not(self, arg):
+        return arg if isinstance(arg, Exception) else self.full & ~arg
+
+    def Binary(self, op, left, right):
+        if op not in _EVENT_OPS:
+            return ParseError(_NOT_HERE)
+        try:
+            return _EVENT_OPS[op](left, right)
+        except TypeError:  # an operand is a fault; the left one's comes first
+            return left if isinstance(left, Exception) else right
+
+
+class _Conditionals(_Events):
+    """The builders that lower a conditional to its (space, q, c): a leaf
+    as `conditional.make` makes (event | whole space), an operator as its
+    `conditional` or `schay` operation applies its kernel, whose error,
+    or the Conditional constructor's on its result, is a fault."""
+
+    def EventRef(self, name):
+        event = self.events.get(name)
+        if type(event) is Event and event.space is self.space:
+            return self.space, event.bits, self.full
+        if event is None:
+            return _Events.EventRef(self, name)
+        try:
+            c = cnd.make(event, self.space.full)
+        except (SpaceMismatch, TypeError) as exc:
+            return _fault(exc)
+        return c.space, c.q, c.c
+
+    def SetLiteral(self, names):
+        bits = _Events.SetLiteral(self, names)
+        return bits if isinstance(bits, Exception) else (self.space, bits, self.full)
+
+    def Undefined(self):
+        return self.space, 0, 0
+
+    def Not(self, arg):
+        return arg if isinstance(arg, Exception) else self.apply("not", *arg)
+
+    def Binary(self, op, left, right):
+        try:
+            return self.apply(op, *left, *right[1:])
+        except TypeError:  # an operand is a fault; the left one's comes first
+            return left if isinstance(left, Exception) else right
+
+    def apply(self, op, space, *bits):
+        module, name = _KERNELS[op]
+        try:
+            q, c = getattr(module, name)(*bits)
+            if q & ~c or not 0 <= c <= self.full:
+                cnd.Conditional(space, q, c)  # raises what the constructor raises
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+            return _fault(exc)  # what bit arithmetic, unpacking or the checks raise
+        return space, q, c
 
 
 def parse_expr(text):
-    parser = _Parser(text)
-    try:
-        node = parser.expr()
-    except RecursionError:
-        raise ParseError(_TOO_DEEP) from None
-    if parser.kinds[parser.pos] != "eof":
-        parser.fail({"end of input", "an operator"})
-    return node
-
-
-def _resolve(name, space, events):
-    if name in events:
-        return events[name]
-    try:
-        return space.atom(name)
-    except UnknownAtom:
-        raise UnknownName("%r names neither an event nor an atom" % (name,)) from None
+    return _Parser().read(text)
 
 
 def lower_event(expr, space, events=None):
     """Lower an expression that must stay at the event level."""
-    events = events or {}
-    try:
-        if isinstance(expr, EventRef):
-            return _resolve(expr.name, space, events)
-        if isinstance(expr, Binary):
-            op = _EVENT_OPS.get(expr.op)
-            if op is not None:
-                return op(lower_event(expr.left, space, events),
-                          lower_event(expr.right, space, events))
-        elif isinstance(expr, SetLiteral):
-            return space.event(expr.names)
-        elif isinstance(expr, Not):
-            return lower_event(expr.arg, space, events).complement()
-    except RecursionError:
-        raise ParseError(_TOO_DEEP) from None
-    raise ParseError("conditional operators are not allowed here")
+    return Event(space, _lowered(_Events(space, events or {}).fold(expr)))
 
 
 def lower(expr, space, events=None):
     """Lower an expression to a Conditional over the given space."""
-    events = events or {}
-    try:
-        if isinstance(expr, (EventRef, SetLiteral)):
-            return cnd.make(lower_event(expr, space, events), space.full)
-        if isinstance(expr, Undefined):
-            return cnd.undefined(space)
-        if isinstance(expr, Not):
-            return cnd.negate(lower(expr.arg, space, events))
-        if isinstance(expr, Binary):
-            op = _FUNC_OPS.get(expr.op) or getattr(cnd, _CONDITIONAL_OPS[expr.op])
-            return op(lower(expr.left, space, events), lower(expr.right, space, events))
-    except RecursionError:
-        raise ParseError(_TOO_DEEP) from None
-    raise TypeError("not an expression node: %r" % (expr,))
+    return cnd.Conditional(*_lowered(_Conditionals(space, events or {}).fold(expr)))
 
 
 def dump(expr):
@@ -448,14 +525,7 @@ class SpaceDoc(Record):
         self.measures = measures
 
     def lower(self, text):
-        try:
-            parser = _ConditionalParser(text, self.space, self.events)
-            q, c = parser.expr()
-            if parser.kinds[parser.pos] == "eof":
-                return cnd.Conditional(self.space, q, c)
-        except Exception:  # a decline, or a kernel's error, which the tree path meets again
-            pass
-        return lower(parse_expr(text), self.space, self.events)
+        return cnd.Conditional(*_lowered(_Conditionals(self.space, self.events).read(text)))
 
 
 class _Measures(MutableMapping):
@@ -557,107 +627,23 @@ def _check_weights(texts, line_no):
         raise ZeroTotalWeight("all atom weights are zero")
 
 
-def _fragment(fragment, prefix_cols, line_no):
-    """Parse the body of a definition line, which follows its first
-    prefix_cols columns, keeping the line's positions in errors."""
-    try:
-        return parse_expr(fragment)
-    except ParseError as e:
-        col = (e.col or 1) + (prefix_cols if (e.line or 1) == 1 else 0)
-        raise ParseError(e.bare_message, line_no, col, e.expected) from None
-
-
-class _Decline(Exception):
-    """The event mode leaves a line to the tree path, which words it."""
-
-
-# The event mode reads no longer body than this. It reads a flat chain such
-# as `a or ... or a` in a loop, but the tree path nests it to the left and
-# may run out of stack lowering it, an error only the tree path words.
-_EVENT_TOKENS = 128
-
-
-class _EventParser(_Parser):
-    """The parser in event mode: its builders make bits, not nodes, and
-    raise _Decline on whatever the tree path must word."""
-
-    def __init__(self, text, space, events):
-        _Parser.__init__(self, text)
-        if len(self.kinds) > _EVENT_TOKENS:
-            raise _Decline
-        self.space, self.full, self.events = space, space.full_bits, events
-
-    def fail(self, expected=None):
-        raise _Decline
-
-    Undefined = fail
-
-    def EventRef(self, name):
-        event = self.events.get(name)
-        return self.SetLiteral((name,)) if event is None else event.bits
-
-    def SetLiteral(self, names):
+def _event_of(body, prefix_cols, line_no, space, events):
+    """The event an event line's body, after the line's first prefix_cols
+    columns, defines: read by one split at its commas if it is `{...}` of
+    atom names, else by the event builders."""
+    names = body.strip()
+    if names[:1] == "{" and names[-1:] == "}":
         try:
-            return self.space.event(names).bits
-        except UnknownAtom:
-            raise _Decline from None
-
-    def Not(self, bits):
-        return self.full & ~bits
-
-    def Binary(self, op, left, right):
-        if op not in _EVENT_OPS:
-            raise _Decline
-        return _EVENT_OPS[op](left, right)
-
-
-class _ConditionalParser(_EventParser):
-    """The parser in conditional mode: its builders make (q, c) pairs
-    with the bit kernels, and decline where the tree path could raise."""
-
-    def Undefined(self):
-        return 0, 0
-
-    def EventRef(self, name):
-        event = self.events.get(name)
-        if event is None:
-            return self.SetLiteral((name,))
-        if type(event) is not Event or event.space is not self.space:
-            raise _Decline
-        return event.bits, self.full
-
-    def SetLiteral(self, names):
-        return _EventParser.SetLiteral(self, names), self.full
-
-    def Not(self, arg):
-        return self.pair(*cnd.not_bits(*arg))
-
-    def Binary(self, op, left, right):
-        module, name = _KERNELS[op]
-        return self.pair(*getattr(module, name)(*left, *right))
-
-    def pair(self, q, c):
-        if q & ~c or not 0 <= c <= self.full:
-            raise _Decline
-        return q, c
-
-
-def _event_of(body, space, events):
-    """The event an event line's body defines, or None where the event
-    mode declines. A body that is only `{...}` is first read by one split
-    at its commas; a name that is not an atom leaves it to the parser."""
-    body = body.strip()
-    if body[:1] == "{" and body[-1:] == "}":
-        try:
-            return space.event(map(str.strip, body[1:-1].split(",")))
+            return space.event(map(str.strip, names[1:-1].split(",")))
         except UnknownAtom:
             pass
     try:
-        parser = _EventParser(body, space, events)
-        bits = parser.expr()
-    except (_Decline, RecursionError):
-        return None
-    return Event(space, bits) if parser.kinds[parser.pos] == "eof" else None
+        value = _Events(space, events).read(body)
+    except ParseError as e:
+        raise ParseError(e.bare_message, line_no, (e.col or 1) + prefix_cols, e.expected) from None
+    if isinstance(value, Exception):
+        raise ParseError(value.bare_message, line_no, 1) if type(value) is ParseError else value
+    return Event(space, value)
 
 
 def _lines(text):
@@ -740,17 +726,7 @@ def parse_space(text):
                 if entry_name in events:
                     raise DuplicateName("line %d: duplicate event %r" % (line_no, entry_name))
                 eq = line.find("=") + 1
-                event = _event_of(line[eq:], space, events)
-                if event is not None:
-                    events[entry_name] = event
-                    continue
-                node = _fragment(line[eq:], eq, line_no)
-                try:
-                    events[entry_name] = lower_event(node, space, events)
-                except ParseError as e:
-                    if e.line is None:
-                        raise ParseError(e.bare_message, line_no, 1) from None
-                    raise
+                events[entry_name] = _event_of(line[eq:], eq, line_no, space, events)
             else:
                 if entry_name in measures:
                     raise DuplicateName("line %d: duplicate measure %r" % (line_no, entry_name))

@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+import benchinputs
 from boolfrac import lang
 from boolfrac import prob
 
@@ -21,6 +22,20 @@ def die():
 @pytest.fixture(scope="session")
 def uniform(die):
     return die.measures["uniform"]
+
+
+@pytest.fixture(scope="session")
+def query_inputs(tmp_path_factory):
+    """query_inputs(seed): the benchmark's `query` inputs of that seed,
+    made once a session and shared, so a test must not change them."""
+    made = {}
+
+    def inputs(seed):
+        if seed not in made:
+            made[seed] = benchinputs.query_inputs(seed, tmp_path_factory.mktemp("query"))
+        return made[seed]
+
+    return inputs
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ failed law, 2 usage or parse error.
 
 import argparse
 import io
-import json
 import os
 import pathlib
 import subprocess
@@ -647,13 +646,13 @@ def test_build_parser_returns_a_new_parser_each_call():
 
 
 def edge_argvs(die_path):
-    """Requests the top-level parser must still see, or whose subparser
-    parse must print exactly what the full parse prints, in three
-    groups: no subcommand name first, a name first and nothing left
-    over, a name first and arguments left over."""
+    """Requests that are not plain, which argparse parses in full: no
+    subcommand name first, help, an abbreviated, `=`-joined or repeated
+    option, `--`, a value that starts with '-' or that a type or choices
+    rejects, a missing option, and arguments left over."""
     request = ["eval", "--space", die_path, "--expr", "two"]
-    unrouted = [[], ["-h"], ["--help"], ["bogus"], ["ev"], ["-x", "eval"]]
-    routed = [
+    return [
+        [], ["-h"], ["--help"], ["bogus"], ["ev"], ["-x", "eval"],
         ["eval"], ["eval", "-h"], ["eval", "-h", "--bogus"], ["eval", "--bogus"],
         ["eval", "--sp", die_path, "--ex", "two"],
         ["eval", "--space=" + die_path, "--expr", "two"],
@@ -665,9 +664,8 @@ def edge_argvs(die_path):
         ["prob", "--space", die_path, "--measure", "uniform", "--expr", "two",
          "--formula", "bad"],
         ["parse"],
+        request + ["extra"], request + ["x", "y"],
     ]
-    leftover = [request + ["extra"], request + ["x", "y"]]
-    return unrouted, routed, leftover
 
 
 def full_parse(argv):
@@ -678,7 +676,7 @@ def full_parse(argv):
 def test_main_prints_what_a_full_parse_of_every_request_prints(capsys, monkeypatch,
                                                                die_path, columns):
     monkeypatch.setenv("COLUMNS", columns)
-    argvs = reuse_sequence(die_path) + sum(edge_argvs(die_path), [])
+    argvs = reuse_sequence(die_path) + edge_argvs(die_path)
     routed = [run(capsys, *argv) for argv in argvs]
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_parse", full_parse)
@@ -714,27 +712,18 @@ def test_a_plain_subcommand_request_makes_no_argparse_call(capsys, parse_calls, 
 
 def test_other_requests_make_the_calls_of_the_full_parse(capsys, monkeypatch, parse_calls,
                                                         die_path):
-    """A request with no subcommand name first is parsed in full. One with
-    arguments left over is parsed by its subparser, then in full."""
+    """A request that is not plain is parsed in full, once."""
     cli.main(["parse", "--expr", "a"])
-    unrouted, routed, leftover = edge_argvs(die_path)
-    for argvs in (unrouted, routed, leftover):
-        for argv in argvs:
-            parse_calls.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(cli, "_parse", full_parse)
-                cli.main(argv)
-            full = list(parse_calls)
-            parse_calls.clear()
+    for argv in edge_argvs(die_path):
+        parse_calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parse", full_parse)
             cli.main(argv)
-            if argvs is unrouted:
-                assert parse_calls == full
-                continue
-            assert full == [("boolfrac", argv), ("boolfrac " + argv[0], argv[1:])]
-            if argvs is routed:
-                assert parse_calls == full[1:]
-            else:
-                assert parse_calls == full[1:] + full
+        full = list(parse_calls)
+        parse_calls.clear()
+        cli.main(argv)
+        assert parse_calls == full
+        assert full[0] == ("boolfrac", argv)
     capsys.readouterr()
 
 
@@ -800,20 +789,6 @@ def test_the_plain_route_parses_what_argparse_parses(argv):
     assert outcome(cli._parse, argv) == outcome(full_parse, argv)
 
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def query_argvs(seed, run_dir):
-    """The argvs of the benchmark's `query` request stream of a seed."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        path = __import__("inputs").generate("query", seed, str(ROOT), str(run_dir))
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
-    requests = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))["requests"]
-    return [argv for argv, _ in requests]
-
-
 def typed_outcome(parse, argv):
     """outcome, with the type of every namespace value."""
     result, out, err = outcome(parse, argv)
@@ -822,12 +797,12 @@ def typed_outcome(parse, argv):
     return result, out, err
 
 
-def test_the_plain_route_reads_every_query_request_as_argparse_does(die_path, tmp_path):
+def test_the_plain_route_reads_every_query_request_as_argparse_does(die_path, query_inputs):
     with redirect_stdout(io.StringIO()):
         cli.main(["parse", "--expr", "a"])
     argvs = reuse_sequence(die_path)
     for seed in (1, 7):
-        argvs += query_argvs(seed, tmp_path)
+        argvs += [argv for argv, _ in query_inputs(seed)["requests"]]
     full = cli.build_parser().parse_args
     for argv in argvs:
         assert typed_outcome(cli._parse, argv) == typed_outcome(full, argv), argv

@@ -9,15 +9,16 @@ Space files are line-oriented: a `space` line, an `atoms` line, then
 
 import copy
 import json
+import operator
 import pathlib
 import pickle
 import re
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from benchinputs import perfbench_module
 from boolfrac import conditional as cnd
 from boolfrac import lang
 from boolfrac import prob
@@ -27,10 +28,11 @@ from boolfrac.errors import (
     DuplicateName,
     Error,
     ParseError,
+    UnknownAtom,
     UnknownName,
     ZeroTotalWeight,
 )
-from boolfrac.space import RESERVED_CHARS, SampleSpace
+from boolfrac.space import RESERVED_CHARS, Event, SampleSpace
 
 
 def space_of(n):
@@ -836,19 +838,108 @@ def test_generated_space_files_parse_to_their_events_and_weights(case):
             assert m.total == sum(want)
 
 
-# ------------------------------------- event lines lowered without a tree
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+# ------------------------------------ one lowering path, and its reference
 
 # Atom `c` is shadowed by an event of that name; `zz` names nothing and
-# `z` is no atom, so a tree that uses either is an error for the tree path.
+# `z` is no atom, so a tree that uses either is an error.
 SHADOW_SPACE = (
     "space s\natoms a b c d e f\nevent even = {b, d, f}\nevent c = {a}\nevent odd = ~even\n")
+# The line of an event line put after SHADOW_SPACE.
+SHADOW_LINE = SHADOW_SPACE.count("\n") + 1
 BODY_NAMES = ("a", "b", "c", "d", "e", "f", "even", "odd", "c", "zz")
 SET_NAMES = ("a", "b", "c", "d", "e", "f", "a", "z", "even")
 BODY_GAPS = ("", " ", "  ", "\t", "\x0c", "\u3000", "\xa0", " \t\x0c ")
 WORD_GAPS = BODY_GAPS[1:]
 EVENT_INFIX = {"or": 1, "and": 2, "|": 0}
+CONDITIONAL_FUNCS = ("osum", "proj", "s_and", "s_or", "s_cap", "s_cup")
+# Stray text put into a body: tokens that break the grammar, and a `#`
+# that cuts the rest.
+STRAYS = ("(", ")", ",", "{", "}", "|", "or", "and", "~", "s_cup", "UNDEFINED", "zz", "#")
+
+
+# The tree walkers `lower_event` and `lower` were before lowering had one
+# path, kept as the reference that path answers as.
+
+def reference_lower_event(expr, space, events):
+    try:
+        if isinstance(expr, lang.EventRef):
+            if expr.name in events:
+                return events[expr.name]
+            try:
+                return space.atom(expr.name)
+            except UnknownAtom:
+                raise UnknownName(
+                    "%r names neither an event nor an atom" % (expr.name,)) from None
+        if isinstance(expr, lang.Binary):
+            op = {"or": operator.or_, "and": operator.and_}.get(expr.op)
+            if op is not None:
+                return op(reference_lower_event(expr.left, space, events),
+                          reference_lower_event(expr.right, space, events))
+        elif isinstance(expr, lang.SetLiteral):
+            return space.event(expr.names)
+        elif isinstance(expr, lang.Not):
+            return reference_lower_event(expr.arg, space, events).complement()
+    except RecursionError:
+        raise ParseError("expression nests too deeply") from None
+    raise ParseError("conditional operators are not allowed here")
+
+
+REFERENCE_FUNCS = {"osum": cnd.osum, "proj": cnd.sasaki, "s_and": schay.and_s,
+                   "s_or": schay.vee_s, "s_cap": schay.cap_s, "s_cup": schay.cup_s}
+REFERENCE_OPS = {"given": "given", "or": "or_", "and": "and_"}
+
+
+def reference_lower(expr, space, events):
+    try:
+        if isinstance(expr, (lang.EventRef, lang.SetLiteral)):
+            return cnd.make(reference_lower_event(expr, space, events), space.full)
+        if isinstance(expr, lang.Undefined):
+            return cnd.undefined(space)
+        if isinstance(expr, lang.Not):
+            return cnd.negate(reference_lower(expr.arg, space, events))
+        if isinstance(expr, lang.Binary):
+            op = REFERENCE_FUNCS.get(expr.op) or getattr(cnd, REFERENCE_OPS[expr.op])
+            return op(reference_lower(expr.left, space, events),
+                      reference_lower(expr.right, space, events))
+    except RecursionError:
+        raise ParseError("expression nests too deeply") from None
+    raise TypeError("not an expression node: %r" % (expr,))
+
+
+def reference_path(doc, text):
+    """A request expression parsed to a tree and lowered by the reference."""
+    return reference_lower(lang.parse_expr(text), doc.space, doc.events)
+
+
+def reference_event_line(doc, body):
+    """The event of `event x = body` after doc's lines, or its error, as
+    parse_space made it by parsing the body to a tree and lowering it
+    with the reference: a syntax error keeps its column in the line, and
+    a ParseError of the lowering is placed at the line's start."""
+    body = (" " + body).split("#")[0]
+    if not body.split():
+        raise ParseError("usage: event NAME = ...", SHADOW_LINE, 1)
+    try:
+        node = lang.parse_expr(body)
+    except ParseError as e:
+        col = (e.col or 1) + len("event x =")
+        raise ParseError(e.bare_message, SHADOW_LINE, col, e.expected) from None
+    try:
+        return reference_lower_event(node, doc.space, doc.events)
+    except ParseError as e:
+        raise ParseError(e.bare_message, SHADOW_LINE, 1) from None
+
+
+def outcome(fn):
+    """What fn returns, with its space and the types of its bits, or the
+    type and text of what it raises."""
+    try:
+        x = fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(x, Event):
+        return type(x), x.space, type(x.bits), x.bits
+    return type(x), x.space, type(x.q), x.q, type(x.c), x.c
 
 
 def event_trees(depth):
@@ -868,7 +959,7 @@ def event_trees(depth):
 
 
 def lowers_as_an_event(tree):
-    """Whether the tree path lowers the tree to an event without error."""
+    """Whether the reference lowers the tree to an event without error."""
     kind = tree[0]
     if kind == "ref":
         return tree[1] != "zz"
@@ -910,55 +1001,48 @@ def bodies(draw, trees):
     return gap() + text(tree) + gap(), tree
 
 
+@st.composite
+def with_strays(draw, bodies):
+    """A body drawn from `bodies`, at times with stray text put in
+    anywhere, and its tree, or None for a body with strays."""
+    body, tree = draw(bodies)
+    if draw(st.booleans()):
+        at = draw(st.integers(min_value=0, max_value=len(body)))
+        body = body[:at] + draw(st.sampled_from(BODY_GAPS)) + draw(
+            st.sampled_from(STRAYS)) + body[at:]
+        tree = None
+    return body, tree
+
+
 def event_bodies():
     return bodies(event_trees(3))
 
 
-@given(event_bodies())
-def test_event_mode_lowers_as_the_tree_path(case):
-    """The event mode gives the tree path's event, or declines where the
-    tree path raises; it declines nothing else short enough to read."""
+@given(with_strays(event_bodies()))
+def test_event_lines_lower_as_the_reference(case):
+    """An event line defines the reference's event or raises its error,
+    type and text included; `lower_event` folds a tree to the reference's
+    event or error."""
     body, tree = case
     doc = lang.parse_space(SHADOW_SPACE)
-    event = lang._event_of(body, doc.space, doc.events)
+    want = outcome(lambda: reference_event_line(doc, body))
+    line = SHADOW_SPACE + "event x = %s\n" % body
+    assert outcome(lambda: lang.parse_space(line).events["x"]) == want
+    if tree is not None:
+        assert (want[0] is Event) == lowers_as_an_event(tree)
     try:
-        want = lang.lower_event(lang.parse_expr(body), doc.space, doc.events)
-    except Error:
-        want = None
-    assert (want is not None) == lowers_as_an_event(tree)
-    if len(lang._scan(body)[0]) <= lang._EVENT_TOKENS:
-        assert event == want
-    else:
-        assert event in (None, want)
-    line = "event x = %s\n" % body
-    if want is not None:
-        assert lang.parse_space(SHADOW_SPACE + line).events["x"] == want
-
-
-def perfbench_module(name):
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        return __import__(name)
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
-
-
-def query_inputs(seed, run_dir):
-    """The benchmark's `query` inputs: the paths of its three space files
-    ("spaces") and its requests, each (argv, known answer)."""
-    path = perfbench_module("inputs").generate("query", seed, str(ROOT), str(run_dir))
-    return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-
-
-def query_space_files(seed, run_dir):
-    """The paths of the three space files of the benchmark's `query` stream."""
-    return query_inputs(seed, run_dir)["spaces"]
+        node = lang.parse_expr(body)
+    except ParseError:
+        return
+    assert outcome(lambda: lang.lower_event(node, doc.space, doc.events)) == outcome(
+        lambda: reference_lower_event(node, doc.space, doc.events))
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-def test_event_mode_reads_every_event_line_of_the_query_space_files(seed, tmp_path, monkeypatch):
+def test_every_event_line_of_the_query_space_files_lowers_with_no_tree(
+        seed, query_inputs, monkeypatch):
     lowered = 0
-    for path in query_space_files(seed, tmp_path):
+    for path in query_inputs(seed)["spaces"]:
         text = pathlib.Path(path).read_text(encoding="utf-8")
         doc = lang.parse_space(text)
         events = {}
@@ -967,12 +1051,10 @@ def test_event_mode_reads_every_event_line_of_the_query_space_files(seed, tmp_pa
             if line.split()[:1] != ["event"]:
                 continue
             name, body = line.split()[1], line.split("=", 1)[1]
-            want = lang.lower_event(lang.parse_expr(body), doc.space, events)
-            assert lang._event_of(body, doc.space, events) == want
-            assert doc.events[name] == want
-            events[name] = want
+            events[name] = reference_lower_event(lang.parse_expr(body), doc.space, events)
+            assert doc.events[name] == events[name]
             lowered += 1
-        # Not one event line of these files goes through the tree path.
+        # Not one event line of these files is parsed to a tree.
         calls = []
         monkeypatch.setattr(lang, "parse_expr", lambda text: calls.append(text))
         assert lang.parse_space(text).events == doc.events
@@ -982,20 +1064,28 @@ def test_event_mode_reads_every_event_line_of_the_query_space_files(seed, tmp_pa
 
 
 def test_a_long_flat_chain_on_an_event_line_still_nests_too_deeply():
-    """The event mode would read the chain in a loop; the tree path's
-    left-deep tree is too deep to lower, and that error stands."""
+    """The builders would read the chain in a loop; its left-deep tree is
+    too deep to fold, and that error stands."""
     text = "space x\natoms a b\nevent e = %s\n" % " or ".join(["a"] * 1200)
     with pytest.raises(ParseError) as err:
         lang.parse_space(text)
     assert str(err.value) == "line 3, column 1: expression nests too deeply"
 
 
-# ----------------------------- request expressions lowered without a tree
-
-CONDITIONAL_FUNCS = ("osum", "proj", "s_and", "s_or", "s_cap", "s_cup")
-# Stray text put into a body: tokens that break the grammar, and a `#`
-# that cuts the rest.
-STRAYS = ("(", ")", ",", "{", "}", "|", "or", "and", "~", "s_cup", "UNDEFINED", "zz", "#")
+@pytest.mark.parametrize("body, error", [
+    ("a or zzz )", "ParseError: line 3, column 20: unexpected ')' "
+                   "(expected an operator, end of input)"),
+    ("{zzz} | a", "ParseError: line 3, column 1: conditional operators are not allowed here"),
+    ("zzz or (a | b)", "UnknownName: 'zzz' names neither an event nor an atom"),
+    ("zzz or {z}", "UnknownName: 'zzz' names neither an event nor an atom"),
+    ("{z} or zzz", "UnknownAtom: unknown atom: 'z'"),
+])
+def test_an_event_line_reports_its_first_error_in_pre_order(body, error):
+    """A syntax error anywhere wins; then an operator's own check, then
+    its left operand's error, then its right operand's."""
+    with pytest.raises(Error) as err:
+        lang.parse_space("space x\natoms a b\nevent e = %s\n" % body)
+    assert "%s: %s" % (type(err.value).__name__, err.value) == error
 
 
 def conditional_trees(depth):
@@ -1010,67 +1100,46 @@ def conditional_trees(depth):
     )
 
 
-def outcome(fn):
-    """What fn returns, with its operands' types, or the type and text of
-    what it raises."""
-    try:
-        x = fn()
-    except Exception as exc:
-        return type(exc), str(exc)
-    return type(x), x.space, type(x.q), x.q, type(x.c), x.c
-
-
-def tree_path(doc, text):
-    return lang.lower(lang.parse_expr(text), doc.space, doc.events)
-
-
-def conditional_mode(doc, text):
-    """The (q, c) pair the conditional mode reads text to, or None where
-    it declines: where it raises, a kernel's error included."""
-    try:
-        parser = lang._ConditionalParser(text, doc.space, doc.events)
-        pair = parser.expr()
-    except Exception:
-        return None
-    return pair if parser.kinds[parser.pos] == "eof" else None
-
-
-@st.composite
-def request_bodies(draw):
-    """A request expression over SHADOW_SPACE, at times with stray text
-    put in anywhere."""
-    body, _ = draw(bodies(conditional_trees(3)))
-    if draw(st.booleans()):
-        at = draw(st.integers(min_value=0, max_value=len(body)))
-        body = body[:at] + draw(st.sampled_from(BODY_GAPS)) + draw(
-            st.sampled_from(STRAYS)) + body[at:]
-    return body
-
-
-@given(request_bodies())
-def test_conditional_mode_lowers_as_the_tree_path(body):
-    """SpaceDoc.lower gives the tree path's Conditional or raises its
-    error, and the conditional mode declines nothing the tree path lowers
-    that is short enough to read."""
+@given(with_strays(bodies(conditional_trees(3))))
+def test_request_expressions_lower_as_the_reference(case):
+    """SpaceDoc.lower gives the reference's Conditional, with its space
+    and operand types, or raises its error, type and text included, and
+    `lower` folds the tree to the same."""
+    body, _ = case
     doc = lang.parse_space(SHADOW_SPACE)
-    want = outcome(lambda: tree_path(doc, body))
+    want = outcome(lambda: reference_path(doc, body))
     assert outcome(lambda: doc.lower(body)) == want
-    if want[0] is cnd.Conditional and len(lang._scan(body)[0]) <= lang._EVENT_TOKENS:
-        assert conditional_mode(doc, body) == (want[3], want[5])
+    try:
+        node = lang.parse_expr(body)
+    except ParseError:
+        return
+    assert outcome(lambda: lang.lower(node, doc.space, doc.events)) == want
 
 
-def test_the_conditional_mode_leaves_foreign_events_and_long_texts_to_the_tree_path():
-    """Events of another space, values that are not events, and a token
-    count past the bound are left to the tree path."""
+def test_foreign_events_and_long_texts_lower_as_the_reference(monkeypatch):
+    """Events of another space, equal or not, a value that is not an
+    event, and texts on both sides of the token bound. A leaf keeps its
+    event's space, and an operator its left operand's. A text past the
+    bound is parsed to a tree; one at it is not."""
     doc = lang.parse_space(SHADOW_SPACE)
     other = lang.parse_space(SHADOW_SPACE)
     doc.events["alien"] = other.events["even"]
     doc.events["cond"] = doc.lower("a | b")
-    for text in ("alien", "cond or a", "a" + " or a" * 64):
-        assert conditional_mode(doc, text) is None
-        assert outcome(lambda: doc.lower(text)) == outcome(lambda: tree_path(doc, text))
-    assert doc.lower("alien").space is other.space
-    assert conditional_mode(doc, "a" + " or a" * 63) == (1, doc.space.full_bits)
+    doc.events["far"] = lang.parse_space("space t\natoms x\nevent e = {x}\n").events["e"]
+    at_bound, past_bound = "a" + " or a" * 63, "a" + " or a" * 64
+    assert len(lang._scan(at_bound)[0]) == lang._Events.most_tokens
+    for text in ("alien", "alien or a", "a or alien", "~alien", "cond or a", "far", "a and far",
+                 at_bound, past_bound, "alien" + " or a" * 64):
+        assert outcome(lambda: doc.lower(text)) == outcome(lambda: reference_path(doc, text))
+    assert doc.lower("alien or a").space is other.space
+    assert doc.lower("a or alien").space is doc.space
+    for text, trees in ((at_bound, []), (past_bound, [past_bound])):
+        parse_expr, calls = lang.parse_expr, []
+        monkeypatch.setattr(lang, "parse_expr",
+                            lambda text: calls.append(text) or parse_expr(text))
+        assert doc.lower(text) == cnd.Conditional(doc.space, 1, doc.space.full_bits)
+        assert calls == trees
+        monkeypatch.undo()
 
 
 # Operands whose conditions differ from each other's, and one, `~(b|a)`,
@@ -1086,6 +1155,10 @@ ODD_TEXTS = [
     "s_cup(~(b | a), osum(a | c, even) | proj(UNDEFINED, odd)) and ~(c | a)",
     "zz or (a | b)", "(a | b) or (", "s_and(a | b, {a, z})",
 ]
+# The kernel each operator of a tree calls.
+KERNEL_OF = {"given": "given_bits", "or": "or_bits", "and": "and_bits", "osum": "osum_bits",
+             "proj": "sasaki_bits", "s_and": "sand_bits", "s_or": "vee_bits",
+             "s_cap": "cap_bits", "s_cup": "cup_bits"}
 
 
 def odd_kernel_cases():
@@ -1110,32 +1183,57 @@ def odd_kernel_cases():
     return cases + [(cnd, spec[0], mutants.build(spec, full)) for spec in mutants.specs()]
 
 
-def test_the_conditional_mode_answers_as_the_tree_path_under_odd_kernels(monkeypatch):
+def operands_by_kernel(node):
+    """(kernel name, operands) of every operator node of a tree."""
+    if isinstance(node, lang.Not):
+        yield "not_bits", (node.arg,)
+        yield from operands_by_kernel(node.arg)
+    elif isinstance(node, lang.Binary):
+        yield KERNEL_OF[node.op], (node.left, node.right)
+        yield from operands_by_kernel(node.left)
+        yield from operands_by_kernel(node.right)
+
+
+def test_request_expressions_answer_as_the_reference_under_odd_kernels(monkeypatch):
     """Under a kernel that raises or returns a list, a 3-tuple or a pair
     outside normal form where conditions differ, and under each table
-    mutant, SpaceDoc.lower returns or raises what the tree path does,
-    with the same type and message."""
+    mutant, SpaceDoc.lower returns or raises what the reference does,
+    with the same type and message. It calls the kernel once for each of
+    its operator nodes whose operands lower, and for no other."""
     doc = lang.parse_space(SHADOW_SPACE)
     cases = odd_kernel_cases()
     assert len(cases) == 4 * 10 + 90
-    declined = read = 0
+    trees = {}
+    for text in ODD_TEXTS:
+        try:
+            trees[text] = lang.parse_expr(text)
+        except ParseError:
+            pass
+    faults = 0
     for module, name, kernel in cases:
-        monkeypatch.setattr(module, name, kernel)
+        calls = []
+        monkeypatch.setattr(module, name, lambda *bits: calls.append(bits) or kernel(*bits))
         for text in ODD_TEXTS:
-            want = outcome(lambda: tree_path(doc, text))
+            want = outcome(lambda: reference_path(doc, text))
+            del calls[:]
             assert outcome(lambda: doc.lower(text)) == want, (name, text)
-            if conditional_mode(doc, text) is None:
-                declined += 1
-            else:
-                read += 1
+            faults += want[0] is not cnd.Conditional
+            if text not in trees:
+                continue
+            made = len(calls)
+            nodes = [operands for kernel_name, operands in operands_by_kernel(trees[text])
+                     if kernel_name == name]
+            assert made == sum(
+                all(outcome(lambda: reference_lower(o, doc.space, doc.events))[0]
+                    is cnd.Conditional for o in operands) for operands in nodes), (name, text)
         monkeypatch.undo()
-    # Both routes are taken: the mode reads most texts and declines some.
-    assert read > declined > 0
+    # The kernels answer most texts and make some fail.
+    assert 0 < faults < len(cases) * len(ODD_TEXTS) / 2
 
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_no_request_expression_of_the_query_streams_goes_through_the_tree(
-        seed, tmp_path, monkeypatch, capsys):
+        seed, query_inputs, monkeypatch, capsys):
     """No `eval`, `relate`, `profile` or `prob --formula direct` request
     of the benchmark's `query` stream that succeeds calls parse_expr."""
     from boolfrac import cli
@@ -1143,7 +1241,7 @@ def test_no_request_expression_of_the_query_streams_goes_through_the_tree(
     parse_expr, calls = lang.parse_expr, []
     monkeypatch.setattr(lang, "parse_expr", lambda text: calls.append(text) or parse_expr(text))
     lowered = 0
-    for argv, answer in query_inputs(seed, tmp_path)["requests"]:
+    for argv, answer in query_inputs(seed)["requests"]:
         del calls[:]
         code = cli.main(argv)
         capsys.readouterr()
@@ -1179,9 +1277,9 @@ def assert_built_as_the_constructor_builds(space, texts):
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-def test_every_measure_line_of_the_query_files_builds_as_the_constructor(seed, tmp_path):
+def test_every_measure_line_of_the_query_files_builds_as_the_constructor(seed, query_inputs):
     lines = 0
-    for path in query_space_files(seed, tmp_path):
+    for path in query_inputs(seed)["spaces"]:
         doc = lang.parse_space(pathlib.Path(path).read_text(encoding="utf-8"))
         for texts, _ in doc.measures._entries.values():
             assert_built_as_the_constructor_builds(doc.space, texts)

@@ -9,12 +9,12 @@ verifiability through the existence of an orthogonal decomposition.
 import functools
 import json
 import pathlib
-import sys
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchinputs import perfbench_module
 from boolfrac import conditional as cnd
 from boolfrac import lawcheck
 from boolfrac import relations as rel
@@ -583,11 +583,7 @@ GOLDEN_SUBALGEBRA_REPORTS = ROOT / "fixtures" / "subalgebra_reports.json"
 def subalgebra_law_reports():
     """Every report as [kernel, law, atoms, instances, passed,
     counterexample, note]."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        import mutants
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
+    mutants = perfbench_module("mutants")
     cases = [("shipped", None, None)]
     cases += [("%s %s%s -> %s" % (spec[0], *spec[1], spec[2]), spec[0],
                lambda full, spec=spec: mutants.build(spec, full)) for spec in mutants.specs()]
