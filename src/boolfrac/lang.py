@@ -642,7 +642,9 @@ def _event_of(body, prefix_cols, line_no, space, events):
     except ParseError as e:
         raise ParseError(e.bare_message, line_no, (e.col or 1) + prefix_cols, e.expected) from None
     if isinstance(value, Exception):
-        raise ParseError(value.bare_message, line_no, 1) if type(value) is ParseError else value
+        if type(value) is ParseError:
+            raise ParseError(value.bare_message, line_no, 1)
+        raise type(value)("line %d: %s" % (line_no, value))
     return Event(space, value)
 
 

@@ -552,7 +552,7 @@ def test_a_request_builds_only_the_measure_it_reads(capsys, tmp_path, built, arg
     (["event e = {a}", "measure m = 0 0/3"], 2, "all atom weights are zero"),
     (["event e = {a}", "measure m = 1"], 2, "line 4, column 1: expected 2 weights, got 1"),
     (["measure m = 1 x", "event e = f"], 2, "line 3: bad weight 'x'"),
-    (["event e = f", "measure m = 1 x"], 1, "'f' names neither an event nor an atom"),
+    (["event e = f", "measure m = 1 x"], 1, "line 3: 'f' names neither an event nor an atom"),
 ])
 def test_a_bad_measure_line_fails_every_request_at_parse_time_in_line_order(
         capsys, tmp_path, built, lines, code, message):

@@ -754,9 +754,10 @@ def test_a_copy_of_the_measures_is_a_mapping_of_its_own(built):
 # for a malformed expression ("expr") or space file ("space"), recorded
 # when the parser still called a method per token and built a Token per
 # token. The last five rows, recorded before event lines were lowered
-# straight to bits, are event lines that the event mode must leave to
-# the tree path: a set literal and then more, a reserved word in braces,
-# a syntax error after an unknown name, and `|` after one.
+# straight to bits, are event lines whose first error is not the first
+# met: a set literal and then more, a reserved word in braces, a syntax
+# error after an unknown name, and `|` after one. The three rows of an
+# unknown name or atom on an event line were changed to name its line.
 GOLDEN_PARSE_ERRORS = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "parse_errors.json"
 
 
@@ -914,8 +915,9 @@ def reference_path(doc, text):
 def reference_event_line(doc, body):
     """The event of `event x = body` after doc's lines, or its error, as
     parse_space made it by parsing the body to a tree and lowering it
-    with the reference: a syntax error keeps its column in the line, and
-    a ParseError of the lowering is placed at the line's start."""
+    with the reference: a syntax error keeps its column in the line, a
+    ParseError of the lowering is placed at the line's start, and any
+    other error is prefixed with the line's number."""
     body = (" " + body).split("#")[0]
     if not body.split():
         raise ParseError("usage: event NAME = ...", SHADOW_LINE, 1)
@@ -928,6 +930,8 @@ def reference_event_line(doc, body):
         return reference_lower_event(node, doc.space, doc.events)
     except ParseError as e:
         raise ParseError(e.bare_message, SHADOW_LINE, 1) from None
+    except Error as e:
+        raise type(e)("line %d: %s" % (SHADOW_LINE, e)) from None
 
 
 def outcome(fn):
@@ -1076,9 +1080,9 @@ def test_a_long_flat_chain_on_an_event_line_still_nests_too_deeply():
     ("a or zzz )", "ParseError: line 3, column 20: unexpected ')' "
                    "(expected an operator, end of input)"),
     ("{zzz} | a", "ParseError: line 3, column 1: conditional operators are not allowed here"),
-    ("zzz or (a | b)", "UnknownName: 'zzz' names neither an event nor an atom"),
-    ("zzz or {z}", "UnknownName: 'zzz' names neither an event nor an atom"),
-    ("{z} or zzz", "UnknownAtom: unknown atom: 'z'"),
+    ("zzz or (a | b)", "UnknownName: line 3: 'zzz' names neither an event nor an atom"),
+    ("zzz or {z}", "UnknownName: line 3: 'zzz' names neither an event nor an atom"),
+    ("{z} or zzz", "UnknownAtom: line 3: unknown atom: 'z'"),
 ])
 def test_an_event_line_reports_its_first_error_in_pre_order(body, error):
     """A syntax error anywhere wins; then an operator's own check, then
