@@ -858,8 +858,8 @@ CONDITIONAL_FUNCS = ("osum", "proj", "s_and", "s_or", "s_cap", "s_cup")
 STRAYS = ("(", ")", ",", "{", "}", "|", "or", "and", "~", "s_cup", "UNDEFINED", "zz", "#")
 
 
-# The tree walkers `lower_event` and `lower` were before lowering had one
-# path, kept as the reference that path answers as.
+# The tree walkers that `lower_event` and `lower` were before lowering had
+# one path, kept as the reference the one path must answer as.
 
 def reference_lower_event(expr, space, events):
     try:
