@@ -6,22 +6,23 @@ failed, 2 usage or parse error. Output is byte-deterministic for fixed
 inputs; every error path prints a single diagnostic line to stderr.
 A space file is read as bytes and decoded once; `lang` splits its lines.
 
-`main` builds its argument parser on its first call and reuses it for
-every later call in the process. argparse keeps no per-call state in the
-tree, and it reads sys.stdout, sys.stderr and the terminal width when it
-prints, so a reused parser prints what a fresh one would.
-`build_parser` still returns a new parser on every call.
+`_COMMANDS` names each subcommand once, with its help, its handler and
+its options; an option is its flag, its help and the argparse keywords
+it is declared with. `build_parser` builds a new argparse tree from the
+table on every call.
 
 A request whose first argument is exactly a subcommand name, followed
-by whole `--option value` pairs, is read with no argparse parse when each
-option is one of that subcommand's own option strings in full, given
-once, with a value that does not start with '-' and that argparse's
-own type and choices check takes (a value is taken as given when its
-option has neither), and every required option is given. Any other
-request is parsed in full by argparse, which reads help, abbreviations,
-`--opt=value`, `--` and repeats, and words every usage, error and help
-text. The routing table of each subcommand's options is built from the
-kept parser, so it is rebuilt whenever the parser is.
+by whole `--option value` pairs, is read from the table with no argparse
+tree when each option is one of that subcommand's flags in full, given
+once, with a value that does not start with '-', that the option's own
+type converts and that is one of its choices (a value is taken as given
+when its option has neither), and every required option is given. Any
+other request is parsed in full by argparse, which reads help,
+abbreviations, `--opt=value`, `--` and repeats, and words every usage,
+error and help text. That parser is built on the first such request and
+reused for every later one in the process: argparse keeps no per-call
+state in the tree, and it reads sys.stdout, sys.stderr and the terminal
+width when it prints, so a reused parser prints what a fresh one would.
 """
 
 import argparse
@@ -92,6 +93,9 @@ def _cmd_prob(args):
 
 
 def _cmd_relate(args):
+    if args.rel not in rel.RELATION_TAGS:
+        _fail("unknown relation tag: %s" % args.rel)
+        return 2
     doc = _load_doc(args.space)
     flag = rel.holds(args.rel, doc.lower(args.lhs), doc.lower(args.rhs))
     print("true" if flag else "false")
@@ -138,112 +142,103 @@ def _cmd_parse(args):
     return 0
 
 
+_REQUIRED = {"required": True}
+_SPACE = ("--space", "space file", _REQUIRED)
+_LHS = ("--lhs", "left expression", _REQUIRED)
+_RHS = ("--rhs", "right expression", _REQUIRED)
+
+# Each subcommand once: (help, handler, options), and each option as
+# (flag, help, the argparse keywords it is declared with).
+_COMMANDS = {
+    "eval": ("lower an expression, or evaluate it at an outcome", _cmd_eval, [
+        _SPACE,
+        ("--expr", "expression to lower", _REQUIRED),
+        ("--state", "atom name; print T, F or U at that outcome", {}),
+    ]),
+    "prob": ("exact conditional probability of an expression", _cmd_prob, [
+        _SPACE,
+        ("--measure", "measure name from the space file", _REQUIRED),
+        ("--expr", "expression to measure", _REQUIRED),
+        ("--formula", "route a top-level or/and through its expansion formula",
+         {"choices": ("direct", "or", "and"), "default": "direct"}),
+    ]),
+    "relate": ("test a binary relation between two expressions", _cmd_relate, [
+        _SPACE, ("--rel", "one of %s" % ", ".join(rel.RELATION_TAGS), _REQUIRED), _LHS, _RHS,
+    ]),
+    "profile": ("the seven verifiability flags of a pair", _cmd_profile, [_SPACE, _LHS, _RHS]),
+    "check": ("exhaustively check a law (or 'all')", _cmd_check, [
+        ("--law", "law id or 'all'", _REQUIRED),
+        ("--atoms", "atom count (default 3)", {"type": int, "default": 3}),
+        ("--grid", "largest weight in measure grids (default 3)", {"type": int, "default": 3}),
+    ]),
+    "parse": ("dump the parse tree of an expression", _cmd_parse, [
+        ("--expr", "expression to parse", _REQUIRED),
+    ]),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="boolfrac",
         description="Evaluate, measure and law-check conditional events.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="lower an expression, or evaluate it at an outcome")
-    p_eval.add_argument("--space", required=True, help="space file")
-    p_eval.add_argument("--expr", required=True, help="expression to lower")
-    p_eval.add_argument("--state", help="atom name; print T, F or U at that outcome")
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_prob = sub.add_parser("prob", help="exact conditional probability of an expression")
-    p_prob.add_argument("--space", required=True, help="space file")
-    p_prob.add_argument("--measure", required=True, help="measure name from the space file")
-    p_prob.add_argument("--expr", required=True, help="expression to measure")
-    p_prob.add_argument(
-        "--formula",
-        choices=("direct", "or", "and"),
-        default="direct",
-        help="route a top-level or/and through its expansion formula",
-    )
-    p_prob.set_defaults(func=_cmd_prob)
-
-    p_relate = sub.add_parser("relate", help="test a binary relation between two expressions")
-    p_relate.add_argument("--space", required=True, help="space file")
-    p_relate.add_argument("--rel", required=True, help="one of %s" % ", ".join(rel.RELATION_TAGS))
-    p_relate.add_argument("--lhs", required=True, help="left expression")
-    p_relate.add_argument("--rhs", required=True, help="right expression")
-    p_relate.set_defaults(func=_cmd_relate)
-
-    p_profile = sub.add_parser("profile", help="the seven verifiability flags of a pair")
-    p_profile.add_argument("--space", required=True, help="space file")
-    p_profile.add_argument("--lhs", required=True, help="left expression")
-    p_profile.add_argument("--rhs", required=True, help="right expression")
-    p_profile.set_defaults(func=_cmd_profile)
-
-    p_check = sub.add_parser("check", help="exhaustively check a law (or 'all')")
-    p_check.add_argument("--law", required=True, help="law id or 'all'")
-    p_check.add_argument("--atoms", type=int, default=3, help="atom count (default 3)")
-    p_check.add_argument(
-        "--grid", type=int, default=3,
-        help="largest weight in measure grids (default 3)",
-    )
-    p_check.set_defaults(func=_cmd_check)
-
-    p_parse = sub.add_parser("parse", help="dump the parse tree of an expression")
-    p_parse.add_argument("--expr", required=True, help="expression to parse")
-    p_parse.set_defaults(func=_cmd_parse)
-
+    for name, (about, func, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=about)
+        for flag, text, keywords in options:
+            command.add_argument(flag, help=text, **keywords)
+        command.set_defaults(func=func)
     return parser
 
 
+def _lookup(func, options):
+    """A subcommand's flags mapped to their dests, types and choices, the
+    namespace argparse would start from, and the dests it requires."""
+    flags, defaults, required = {}, {"func": func}, set()
+    for flag, _, keywords in options:
+        dest = flag[2:]
+        flags[flag] = dest, keywords.get("type"), keywords.get("choices")
+        defaults[dest] = keywords.get("default")
+        if keywords.get("required"):
+            required.add(dest)
+    return flags, defaults, required
+
+
+_PLAIN = {name: _lookup(func, options) for name, (_, func, options) in _COMMANDS.items()}
+_NO_FLAG = None, None, None
 _parser = None
-_routes = None
-
-
-def _subcommands(parser):
-    """The parser's subcommand names, each mapped to its subparser."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices
-
-
-def _route(subparser):
-    """A subparser, its own option strings mapped to their dests and store
-    actions (None for one with no type or choices), the defaults argparse
-    starts its namespace with, and the dests it requires."""
-    actions = [a for a in subparser._actions if a.dest is not argparse.SUPPRESS]
-    options = {s: (a.dest, None if a.type is None and a.choices is None else a)
-               for a in actions if type(a) is argparse._StoreAction for s in a.option_strings}
-    defaults = dict(subparser._defaults)
-    defaults.update((a.dest, a.default) for a in actions if a.default is not argparse.SUPPRESS)
-    return subparser, options, defaults, {a.dest for a in actions if a.required}
 
 
 def _parse(argv):
-    """What `_parser.parse_args(argv)` returns: a plain request read into
-    its namespace with no argparse parse, or any other parsed in full."""
+    """What `build_parser().parse_args(argv)` returns: a plain request
+    read from the table, or any other parsed in full by the kept parser."""
+    global _parser
     if argv is None:
         argv = sys.argv[1:]
-    if len(argv) % 2 and argv[0] in _routes:
-        subparser, options, defaults, required = _routes[argv[0]]
+    if len(argv) % 2 and argv[0] in _PLAIN:
+        flags, defaults, required = _PLAIN[argv[0]]
         values = {}
-        for option, value in zip(argv[1::2], argv[2::2]):
-            dest, action = options.get(option, (None, None))
+        for flag, value in zip(argv[1::2], argv[2::2]):
+            dest, convert, choices = flags.get(flag, _NO_FLAG)
             if dest is None or dest in values or value[:1] == "-":
                 break
-            if action is not None:
+            if convert is not None:
                 try:
-                    value = subparser._get_values(action, [value])
-                except argparse.ArgumentError:
+                    value = convert(value)
+                except ValueError:
                     break
+            if choices is not None and value not in choices:
+                break
             values[dest] = value
         else:
             if values.keys() >= required:
                 return argparse.Namespace(command=argv[0], **dict(defaults, **values))
+    if _parser is None:
+        _parser = build_parser()
     return _parser.parse_args(argv)
 
 
 def main(argv=None):
-    global _parser, _routes
-    if _parser is None:
-        _parser = build_parser()
-        _routes = {name: _route(sub) for name, sub in _subcommands(_parser).items()}
     try:
         args = _parse(argv)
     except SystemExit as exc:
@@ -251,9 +246,6 @@ def main(argv=None):
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    if args.command == "relate" and args.rel not in rel.RELATION_TAGS:
-        _fail("unknown relation tag: %s" % args.rel)
-        return 2
     try:
         return args.func(args)
     except (ParseError, DuplicateName, BadWeight, ZeroTotalWeight, UnknownLaw) as exc:

@@ -252,14 +252,15 @@ class _Parser:
     EventRef, Not, Binary, Undefined, SetLiteral = EventRef, Not, Binary, Undefined, SetLiteral
     most_tokens = float("inf")
 
-    def read(self, text):
+    def read(self, text, scan=None):
         """The builders' value of the whole text, which may be a fault; a
-        text of more than `most_tokens` tokens is folded from its tree."""
+        text of more than `most_tokens` tokens is folded from its tree,
+        which is read from the same `scan`."""
         self.text = text
-        self.kinds, self.words = _scan(text)
+        self.kinds, self.words = scan = scan or _scan(text)
         self.pos = 0
         if len(self.kinds) > self.most_tokens:
-            return self.fold(parse_expr(text))
+            return self.fold(_Parser().read(text, scan))
         try:
             value = self.expr()
         except RecursionError:

@@ -18,7 +18,7 @@ independent implementations so the law checker can compare the code
 paths.
 """
 
-from .conditional import Conditional, given, make
+from .conditional import _binary, given, make
 from .errors import NotDisjoint
 from .space import same_space
 
@@ -40,12 +40,6 @@ def sand_bits(q1, c1, q2, c2):
 def vee_bits(q1, c1, q2, c2):
     cond = c1 & c2
     return (q1 | q2) & cond, cond
-
-
-def _binary(kernel, x, y):
-    same_space(x, y)
-    q, c = kernel(x.q, x.c, y.q, y.c)
-    return Conditional(x.space, q, c)
 
 
 def cap_s(x, y):

@@ -8,6 +8,7 @@ failed law, 2 usage or parse error.
 
 import argparse
 import io
+import json
 import os
 import pathlib
 import subprocess
@@ -271,6 +272,12 @@ def test_relate_unknown_tag_is_a_usage_error(capsys, die_path):
     assert "unknown relation tag" in err
 
 
+def test_relate_checks_its_tag_before_it_reads_the_space_file(capsys):
+    assert run(capsys, "relate", "--space", "/no/such/file.cs", "--rel", "near",
+               "--lhs", "two", "--rhs", "even") == (
+        2, "", "boolfrac: error: unknown relation tag: near\n")
+
+
 # profile
 
 
@@ -389,6 +396,18 @@ def test_long_flat_chain_is_a_parse_error(capsys, die_path, command):
     code, out, err = run(capsys, command, *space, "--expr", chain)
     assert (code, out) == (2, "")
     assert err == "boolfrac: error: expression nests too deeply\n"
+
+
+def test_a_long_request_expression_is_scanned_once(capsys, monkeypatch, die_path):
+    """An expression past the token bound is parsed to a tree from the
+    scan that counted its tokens; the space file's lines are scanned
+    apart."""
+    expr = "two | even" + " or ~lt4" * 45 + " or five"
+    scan, scanned = lang._scan, []
+    monkeypatch.setattr(lang, "_scan", lambda text: scanned.append(text) or scan(text))
+    assert run(capsys, "eval", "--space", die_path, "--expr", expr) == (
+        0, "({2}|{2,4,5,6})\n", "")
+    assert scanned.count(expr) == 1 and len(scan(expr)[0]) == 140 + 1  # and eof
 
 
 # Four ways to nest an expression n levels deep, each with its own deepest
@@ -577,6 +596,16 @@ def test_help_exits_cleanly(capsys):
     assert "eval" in out and "check" in out
 
 
+HELP_GOLDENS = json.loads((pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+                           / "help.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_GOLDENS))
+def test_help_matches_its_golden_at_80_columns(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv.split()) == (0, HELP_GOLDENS[argv], "")
+
+
 def test_missing_required_flag(capsys):
     assert cli.main(["eval", "--expr", "two"]) == 2
     capsys.readouterr()
@@ -608,22 +637,29 @@ def reuse_sequence(die_path):
 
 def test_main_reuses_one_parser_and_prints_what_a_fresh_one_prints(capsys, monkeypatch,
                                                                     die_path):
+    """Plain requests build no parser; the first request that is not
+    plain builds it, and every later request reuses it."""
     argvs = reuse_sequence(die_path)
     fresh = []
     for argv in argvs:
         monkeypatch.setattr(cli, "_parser", None)
         fresh.append(run(capsys, *argv))
-    parser = cli._parser
-    reused = [run(capsys, *argv) for argv in argvs + argvs]
-    assert cli._parser is parser
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [run(capsys, *argv) for argv in argvs[5:]] == fresh[5:]
+    assert cli._parser is None
+    reused, parsers = [], []
+    for argv in argvs + argvs:
+        reused.append(run(capsys, *argv))
+        parsers.append(cli._parser)
     assert reused == fresh + fresh
+    assert parsers[0] is not None and all(parser is parsers[0] for parser in parsers)
     assert [code for code, _, _ in fresh] == [2, 0, 0, 2, 2, 2, 2, 0, 0, 0, 0, 0, 2]
 
 
 def test_a_reused_parser_formats_help_at_the_current_terminal_width(capsys, monkeypatch,
                                                                      die_path):
     """argparse reads COLUMNS when it prints, not when the tree is built."""
-    cli.main(["parse", "--expr", "a"])
+    cli.main(["parse", "--expr=a"])
     capsys.readouterr()
     argvs = [["-h"], ["prob", "-h"], [], ["eval", "--space", die_path]]
     outputs = {}
@@ -637,7 +673,8 @@ def test_a_reused_parser_formats_help_at_the_current_terminal_width(capsys, monk
 
 
 def test_build_parser_returns_a_new_parser_each_call():
-    cli.main(["parse", "--expr", "a"])
+    cli.main(["parse", "--expr=a"])
+    assert cli._parser is not None
     parsers = [cli.build_parser() for _ in range(3)]
     assert len({id(parser) for parser in parsers + [cli._parser]}) == 4
 
@@ -702,7 +739,6 @@ def parse_calls(monkeypatch):
 def test_a_plain_subcommand_request_makes_no_argparse_call(capsys, parse_calls, die_path):
     """Whole `--option value` pairs after a subcommand name are read
     without argparse."""
-    cli.main(["parse", "--expr", "a"])
     for argv in reuse_sequence(die_path)[5:]:
         parse_calls.clear()
         cli.main(argv)
@@ -713,7 +749,6 @@ def test_a_plain_subcommand_request_makes_no_argparse_call(capsys, parse_calls, 
 def test_other_requests_make_the_calls_of_the_full_parse(capsys, monkeypatch, parse_calls,
                                                         die_path):
     """A request that is not plain is parsed in full, once."""
-    cli.main(["parse", "--expr", "a"])
     for argv in edge_argvs(die_path):
         parse_calls.clear()
         with monkeypatch.context() as patch:
@@ -730,10 +765,19 @@ def test_other_requests_make_the_calls_of_the_full_parse(capsys, monkeypatch, pa
 # the plain route against argparse
 
 
+def subparsers(parser):
+    """The subcommand names of a built argparse tree, each mapped to its
+    subparser: read from the tree itself, not from the table it was
+    built from."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+
+
 OPTIONS = {
     name: [option for action in sub._actions for option in action.option_strings
            if option != "--help" and option.startswith("--")]
-    for name, sub in cli._subcommands(cli.build_parser()).items()
+    for name, sub in subparsers(cli.build_parser()).items()
 }
 PLAIN_VALUES = ["", "3", "\u0663", "x"]
 DASHED_VALUES = ["-x", "--"]
@@ -784,8 +828,6 @@ def outcome(parse, argv):
 
 @given(requests())
 def test_the_plain_route_parses_what_argparse_parses(argv):
-    with redirect_stdout(io.StringIO()):
-        cli.main(["parse", "--expr", "a"])
     assert outcome(cli._parse, argv) == outcome(full_parse, argv)
 
 
@@ -798,8 +840,6 @@ def typed_outcome(parse, argv):
 
 
 def test_the_plain_route_reads_every_query_request_as_argparse_does(die_path, query_inputs):
-    with redirect_stdout(io.StringIO()):
-        cli.main(["parse", "--expr", "a"])
     argvs = reuse_sequence(die_path)
     for seed in (1, 7):
         argvs += [argv for argv, _ in query_inputs(seed)["requests"]]
@@ -808,29 +848,15 @@ def test_the_plain_route_reads_every_query_request_as_argparse_does(die_path, qu
         assert typed_outcome(cli._parse, argv) == typed_outcome(full, argv), argv
 
 
-def test_only_an_option_with_a_type_or_choices_has_its_value_converted(die_path, monkeypatch):
-    """A value whose option has neither is taken as given; the others
-    still go through argparse's own conversion, once each."""
-    with redirect_stdout(io.StringIO()):
-        cli.main(["parse", "--expr", "a"])
-    converted = []
-    get_values = argparse.ArgumentParser._get_values
-
-    def recording(self, action, arg_strings):
-        converted.append(action.dest)
-        return get_values(self, action, arg_strings)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "_get_values", recording)
-    for argv, dests in [
-        (["eval", "--space", die_path, "--expr", "two", "--state", "2"], []),
-        (["check", "--law", "all", "--atoms", "3"], ["atoms"]),
-        (["check", "--grid", "2", "--law", "all", "--atoms", "3"], ["grid", "atoms"]),
-        (["prob", "--space", die_path, "--measure", "uniform", "--formula", "or",
-          "--expr", "two|even"], ["formula"]),
-    ]:
-        converted.clear()
-        assert isinstance(cli._parse(argv), argparse.Namespace)
-        assert converted == dests
+def test_no_query_request_builds_the_parser(capsys, monkeypatch, query_inputs):
+    """Every request of the benchmark's `query` streams is plain, so
+    running it builds no argparse tree."""
+    monkeypatch.setattr(cli, "_parser", None)
+    for seed in (1, 7):
+        for argv, _ in query_inputs(seed)["requests"]:
+            cli.main(argv)
+            capsys.readouterr()
+    assert cli._parser is None
 
 
 def test_main_gets_its_parser_from_the_module_level_build_parser(capsys, monkeypatch,
@@ -847,7 +873,7 @@ def test_main_gets_its_parser_from_the_module_level_build_parser(capsys, monkeyp
     for argv in reuse_sequence(die_path):
         run(capsys, *argv)
     assert len(built) == 1 and cli._parser is built[0]
-    assert {name: route[0] for name, route in cli._routes.items()} == cli._subcommands(built[0])
+    assert list(subparsers(built[0])) == list(cli._COMMANDS)
 
 
 # a fresh process

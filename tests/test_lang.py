@@ -1137,12 +1137,12 @@ def test_foreign_events_and_long_texts_lower_as_the_reference(monkeypatch):
         assert outcome(lambda: doc.lower(text)) == outcome(lambda: reference_path(doc, text))
     assert doc.lower("alien or a").space is other.space
     assert doc.lower("a or alien").space is doc.space
-    for text, trees in ((at_bound, []), (past_bound, [past_bound])):
-        parse_expr, calls = lang.parse_expr, []
-        monkeypatch.setattr(lang, "parse_expr",
-                            lambda text: calls.append(text) or parse_expr(text))
+    for text, trees in ((at_bound, []), (past_bound, [lang._Parser])):
+        read, reads = lang._Parser.read, []
+        monkeypatch.setattr(lang._Parser, "read",
+                            lambda self, *args: reads.append(type(self)) or read(self, *args))
         assert doc.lower(text) == cnd.Conditional(doc.space, 1, doc.space.full_bits)
-        assert calls == trees
+        assert reads == [lang._Conditionals] + trees
         monkeypatch.undo()
 
 
