@@ -15,25 +15,28 @@ spelled out as direct bit inequalities here. A mutation in a kernel
 therefore shows up as a mismatch against the independent
 characterization rather than being silently replicated on both sides.
 
-A catalog record holds a law's id, its atom budget, its function and
-the names of every kernel the function calls. `check` hands the
-function one `_Run`: the law space, its pairs, max_weight, the
-instance count and the block route. The law advances run.count by one
-for each instance before it evaluates the instance, and returns None
-on PASS, `(template, fields)` at its first failure, or, t3.11 only, a
-note. `check` renders only the fields a template names, so an unnamed
-result out of normal form never reaches a Conditional. A law body that
-raises (a mutated kernel can make a probability undefined) is a FAIL
-whose counterexample reads "raised <Type>: <message>", counted up to
-the raising instance included.
+A catalog record holds a law's id, its atom budget, the names of every
+kernel it calls, its sweeps and, for a law that is more than sweeps, a
+function for the rest. `check` hands each one `_Run` (the law space,
+its pairs, max_weight, the instance count and the block route): it runs
+the sweeps in order and calls the function only when all pass. Each
+advances run.count by one for each instance before it evaluates the
+instance, and returns None on PASS, `(template, fields)` at its first
+failure, or, t3.11's function only, a note. `check` renders only the
+fields a template names, so an unnamed result out of normal form never
+reaches a Conditional. A law that raises (a mutated kernel can make a
+probability undefined) is a FAIL reading "raised <Type>: <message>",
+counted up to the raising instance included; so is one that passes
+having checked nothing, reading "no instance was checked".
 
-Every check whose body calls only bit kernels and raw bit inequalities
-goes through one driver, `_sweep`, which bit-slices after Biham, "A
-fast new DES implementation in software" (FSE 1997): a block packs
-instances into one int per operand component, one instance per n-bit
-lane, and one kernel call evaluates every lane. The lowest failing
-lane is the first failure in enumeration order, so counts and
-counterexamples are those of a plain loop.
+A sweep checks clauses of bit kernels and raw bit inequalities with
+`_sweep`, which bit-slices after Biham, "A fast new DES implementation
+in software" (FSE 1997): a block packs instances into one int per
+operand component, one instance per n-bit lane, and one kernel call
+evaluates every lane. The lowest failing lane is the first failure in
+enumeration order, so counts and counterexamples are those of a plain
+loop. Fifteen laws are sweeps alone; t3.11, t3.17 and superposition
+add a function for their note, folded families and grid part.
 
 The route is chosen per law, once per check. The first time a block
 route asks, the run certifies every kernel the law's record names with
@@ -47,17 +50,15 @@ plain loop. A test runs every law under recording kernels, so a record
 names exactly the kernels its law calls and a sliced block never meets
 an uncertified one. A raise inside a sliced sweep counts the whole block.
 
-Two laws run blocks of their own on the same route: truth-tables, one
-instance per (pair, atom, op), and t3.17's folded families, one byte
-lane per family. Unsliced, a block holds one pair, single or family,
-counted as a plain loop counts it. Only operand packings, which no
-kernel computed, are cached.
-
-Laws whose bodies are more than bit kernels keep their own loops:
-t2.13 and superposition's grid part sum probabilities over measure
-grids (they are the only laws that import `prob`), t2.18, t2.19, t3.2,
-t3.7, c3.8 and c3.16 call `relations`, and schay-2.12 builds
-Conditionals.
+Nine laws are a function alone. truth-tables runs blocks of its own
+on the same route, one instance per (pair, atom, op), as do t3.17's
+folded families, one byte lane per family; unsliced, a block holds one
+pair, single or family, counted as a plain loop counts it. Only operand
+packings, which no kernel computed, are cached. The other eight are
+more than bit kernels: t2.13 sums probabilities over measure grids
+(with superposition's grid part, the only code that imports `prob`),
+t2.18, t2.19, t3.2, t3.7, c3.8 and c3.16 call `relations`, and
+schay-2.12 builds Conditionals.
 
 Budgets: most laws, the triple-quantified sweeps among them, run up to
 4 atoms. Laws that sweep measure grids (t2.13, superposition), search
@@ -357,122 +358,6 @@ _LATTICE_TRIPLES = ("meet not associative", "join not associative",
 # ---------------------------------------------------------------- laws
 
 
-def _law_t2_4(run):
-    """and_(x, or_(y, z)) == or_(and_(x, y), and_(x, z)) iff
-    ab & e'f <= d and ab & c'd <= f."""
-    or_b, and_b = cnd.or_bits, cnd.and_bits
-
-    def clause(q1, c1, q2, c2, q3, c3):
-        return (and_b(q1, c1, *or_b(q2, c2, q3, c3)),
-                or_b(*and_b(q1, c1, q2, c2), *and_b(q1, c1, q3, c3)),
-                (q1 & c3 & ~q3 & ~c2) | (q1 & c2 & ~q2 & ~c3))
-
-    return _sweep(run, 3, [clause], [_EQUATION_SIDE])
-
-
-def _law_c2_5(run):
-    """or_(x, and_(y, z)) == and_(or_(x, y), or_(x, z)) iff
-    a'b & ef <= d and a'b & cd <= f."""
-    or_b, and_b = cnd.or_bits, cnd.and_bits
-
-    def clause(q1, c1, q2, c2, q3, c3):
-        nay = c1 & ~q1
-        return (or_b(q1, c1, *and_b(q2, c2, q3, c3)),
-                and_b(*or_b(q1, c1, q2, c2), *or_b(q1, c1, q3, c3)),
-                (nay & q3 & ~c2) | (nay & q2 & ~c3))
-
-    return _sweep(run, 3, [clause], [_EQUATION_SIDE])
-
-
-def _law_t2_6(run):
-    """or_(x, and_(y, z)) == and_(or_(x, y), z) iff
-    ab & e'f == 0 and a'b & ef <= d."""
-    or_b, and_b = cnd.or_bits, cnd.and_bits
-
-    def clause(q1, c1, q2, c2, q3, c3):
-        return (or_b(q1, c1, *and_b(q2, c2, q3, c3)),
-                and_b(*or_b(q1, c1, q2, c2), q3, c3),
-                (q1 & c3 & ~q3) | (c1 & ~q1 & q3 & ~c2))
-
-    return _sweep(run, 3, [clause], [_EQUATION_SIDE])
-
-
-def _law_c2_7(run):
-    """and_(x, or_(y, z)) == or_(and_(x, y), z) iff
-    a'b & ef == 0 and ab & e'f <= d."""
-    or_b, and_b = cnd.or_bits, cnd.and_bits
-
-    def clause(q1, c1, q2, c2, q3, c3):
-        return (and_b(q1, c1, *or_b(q2, c2, q3, c3)),
-                or_b(*and_b(q1, c1, q2, c2), q3, c3),
-                (c1 & ~q1 & q3) | (q1 & c3 & ~q3 & ~c2))
-
-    return _sweep(run, 3, [clause], [_EQUATION_SIDE])
-
-
-def _law_c2_8(run):
-    """and_(x, or_(not x, z)) == z iff b <= f and a'b <= e'f."""
-    or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
-
-    def clause(q1, c1, q3, c3, neg):
-        return (and_b(q1, c1, *or_b(*neg, q3, c3)), (q3, c3),
-                (c1 & ~c3) | ((c1 & ~q1) & ~(c3 & ~q3)))
-
-    return _sweep(run, 2, [clause], [_ABSORPTION_SIDE], lead=not_b)
-
-
-def _law_c2_9(run):
-    """or_(x, and_(not x, z)) == z iff b <= f and ab <= ef."""
-    or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
-
-    def clause(q1, c1, q3, c3, neg):
-        return or_b(q1, c1, *and_b(*neg, q3, c3)), (q3, c3), (c1 & ~c3) | (q1 & ~q3)
-
-    return _sweep(run, 2, [clause], [_ABSORPTION_SIDE], lead=not_b)
-
-
-def _law_props2_3(run):
-    """Basic identities: idempotence, commutativity, associativity,
-    double negation, De Morgan, U as pass-through, (0|1) and (1|1) as
-    absolutes, and the conditioned absorption
-    and_(x, y) == and_(y, given(x, y))."""
-    or_b, and_b, not_b, giv_b = cnd.or_bits, cnd.and_bits, cnd.not_bits, cnd.given_bits
-    singles = {  # full, the space's atoms, is a constant of the sweep
-        "not(not x) == x": lambda q1, c1, full: (not_b(*not_b(q1, c1)), (q1, c1)),
-        "or_(x, x) == x": lambda q1, c1, full: (or_b(q1, c1, q1, c1), (q1, c1)),
-        "and_(x, x) == x": lambda q1, c1, full: (and_b(q1, c1, q1, c1), (q1, c1)),
-        "or_(x, U) == x": lambda q1, c1, full: (or_b(q1, c1, 0, 0), (q1, c1)),
-        "and_(x, U) == x": lambda q1, c1, full: (and_b(q1, c1, 0, 0), (q1, c1)),
-        "or_(x, (0|1)) == (ab|1)": lambda q1, c1, full: (or_b(q1, c1, 0, full), (q1, full)),
-        "and_(x, (0|1)) == (0|1)": lambda q1, c1, full: (and_b(q1, c1, 0, full), (0, full)),
-        "or_(x, (1|1)) == (1|1)": lambda q1, c1, full: (or_b(q1, c1, full, full), (full, full)),
-        "and_(x, (1|1)) == (a v b'|1)":
-            lambda q1, c1, full: (and_b(q1, c1, full, full), (q1 | (full & ~c1), full)),
-    }
-    doubles = {
-        "or_ not commutative": lambda q1, c1, q2, c2: (or_b(q1, c1, q2, c2), or_b(q2, c2, q1, c1)),
-        "and_ not commutative":
-            lambda q1, c1, q2, c2: (and_b(q1, c1, q2, c2), and_b(q2, c2, q1, c1)),
-        "De Morgan (or) fails": lambda q1, c1, q2, c2: (
-            not_b(*or_b(q1, c1, q2, c2)), and_b(*not_b(q1, c1), *not_b(q2, c2))),
-        "De Morgan (and) fails": lambda q1, c1, q2, c2: (
-            not_b(*and_b(q1, c1, q2, c2)), or_b(*not_b(q1, c1), *not_b(q2, c2))),
-        "and_(x, y) != and_(y, given(x, y))": lambda q1, c1, q2, c2: (
-            and_b(q1, c1, q2, c2), and_b(q2, c2, *giv_b(q1, c1, q2, c2))),
-    }
-    failure = _sweep(run, 1, list(singles.values()),
-                     ["%s fails at x=%%(x)s" % label for label in singles],
-                     constants=(run.space.full_bits,))
-    failure = failure or _sweep(run, 2, list(doubles.values()),
-                                ["%s at x=%%(x)s y=%%(y)s" % label for label in doubles])
-    return failure or _sweep(run, 3, [
-        lambda q1, c1, q2, c2, q3, c3: (or_b(*or_b(q1, c1, q2, c2), q3, c3),
-                                        or_b(q1, c1, *or_b(q2, c2, q3, c3))),
-        lambda q1, c1, q2, c2, q3, c3: (and_b(*and_b(q1, c1, q2, c2), q3, c3),
-                                        and_b(q1, c1, *and_b(q2, c2, q3, c3))),
-    ], [op + " not associative at x=%(x)s y=%(y)s z=%(z)s" for op in ("or_", "and_")])
-
-
 def _law_t2_13(run):
     """P(x v y) == P(x) + P(y) exactly when one of the four degenerate
     cases applies: additive_law_check.holds iff its case list is
@@ -550,27 +435,12 @@ def _law_t2_19(run):
     return None
 
 
-def _law_p2_20(run):
-    """Negation is an involution (hence a bijection), reverses the pm
-    order, and meets its relative complement laws:
-    and_(x, not x) == (0|b), or_(x, not x) == (1|b)."""
-    or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
-
-    def reverses(q1, c1, q2, c2):
-        # pm(not y, not x) spelled on the negated pairs:
-        nq1, nc1 = not_b(q2, c2)
-        nq2, nc2 = not_b(q1, c1)
-        return ((q1 & ~q2) | ((c2 & ~q2) & ~(c1 & ~q1)), 0,
-                (nq1 & ~nq2) | ((nc2 & ~nq2) & ~(nc1 & ~nq1)))
-
-    failure = _sweep(run, 1, [
-        lambda q1, c1, neg: (not_b(*neg), (q1, c1)),
-        lambda q1, c1, neg: (and_b(q1, c1, *neg), (0, c1)),
-        lambda q1, c1, neg: (or_b(q1, c1, *neg), (c1, c1)),
-    ], ["negation is not an involution at x=%(x)s", "and_(x, not x) != (0|b) at x=%(x)s",
-        "or_(x, not x) != (1|b) at x=%(x)s"], lead=not_b)
-    return failure or _sweep(run, 2, [reverses],
-                             ["pm does not reverse under negation at x=%(x)s y=%(y)s"])
+def _reverses(q1, c1, q2, c2):
+    """p2.20's pair clause: pm(not y, not x) spelled on the negated pairs."""
+    nq1, nc1 = cnd.not_bits(q2, c2)
+    nq2, nc2 = cnd.not_bits(q1, c1)
+    return ((q1 & ~q2) | ((c2 & ~q2) & ~(c1 & ~q1)), 0,
+            (nq1 & ~nq2) | ((nc2 & ~nq2) & ~(nc1 & ~nq1)))
 
 
 _TRUTH_VALUES = (tv.T, tv.F, tv.U)
@@ -641,39 +511,20 @@ def _law_truth_tables(run):
     return None
 
 
-def _law_superposition(run):
-    """The context split b&d' / b'&d / b&d: the three-term conditional
-    identities for or_ and and_, the or==and criterion
-    (ab & c'd == 0 == a'b & cd), and the probability expansions
-    p_or_formula / p_superposition agreeing with p_cond on every grid
-    measure."""
+def _three_term(q1, c1, q2, c2, shared):
+    """The parts of x and y on the contexts b&d' and b'&d, joined with
+    `shared` on b&d."""
+    union = c1 | c2
+    return cnd.or_bits(*cnd.or_bits(*cnd.and_bits(q1, c1, c1 & ~c2, union),
+                                    *cnd.and_bits(q2, c2, c2 & ~c1, union)),
+                       shared & c1 & c2, union)
+
+
+def _superposition_grid(run):
+    """superposition's probability expansions, p_or_formula and
+    p_superposition, agree with p_cond on every grid measure."""
     from . import prob
 
-    or_b, and_b = cnd.or_bits, cnd.and_bits
-
-    def two_term(q1, c1, q2, c2):
-        union = c1 | c2
-        return or_b(q1, c1, q2, c2), or_b(*and_b(q1, c1, c1, union), *and_b(q2, c2, c2, union))
-
-    def three_term(q1, c1, q2, c2, shared):
-        """The parts of x and y on the contexts b&d' and b'&d, joined with
-        `shared` on b&d."""
-        union = c1 | c2
-        return or_b(*or_b(*and_b(q1, c1, c1 & ~c2, union), *and_b(q2, c2, c2 & ~c1, union)),
-                    shared & c1 & c2, union)
-
-    failure = _sweep(run, 2, [
-        two_term,
-        lambda q1, c1, q2, c2: (or_b(q1, c1, q2, c2), three_term(q1, c1, q2, c2, q1 | q2)),
-        lambda q1, c1, q2, c2: (and_b(q1, c1, q2, c2), three_term(q1, c1, q2, c2, q1 & q2)),
-        lambda q1, c1, q2, c2: (or_b(q1, c1, q2, c2), and_b(q1, c1, q2, c2),
-                                (q1 & c2 & ~q2) | (c1 & ~q1 & q2)),
-    ], ["two-term split fails at x=%(x)s y=%(y)s lhs=%(lhs)s rhs=%(rhs)s",
-        "three-term or split fails at x=%(x)s y=%(y)s lhs=%(lhs)s rhs=%(rhs)s",
-        "three-term and split fails at x=%(x)s y=%(y)s lhs=%(lhs)s rhs=%(rhs)s",
-        "or==and criterion fails at x=%(x)s y=%(y)s"])
-    if failure:
-        return failure
     conds = [cnd.Conditional(run.space, q, c) for q, c in run.pairs]
     for weights in _grids(run.space, run.max_weight):
         m = prob.Measure(run.space, weights)
@@ -737,35 +588,9 @@ def _law_t3_2(run):
     return None
 
 
-def _law_c3_3(run):
-    """and_(x, y) == (abcd | b v d) exactly when x and y are
-    simultaneously verifiable."""
-    and_b = cnd.and_bits
-    return _sweep(run, 2, [
-        lambda q1, c1, q2, c2: (and_b(q1, c1, q2, c2), (q1 & q2, c1 | c2),
-                                (q1 & ~c2) | (q2 & ~c1)),
-    ], ["x=%(x)s y=%(y)s collapse=%(holds)s simver=%(side)s"])
-
-
-def _law_c3_5(run):
-    """Simultaneous falsifiability (a'b <= d and c'd <= b) is
-    simultaneous verifiability of the negations."""
-    not_b = cnd.not_bits
-
-    def clause(q1, c1, q2, c2):
-        nx, ny = not_b(q1, c1), not_b(q2, c2)
-        return (((c1 & ~q1) & ~c2) | ((c2 & ~q2) & ~c1), 0,
-                (nx[0] & ~ny[1]) | (ny[0] & ~nx[1]))
-
-    return _sweep(run, 2, [clause], ["x=%(x)s y=%(y)s direct=%(holds)s negated=%(side)s"])
-
-
-def _law_c3_6(run):
-    """Simultaneously verifiable and falsifiable == equal conditions."""
-    return _sweep(run, 2, [
-        lambda q1, c1, q2, c2: ((q1 & ~c2) | (q2 & ~c1) | ((c1 & ~q1) & ~c2) | ((c2 & ~q2) & ~c1),
-                                0, c1 ^ c2),
-    ], ["x=%(x)s y=%(y)s simver_and_simfals=%(holds)s same_condition=%(side)s"])
+def _simver(q1, c1, q2, c2):
+    """The bits where simultaneous verifiability, ab <= d and cd <= b, fails."""
+    return (q1 & ~c2) | (q2 & ~c1)
 
 
 def _law_t3_7(run):
@@ -805,82 +630,32 @@ def _law_c3_8(run):
     return None
 
 
-def _law_t3_9(run):
-    """and_(x, z) == (0 | b v f) and or_(x, z) == (1 | b v f) together
-    happen exactly when b == f and z == not x."""
-    or_b, and_b, not_b = cnd.or_bits, cnd.and_bits, cnd.not_bits
-
-    def clause(q1, c1, q3, c3, neg):
-        union = c1 | c3
-        return ((and_b(q1, c1, q3, c3), or_b(q1, c1, q3, c3)), ((0, union), (union, union)),
-                (c1 ^ c3) | (q3 ^ neg[0]) | (c3 ^ neg[1]))
-
-    return _sweep(run, 2, [clause], ["x=%(x)s z=%(y)s complement_pair=%(holds)s right=%(side)s"],
-                  lead=not_b)
+def _complement_pair(q1, c1, q3, c3, nx):
+    """t3.9's clause on (x, z), whose lead is nx = not x."""
+    union = c1 | c3
+    return ((cnd.and_bits(q1, c1, q3, c3), cnd.or_bits(q1, c1, q3, c3)),
+            ((0, union), (union, union)), (c1 ^ c3) | (q3 ^ nx[0]) | (c3 ^ nx[1]))
 
 
-def _law_t3_11(run):
-    """osum is commutative with (0|b) as same-condition neutral,
-    osum(x, x) == (0|b), and not x as the unique z with
-    osum(x, z) == (1|b). Associativity of the total operation is not a
-    law; its status is reported in the note."""
-    osum_b, not_b = cnd.osum_bits, cnd.not_bits
-    failure = _sweep(run, 1, [
-        lambda q1, c1: (osum_b(q1, c1, 0, c1), (q1, c1)),
-        lambda q1, c1: (osum_b(q1, c1, q1, c1), (0, c1)),
-        lambda q1, c1: (osum_b(q1, c1, *not_b(q1, c1)), (c1, c1)),
-    ], ["osum(x, (0|b)) != x at x=%(x)s", "osum(x, x) != (0|b) at x=%(x)s",
-        "osum(x, not x) != (1|b) at x=%(x)s"])
-    # The side clause fails where osum(x, z) == (1|b) and z != not x; at
-    # z == not x, osum(x, z) == (1|b) passed among the singles.
-    failure = failure or _sweep(run, 2, [
-        lambda q1, c1, q2, c2, neg: (osum_b(q1, c1, q2, c2), osum_b(q2, c2, q1, c1)),
-        lambda q1, c1, q2, c2, neg: (osum_b(q1, c1, q2, c2), (c1, c1),
-                                     (q2 ^ neg[0]) | (c2 ^ neg[1])),
-    ], ["osum not commutative at x=%(x)s z=%(y)s",
-        "complement not unique: osum(x, z) == (1|b) at x=%(x)s z=%(y)s"], lead=not_b)
-    if failure:
-        return failure
-    # Not a law: a triple where osum does not associate is the note.
+def _osum_note(run):
+    """t3.11's note: a triple where the total osum does not associate,
+    which is not a law."""
     example = _sweep(run, 3, [
-        lambda q1, c1, q2, c2, q3, c3: (osum_b(*osum_b(q1, c1, q2, c2), q3, c3),
-                                        osum_b(q1, c1, *osum_b(q2, c2, q3, c3))),
+        lambda q1, c1, q2, c2, q3, c3: (cnd.osum_bits(*cnd.osum_bits(q1, c1, q2, c2), q3, c3),
+                                        cnd.osum_bits(q1, c1, *cnd.osum_bits(q2, c2, q3, c3))),
     ], ["informative: the total osum is not associative, e.g. x=%(x)s y=%(y)s z=%(z)s"])
     return _render(run.space, *example) if example else "osum associativity holds over this space"
 
 
-def _law_t3_15(run):
-    """sasaki(b, a): fixes a iff cond(b) <= cond(a) and the falsity
-    region of b lies inside that of a; annihilates to (0 | a2 v b2) iff
-    the consequent of a lies in the falsity region of b; is idempotent
-    in its second argument; composes via and_ of the projectors; and
-    two projections onto the same target commute."""
-    and_b, sas_b = cnd.and_bits, cnd.sasaki_bits
+def _idempotent(qb, cb, qa, ca):
+    """t3.15: sasaki(b, a) projected onto b again, and the projection."""
+    proj = cnd.sasaki_bits(qb, cb, qa, ca)
+    return cnd.sasaki_bits(qb, cb, *proj), proj
 
-    def idempotent(qb, cb, qa, ca):
-        proj = sas_b(qb, cb, qa, ca)
-        return sas_b(qb, cb, *proj), proj
 
-    failure = _sweep(run, 2, [
-        lambda qb, cb, qa, ca: (sas_b(qb, cb, qa, ca), (qa, ca),
-                                (cb & ~ca) | ((cb & ~qb) & ~(ca & ~qa))),
-        lambda qb, cb, qa, ca: (sas_b(qb, cb, qa, ca), (0, ca | cb), qa & ~(cb & ~qb)),
-        idempotent,
-    ], ["fixed-point criterion fails at b=%(x)s a=%(y)s",
-        "annihilation criterion fails at b=%(x)s a=%(y)s",
-        "projection not idempotent at b=%(x)s a=%(y)s"])
-
-    # Triples (b, c, a); the lead is meet = and_(b, c).
-    def nested(qb, cb, qc, cc, qa, ca):
-        return sas_b(qc, cc, *sas_b(qb, cb, qa, ca))
-
-    return failure or _sweep(run, 3, [
-        lambda qb, cb, qc, cc, qa, ca, meet: (nested(qb, cb, qc, cc, qa, ca),
-                                              sas_b(*meet, qa, ca)),
-        lambda qb, cb, qc, cc, qa, ca, meet: (nested(qb, cb, qc, cc, qa, ca),
-                                              sas_b(qb, cb, *sas_b(qc, cc, qa, ca))),
-    ], ["composition via and_ fails at b=%(x)s c=%(y)s a=%(z)s",
-        "projections do not commute at b=%(x)s c=%(y)s a=%(z)s"], lead=and_b)
+def _nested(qb, cb, qc, cc, qa, ca):
+    """t3.15: sasaki(c, sasaki(b, a))."""
+    return cnd.sasaki_bits(qc, cc, *cnd.sasaki_bits(qb, cb, qa, ca))
 
 
 def _law_c3_16(run):
@@ -906,40 +681,10 @@ def _law_c3_16(run):
     return None
 
 
-def _law_t3_17(run):
-    """Sasaki projection interplay with or_: absorbing a projection
-    through the complement, distribution over or_, the commutation /
-    coincidence criteria, the two-sided verifiability criterion, and
-    closure of joint verifiability under folded or_ and and_."""
-    or_b, and_b, not_b, sas_b = cnd.or_bits, cnd.and_bits, cnd.not_bits, cnd.sasaki_bits
-
-    def bounded(qb, cb, qa, ca, nb):
-        pq, pc = sas_b(qb, cb, qa, ca)
-        return (pq & ~qa, pc), (0, ca), cb & ~ca
-
-    # Pairs (b, a); the lead is nb = not b.
-    failure = _sweep(run, 2, [
-        lambda qb, cb, qa, ca, nb: (or_b(qb, cb, qa, ca), or_b(qb, cb, *sas_b(*nb, qa, ca))),
-        lambda qb, cb, qa, ca, nb: (sas_b(qb, cb, qa, ca), sas_b(qa, ca, qb, cb),
-                                    (qb & ~ca) | (qa & ~cb)),
-        lambda qb, cb, qa, ca, nb: (sas_b(qb, cb, qa, ca), and_b(qb, cb, qa, ca), qb & ~ca),
-        bounded,
-        lambda qb, cb, qa, ca, nb: ((qb & ~ca) | (qa & ~cb) | (nb[0] & ~ca) | (qa & ~nb[1]), 0,
-                                    (qa & ~cb) | (cb & ~ca)),
-    ], ["or_(b, a) != or_(b, sasaki(not b, a)) at b=%(x)s a=%(y)s",
-        "commutation criterion fails at b=%(x)s a=%(y)s",
-        "coincidence-with-and_ criterion fails at b=%(x)s a=%(y)s",
-        "bounded-order criterion fails at b=%(x)s a=%(y)s",
-        "two-sided verifiability criterion fails at b=%(x)s a=%(y)s"], lead=not_b)
-    # Triples (c, b, a); the lead is proj_b = sasaki(c, b).
-    failure = failure or _sweep(run, 3, [
-        lambda qc, cc, qb, cb, qa, ca, proj_b: (sas_b(qc, cc, *or_b(qb, cb, qa, ca)),
-                                                or_b(*proj_b, *sas_b(qc, cc, qa, ca))),
-    ], ["projection does not distribute over or_ at c=%(x)s b=%(y)s a=%(z)s"], lead=sas_b)
-    if failure:
-        return failure
-    # Folded families stay on 3 atoms; their pairs render alike on a larger law space.
-    return _folded_families(run, min(run.space.n, 3))
+def _bounded(qb, cb, qa, ca, nb):
+    """t3.17's bounded-order clause on the pair (b, a)."""
+    pq, pc = cnd.sasaki_bits(qb, cb, qa, ca)
+    return (pq & ~qa, pc), (0, ca), cb & ~ca
 
 
 def _folding_failure(c, family):
@@ -1010,55 +755,33 @@ def _folded_families(run, atoms):
     return None
 
 
-def _law_schay_lattice(run):
-    """Both alternative operation pairs form distributive lattices:
-    cap_s with cup_s, and and_s with vee_s. Idempotence, commutativity,
-    associativity, the two absorption laws and both distributivities
-    are swept for each pair."""
-    systems = (
-        ("cap_s/cup_s", schay.cap_bits, schay.cup_bits),
-        ("and_s/vee_s", schay.sand_bits, schay.vee_bits),
-    )
-    for name, meet, join in systems:
-        failure = _sweep(run, 1, [
-            lambda q1, c1: ((meet(q1, c1, q1, c1), join(q1, c1, q1, c1)), ((q1, c1), (q1, c1))),
-        ], ["%s: idempotence fails at x=%%(x)s" % name])
-        failure = failure or _sweep(run, 2, [
-            lambda q1, c1, q2, c2: (meet(q1, c1, q2, c2), meet(q2, c2, q1, c1)),
-            lambda q1, c1, q2, c2: (join(q1, c1, q2, c2), join(q2, c2, q1, c1)),
-            lambda q1, c1, q2, c2: (meet(q1, c1, *join(q1, c1, q2, c2)), (q1, c1)),
-            lambda q1, c1, q2, c2: (join(q1, c1, *meet(q1, c1, q2, c2)), (q1, c1)),
-        ], ["%s: %s at x=%%(x)s y=%%(y)s" % (name, check) for check in _LATTICE_PAIRS])
-        failure = failure or _sweep(run, 3, [
-            lambda q1, c1, q2, c2, q3, c3: (meet(*meet(q1, c1, q2, c2), q3, c3),
-                                            meet(q1, c1, *meet(q2, c2, q3, c3))),
-            lambda q1, c1, q2, c2, q3, c3: (join(*join(q1, c1, q2, c2), q3, c3),
-                                            join(q1, c1, *join(q2, c2, q3, c3))),
-            lambda q1, c1, q2, c2, q3, c3: (meet(q1, c1, *join(q2, c2, q3, c3)),
-                                            join(*meet(q1, c1, q2, c2), *meet(q1, c1, q3, c3))),
-            lambda q1, c1, q2, c2, q3, c3: (join(q1, c1, *meet(q2, c2, q3, c3)),
-                                            meet(*join(q1, c1, q2, c2), *join(q1, c1, q3, c3))),
-        ], ["%s: %s at x=%%(x)s y=%%(y)s z=%%(z)s" % (name, check) for check in _LATTICE_TRIPLES])
-        if failure:
-            return failure
-    return None
-
-
-def _law_schay_coincide(run):
-    """cup_s is or_, and_s is and_, and the four-term expanded form of
-    the consequent of cup_s reduces to the same operation."""
-    cup, sand, or_b, and_b = schay.cup_bits, schay.sand_bits, cnd.or_bits, cnd.and_bits
-
-    def expanded(q1, c1, q2, c2):
-        long_cons = (q1 & c2) | (q2 & c1) | (q1 & ~c2) | (~c1 & q2)
-        return (long_cons & (c1 | c2), c1 | c2), cup(q1, c1, q2, c2)
-
-    return _sweep(run, 2, [
-        lambda q1, c1, q2, c2: (cup(q1, c1, q2, c2), or_b(q1, c1, q2, c2)),
-        lambda q1, c1, q2, c2: (sand(q1, c1, q2, c2), and_b(q1, c1, q2, c2)),
-        expanded,
-    ], ["cup_s != or_ at x=%(x)s y=%(y)s", "and_s != and_ at x=%(x)s y=%(y)s",
-        "expanded union form differs from cup_s at x=%(x)s y=%(y)s"])
+def _lattice_sweeps(name, meet, join):
+    """schay-lattice's sweeps of the operation pair whose kernels are
+    named meet and join; a clause reads them from `schay` when it runs."""
+    op = vars(schay)
+    return [
+        (1, {"%s: idempotence fails at x=%%(x)s" % name: lambda q1, c1: (
+            (op[meet](q1, c1, q1, c1), op[join](q1, c1, q1, c1)), ((q1, c1), (q1, c1)))}, None),
+        (2, dict(zip(["%s: %s at x=%%(x)s y=%%(y)s" % (name, check) for check in _LATTICE_PAIRS], [
+            lambda q1, c1, q2, c2: (op[meet](q1, c1, q2, c2), op[meet](q2, c2, q1, c1)),
+            lambda q1, c1, q2, c2: (op[join](q1, c1, q2, c2), op[join](q2, c2, q1, c1)),
+            lambda q1, c1, q2, c2: (op[meet](q1, c1, *op[join](q1, c1, q2, c2)), (q1, c1)),
+            lambda q1, c1, q2, c2: (op[join](q1, c1, *op[meet](q1, c1, q2, c2)), (q1, c1)),
+        ])), None),
+        (3, dict(zip(["%s: %s at x=%%(x)s y=%%(y)s z=%%(z)s" % (name, check)
+                      for check in _LATTICE_TRIPLES], [
+            lambda q1, c1, q2, c2, q3, c3: (op[meet](*op[meet](q1, c1, q2, c2), q3, c3),
+                                            op[meet](q1, c1, *op[meet](q2, c2, q3, c3))),
+            lambda q1, c1, q2, c2, q3, c3: (op[join](*op[join](q1, c1, q2, c2), q3, c3),
+                                            op[join](q1, c1, *op[join](q2, c2, q3, c3))),
+            lambda q1, c1, q2, c2, q3, c3: (
+                op[meet](q1, c1, *op[join](q2, c2, q3, c3)),
+                op[join](*op[meet](q1, c1, q2, c2), *op[meet](q1, c1, q3, c3))),
+            lambda q1, c1, q2, c2, q3, c3: (
+                op[join](q1, c1, *op[meet](q2, c2, q3, c3)),
+                op[meet](*op[join](q1, c1, q2, c2), *op[join](q1, c1, q3, c3))),
+        ])), None),
+    ]
 
 
 def _law_schay_2_12(run):
@@ -1082,54 +805,256 @@ def _law_schay_2_12(run):
 
 
 class _Law(Record):
-    """A catalog record: the law's id, its atom budget, its function and
-    the names of every kernel the function calls."""
+    """A catalog record: the law's id, its atom budget, the names of
+    every kernel it calls, its sweeps and the function for the rest of
+    the law, or None. A sweep is what `_sweep` takes: (arity, {template:
+    clause}, lead kernel name or None, then the names of law-space
+    attributes broadcast as constants)."""
 
-    __slots__ = _fields = ("id", "budget", "fn", "kernels")
+    __slots__ = _fields = ("id", "budget", "kernels", "sweeps", "fn")
 
-    def __init__(self, law_id, budget, fn, kernels):
+    def __init__(self, law_id, budget, kernels, sweeps=(), fn=None):
         _set(self, "id", law_id)
         _set(self, "budget", budget)
+        _set(self, "kernels", tuple(kernels.split()))
+        _set(self, "sweeps", tuple(sweeps))
         _set(self, "fn", fn)
-        _set(self, "kernels", kernels)
 
 
 # Every kernel a record may name, with its module and operand count.
-# `check` reads it from the module when it runs: a mutant replaces it there.
+# `check` and every clause read it from the module when they run: a
+# mutant replaces it there.
 _KERNELS = dict.fromkeys(("or_bits", "and_bits", "given_bits", "osum_bits", "sasaki_bits"),
                          (cnd, 2))
 _KERNELS.update(dict.fromkeys(("cap_bits", "cup_bits", "sand_bits", "vee_bits"), (schay, 2)),
                 not_bits=(cnd, 1))
 
-_CATALOG = tuple(_Law(law, budget, fn, tuple(kernels.split())) for law, budget, fn, kernels in (
-    ("t2.4", 4, _law_t2_4, "or_bits and_bits"),
-    ("c2.5", 4, _law_c2_5, "or_bits and_bits"),
-    ("t2.6", 4, _law_t2_6, "or_bits and_bits"),
-    ("c2.7", 4, _law_c2_7, "or_bits and_bits"),
-    ("c2.8", 4, _law_c2_8, "or_bits and_bits not_bits"),
-    ("c2.9", 4, _law_c2_9, "or_bits and_bits not_bits"),
-    ("props2.3", 4, _law_props2_3, "or_bits and_bits not_bits given_bits"),
-    ("t2.13", 3, _law_t2_13, "or_bits"),
-    ("t2.18", 3, _law_t2_18, "and_bits"),
-    ("t2.19", 3, _law_t2_19, "or_bits and_bits"),
-    ("p2.20", 4, _law_p2_20, "or_bits and_bits not_bits"),
-    ("truth-tables", 4, _law_truth_tables, "and_bits or_bits given_bits not_bits"),
-    ("superposition", 3, _law_superposition, "or_bits and_bits"),
-    ("t3.2", 3, _law_t3_2, "or_bits"),
-    ("c3.3", 4, _law_c3_3, "and_bits"),
-    ("c3.5", 4, _law_c3_5, "not_bits"),
-    ("c3.6", 4, _law_c3_6, ""),
-    ("t3.7", 3, _law_t3_7, "or_bits and_bits not_bits"),
-    ("c3.8", 3, _law_c3_8, "or_bits and_bits not_bits"),
-    ("t3.9", 4, _law_t3_9, "or_bits and_bits not_bits"),
-    ("t3.11", 4, _law_t3_11, "osum_bits not_bits"),
-    ("t3.15", 4, _law_t3_15, "and_bits sasaki_bits"),
-    ("c3.16", 4, _law_c3_16, "not_bits sasaki_bits"),
-    ("t3.17", 4, _law_t3_17, "or_bits and_bits not_bits sasaki_bits"),
-    ("schay-lattice", 3, _law_schay_lattice, "cap_bits cup_bits sand_bits vee_bits"),
-    ("schay-coincide", 4, _law_schay_coincide, "cup_bits sand_bits or_bits and_bits"),
-    ("schay-2.12", 4, _law_schay_2_12, "given_bits"),
-))
+
+def _kernel(name):
+    """The kernel a record names, as its module holds it now."""
+    return getattr(_KERNELS[name][0], name)
+
+
+# Each law's statement is the comment on its record.
+_CATALOG = (
+    # and_(x, or_(y, z)) == or_(and_(x, y), and_(x, z)) iff
+    # ab & e'f <= d and ab & c'd <= f.
+    _Law("t2.4", 4, "or_bits and_bits", [(3, {_EQUATION_SIDE: lambda q1, c1, q2, c2, q3, c3: (
+        cnd.and_bits(q1, c1, *cnd.or_bits(q2, c2, q3, c3)),
+        cnd.or_bits(*cnd.and_bits(q1, c1, q2, c2), *cnd.and_bits(q1, c1, q3, c3)),
+        (q1 & c3 & ~q3 & ~c2) | (q1 & c2 & ~q2 & ~c3))}, None)]),
+    # or_(x, and_(y, z)) == and_(or_(x, y), or_(x, z)) iff
+    # a'b & ef <= d and a'b & cd <= f.
+    _Law("c2.5", 4, "or_bits and_bits", [(3, {_EQUATION_SIDE: lambda q1, c1, q2, c2, q3, c3: (
+        cnd.or_bits(q1, c1, *cnd.and_bits(q2, c2, q3, c3)),
+        cnd.and_bits(*cnd.or_bits(q1, c1, q2, c2), *cnd.or_bits(q1, c1, q3, c3)),
+        c1 & ~q1 & ((q3 & ~c2) | (q2 & ~c3)))}, None)]),
+    # or_(x, and_(y, z)) == and_(or_(x, y), z) iff
+    # ab & e'f == 0 and a'b & ef <= d.
+    _Law("t2.6", 4, "or_bits and_bits", [(3, {_EQUATION_SIDE: lambda q1, c1, q2, c2, q3, c3: (
+        cnd.or_bits(q1, c1, *cnd.and_bits(q2, c2, q3, c3)),
+        cnd.and_bits(*cnd.or_bits(q1, c1, q2, c2), q3, c3),
+        (q1 & c3 & ~q3) | (c1 & ~q1 & q3 & ~c2))}, None)]),
+    # and_(x, or_(y, z)) == or_(and_(x, y), z) iff
+    # a'b & ef == 0 and ab & e'f <= d.
+    _Law("c2.7", 4, "or_bits and_bits", [(3, {_EQUATION_SIDE: lambda q1, c1, q2, c2, q3, c3: (
+        cnd.and_bits(q1, c1, *cnd.or_bits(q2, c2, q3, c3)),
+        cnd.or_bits(*cnd.and_bits(q1, c1, q2, c2), q3, c3),
+        (c1 & ~q1 & q3) | (q1 & c3 & ~q3 & ~c2))}, None)]),
+    # and_(x, or_(not x, z)) == z iff b <= f and a'b <= e'f.
+    _Law("c2.8", 4, "or_bits and_bits not_bits", [(2, {_ABSORPTION_SIDE: lambda q1, c1, q3, c3, nx:
+        (cnd.and_bits(q1, c1, *cnd.or_bits(*nx, q3, c3)), (q3, c3),
+         (c1 & ~c3) | ((c1 & ~q1) & ~(c3 & ~q3)))}, "not_bits")]),
+    # or_(x, and_(not x, z)) == z iff b <= f and ab <= ef.
+    _Law("c2.9", 4, "or_bits and_bits not_bits", [(2, {_ABSORPTION_SIDE: lambda q1, c1, q3, c3, nx:
+        (cnd.or_bits(q1, c1, *cnd.and_bits(*nx, q3, c3)), (q3, c3), (c1 & ~c3) | (q1 & ~q3))},
+        "not_bits")]),
+    # Basic identities: idempotence, commutativity, associativity, double
+    # negation, De Morgan, U as pass-through, (0|1) and (1|1) as absolutes, and
+    # the conditioned absorption and_(x, y) == and_(y, given(x, y)). The
+    # singles take full, the space's atoms, as a constant of their sweep.
+    _Law("props2.3", 4, "or_bits and_bits not_bits given_bits", [
+        (1, {"%s fails at x=%%(x)s" % label: clause for label, clause in {
+            "not(not x) == x":
+                lambda q1, c1, full: (cnd.not_bits(*cnd.not_bits(q1, c1)), (q1, c1)),
+            "or_(x, x) == x": lambda q1, c1, full: (cnd.or_bits(q1, c1, q1, c1), (q1, c1)),
+            "and_(x, x) == x": lambda q1, c1, full: (cnd.and_bits(q1, c1, q1, c1), (q1, c1)),
+            "or_(x, U) == x": lambda q1, c1, full: (cnd.or_bits(q1, c1, 0, 0), (q1, c1)),
+            "and_(x, U) == x": lambda q1, c1, full: (cnd.and_bits(q1, c1, 0, 0), (q1, c1)),
+            "or_(x, (0|1)) == (ab|1)":
+                lambda q1, c1, full: (cnd.or_bits(q1, c1, 0, full), (q1, full)),
+            "and_(x, (0|1)) == (0|1)":
+                lambda q1, c1, full: (cnd.and_bits(q1, c1, 0, full), (0, full)),
+            "or_(x, (1|1)) == (1|1)":
+                lambda q1, c1, full: (cnd.or_bits(q1, c1, full, full), (full, full)),
+            "and_(x, (1|1)) == (a v b'|1)": lambda q1, c1, full: (
+                cnd.and_bits(q1, c1, full, full), (q1 | (full & ~c1), full)),
+        }.items()}, None, "full_bits"),
+        (2, {"%s at x=%%(x)s y=%%(y)s" % label: clause for label, clause in {
+            "or_ not commutative": lambda q1, c1, q2, c2: (
+                cnd.or_bits(q1, c1, q2, c2), cnd.or_bits(q2, c2, q1, c1)),
+            "and_ not commutative": lambda q1, c1, q2, c2: (
+                cnd.and_bits(q1, c1, q2, c2), cnd.and_bits(q2, c2, q1, c1)),
+            "De Morgan (or) fails": lambda q1, c1, q2, c2: (
+                cnd.not_bits(*cnd.or_bits(q1, c1, q2, c2)),
+                cnd.and_bits(*cnd.not_bits(q1, c1), *cnd.not_bits(q2, c2))),
+            "De Morgan (and) fails": lambda q1, c1, q2, c2: (
+                cnd.not_bits(*cnd.and_bits(q1, c1, q2, c2)),
+                cnd.or_bits(*cnd.not_bits(q1, c1), *cnd.not_bits(q2, c2))),
+            "and_(x, y) != and_(y, given(x, y))": lambda q1, c1, q2, c2: (
+                cnd.and_bits(q1, c1, q2, c2),
+                cnd.and_bits(q2, c2, *cnd.given_bits(q1, c1, q2, c2))),
+        }.items()}, None),
+        (3, {"or_ not associative at x=%(x)s y=%(y)s z=%(z)s": lambda q1, c1, q2, c2, q3, c3: (
+                 cnd.or_bits(*cnd.or_bits(q1, c1, q2, c2), q3, c3),
+                 cnd.or_bits(q1, c1, *cnd.or_bits(q2, c2, q3, c3))),
+             "and_ not associative at x=%(x)s y=%(y)s z=%(z)s": lambda q1, c1, q2, c2, q3, c3: (
+                 cnd.and_bits(*cnd.and_bits(q1, c1, q2, c2), q3, c3),
+                 cnd.and_bits(q1, c1, *cnd.and_bits(q2, c2, q3, c3)))}, None),
+    ]),
+    _Law("t2.13", 3, "or_bits", fn=_law_t2_13),
+    _Law("t2.18", 3, "and_bits", fn=_law_t2_18),
+    _Law("t2.19", 3, "or_bits and_bits", fn=_law_t2_19),
+    # Negation is an involution (hence a bijection), reverses the pm order, and
+    # meets its relative complement laws: and_(x, not x) == (0|b),
+    # or_(x, not x) == (1|b).
+    _Law("p2.20", 4, "or_bits and_bits not_bits", [
+        (1, {"negation is not an involution at x=%(x)s":
+                 lambda q1, c1, nx: (cnd.not_bits(*nx), (q1, c1)),
+             "and_(x, not x) != (0|b) at x=%(x)s":
+                 lambda q1, c1, nx: (cnd.and_bits(q1, c1, *nx), (0, c1)),
+             "or_(x, not x) != (1|b) at x=%(x)s":
+                 lambda q1, c1, nx: (cnd.or_bits(q1, c1, *nx), (c1, c1))}, "not_bits"),
+        (2, {"pm does not reverse under negation at x=%(x)s y=%(y)s": _reverses}, None),
+    ]),
+    _Law("truth-tables", 4, "and_bits or_bits given_bits not_bits", fn=_law_truth_tables),
+    # The context split b&d' / b'&d / b&d: the three-term conditional
+    # identities for or_ and and_, the or==and criterion
+    # (ab & c'd == 0 == a'b & cd), and the probability expansions
+    # p_or_formula / p_superposition agreeing with p_cond on every grid measure.
+    _Law("superposition", 3, "or_bits and_bits", [(2, {
+        "two-term split fails at x=%(x)s y=%(y)s lhs=%(lhs)s rhs=%(rhs)s":
+            lambda q1, c1, q2, c2: (cnd.or_bits(q1, c1, q2, c2), cnd.or_bits(
+                *cnd.and_bits(q1, c1, c1, c1 | c2), *cnd.and_bits(q2, c2, c2, c1 | c2))),
+        "three-term or split fails at x=%(x)s y=%(y)s lhs=%(lhs)s rhs=%(rhs)s":
+            lambda q1, c1, q2, c2: (cnd.or_bits(q1, c1, q2, c2),
+                                    _three_term(q1, c1, q2, c2, q1 | q2)),
+        "three-term and split fails at x=%(x)s y=%(y)s lhs=%(lhs)s rhs=%(rhs)s":
+            lambda q1, c1, q2, c2: (cnd.and_bits(q1, c1, q2, c2),
+                                    _three_term(q1, c1, q2, c2, q1 & q2)),
+        "or==and criterion fails at x=%(x)s y=%(y)s":
+            lambda q1, c1, q2, c2: (cnd.or_bits(q1, c1, q2, c2), cnd.and_bits(q1, c1, q2, c2),
+                                    (q1 & c2 & ~q2) | (c1 & ~q1 & q2)),
+    }, None)], _superposition_grid),
+    _Law("t3.2", 3, "or_bits", fn=_law_t3_2),
+    # and_(x, y) == (abcd | b v d) exactly when x and y are simultaneously
+    # verifiable.
+    _Law("c3.3", 4, "and_bits", [(2, {"x=%(x)s y=%(y)s collapse=%(holds)s simver=%(side)s":
+        lambda q1, c1, q2, c2: (cnd.and_bits(q1, c1, q2, c2), (q1 & q2, c1 | c2),
+                                (q1 & ~c2) | (q2 & ~c1))}, None)]),
+    # Simultaneous falsifiability (a'b <= d and c'd <= b) is simultaneous
+    # verifiability of the negations.
+    _Law("c3.5", 4, "not_bits", [(2, {"x=%(x)s y=%(y)s direct=%(holds)s negated=%(side)s":
+        lambda q1, c1, q2, c2: (((c1 & ~q1) & ~c2) | ((c2 & ~q2) & ~c1), 0,
+                                _simver(*cnd.not_bits(q1, c1), *cnd.not_bits(q2, c2)))}, None)]),
+    # Simultaneously verifiable and falsifiable == equal conditions.
+    _Law("c3.6", 4, "", [(2, {"x=%(x)s y=%(y)s simver_and_simfals=%(holds)s "
+                              "same_condition=%(side)s": lambda q1, c1, q2, c2: (
+        (q1 & ~c2) | (q2 & ~c1) | ((c1 & ~q1) & ~c2) | ((c2 & ~q2) & ~c1), 0, c1 ^ c2)}, None)]),
+    _Law("t3.7", 3, "or_bits and_bits not_bits", fn=_law_t3_7),
+    _Law("c3.8", 3, "or_bits and_bits not_bits", fn=_law_c3_8),
+    # and_(x, z) == (0 | b v f) and or_(x, z) == (1 | b v f) together happen
+    # exactly when b == f and z == not x.
+    _Law("t3.9", 4, "or_bits and_bits not_bits", [(2, {
+        "x=%(x)s z=%(y)s complement_pair=%(holds)s right=%(side)s": _complement_pair}, "not_bits")]),
+    # osum is commutative with (0|b) as same-condition neutral,
+    # osum(x, x) == (0|b), and not x as the unique z with osum(x, z) == (1|b).
+    # Associativity of the total operation is not a law; its status is reported
+    # in the note. The side clause fails where osum(x, z) == (1|b) and
+    # z != not x; at z == not x, osum(x, z) == (1|b) passed among the singles.
+    _Law("t3.11", 4, "osum_bits not_bits", [
+        (1, {"osum(x, (0|b)) != x at x=%(x)s":
+                 lambda q1, c1: (cnd.osum_bits(q1, c1, 0, c1), (q1, c1)),
+             "osum(x, x) != (0|b) at x=%(x)s":
+                 lambda q1, c1: (cnd.osum_bits(q1, c1, q1, c1), (0, c1)),
+             "osum(x, not x) != (1|b) at x=%(x)s":
+                 lambda q1, c1: (cnd.osum_bits(q1, c1, *cnd.not_bits(q1, c1)), (c1, c1))}, None),
+        (2, {"osum not commutative at x=%(x)s z=%(y)s": lambda q1, c1, q2, c2, nx: (
+                 cnd.osum_bits(q1, c1, q2, c2), cnd.osum_bits(q2, c2, q1, c1)),
+             "complement not unique: osum(x, z) == (1|b) at x=%(x)s z=%(y)s":
+                 lambda q1, c1, q2, c2, nx: (cnd.osum_bits(q1, c1, q2, c2), (c1, c1),
+                                             (q2 ^ nx[0]) | (c2 ^ nx[1]))}, "not_bits"),
+    ], _osum_note),
+    # sasaki(b, a): fixes a iff cond(b) <= cond(a) and the falsity region of b
+    # lies inside that of a; annihilates to (0 | a2 v b2) iff the consequent of
+    # a lies in the falsity region of b; is idempotent in its second argument;
+    # composes via and_ of the projectors; and two projections onto the same
+    # target commute. Triples are (b, c, a), with the lead meet = and_(b, c).
+    _Law("t3.15", 4, "and_bits sasaki_bits", [
+        (2, {"fixed-point criterion fails at b=%(x)s a=%(y)s":
+                 lambda qb, cb, qa, ca: (cnd.sasaki_bits(qb, cb, qa, ca), (qa, ca),
+                                         (cb & ~ca) | ((cb & ~qb) & ~(ca & ~qa))),
+             "annihilation criterion fails at b=%(x)s a=%(y)s":
+                 lambda qb, cb, qa, ca: (cnd.sasaki_bits(qb, cb, qa, ca), (0, ca | cb),
+                                         qa & ~(cb & ~qb)),
+             "projection not idempotent at b=%(x)s a=%(y)s": _idempotent}, None),
+        (3, {"composition via and_ fails at b=%(x)s c=%(y)s a=%(z)s":
+                 lambda qb, cb, qc, cc, qa, ca, meet: (_nested(qb, cb, qc, cc, qa, ca),
+                                                       cnd.sasaki_bits(*meet, qa, ca)),
+             "projections do not commute at b=%(x)s c=%(y)s a=%(z)s":
+                 lambda qb, cb, qc, cc, qa, ca, meet: (
+                     _nested(qb, cb, qc, cc, qa, ca),
+                     cnd.sasaki_bits(qb, cb, *cnd.sasaki_bits(qc, cc, qa, ca)))}, "and_bits"),
+    ]),
+    _Law("c3.16", 4, "not_bits sasaki_bits", fn=_law_c3_16),
+    # Sasaki projection interplay with or_: absorbing a projection through the
+    # complement, distribution over or_, the commutation / coincidence
+    # criteria, the two-sided verifiability criterion, and closure of joint
+    # verifiability under folded or_ and and_. Pairs are (b, a) with the lead
+    # nb = not b; triples are (c, b, a) with the lead proj_b = sasaki(c, b).
+    # The folded families stay on 3 atoms; their pairs render alike on a larger
+    # law space.
+    _Law("t3.17", 4, "or_bits and_bits not_bits sasaki_bits", [
+        (2, {"or_(b, a) != or_(b, sasaki(not b, a)) at b=%(x)s a=%(y)s":
+                 lambda qb, cb, qa, ca, nb: (cnd.or_bits(qb, cb, qa, ca),
+                                             cnd.or_bits(qb, cb, *cnd.sasaki_bits(*nb, qa, ca))),
+             "commutation criterion fails at b=%(x)s a=%(y)s":
+                 lambda qb, cb, qa, ca, nb: (cnd.sasaki_bits(qb, cb, qa, ca),
+                                             cnd.sasaki_bits(qa, ca, qb, cb),
+                                             (qb & ~ca) | (qa & ~cb)),
+             "coincidence-with-and_ criterion fails at b=%(x)s a=%(y)s":
+                 lambda qb, cb, qa, ca, nb: (cnd.sasaki_bits(qb, cb, qa, ca),
+                                             cnd.and_bits(qb, cb, qa, ca), qb & ~ca),
+             "bounded-order criterion fails at b=%(x)s a=%(y)s": _bounded,
+             "two-sided verifiability criterion fails at b=%(x)s a=%(y)s":
+                 lambda qb, cb, qa, ca, nb: (
+                     (qb & ~ca) | (qa & ~cb) | (nb[0] & ~ca) | (qa & ~nb[1]), 0,
+                     (qa & ~cb) | (cb & ~ca))}, "not_bits"),
+        (3, {"projection does not distribute over or_ at c=%(x)s b=%(y)s a=%(z)s":
+                 lambda qc, cc, qb, cb, qa, ca, proj_b: (
+                     cnd.sasaki_bits(qc, cc, *cnd.or_bits(qb, cb, qa, ca)),
+                     cnd.or_bits(*proj_b, *cnd.sasaki_bits(qc, cc, qa, ca)))}, "sasaki_bits"),
+    ], lambda run: _folded_families(run, min(run.space.n, 3))),
+    # Both alternative operation pairs form distributive lattices: cap_s with
+    # cup_s, and and_s with vee_s. Idempotence, commutativity, associativity,
+    # the two absorption laws and both distributivities are swept for each
+    # pair.
+    _Law("schay-lattice", 3, "cap_bits cup_bits sand_bits vee_bits",
+         _lattice_sweeps("cap_s/cup_s", "cap_bits", "cup_bits")
+         + _lattice_sweeps("and_s/vee_s", "sand_bits", "vee_bits")),
+    # cup_s is or_, and_s is and_, and the four-term expanded form of the
+    # consequent of cup_s reduces to the same operation.
+    _Law("schay-coincide", 4, "cup_bits sand_bits or_bits and_bits", [(2, {
+        "cup_s != or_ at x=%(x)s y=%(y)s": lambda q1, c1, q2, c2: (
+            schay.cup_bits(q1, c1, q2, c2), cnd.or_bits(q1, c1, q2, c2)),
+        "and_s != and_ at x=%(x)s y=%(y)s": lambda q1, c1, q2, c2: (
+            schay.sand_bits(q1, c1, q2, c2), cnd.and_bits(q1, c1, q2, c2)),
+        "expanded union form differs from cup_s at x=%(x)s y=%(y)s": lambda q1, c1, q2, c2: (
+            (((q1 & c2) | (q2 & c1) | (q1 & ~c2) | (~c1 & q2)) & (c1 | c2), c1 | c2),
+            schay.cup_bits(q1, c1, q2, c2)),
+    }, None)]),
+    _Law("schay-2.12", 4, "given_bits", fn=_law_schay_2_12),
+)
 
 _BY_ID = {law.id: law for law in _CATALOG}
 
@@ -1179,19 +1104,26 @@ def check(law, atoms, max_weight=3):
     check_all spelling, not a single law), TooLarge when `atoms`
     exceeds the law's budget, and ValueError when `atoms` or
     `max_weight` is below 1 (a grid of all-zero weights has no
-    measure to check). An exception inside the law itself is a FAIL
-    whose counterexample names it.
+    measure to check). A law that raises, or checks no instance, is a
+    FAIL whose counterexample says so.
     """
     record = _lookup(law)
     _check_sizes(atoms, max_weight)
     if atoms > record.budget:
         raise TooLarge("law %s runs on at most %d atoms, got %d" % (law, record.budget, atoms))
-    run = _Run(atoms, max_weight, {getattr(_KERNELS[name][0], name): _KERNELS[name][1]
-                                   for name in record.kernels})
+    run = _Run(atoms, max_weight, {_kernel(name): _KERNELS[name][1] for name in record.kernels})
     try:
-        result = record.fn(run)
+        for arity, clauses, lead, *constants in record.sweeps:
+            result = _sweep(run, arity, [*clauses.values()], [*clauses], lead and _kernel(lead),
+                            tuple([getattr(run.space, name) for name in constants]))
+            if result:
+                break
+        else:
+            result = record.fn and record.fn(run)
         if result is None or isinstance(result, str):  # a string is t3.11's note
-            return LawReport(law, atoms, run.count, passed=True, note=result)
+            if run.count:
+                return LawReport(law, atoms, run.count, passed=True, note=result)
+            result = "no instance was checked", {}
         return LawReport(law, atoms, run.count, passed=False,
                          counterexample=_render(run.space, *result))
     except Exception as exc:  # a law meeting a broken kernel reports, never crashes

@@ -15,6 +15,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+from benchinputs import perfbench_module
 from boolfrac import conditional as cnd
 from boolfrac import lawcheck
 from boolfrac import schay
@@ -1301,6 +1302,51 @@ def test_raise_reports_match_the_golden_reports():
     golden = json.loads(GOLDEN_RAISE_REPORTS.read_text(encoding="utf-8"))
     assert len(golden) == 10 * 6 * 27
     assert raise_reports() == golden
+
+
+# Golden table-mutant reports: every law under each of the 90
+# single-entry table mutants that the benchmark compiles
+# (perfbench/mutants.py, built for the 2-atom law space), labelled as the
+# subalgebra goldens label them. Recorded before the sweep-only laws
+# became catalog records.
+
+GOLDEN_MUTANT_REPORTS = ROOT / "fixtures" / "mutant_reports.json"
+
+
+def mutant_reports():
+    """Every report as [mutant, law, instances, passed, counterexample,
+    note], at 2 atoms and weight grid 1."""
+    mutants = perfbench_module("mutants")
+    reports = []
+    for spec in mutants.specs():
+        name = spec[0]
+        shipped = getattr(cnd, name)
+        setattr(cnd, name, mutants.build(spec, 0b11))
+        try:
+            reports += [["%s %s%s -> %s" % (name, *spec[1], spec[2]), r.law, r.instances_checked,
+                         r.passed, r.counterexample, r.note] for r in lawcheck.check_all(2, 1)]
+        finally:
+            setattr(cnd, name, shipped)
+    return reports
+
+
+def test_mutant_reports_match_the_golden_reports():
+    golden = json.loads(GOLDEN_MUTANT_REPORTS.read_text(encoding="utf-8"))
+    assert len(golden) == 90 * 27
+    assert mutant_reports() == golden
+
+
+# A law that checks nothing has shown nothing: with no weight vector,
+# t2.13 counts no instance and fails, while superposition still counts
+# its pairs and passes.
+
+
+def test_a_law_that_checks_no_instance_reports_fail(monkeypatch):
+    monkeypatch.setattr(lawcheck, "_grids", lambda space, max_weight: iter(()))
+    assert lawcheck.check("t2.13", 2, 1) == lawcheck.LawReport("t2.13", 2, 0, False,
+                                                               "no instance was checked")
+    assert lawcheck.check("superposition", 2, 1) == lawcheck.LawReport("superposition", 2, 81,
+                                                                       True)
 
 
 # Law records. `check` picks a law's route once, from the kernels its
