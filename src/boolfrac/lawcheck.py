@@ -21,13 +21,16 @@ function for the rest. `check` hands each one `_Run` (the law space,
 its pairs, max_weight, the instance count and the block route): it runs
 the sweeps in order and calls the function only when all pass. Each
 advances run.count by one for each instance before it evaluates the
-instance, and returns None on PASS, `(template, fields)` at its first
-failure, or, t3.11's function only, a note. `check` renders only the
-fields a template names, so an unnamed result out of normal form never
-reaches a Conditional. A law that raises (a mutated kernel can make a
+instance (a hand loop draws its instances from `_counted`, which does)
+and returns None on PASS, `(template, fields)` at its first failure,
+or, t3.11's function only, a note. `check` renders only the fields a
+template names, so an unnamed result out of normal form never reaches
+a Conditional. A law that raises (a mutated kernel can make a
 probability undefined) is a FAIL reading "raised <Type>: <message>",
-counted up to the raising instance included; so is one that passes
-having checked nothing, reading "no instance was checked".
+counted up to the raising instance included; so is one with a part (a
+sweep or the function, numbered from 1) that checks nothing, reading
+"part N checked no instance", or "no instance was checked" when the
+law counted none.
 
 A sweep checks clauses of bit kernels and raw bit inequalities with
 `_sweep`, which bit-slices after Biham, "A fast new DES implementation
@@ -69,7 +72,7 @@ each law to its own budget.
 """
 
 import operator
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import chain, combinations_with_replacement, count, islice, product
 
 from . import conditional as cnd
@@ -118,6 +121,14 @@ def enumerate_conditionals(space):
         raise TooLarge("refusing to enumerate conditionals over %d atoms" % space.n)
     return [cnd.Conditional(space, q, c)
             for q, c in cnd.enumerate_conditionals_bits(space.full_bits)]
+
+
+def _counted(run, instances):
+    """Each of `instances` in order, counted in run.count before it is
+    yielded, so before the hand loop that draws it evaluates it."""
+    for instance in instances:
+        run.count += 1
+        yield instance
 
 
 def _grids(space, max_weight):
@@ -369,17 +380,13 @@ def _law_t2_13(run):
         m = prob.Measure(run.space, weights)
         wb = m.weight_bits
         conds = [e for e in events if wb(e.bits) != 0]
-        for e_c1 in conds:
-            for e_c2 in conds:
-                for e_a in events:
-                    for e_b in events:
-                        run.count += 1
-                        rep = prob.additive_law_check(m, e_a, e_c1, e_b, e_c2)
-                        if rep.holds != bool(rep.cases):
-                            return ("weights=%(weights)s A=%(A)s C1=%(C1)s B=%(B)s C2=%(C2)s "
-                                    "lhs=%(lhs)s rhs=%(rhs)s cases=%(cases)s",
-                                    dict(weights=list(weights), A=e_a, C1=e_c1, B=e_b, C2=e_c2,
-                                         lhs=rep.lhs, rhs=rep.rhs, cases=list(rep.cases)))
+        for e_c1, e_c2, e_a, e_b in _counted(run, product(conds, conds, events, events)):
+            rep = prob.additive_law_check(m, e_a, e_c1, e_b, e_c2)
+            if rep.holds != bool(rep.cases):
+                return ("weights=%(weights)s A=%(A)s C1=%(C1)s B=%(B)s C2=%(C2)s "
+                        "lhs=%(lhs)s rhs=%(rhs)s cases=%(cases)s",
+                        dict(weights=list(weights), A=e_a, C1=e_c1, B=e_b, C2=e_c2,
+                             lhs=rep.lhs, rhs=rep.rhs, cases=list(rep.cases)))
     return None
 
 
@@ -388,14 +395,13 @@ def _law_t2_18(run):
     (a'b & x | ab v y) over all event pairs (x, y); and the inequality
     form of orthogonality coincides with and_(c, z) == (0 | b v d)."""
     and_b = cnd.and_bits
-    all_bits = range(run.space.full_bits + 1)
+    events = [Event(run.space, bits) for bits in range(run.space.full_bits + 1)]
     for p in run.pairs:
         q1, c1 = p
         cond_obj = cnd.Conditional(run.space, q1, c1)
         orth_set = set()
-        for s in run.pairs:
+        for s in _counted(run, run.pairs):
             q2, c2 = s
-            run.count += 1
             by_op = and_b(q1, c1, q2, c2) == (0, c1 | c2)
             by_ineq = rel.orthogonal_bits(q1, c1, q2, c2)
             if by_op != by_ineq:
@@ -404,12 +410,9 @@ def _law_t2_18(run):
             if by_ineq:
                 orth_set.add(s)
         family = set()
-        for xbits in all_bits:
-            for ybits in all_bits:
-                run.count += 1
-                member = rel.ortho_family_member(cond_obj, Event(run.space, xbits),
-                                                 Event(run.space, ybits))
-                family.add((member.q, member.c))
+        for x, y in _counted(run, product(events, repeat=2)):
+            member = rel.ortho_family_member(cond_obj, x, y)
+            family.add((member.q, member.c))
         if family != orth_set:
             return ("family and orthogonality set differ at c=%(c)s, e.g. %(example)s",
                     dict(c=p, example=sorted(family ^ orth_set)[0]))
@@ -425,13 +428,12 @@ def _law_t2_19(run):
         q1, c1 = p
         members = [s for s in run.pairs if rel.orthogonal_bits(q1, c1, *s)]
         member_set = set(members)
-        for u in members:
-            for v in members:
-                run.count += 1
-                if or_b(*u, *v) not in member_set:
-                    return template % "or_", dict(c=p, u=u, v=v)
-                if and_b(*u, *v) not in member_set:
-                    return template % "and_", dict(c=p, u=u, v=v)
+        for qu, cu in members:
+            for qv, cv in _counted(run, members):
+                if or_b(qu, cu, qv, cv) not in member_set:
+                    return template % "or_", dict(c=p, u=(qu, cu), v=(qv, cv))
+                if and_b(qu, cu, qv, cv) not in member_set:
+                    return template % "and_", dict(c=p, u=(qu, cu), v=(qv, cv))
     return None
 
 
@@ -529,21 +531,18 @@ def _superposition_grid(run):
     for weights in _grids(run.space, run.max_weight):
         m = prob.Measure(run.space, weights)
         wb = m._iw
-        for x in conds:
-            for y in conds:
-                if wb(x.c | y.c) == 0:
-                    continue
-                run.count += 1
-                direct_or = prob.p_cond(m, cnd.or_(x, y))
-                direct_and = prob.p_cond(m, cnd.and_(x, y))
-                ok = (
-                    prob.p_or_formula(m, x, y) == direct_or
-                    and prob.p_superposition(m, x, y, "or") == direct_or
-                    and prob.p_superposition(m, x, y, "and") == direct_and
-                )
-                if not ok:
-                    return ("probability expansions disagree at weights=%(weights)s x=%(x)s "
-                            "y=%(y)s", dict(weights=list(weights), x=x, y=y))
+        weighted = ((x, y) for x, y in product(conds, repeat=2) if wb(x.c | y.c) != 0)
+        for x, y in _counted(run, weighted):
+            direct_or = prob.p_cond(m, cnd.or_(x, y))
+            direct_and = prob.p_cond(m, cnd.and_(x, y))
+            ok = (
+                prob.p_or_formula(m, x, y) == direct_or
+                and prob.p_superposition(m, x, y, "or") == direct_or
+                and prob.p_superposition(m, x, y, "and") == direct_and
+            )
+            if not ok:
+                return ("probability expansions disagree at weights=%(weights)s x=%(x)s "
+                        "y=%(y)s", dict(weights=list(weights), x=x, y=y))
     return None
 
 
@@ -571,9 +570,8 @@ def _law_t3_2(run):
     for x in run.pairs:
         q1, c1 = x
         by_r_x = index.get(x, {})
-        for y in run.pairs:
+        for y in _counted(run, run.pairs):
             q2, c2 = y
-            run.count += 1
             expected = (q1 & ~c2) == 0 and (q2 & ~c1) == 0
             by_r_y = index.get(y, {})
             found = any(
@@ -596,16 +594,13 @@ def _simver(q1, c1, q2, c2):
 def _law_t3_7(run):
     """The subalgebra generated by x and y is Boolean exactly when their
     conditions are equal and nonempty."""
-    for x in run.pairs:
-        q1, c1 = x
-        for y in run.pairs:
-            q2, c2 = y
-            run.count += 1
-            is_boolean = rel.subalgebra_bits(run.space, {x, y})[1]
-            if is_boolean != (c1 == c2 != 0):
-                return ("x=%(x)s y=%(y)s is_boolean=%(is_boolean)s "
-                        "same_nonempty_condition=%(same)s",
-                        dict(x=x, y=y, is_boolean=is_boolean, same=c1 == c2 != 0))
+    for x, y in _counted(run, product(run.pairs, repeat=2)):
+        same = x[1] == y[1] != 0
+        is_boolean = rel.subalgebra_bits(run.space, {x, y})[1]
+        if is_boolean != same:
+            return ("x=%(x)s y=%(y)s is_boolean=%(is_boolean)s "
+                    "same_nonempty_condition=%(same)s",
+                    dict(x=x, y=y, is_boolean=is_boolean, same=same))
     return None
 
 
@@ -613,20 +608,16 @@ def _law_c3_8(run):
     """Jointly verifiable and falsifiable == equal conditions; with a
     nonempty shared condition that is exactly membership in a common
     Boolean subalgebra."""
-    for x in run.pairs:
-        q1, c1 = x
-        for y in run.pairs:
-            q2, c2 = y
-            run.count += 1
-            simver = (q1 & ~c2) == 0 and (q2 & ~c1) == 0
-            simfals = ((c1 & ~q1) & ~c2) == 0 and ((c2 & ~q2) & ~c1) == 0
-            if (simver and simfals) != (c1 == c2):
-                return ("x=%(x)s y=%(y)s simver=%(simver)s simfals=%(simfals)s",
-                        dict(x=x, y=y, simver=simver, simfals=simfals))
-            if c1 == c2 != 0:
-                if not rel.subalgebra_bits(run.space, {x, y})[1]:
-                    return ("x=%(x)s y=%(y)s share a nonempty condition but generate a "
-                            "non-Boolean subalgebra", dict(x=x, y=y))
+    for x, y in _counted(run, product(run.pairs, repeat=2)):
+        (q1, c1), (q2, c2) = x, y
+        simver = (q1 & ~c2) == 0 and (q2 & ~c1) == 0
+        simfals = ((c1 & ~q1) & ~c2) == 0 and ((c2 & ~q2) & ~c1) == 0
+        if (simver and simfals) != (c1 == c2):
+            return ("x=%(x)s y=%(y)s simver=%(simver)s simfals=%(simfals)s",
+                    dict(x=x, y=y, simver=simver, simfals=simfals))
+        if c1 == c2 != 0 and not rel.subalgebra_bits(run.space, {x, y})[1]:
+            return ("x=%(x)s y=%(y)s share a nonempty condition but generate a "
+                    "non-Boolean subalgebra", dict(x=x, y=y))
     return None
 
 
@@ -662,14 +653,12 @@ def _law_c3_16(run):
     """sasaki(b, a) == a exactly when and_(a, b) == a; it annihilates
     exactly when tr(a, not b); and sasaki(c, c) == c."""
     conds = [cnd.Conditional(run.space, q, c) for q, c in run.pairs]
-    for c in conds:
-        run.count += 1
+    for c in _counted(run, conds):
         if cnd.sasaki(c, c) != c:
             return "sasaki(c, c) != c at c=%(c)s", dict(c=c)
     for b in conds:
         nb = cnd.negate(b)
-        for a in conds:
-            run.count += 1
+        for a in _counted(run, conds):
             proj = cnd.sasaki(b, a)
             if (proj == a) != rel.holds("wedge", a, b):
                 return ("fixed point does not match the wedge order at b=%(b)s a=%(a)s",
@@ -788,16 +777,13 @@ def _law_schay_2_12(run):
     """For disjoint events a and b, conditioning (b | a v b) on the
     complement of b collapses to the impossible conditional (0 | a)."""
     events = [Event(run.space, bits) for bits in range(run.space.full_bits + 1)]
-    for ea in events:
-        for eb in events:
-            if ea.bits & eb.bits:
-                continue
-            run.count += 1
-            got = schay.schay_iteration_example(ea, eb)
-            want = cnd.make(Event(run.space, 0), ea)
-            if got != want:
-                return ("iteration example fails at a=%(a)s b=%(b)s: got %(got)s want %(want)s",
-                        dict(a=ea, b=eb, got=got, want=want))
+    disjoint = ((ea, eb) for ea, eb in product(events, repeat=2) if not ea.bits & eb.bits)
+    for ea, eb in _counted(run, disjoint):
+        got = schay.schay_iteration_example(ea, eb)
+        want = cnd.make(Event(run.space, 0), ea)
+        if got != want:
+            return ("iteration example fails at a=%(a)s b=%(b)s: got %(got)s want %(want)s",
+                    dict(a=ea, b=eb, got=got, want=want))
     return None
 
 
@@ -1104,28 +1090,30 @@ def check(law, atoms, max_weight=3):
     check_all spelling, not a single law), TooLarge when `atoms`
     exceeds the law's budget, and ValueError when `atoms` or
     `max_weight` is below 1 (a grid of all-zero weights has no
-    measure to check). A law that raises, or checks no instance, is a
-    FAIL whose counterexample says so.
+    measure to check). A law that raises, or has a part that checks
+    no instance, is a FAIL whose counterexample says so.
     """
     record = _lookup(law)
     _check_sizes(atoms, max_weight)
     if atoms > record.budget:
         raise TooLarge("law %s runs on at most %d atoms, got %d" % (law, record.budget, atoms))
     run = _Run(atoms, max_weight, {_kernel(name): _KERNELS[name][1] for name in record.kernels})
+    parts = [partial(_sweep, run, arity, [*clauses.values()], [*clauses], lead and _kernel(lead),
+                     tuple([getattr(run.space, name) for name in constants]))
+             for arity, clauses, lead, *constants in record.sweeps]
+    if record.fn:
+        parts.append(partial(record.fn, run))
     try:
-        for arity, clauses, lead, *constants in record.sweeps:
-            result = _sweep(run, arity, [*clauses.values()], [*clauses], lead and _kernel(lead),
-                            tuple([getattr(run.space, name) for name in constants]))
-            if result:
-                break
-        else:
-            result = record.fn and record.fn(run)
-        if result is None or isinstance(result, str):  # a string is t3.11's note
-            if run.count:
-                return LawReport(law, atoms, run.count, passed=True, note=result)
-            result = "no instance was checked", {}
-        return LawReport(law, atoms, run.count, passed=False,
-                         counterexample=_render(run.space, *result))
+        for part, check_part in enumerate(parts, 1):
+            before = run.count
+            result = check_part()
+            if run.count == before:  # a part that checked nothing shows nothing
+                result = ("part %d checked no instance" % part if before
+                          else "no instance was checked"), {}
+            if isinstance(result, tuple):
+                return LawReport(law, atoms, run.count, passed=False,
+                                 counterexample=_render(run.space, *result))
+        return LawReport(law, atoms, run.count, passed=True, note=result)  # t3.11's note, or None
     except Exception as exc:  # a law meeting a broken kernel reports, never crashes
         return LawReport(law, atoms, run.count, passed=False,
                          counterexample="raised %s: %s" % (type(exc).__name__, exc))

@@ -135,17 +135,10 @@ class Event:
         same_space(self, other)
         return self.bits & ~other.bits == 0
 
-    def __and__(self, other):
-        return self.meet(other)
-
-    def __or__(self, other):
-        return self.join(other)
-
-    def __invert__(self):
-        return self.complement()
-
-    def __le__(self, other):
-        return self.leq(other)
+    __and__ = meet
+    __or__ = join
+    __invert__ = complement
+    __le__ = leq
 
     def __contains__(self, name):
         return self.bits >> self.space.index(name) & 1 == 1

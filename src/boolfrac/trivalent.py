@@ -69,12 +69,7 @@ def tt_not(p):
 
 def eval_at(cond, atom_name):
     """Truth value of a conditional at one outcome, named by its atom."""
-    bit = 1 << cond.space.index(atom_name)
-    if cond.q & bit:
-        return T
-    if cond.c & bit:
-        return F
-    return U
+    return eval_at_bit(cond.q, cond.c, 1 << cond.space.index(atom_name))
 
 
 def eval_at_bit(q, c, bit):

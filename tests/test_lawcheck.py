@@ -18,6 +18,8 @@ import pytest
 from benchinputs import perfbench_module
 from boolfrac import conditional as cnd
 from boolfrac import lawcheck
+from boolfrac import prob
+from boolfrac import relations as rel
 from boolfrac import schay
 from boolfrac import trivalent as tv
 from boolfrac.errors import TooLarge, UnknownLaw
@@ -1176,7 +1178,8 @@ def test_certified_kernels_run_one_sliced_block_per_outer_operand(monkeypatch, l
                                                                    kernels, calls):
     """One certificate call per kernel the law names, then one block per
     outer x for triples and one block in all for singles or pairs. With
-    no weight vectors, superposition runs only its pair part."""
+    no weight vectors, superposition runs only its pair part, and its
+    grid part, part 2, fails for checking no instance."""
     made = []
 
     def counted(kernel):
@@ -1189,7 +1192,11 @@ def test_certified_kernels_run_one_sliced_block_per_outer_operand(monkeypatch, l
     for name in kernels:
         monkeypatch.setattr(cnd, name, counted(getattr(cnd, name)))
     monkeypatch.setattr(lawcheck, "_grids", lambda space, max_weight: iter(()))
-    assert lawcheck.check(law, atoms, 1).passed
+    report = lawcheck.check(law, atoms, 1)
+    if law == "superposition":
+        assert report == lawcheck.LawReport(law, atoms, 81, False, "part 2 checked no instance")
+    else:
+        assert report.passed
     assert len(made) == calls
 
 
@@ -1342,11 +1349,32 @@ def test_mutant_reports_match_the_golden_reports():
 
 
 def test_a_law_that_checks_no_instance_reports_fail(monkeypatch):
+    """A law that counts nothing fails as a whole; a law whose sweeps
+    count but whose function (part 2 of superposition) counts nothing
+    fails naming that part."""
     monkeypatch.setattr(lawcheck, "_grids", lambda space, max_weight: iter(()))
     assert lawcheck.check("t2.13", 2, 1) == lawcheck.LawReport("t2.13", 2, 0, False,
                                                                "no instance was checked")
-    assert lawcheck.check("superposition", 2, 1) == lawcheck.LawReport("superposition", 2, 81,
-                                                                       True)
+    assert lawcheck.check("superposition", 2, 1) == lawcheck.LawReport(
+        "superposition", 2, 81, False, "part 2 checked no instance")
+
+
+# The hand loops' set comparisons and probability expansions fail only
+# under a broken relation or formula; these pin what they then report.
+
+def test_t2_18_reports_a_family_that_differs_from_the_orthogonality_set(monkeypatch):
+    monkeypatch.setattr(rel, "ortho_family_member", lambda c, x, y: cnd.undefined(c.space))
+    assert lawcheck.check("t2.18", 2, 1) == lawcheck.LawReport(
+        "t2.18", 2, 25, False, "family and orthogonality set differ at c=UNDEFINED, e.g. ({}|{1})")
+
+
+def test_superposition_reports_probability_expansions_that_disagree(monkeypatch):
+    p_or_formula = prob.p_or_formula
+    monkeypatch.setattr(prob, "p_or_formula",
+                        lambda m, x, y: p_or_formula(m, x, y) + (x.c != y.c))
+    assert lawcheck.check("superposition", 2, 1) == lawcheck.LawReport(
+        "superposition", 2, 82, False,
+        "probability expansions disagree at weights=[0, 1] x=UNDEFINED y=({}|{2})")
 
 
 # Law records. `check` picks a law's route once, from the kernels its
