@@ -19,10 +19,7 @@ type converts and that is one of its choices (a value is taken as given
 when its option has neither), and every required option is given. Any
 other request is parsed in full by argparse, which reads help,
 abbreviations, `--opt=value`, `--` and repeats, and words every usage,
-error and help text. That parser is built on the first such request and
-reused for every later one in the process: argparse keeps no per-call
-state in the tree, and it reads sys.stdout, sys.stderr and the terminal
-width when it prints, so a reused parser prints what a fresh one would.
+error and help text, with a parser built for that request.
 """
 
 import argparse
@@ -206,13 +203,11 @@ def _lookup(func, options):
 
 _PLAIN = {name: _lookup(func, options) for name, (_, func, options) in _COMMANDS.items()}
 _NO_FLAG = None, None, None
-_parser = None
 
 
 def _parse(argv):
     """What `build_parser().parse_args(argv)` returns: a plain request
-    read from the table, or any other parsed in full by the kept parser."""
-    global _parser
+    read from the table, or any other parsed in full by a new parser."""
     if argv is None:
         argv = sys.argv[1:]
     if len(argv) % 2 and argv[0] in _PLAIN:
@@ -233,9 +228,7 @@ def _parse(argv):
         else:
             if values.keys() >= required:
                 return argparse.Namespace(command=argv[0], **dict(defaults, **values))
-    if _parser is None:
-        _parser = build_parser()
-    return _parser.parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None):

@@ -90,6 +90,7 @@ from .errors import (
     DuplicateName,
     ParseError,
     SpaceMismatch,
+    TooLarge,
     UnknownAtom,
     UnknownName,
     ZeroTotalWeight,
@@ -158,12 +159,10 @@ class Token:
 
 # A token is a special character or a word: a run of characters that are
 # none of those, not `#` and not whitespace. A comment runs from `#` to
-# the end of its line. findall skips the whitespace. _RESERVED_CHAR_RE finds
-# a character that no atom name may hold.
+# the end of its line. findall skips the whitespace.
 _SPECIAL_CLASS = re.escape("".join(_SPECIALS))
 _TOKEN_RE = re.compile(r"[%s]|[^\s#%s]+" % (_SPECIAL_CLASS, _SPECIAL_CLASS))
 _COMMENT_RE = re.compile(r"#[^\n]*")
-_RESERVED_CHAR_RE = re.compile("[%s]" % re.escape("".join(sorted(RESERVED_CHARS))))
 _TOKEN_KINDS = {**_SPECIALS, **_WORD_KINDS}
 
 
@@ -705,12 +704,15 @@ def parse_space(text):
             atom_names = tokens[1:]
             if not atom_names:
                 raise ParseError("'atoms' needs at least one name", line_no, 1)
-            # One test of every name; _check_atoms words the first error.
-            if (len(set(atom_names)) != len(atom_names)
-                    or not RESERVED_WORDS.isdisjoint(atom_names)
-                    or _RESERVED_CHAR_RE.search(line) is not None):
+            # SampleSpace tests every name in one scan; _check_atoms words
+            # the first error in line order.
+            if not RESERVED_WORDS.isdisjoint(atom_names):
                 _check_atoms(atom_names, line_no)
-            space = SampleSpace(atom_names, _checked=True)
+            try:
+                space = SampleSpace(atom_names)
+            except (ValueError, TooLarge):
+                _check_atoms(atom_names, line_no)
+                raise
         elif directive in ("event", "measure"):
             if space is None:
                 raise ParseError("'atoms' must come before %r" % (directive,), line_no, 1)

@@ -82,7 +82,7 @@ from . import trivalent as tv
 from ._record import Record, _set
 from .errors import TooLarge, UnknownLaw
 from .lang import format_conditional
-from .space import Event, SampleSpace
+from .space import SampleSpace, enumerate_events
 
 
 class LawReport(Record):
@@ -104,7 +104,7 @@ MAX_ENUMERATION_ATOMS = 5
 
 def law_space(atoms):
     """The standard checking space: atoms "1" .. str(atoms), valid by construction."""
-    return SampleSpace((str(i + 1) for i in range(atoms)), _checked=True)
+    return SampleSpace(str(i + 1) for i in range(atoms))
 
 
 @lru_cache(maxsize=16)
@@ -375,7 +375,7 @@ def _law_t2_13(run):
     nonempty, over every measure on the grid."""
     from . import prob
 
-    events = [Event(run.space, bits) for bits in range(run.space.full_bits + 1)]
+    events = enumerate_events(run.space)
     for weights in _grids(run.space, run.max_weight):
         m = prob.Measure(run.space, weights)
         wb = m.weight_bits
@@ -395,7 +395,7 @@ def _law_t2_18(run):
     (a'b & x | ab v y) over all event pairs (x, y); and the inequality
     form of orthogonality coincides with and_(c, z) == (0 | b v d)."""
     and_b = cnd.and_bits
-    events = [Event(run.space, bits) for bits in range(run.space.full_bits + 1)]
+    events = enumerate_events(run.space)
     for p in run.pairs:
         q1, c1 = p
         cond_obj = cnd.Conditional(run.space, q1, c1)
@@ -776,11 +776,11 @@ def _lattice_sweeps(name, meet, join):
 def _law_schay_2_12(run):
     """For disjoint events a and b, conditioning (b | a v b) on the
     complement of b collapses to the impossible conditional (0 | a)."""
-    events = [Event(run.space, bits) for bits in range(run.space.full_bits + 1)]
+    events = enumerate_events(run.space)
     disjoint = ((ea, eb) for ea, eb in product(events, repeat=2) if not ea.bits & eb.bits)
     for ea, eb in _counted(run, disjoint):
         got = schay.schay_iteration_example(ea, eb)
-        want = cnd.make(Event(run.space, 0), ea)
+        want = cnd.make(run.space.empty, ea)
         if got != want:
             return ("iteration example fails at a=%(a)s b=%(b)s: got %(got)s want %(want)s",
                     dict(a=ea, b=eb, got=got, want=want))

@@ -20,8 +20,11 @@ MAX_ENUMERATION_ATOMS = 16
 
 
 # A name is one or more characters, none reserved and none whitespace
-# (`\s` in a str pattern is exactly str.isspace).
-_ATOM_NAME = re.compile(r"[^\s%s]+" % re.escape("".join(sorted(RESERVED_CHARS))))
+# (`\s` in a str pattern is exactly str.isspace). _BAD_CHAR finds a
+# character that no name may hold.
+_NAME_CLASS = r"\s%s" % re.escape("".join(sorted(RESERVED_CHARS)))
+_ATOM_NAME = re.compile("[^%s]+" % _NAME_CLASS)
+_BAD_CHAR = re.compile("[%s]" % _NAME_CLASS)
 
 
 def valid_atom_name(name):
@@ -29,27 +32,27 @@ def valid_atom_name(name):
 
 
 class SampleSpace:
-    """An ordered collection of distinct atom names. A caller that has
-    already checked the names passes `_checked=True`."""
+    """An ordered collection of distinct atom names. Every name is tested
+    in one scan; only a failed scan walks the names to word the first
+    bad one."""
 
     __slots__ = ("atoms", "_index", "full_bits")
 
-    def __init__(self, atoms, *, _checked=False):
+    def __init__(self, atoms):
         atoms = tuple(atoms)
         if not atoms:
             raise ValueError("a sample space needs at least one atom")
         if len(atoms) > MAX_ATOMS:
             raise TooLarge("at most %d atoms are supported, got %d" % (MAX_ATOMS, len(atoms)))
-        if _checked:
-            index = dict(zip(atoms, range(len(atoms))))
-        else:
-            index = {}
-            for i, name in enumerate(atoms):
+        index = dict(zip(atoms, range(len(atoms))))
+        if len(index) < len(atoms) or "" in index or _BAD_CHAR.search("".join(atoms)):
+            seen = set()
+            for name in atoms:
                 if not valid_atom_name(name):
                     raise ValueError("invalid atom name: %r" % (name,))
-                if name in index:
+                if name in seen:
                     raise ValueError("duplicate atom name: %r" % (name,))
-                index[name] = i
+                seen.add(name)
         self.atoms = atoms
         self._index = index
         self.full_bits = (1 << len(atoms)) - 1

@@ -611,7 +611,7 @@ def test_missing_required_flag(capsys):
     capsys.readouterr()
 
 
-# one parser per process
+# one parser per request that is not plain
 
 
 def reuse_sequence(die_path):
@@ -635,48 +635,52 @@ def reuse_sequence(die_path):
     ]
 
 
-def test_main_reuses_one_parser_and_prints_what_a_fresh_one_prints(capsys, monkeypatch,
-                                                                    die_path):
-    """Plain requests build no parser; the first request that is not
-    plain builds it, and every later request reuses it."""
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """Every tree the module-level `cli.build_parser` returns while the
+    test runs, in order."""
+    built = []
+    build_parser = cli.build_parser
+
+    def recording():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    return built
+
+
+def test_each_request_that_is_not_plain_builds_its_own_parser(capsys, parsers_built,
+                                                              die_path):
+    """Plain requests build no parser; every other request builds one
+    from the module-level build_parser, and a second pass prints the
+    same."""
     argvs = reuse_sequence(die_path)
-    fresh = []
+    first, calls = [], []
     for argv in argvs:
-        monkeypatch.setattr(cli, "_parser", None)
-        fresh.append(run(capsys, *argv))
-    monkeypatch.setattr(cli, "_parser", None)
-    assert [run(capsys, *argv) for argv in argvs[5:]] == fresh[5:]
-    assert cli._parser is None
-    reused, parsers = [], []
-    for argv in argvs + argvs:
-        reused.append(run(capsys, *argv))
-        parsers.append(cli._parser)
-    assert reused == fresh + fresh
-    assert parsers[0] is not None and all(parser is parsers[0] for parser in parsers)
-    assert [code for code, _, _ in fresh] == [2, 0, 0, 2, 2, 2, 2, 0, 0, 0, 0, 0, 2]
+        before = len(parsers_built)
+        first.append(run(capsys, *argv))
+        calls.append(len(parsers_built) - before)
+    assert calls == [1, 1, 1, 1] + [0] * (len(argvs) - 4)
+    assert [code for code, _, _ in first] == [2, 0, 0, 2, 2, 2, 2, 0, 0, 0, 0, 0, 2]
+    assert [run(capsys, *argv) for argv in argvs] == first
+    assert len({id(parser) for parser in parsers_built}) == len(parsers_built) == 8
+    assert list(subparsers(parsers_built[0])) == list(cli._COMMANDS)
 
 
-def test_a_reused_parser_formats_help_at_the_current_terminal_width(capsys, monkeypatch,
-                                                                     die_path):
-    """argparse reads COLUMNS when it prints, not when the tree is built."""
-    cli.main(["parse", "--expr=a"])
-    capsys.readouterr()
+def test_help_follows_the_terminal_width_of_each_request(capsys, monkeypatch, die_path):
+    """argparse reads COLUMNS when it prints."""
     argvs = [["-h"], ["prob", "-h"], [], ["eval", "--space", die_path]]
-    outputs = {}
-    for columns in ("40", "200"):
+    outputs = []
+    for columns in ("40", "200", "40"):
         monkeypatch.setenv("COLUMNS", columns)
-        reused = [run(capsys, *argv) for argv in argvs]
-        monkeypatch.setattr(cli, "_parser", None)
-        assert [run(capsys, *argv) for argv in argvs] == reused
-        outputs[columns] = reused
-    assert outputs["40"] != outputs["200"]
+        outputs.append([run(capsys, *argv) for argv in argvs])
+    assert outputs[0] == outputs[2] != outputs[1]
 
 
 def test_build_parser_returns_a_new_parser_each_call():
-    cli.main(["parse", "--expr=a"])
-    assert cli._parser is not None
     parsers = [cli.build_parser() for _ in range(3)]
-    assert len({id(parser) for parser in parsers + [cli._parser]}) == 4
+    assert len({id(parser) for parser in parsers}) == 3
 
 
 # one argparse pass per request
@@ -848,32 +852,14 @@ def test_the_plain_route_reads_every_query_request_as_argparse_does(die_path, qu
         assert typed_outcome(cli._parse, argv) == typed_outcome(full, argv), argv
 
 
-def test_no_query_request_builds_the_parser(capsys, monkeypatch, query_inputs):
+def test_no_query_request_builds_a_parser(capsys, parsers_built, query_inputs):
     """Every request of the benchmark's `query` streams is plain, so
     running it builds no argparse tree."""
-    monkeypatch.setattr(cli, "_parser", None)
     for seed in (1, 7):
         for argv, _ in query_inputs(seed)["requests"]:
             cli.main(argv)
             capsys.readouterr()
-    assert cli._parser is None
-
-
-def test_main_gets_its_parser_from_the_module_level_build_parser(capsys, monkeypatch,
-                                                                 die_path):
-    built = []
-
-    def build_parser():
-        built.append(cli_build_parser())
-        return built[-1]
-
-    cli_build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", build_parser)
-    monkeypatch.setattr(cli, "_parser", None)
-    for argv in reuse_sequence(die_path):
-        run(capsys, *argv)
-    assert len(built) == 1 and cli._parser is built[0]
-    assert list(subparsers(built[0])) == list(cli._COMMANDS)
+    assert parsers_built == []
 
 
 # a fresh process

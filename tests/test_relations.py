@@ -154,20 +154,47 @@ def test_every_relation_tag_matches_its_kernel_route():
 SYMMETRIC_TAGS = ("orth", "simver", "simfals", "compat", "subalg")
 
 
+# The two conjuncts of each relation that is a conjunction, each as a
+# kernel of its own.
+CONJUNCTS = {
+    "pm": (rel._tr, rel._nf),
+    "vee": (rel._ap, rel._tr),
+    "wedge": (lambda q1, c1, q2, c2: c2 & ~c1 == 0,
+              lambda q1, c1, q2, c2: (c2 & ~q2) & ~(c1 & ~q1) == 0),
+    "bo": (lambda q1, c1, q2, c2: c1 == c2,
+           lambda q1, c1, q2, c2: q1 & ~q2 == 0),
+    "orth": (lambda q1, c1, q2, c2: q1 & ~(c2 & ~q2) == 0,
+             lambda q1, c1, q2, c2: q2 & ~(c1 & ~q1) == 0),
+    "simver": (lambda q1, c1, q2, c2: q1 & ~c2 == 0,
+               lambda q1, c1, q2, c2: q2 & ~c1 == 0),
+    "simfals": (lambda q1, c1, q2, c2: (c1 & ~q1) & ~c2 == 0,
+                lambda q1, c1, q2, c2: (c2 & ~q2) & ~c1 == 0),
+}
+
+
 def relation_mutants():
     """Swapped, always-true and always-false for the asymmetric tags;
     always-true and always-false for the symmetric ones, where a swap
-    changes nothing."""
+    changes nothing; and each conjunct alone of a conjunction."""
     for tag, kernel in rel._RELATIONS.items():
         if tag not in SYMMETRIC_TAGS:
             yield tag, "swapped", (lambda k: lambda q1, c1, q2, c2: k(q2, c2, q1, c1))(kernel)
         yield tag, "true", lambda q1, c1, q2, c2: True
         yield tag, "false", lambda q1, c1, q2, c2: False
+    for tag, conjuncts in CONJUNCTS.items():
+        for number, conjunct in enumerate(conjuncts, 1):
+            yield tag, "conjunct %d alone" % number, conjunct
+
+
+def test_each_conjunction_is_its_two_conjuncts():
+    for tag, (first, second) in CONJUNCTS.items():
+        for bits in product(range(8), repeat=4):
+            assert rel._RELATIONS[tag](*bits) == (first(*bits) and second(*bits)), (tag, bits)
 
 
 def test_the_route_check_kills_every_relation_mutant(monkeypatch):
     mutants = list(relation_mutants())
-    assert len(mutants) == 31
+    assert len(mutants) == 45
     for tag, kind, mutant in mutants:
         with monkeypatch.context() as patch:
             patch.setitem(rel._RELATIONS, tag, mutant)

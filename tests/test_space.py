@@ -39,17 +39,32 @@ def test_empty_and_full_events():
     assert space.full
 
 
-def test_space_rejects_bad_atom_lists():
-    with pytest.raises(ValueError):
-        SampleSpace([])
-    with pytest.raises(ValueError):
-        SampleSpace(["a", "a"])
-    with pytest.raises(ValueError):
-        SampleSpace(["a", "b|c"])
-    with pytest.raises(ValueError):
-        SampleSpace(["a", ""])
-    with pytest.raises(TooLarge):
-        SampleSpace("a%d" % i for i in range(65))
+GOOD_64 = ["a%d" % i for i in range(64)]
+
+
+@pytest.mark.parametrize("atoms, error, message", [
+    ([], ValueError, "a sample space needs at least one atom"),
+    (["a", "a"], ValueError, "duplicate atom name: 'a'"),
+    (["a", "b|c"], ValueError, "invalid atom name: 'b|c'"),
+    (["a", ""], ValueError, "invalid atom name: ''"),
+    (["a b"], ValueError, "invalid atom name: 'a b'"),
+    (["a", "a", "b|"], ValueError, "duplicate atom name: 'a'"),
+    (["a", "b|", "a"], ValueError, "invalid atom name: 'b|'"),
+    (GOOD_64 + ["a64"], TooLarge, "at most 64 atoms are supported, got 65"),
+    (GOOD_64 + ["b|"], TooLarge, "at most 64 atoms are supported, got 65"),
+])
+def test_space_rejects_bad_atom_lists(atoms, error, message):
+    """The first bad name in order is worded, and a count over 64 is
+    reported before any name."""
+    with pytest.raises(error) as err:
+        SampleSpace(atoms)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("atoms", [[1], ["a", 1], [["a"]]])
+def test_a_name_that_is_not_a_str_raises_type_error(atoms):
+    with pytest.raises(TypeError):
+        SampleSpace(atoms)
 
 
 def test_event_lookup_and_membership():
@@ -169,6 +184,16 @@ def test_valid_atom_name_matches_its_old_definition_on_every_code_point():
         got = list(map(valid_atom_name, names))
         want = list(map(old_valid_atom_name, names))
         assert got == want, [name for name, g, w in zip(names, got, want) if g != w][:5]
+
+
+def test_the_one_scan_rejects_every_character_a_name_may_not_hold():
+    bad = [chr(cp) for cp in range(0x110000) if not old_valid_atom_name(chr(cp))]
+    assert set(RESERVED_CHARS) < set(bad)
+    for ch in bad:
+        for name in (ch, "x" + ch, ch + "x", "x%sy" % ch):
+            with pytest.raises(ValueError) as err:
+                SampleSpace(["a", name, "b"])
+            assert str(err.value) == "invalid atom name: %r" % (name,)
 
 
 def test_boolean_axioms_exhaustively_at_three_atoms():
