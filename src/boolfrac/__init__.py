@@ -17,7 +17,9 @@ measure, and by the laws `t2.13` and `superposition`. Everything else
 (the operations, evaluation, the relations and the other laws) runs
 without it. From the shell, `prob` and `check` of `t2.13`,
 `superposition` or `all` load it; `eval`, `relate`, `profile`, `parse`
-and `check` of any other law do not.
+and `check` of any other law do not. No command loads `argparse` unless
+its request leaves the CLI's plain route (help, an abbreviated or
+`=`-joined option, a usage error), which builds an argparse parser.
 """
 
 from .conditional import (

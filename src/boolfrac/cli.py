@@ -8,8 +8,8 @@ A space file is read as bytes and decoded once; `lang` splits its lines.
 
 `_COMMANDS` names each subcommand once, with its help, its handler and
 its options; an option is its flag, its help and the argparse keywords
-it is declared with. `build_parser` builds a new argparse tree from the
-table on every call.
+it is declared with. `build_parser` imports argparse and builds a new
+argparse tree from the table on every call.
 
 A request whose first argument is exactly a subcommand name, followed
 by whole `--option value` pairs, is read from the table with no argparse
@@ -19,11 +19,12 @@ type converts and that is one of its choices (a value is taken as given
 when its option has neither), and every required option is given. Any
 other request is parsed in full by argparse, which reads help,
 abbreviations, `--opt=value`, `--` and repeats, and words every usage,
-error and help text, with a parser built for that request.
+error and help text, with a parser built for that request. So only a
+request that is not plain imports argparse.
 """
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import lang
 from . import lawcheck
@@ -175,6 +176,8 @@ _COMMANDS = {
 
 
 def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="boolfrac",
         description="Evaluate, measure and law-check conditional events.",
@@ -227,7 +230,7 @@ def _parse(argv):
             values[dest] = value
         else:
             if values.keys() >= required:
-                return argparse.Namespace(command=argv[0], **dict(defaults, **values))
+                return SimpleNamespace(command=argv[0], **dict(defaults, **values))
     return build_parser().parse_args(argv)
 
 

@@ -74,6 +74,7 @@ each law to its own budget.
 import operator
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import chain, combinations_with_replacement, count, islice, product
+from time import perf_counter
 
 from . import conditional as cnd
 from . import relations as rel
@@ -86,8 +87,12 @@ from .space import SampleSpace, enumerate_events
 
 
 class LawReport(Record):
-    __slots__ = _fields = ("law", "atom_count", "instances_checked", "passed",
-                           "counterexample", "note")
+    """One law's verdict. `elapsed_s` is not a field: `check` sets it to
+    the seconds the check took, and repr, ==, hash and pickling leave it
+    out, so a report's value does not depend on the machine's speed."""
+
+    _fields = ("law", "atom_count", "instances_checked", "passed", "counterexample", "note")
+    __slots__ = _fields + ("elapsed_s",)
 
     def __init__(self, law, atom_count, instances_checked, passed, counterexample=None,
                  note=None):
@@ -97,6 +102,7 @@ class LawReport(Record):
         _set(self, "passed", passed)
         _set(self, "counterexample", counterexample)
         _set(self, "note", note)
+        _set(self, "elapsed_s", None)
 
 
 MAX_ENUMERATION_ATOMS = 5
@@ -1091,8 +1097,10 @@ def check(law, atoms, max_weight=3):
     exceeds the law's budget, and ValueError when `atoms` or
     `max_weight` is below 1 (a grid of all-zero weights has no
     measure to check). A law that raises, or has a part that checks
-    no instance, is a FAIL whose counterexample says so.
+    no instance, is a FAIL whose counterexample says so. The report's
+    `elapsed_s` is the time the check took, in seconds.
     """
+    start = perf_counter()
     record = _lookup(law)
     _check_sizes(atoms, max_weight)
     if atoms > record.budget:
@@ -1111,12 +1119,16 @@ def check(law, atoms, max_weight=3):
                 result = ("part %d checked no instance" % part if before
                           else "no instance was checked"), {}
             if isinstance(result, tuple):
-                return LawReport(law, atoms, run.count, passed=False,
-                                 counterexample=_render(run.space, *result))
-        return LawReport(law, atoms, run.count, passed=True, note=result)  # t3.11's note, or None
+                report = LawReport(law, atoms, run.count, passed=False,
+                                   counterexample=_render(run.space, *result))
+                break
+        else:
+            report = LawReport(law, atoms, run.count, passed=True, note=result)  # t3.11's note
     except Exception as exc:  # a law meeting a broken kernel reports, never crashes
-        return LawReport(law, atoms, run.count, passed=False,
-                         counterexample="raised %s: %s" % (type(exc).__name__, exc))
+        report = LawReport(law, atoms, run.count, passed=False,
+                           counterexample="raised %s: %s" % (type(exc).__name__, exc))
+    _set(report, "elapsed_s", perf_counter() - start)
+    return report
 
 
 def check_all(atoms, max_weight=3):

@@ -886,3 +886,35 @@ def test_a_fresh_process_answers_the_die_bet(die_path):
     assert run_fresh(
         "relate", "--space", die_path, "--rel", "near", "--lhs", "two", "--rhs", "even",
     ) == (2, "", "boolfrac: error: unknown relation tag: near\n")
+
+
+def test_a_plain_request_leaves_argparse_unloaded(die_path):
+    """In a fresh isolated interpreter, a plain request of each
+    subcommand answers without importing argparse; a request that is
+    not plain imports it and gives the same answer."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    argvs = [
+        ["eval", "--space", die_path, "--expr", "two"],
+        ["prob", "--space", die_path, "--measure", "uniform", "--expr", "two|even"],
+        ["relate", "--space", die_path, "--rel", "orth", "--lhs", "two|even",
+         "--rhs", "lt4|lt5"],
+        ["profile", "--space", die_path, "--lhs", "two|even", "--rhs", "lt4|lt5"],
+        ["parse", "--expr", "two|even"],
+        ["check", "--law", "t3.7", "--atoms", "2"],
+        ["eval", "--sp", die_path, "--ex", "two"],
+    ]
+    code = ("import sys\nsys.path.insert(0, %r)\nfrom boolfrac import cli\n"
+            "for argv in %r:\n"
+            "    print(cli.main(argv), 'argparse' in sys.modules)\n" % (src, argvs))
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (
+        "({2}|{1,2,3,4,5,6})\n0 False\n"
+        "1/3 (0.333333)\n0 False\n"
+        "false\n0 False\n"
+        "1=true\n2=false\n3=false\n4=false\n5=false\n6=false\n7=false\n0 False\n"
+        "(given (ref two) (ref even))\n0 False\n"
+        "t3.7 n=2 instances=81 PASS\n0 False\n"
+        "({2}|{1,2,3,4,5,6})\n0 True\n"
+    )

@@ -9,6 +9,7 @@ the operation kernels.
 
 import json
 import pathlib
+import pickle
 import subprocess
 import sys
 from itertools import combinations_with_replacement, product
@@ -617,6 +618,22 @@ def test_uncertified_kernels_report_as_a_plain_loop_did(monkeypatch, kernel, law
     monkeypatch.setattr(cnd, "and_bits", kernel)
     assert not lawcheck._lane_local(kernel)
     assert lawcheck.check(law, 2) == lawcheck.LawReport(law, 2, count, False, counterexample)
+
+
+def test_every_report_carries_its_time_outside_its_value(monkeypatch):
+    """PASS, FAIL and `raised` reports each say how long their check
+    took, and that time is no part of the report's repr, == or pickle."""
+    reports = lawcheck.check_all(2, 1)
+    for kernel in (_and_leaving_normal_form, _and_raising_on_some_pair):
+        monkeypatch.setattr(cnd, "and_bits", kernel)
+        reports.append(lawcheck.check("t2.4", 2))
+    assert [report.counterexample[:7] for report in reports[-2:]] == ["x=({1}|", "raised "]
+    for report in reports:
+        assert type(report.elapsed_s) is float and report.elapsed_s >= 0
+        value = lawcheck.LawReport(*[getattr(report, name) for name in report._fields])
+        assert value.elapsed_s is None
+        assert report == value and repr(report) == repr(value) and hash(report) == hash(value)
+        assert pickle.loads(pickle.dumps(report)) == report
 
 
 NOT_BITS = cnd.not_bits
