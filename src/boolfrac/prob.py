@@ -17,6 +17,7 @@ additive_law_check builds none: it decides holds by integer
 cross-multiplication, w(q)·wx·wy == (w(xq)·wy + w(yq)·wx)·w(c) for the
 disjunction (q|c), and its report keeps each side as a numerator and
 denominator until the side is first read. Nothing is rounded anywhere.
+The functions the laws call per instance test operand spaces inline.
 
 Besides the direct quotient, this module carries three expansions of a
 probability into weighted parts, and the additivity report:
@@ -45,7 +46,7 @@ from .errors import (
     ZeroCondition,
     ZeroTotalWeight,
 )
-from .space import Event, same_space
+from .space import Event
 
 # The most atoms a Measure builds its table of 2**n subset weights for.
 CHUNK_ATOMS = 8
@@ -153,7 +154,8 @@ def p_event(m, a):
 
 def p_cond(m, x):
     """Probability of a conditional: weight of consequent over condition."""
-    _check(m, x)
+    if m.space is not x.space and m.space != x.space:
+        raise SpaceMismatch("measure and operand disagree on the sample space")
     w = m._iw
     wc = w(x.c)
     if wc == 0:
@@ -172,8 +174,9 @@ def p_or_formula(m, x, y):
     zero already and needs no guard. The three numerators are summed as
     integers over the one denominator. Always equals p_cond(or_(x, y)).
     """
-    _check(m, x)
-    _check(m, y)
+    space = m.space
+    if space is not x.space and space != x.space or space is not y.space and space != y.space:
+        raise SpaceMismatch("measure and operand disagree on the sample space")
     w = m._iw
     wu = w(x.c | y.c)
     if wu == 0:
@@ -195,8 +198,9 @@ def p_superposition(m, x, y, mode="or"):
     The numerators are summed as integers over w(b v d). Always equals
     p_cond of or_(x, y) / and_(x, y).
     """
-    _check(m, x)
-    _check(m, y)
+    space = m.space
+    if space is not x.space and space != x.space or space is not y.space and space != y.space:
+        raise SpaceMismatch("measure and operand disagree on the sample space")
     if mode not in ("or", "and"):
         raise ValueError("mode must be 'or' or 'and', got %r" % (mode,))
     w = m._iw
@@ -280,22 +284,24 @@ def additive_law_check(m, a, c1, b, c2):
     The report carries both sides and the list of case numbers that
     apply; holds is true exactly when the list is nonempty.
 
-    The operands are checked as cnd.make and p_cond would check them
-    (same_space is skipped when both events carry one space object), but
-    only the disjunction becomes a Conditional: its kernel is
-    cnd.or_bits, read at call time. holds compares the two sides by
-    integer cross-multiplication.
+    The operands are checked as cnd.make and p_cond would check them,
+    in their order and with their exceptions, but no Conditional is
+    built: the pair from cnd.or_bits, read at call time, is passed to
+    the constructor only if it fails the constructor's tests, and its
+    condition becomes an Event only to word a ZeroCondition. holds
+    compares the two sides by integer cross-multiplication.
     """
     if not isinstance(a, Event) or not isinstance(c1, Event):
         raise TypeError("make expects two events")
-    if a.space is not c1.space:
-        same_space(a, c1)
+    if a.space is not c1.space and a.space != c1.space:
+        raise SpaceMismatch("operands belong to different sample spaces")
     if not isinstance(b, Event) or not isinstance(c2, Event):
         raise TypeError("make expects two events")
-    if b.space is not c2.space:
-        same_space(b, c2)
-    _check(m, a)
-    _check(m, b)
+    if b.space is not c2.space and b.space != c2.space:
+        raise SpaceMismatch("operands belong to different sample spaces")
+    space = m.space
+    if space is not a.space and space != a.space or space is not b.space and space != b.space:
+        raise SpaceMismatch("measure and operand disagree on the sample space")
     w = m._iw
     xc, yc = c1.bits, c2.bits
     xq, yq = a.bits & xc, b.bits & yc
@@ -306,10 +312,11 @@ def additive_law_check(m, a, c1, b, c2):
     wxq = w(xq)
     wyq = w(yq)
     q, c = cnd.or_bits(xq, xc, yq, yc)
-    union = cnd.Conditional(a.space, q, c)
+    if q & ~c or not 0 <= c <= space.full_bits:
+        cnd.Conditional(space, q, c)
     wu = w(c)
     if wu == 0:
-        raise ZeroCondition("condition %s has weight zero" % (union.condition,))
+        raise ZeroCondition("condition %s has weight zero" % (Event(space, c),))
     wuq = w(q)
     num = wxq * wy + wyq * wx
 

@@ -27,21 +27,24 @@ the result is a Boolean algebra, which happens exactly for equal,
 nonempty conditions. The closure calls `not_bits` once per member and
 `or_bits` and `and_bits` once per ordered pair of members, keeping each
 result in a table; the Boolean sweep reads every value it compares from
-those tables and calls no kernel. `subalgebra_bits` does the closing
-and the sweep on raw (q, c) pairs; `generated_subalgebra` adds the
-member Conditionals, which the laws `t3.7` and `c3.8` do not need.
+those tables, calls no kernel, and drops a candidate unit or zero at its
+first failing member. `subalgebra_bits` does the closing and the sweep
+on raw (q, c) pairs; `generated_subalgebra` adds the member
+Conditionals, which the laws `t3.7` and `c3.8` do not need. `_pair`
+tests the operands' spaces inline, not through `same_space`.
 """
 
 from . import conditional as cnd
 from ._record import Record, _set
-from .errors import TooLarge
+from .errors import SpaceMismatch, TooLarge
 from .space import same_space
 
 MAX_SUBALGEBRA_ATOMS = 5
 
 
 def _pair(x, y):
-    same_space(x, y)
+    if x.space is not y.space and x.space != y.space:
+        raise SpaceMismatch("operands belong to different sample spaces")
     return x.q, x.c, y.q, y.c
 
 
@@ -87,10 +90,15 @@ def ortho_family_member(c, x, y):
     """The conditional (a'b & x | ab v y) for events x, y.
 
     As x and y range over all events, these are exactly the conditionals
-    orthogonal to c.
+    orthogonal to c. It is computed on bits, and checks and raises as the
+    Event spelling ``cnd.make(c.consequent.complement() & c.condition & x, c.consequent | y)`` would.
     """
     same_space(x, y)
-    return cnd.make(c.consequent.complement() & c.condition & x, c.consequent | y)
+    if not isinstance(c, cnd.Conditional):
+        c.consequent  # the Event spelling's AttributeError
+    same_space(c, x)
+    q, cond = c.c & ~c.q & x.bits, c.q | y.bits
+    return cnd.Conditional(c.space, q & cond, cond)
 
 
 def sim_verifiable_bits(q1, c1, q2, c2):
@@ -294,22 +302,26 @@ def _boolean_sweep(members, neg, join, meet):
     No kernel runs here: every operand is a member, so every value is
     read from the tables `_close` filled, each the kernel's own output
     from one call per member or ordered pair. The unit and zero are
-    looked up in the rows; once both exist, the members are numbered
-    and the rest runs on index tables.
+    sought in the rows by nested loops that drop a candidate at its
+    first failing member; once both exist, the rest runs on index tables.
     """
-    unit = None
-    zero = None
-    for u in members:
-        if all(meet[m][u] == m and join[m][u] == u for m in members):
-            unit = u
+    for unit in members:
+        for m in members:
+            if meet[m][unit] != m or join[m][unit] != unit:
+                break
+        else:
             break
-    if unit is None:
+    else:
         return False
-    for z in members:
-        if all(join[m][z] == m and meet[m][z] == z for m in members):
-            zero = z
+    for zero in members:
+        for m in members:
+            if join[m][zero] != m or meet[m][zero] != zero:
+                break
+        else:
             break
-    if zero is None or zero == unit:
+    else:
+        return False
+    if zero == unit:
         return False
     mem = list(members)
     index = {m: i for i, m in enumerate(mem)}

@@ -516,6 +516,91 @@ def test_additive_law_check_rejects_operands_and_measures_of_other_spaces(die, u
                                 ev["lt5"])
 
 
+# ------------------------------------ operand checks of the law-loop functions
+
+
+def raised(fn, *args):
+    """The type and message of what fn raises, or None if it returns."""
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def conditional_functions():
+    """(name, fn) for the functions over conditionals, each taking a
+    measure and a tuple of its operands."""
+    return [
+        ("p_cond", lambda m, ops: prob.p_cond(m, ops[0])),
+        ("p_or_formula", lambda m, ops: prob.p_or_formula(m, *ops)),
+        ("p_superposition or", lambda m, ops: prob.p_superposition(m, *ops, "or")),
+        ("p_superposition and", lambda m, ops: prob.p_superposition(m, *ops, "and")),
+    ]
+
+
+DISAGREE = (SpaceMismatch, "measure and operand disagree on the sample space")
+
+
+def test_law_loop_functions_reject_an_operand_of_another_space(die, uniform, bet):
+    other = SampleSpace(["a"])
+    foreign = cnd.make(other.full, other.full)
+    x, y = bet
+    for name, fn in conditional_functions():
+        for ops in ((foreign, y), (x, foreign), (foreign, foreign)):
+            if name == "p_cond" and ops[0] is x:
+                continue
+            assert raised(fn, uniform, ops) == DISAGREE, (name, ops)
+    ev = die.events
+    for a, c1, b, c2 in ((other.full,) * 4,
+                         (ev["two"], ev["even"], other.full, other.full),
+                         (other.full, other.full, ev["lt4"], ev["lt5"])):
+        assert raised(prob.additive_law_check, uniform, a, c1, b, c2) == DISAGREE
+
+
+def test_law_loop_functions_take_an_equal_space_that_is_another_object(die, uniform, bet):
+    twin = SampleSpace(die.space.atoms)
+    assert twin == die.space and twin is not die.space
+    x, y = bet
+    tx, ty = (cnd.Conditional(twin, z.q, z.c) for z in bet)
+    for name, fn in conditional_functions():
+        for ops in ((tx, ty), (x, ty), (tx, y)):
+            assert fn(uniform, ops) == fn(uniform, (x, y)), (name, ops)
+    ev = die.events
+    names = ("two", "even", "lt4", "lt5")
+    events = [ev[name] for name in names]
+    twins = [twin.event_from_bits(e.bits) for e in events]
+    want = prob.additive_law_check(uniform, *events)
+    for operands in (twins, twins[:2] + events[2:], events[:2] + twins[2:]):
+        got = prob.additive_law_check(uniform, *operands)
+        assert (repr(got), got.lhs, got.rhs) == (repr(want), want.lhs, want.rhs)
+
+
+def test_additive_law_check_words_both_zero_conditions(monkeypatch):
+    space = SampleSpace(["1", "2"])
+    m = prob.Measure(space, [0, 1])
+    one, two = space.atom("1"), space.atom("2")
+    assert raised(prob.additive_law_check, m, two, one, two, two) == (
+        ZeroCondition, "both conditions need positive weight")
+    monkeypatch.setattr(cnd, "or_bits", lambda q1, c1, q2, c2: (0, 0b01))
+    assert raised(prob.additive_law_check, m, two, two, two, two) == (
+        ZeroCondition, "condition {1} has weight zero")
+
+
+@pytest.mark.parametrize("pair, message", [
+    ((0b10, 0b01), "consequent bits 0x2 stick out of condition 0x1"),
+    ((0b100, 0b100), "condition bits 0x4 out of range"),
+    ((0, -1), "condition bits 0x-1 out of range"),
+])
+def test_additive_law_check_raises_the_constructors_error_for_a_bad_or_pair(
+        monkeypatch, pair, message):
+    space = SampleSpace(["1", "2"])
+    m = prob.Measure(space, [1, 1])
+    monkeypatch.setattr(cnd, "or_bits", lambda q1, c1, q2, c2: pair)
+    assert raised(prob.additive_law_check, m, space.atom("1"), space.full,
+                  space.atom("2"), space.full) == (ValueError, message)
+
+
 # ---------------------------------- Measure set-up against its Fraction form
 
 

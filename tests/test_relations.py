@@ -19,7 +19,7 @@ from boolfrac import conditional as cnd
 from boolfrac import lawcheck
 from boolfrac import relations as rel
 from boolfrac.errors import SpaceMismatch, TooLarge
-from boolfrac.space import SampleSpace
+from boolfrac.space import SampleSpace, enumerate_events, same_space
 
 
 def space_of(n):
@@ -217,13 +217,62 @@ def test_ortho_family_member_golden(die, die_pair):
 
 def test_family_members_are_always_orthogonal_to_their_seed():
     space, conds = all_pairs(2)
-    from boolfrac.space import enumerate_events
-
     events = enumerate_events(space)
     for c in conds:
         for x in events:
             for y in events:
                 assert rel.orthogonal(c, rel.ortho_family_member(c, x, y))
+
+
+def ortho_family_member_by_events(c, x, y):
+    """The Event spelling of the family member, kept as the oracle."""
+    same_space(x, y)
+    return cnd.make(c.consequent.complement() & c.condition & x, c.consequent | y)
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 3])
+def test_ortho_family_member_equals_its_event_spelling(atoms):
+    space, conds = all_pairs(atoms)
+    events = enumerate_events(space)
+    for c in conds:
+        for x in events:
+            for y in events:
+                member = rel.ortho_family_member(c, x, y)
+                want = ortho_family_member_by_events(c, x, y)
+                assert member == want and member.space is want.space, (c, x, y)
+
+
+def test_ortho_family_member_takes_an_equal_space_that_is_another_object():
+    space, conds = all_pairs(2)
+    twin = space_of(2)
+    for c in conds:
+        for x, y in product(enumerate_events(twin), repeat=2):
+            assert rel.ortho_family_member(c, x, y) == ortho_family_member_by_events(c, x, y)
+
+
+def test_ortho_family_member_raises_what_the_event_spelling_raised():
+    """Each malformed call raises the type and text it raised when the
+    member was built from Events and `make`."""
+    space = space_of(2)
+    other = space_of(3)
+    c = cnd.Conditional(space, 0b01, 0b11)
+    x, y = space.atom("1"), space.full
+    mismatch = (SpaceMismatch, "operands belong to different sample spaces")
+    cases = [
+        ((c, x, other.full), mismatch),
+        ((c, other.full, y), mismatch),
+        ((cnd.Conditional(other, 0b01, 0b11), x, y), mismatch),
+        ((c, 3, y), (AttributeError, "'int' object has no attribute 'space'")),
+        ((c, x, None), (AttributeError, "'NoneType' object has no attribute 'space'")),
+        ((c, c, y), (AttributeError, "'Conditional' object has no attribute 'bits'")),
+        ((c, x, c), (AttributeError, "'Conditional' object has no attribute 'bits'")),
+        ((x, x, y), (AttributeError, "'Event' object has no attribute 'consequent'")),
+        ((None, x, y), (AttributeError, "'NoneType' object has no attribute 'consequent'")),
+        ((0b01, x, y), (AttributeError, "'int' object has no attribute 'consequent'")),
+    ]
+    for args, raised in cases:
+        assert outcome(rel.ortho_family_member, *args) == raised, args
+        assert outcome(ortho_family_member_by_events, *args) == raised, args
 
 
 def test_decomposition_witness_exists_exactly_for_sim_verifiable():
@@ -304,6 +353,15 @@ def test_pair_relations_reject_operands_of_different_spaces():
     for relation in (rel.orthogonal, rel.compatible, rel.profile, rel.generated_subalgebra):
         with pytest.raises(SpaceMismatch, match="^operands belong to different sample spaces$"):
             relation(x, y)
+
+
+def test_pair_relations_take_an_equal_space_that_is_another_object():
+    _, conds = all_pairs(2)
+    twin = space_of(2)
+    for x in conds:
+        y = cnd.Conditional(twin, x.q, x.c)
+        for tag in rel.RELATION_TAGS:
+            assert rel.holds(tag, x, y) == rel.holds(tag, x, x), (tag, x)
 
 
 # The closure and the Boolean sweep against a naive reference: a
@@ -588,6 +646,22 @@ def test_generating_a_subalgebra_calls_each_kernel_once_per_member_or_pair(monke
     assert m == 16
     assert calls == {**dict.fromkeys(KERNEL_NAMES, 0),
                      "or_bits": m * m, "and_bits": m * m, "not_bits": m}
+
+
+def test_the_boolean_sweep_calls_no_kernel(monkeypatch):
+    """Every pair at two atoms closed with the shipped kernels, then
+    swept with kernels that raise: the verdicts are the shipped ones."""
+    pairs = cnd.enumerate_conditionals_bits(0b11)
+    closures = [rel._close({x, y}) for x in pairs for y in pairs]
+    shipped = [rel._boolean_sweep(*closed) for closed in closures]
+    assert 0 < sum(shipped) < len(shipped)
+
+    def raising(*args):
+        raise AssertionError("the sweep called a kernel")
+
+    for name in ("or_bits", "and_bits", "not_bits"):
+        monkeypatch.setattr(cnd, name, raising)
+    assert [rel._boolean_sweep(*closed) for closed in closures] == shipped
 
 
 @pytest.mark.parametrize("law, kernel_calls", [("t3.7", 127615), ("c3.8", 6136)])
