@@ -41,19 +41,19 @@ Weights are nonnegative integers or fractions `p/q`, written in ASCII
 digits, one per atom, and not all zero. parse_space checks every
 measure line when it reads it, so a bad weight, a zero denominator, a
 wrong weight count, a duplicate name or an all-zero line is an error
-at parse time, in line order with the other lines. The weights are
-checked by flat scans over the joined list, and read one by one only
-to word an error; an `atoms` line is searched once for a reserved
-character. Of a measure line parse_space keeps only the weight texts
-and number: a Measure, with its weight table if it has one, is built
-from them the first time its name is read from
+at parse time that names its line, in line order with the other lines.
+The weights are checked by flat scans over the joined list, and read
+one by one only to word an error; an `atoms` line is searched once for
+a reserved character. Of a measure line parse_space keeps only the
+weight texts and number: a Measure, with its weight table if it has
+one, is built from them the first time its name is read from
 `SpaceDoc.measures`, which is a dict of Measures to its readers, and
-kept there. The texts are read in ints, each `p/q` in lowest terms and
-scaled to the lcm of the denominators, and Measure's own tail of
-construction takes the result. That first read is also where `prob`,
-with `fractions` and `decimal`, is imported: parsing a space file and
-lowering, evaluating or relating its expressions import neither, so
-the CLI's `eval`, `relate` and `profile` never load them.
+kept there: `_parse_weights` reads each text as an int or one Fraction,
+and the Measure constructor takes the list, as it takes any caller's.
+That first read is also where `prob`, with `fractions` and `decimal`,
+is imported: parsing a space file and lowering, evaluating or relating
+its expressions import neither, so the CLI's `eval`, `relate` and
+`profile` never load them.
 
 Text is read by one scan, `_scan`: comments cut, then one
 `_TOKEN_RE.findall` and one `map` over the words for their kinds, all
@@ -80,7 +80,6 @@ import operator
 import re
 from collections.abc import MutableMapping
 from itertools import repeat
-from math import gcd, lcm
 
 from . import conditional as cnd
 from . import schay
@@ -532,7 +531,8 @@ class _Measures(MutableMapping):
     """The measures of a parsed space file by name, in file order: a dict
     of Measures to its readers. parse_space stores each name as the tuple
     (weight texts, line number) of its checked line; the first read of
-    the name builds its Measure, which stays in the tuple's place."""
+    the name builds its Measure with the public constructor, from the
+    weights `_parse_weights` reads, and it stays in the tuple's place."""
 
     __slots__ = ("_space", "_entries")
 
@@ -545,9 +545,7 @@ class _Measures(MutableMapping):
         if type(entry) is tuple:
             from .prob import Measure
 
-            scaled, scale = _scaled_weights(entry[0])
-            entry = Measure.__new__(Measure)
-            entry._fill(self._space, scaled, scale)
+            entry = Measure(self._space, _parse_weights(*entry))
             self._entries[name] = entry
         return entry
 
@@ -606,25 +604,17 @@ def _parse_weights(texts, line_no):
     return weights
 
 
-def _scaled_weights(texts):
-    """The scaled weights and scale that Measure makes of what
-    `_parse_weights` reads from checked weight texts, in ints alone."""
-    pairs = [(int(p), int(q or 1)) for p, _, q in (text.partition("/") for text in texts)]
-    pairs = [(p // g, q // g) for p, q in pairs for g in (gcd(p, q),)]
-    scale = lcm(*[q for _, q in pairs])
-    return [p * (scale // q) for p, q in pairs], scale
-
-
 def _check_weights(texts, line_no):
     """Raise what building a Measure from a measure line's weight texts
-    would raise, without building it: flat scans over the whole list, and
+    would raise, without building it, with the line number in a zero
+    total's message too: flat scans over the whole list, and
     `_parse_weights` only to word a bad weight."""
     joined = " ".join(texts)
     if (_WEIGHT_CHARS_RE.fullmatch(joined) is None or joined[:1] == "/" or " /" in joined
             or _BAD_DENOMINATOR_RE.search(joined) is not None):
         _parse_weights(texts, line_no)
     if _NONZERO_RE.search(joined) is None:
-        raise ZeroTotalWeight("all atom weights are zero")
+        raise ZeroTotalWeight("line %d: all atom weights are zero" % (line_no,))
 
 
 def _event_of(body, prefix_cols, line_no, space, events):

@@ -73,9 +73,8 @@ class Measure:
     table of the scaled weight of every subset, built here, so a lookup
     runs no Python code. Above that it is `_sparse_weight` bound to the
     scaled weights, which sums those of the set bits in C: a measure
-    that wide is read for a few weights, and those sums cost less than
-    building a 256-entry table per 8 atoms did. weight and
-    weight_bits still return the exact Fraction.
+    that wide is read for a few weights. weight and weight_bits still
+    return the exact Fraction.
     """
 
     __slots__ = ("space", "total", "_weights", "_scale", "_scaled", "_iw")
@@ -92,11 +91,6 @@ class Measure:
         for w, s in zip(weights, scaled):
             if s < 0:
                 raise BadWeight("negative weight %s" % (w,))
-        self._fill(space, scaled, scale)
-
-    def _fill(self, space, scaled, scale):
-        """The rest of construction, from the scaled weights and their
-        scale; `lang` builds a space file's measures with it alone."""
         total = sum(scaled)
         if total == 0:
             raise ZeroTotalWeight("all atom weights are zero")

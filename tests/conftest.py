@@ -40,15 +40,14 @@ def query_inputs(tmp_path_factory):
 
 @pytest.fixture
 def built(monkeypatch):
-    """Every Measure built while the test runs, in order: by the public
-    constructor or from a space file's weight texts, which both end in
-    `Measure._fill`."""
+    """Every Measure built while the test runs, in order: a space file's
+    measures too, which are built by the public constructor."""
     made = []
-    fill = prob.Measure._fill
+    init = prob.Measure.__init__
 
-    def counting_fill(self, space, scaled, scale):
+    def counting_init(self, space, weights):
         made.append(self)
-        fill(self, space, scaled, scale)
+        init(self, space, weights)
 
-    monkeypatch.setattr(prob.Measure, "_fill", counting_fill)
+    monkeypatch.setattr(prob.Measure, "__init__", counting_init)
     return made

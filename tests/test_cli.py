@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from benchinputs import perfbench_module
 from boolfrac import cli
 from boolfrac import conditional as cnd
 from boolfrac import lang
@@ -568,7 +569,8 @@ def test_a_request_builds_only_the_measure_it_reads(capsys, tmp_path, built, arg
 @pytest.mark.parametrize("lines, code, message", [
     (["event e = {a}", "measure m = 1 x"], 2, "line 4: bad weight 'x'"),
     (["event e = {a}", "measure m = 1 2/0"], 2, "line 4: zero denominator in '2/0'"),
-    (["event e = {a}", "measure m = 0 0/3"], 2, "all atom weights are zero"),
+    (["event e = {a}", "measure m = 0 0/3"], 2, "line 4: all atom weights are zero"),
+    (["measure m = 1 0", "measure z = 0 0"], 2, "line 4: all atom weights are zero"),
     (["event e = {a}", "measure m = 1"], 2, "line 4, column 1: expected 2 weights, got 1"),
     (["measure m = 1 x", "event e = f"], 2, "line 3: bad weight 'x'"),
     (["event e = f", "measure m = 1 x"], 1, "line 3: 'f' names neither an event nor an atom"),
@@ -580,6 +582,19 @@ def test_a_bad_measure_line_fails_every_request_at_parse_time_in_line_order(
     assert run(capsys, "eval", "--space", str(path), "--expr", "a") == (
         code, "", "boolfrac: error: %s\n" % message)
     assert built == []
+
+
+def test_the_benchmark_tracer_counts_a_space_file_measure(capsys, die_path):
+    """`perfbench`'s per-layer tracer wraps `Measure.__init__`, the one
+    route a Measure is built by, so it sees the measure a request reads."""
+    tracer = perfbench_module("tracer").Tracer()
+    tracer.install()
+    try:
+        got = run(capsys, "prob", "--space", die_path, "--measure", "uniform", "--expr", "two|even")
+    finally:
+        tracer.restore()
+    assert got == (0, "1/3 (0.333333)\n", "")
+    assert tracer.calls("prob.Measure") == 1
 
 
 # argument handling

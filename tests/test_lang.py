@@ -629,13 +629,14 @@ def build_measure(texts, line_no=1):
 ), min_size=1, max_size=8))
 def test_checking_weights_raises_what_building_their_measure_raised(texts):
     """The flat scans at parse time reject exactly the weight lists
-    that building a Measure rejected, with the same error, and reads no
-    value."""
+    that building a Measure rejected, with the same error (a zero total
+    naming its line), and reads no value."""
     built = build_measure(texts, 7)
     if isinstance(built, Error):
         with pytest.raises(type(built)) as err:
             lang._check_weights(texts, 7)
-        assert str(err.value) == str(built)
+        line = "line 7: " if type(built) is ZeroTotalWeight else ""
+        assert str(err.value) == line + str(built)
     else:
         assert lang._check_weights(texts, 7) is None
 
@@ -757,7 +758,8 @@ def test_a_copy_of_the_measures_is_a_mapping_of_its_own(built):
 # straight to bits, are event lines whose first error is not the first
 # met: a set literal and then more, a reserved word in braces, a syntax
 # error after an unknown name, and `|` after one. The three rows of an
-# unknown name or atom on an event line were changed to name its line.
+# unknown name or atom on an event line, and the all-zero measure line's
+# row, were changed to name their line.
 GOLDEN_PARSE_ERRORS = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "parse_errors.json"
 
 
@@ -1258,7 +1260,7 @@ def test_no_request_expression_of_the_query_streams_goes_through_the_tree(
     assert lowered > 800
 
 
-# --------------------------------------- file measures built from integers
+# -------------------------- file measures against Fractions of their texts
 
 def measure_fields(m):
     full = m.space.full_bits
@@ -1268,11 +1270,12 @@ def measure_fields(m):
 
 
 def assert_built_as_the_constructor_builds(space, texts):
-    """The Measure of a measure line's weight texts, read in integers,
-    equals the one the public constructor builds from `_parse_weights`:
-    field by field, in pickle and after a pickle round trip."""
+    """The Measure of a measure line's weight texts equals the one the
+    public constructor builds from `Fraction` of each text, which shares
+    no code with `_parse_weights`: field by field, in pickle and after a
+    pickle round trip."""
     got = lang._Measures(space, {"m": (texts, 1)})["m"]
-    want = prob.Measure(space, lang._parse_weights(texts, 1))
+    want = prob.Measure(space, [Fraction(text) for text in texts])
     assert pickle.dumps(got) == pickle.dumps(want)
     assert [type(s) for s in got._scaled] == [int] * space.n and type(got._scale) is int
     assert measure_fields(got) == measure_fields(want)
