@@ -38,7 +38,7 @@ in software" (FSE 1997): a block packs instances into one int per
 operand component, one instance per n-bit lane, and one kernel call
 evaluates every lane. The lowest failing lane is the first failure in
 enumeration order, so counts and counterexamples are those of a plain
-loop. Fifteen laws are sweeps alone; t3.11, t3.17 and superposition
+loop. Sixteen laws are sweeps alone; t3.11, t3.17 and superposition
 add a function for their note, folded families and grid part.
 
 The route is chosen per law, once per check. The first time a block
@@ -60,15 +60,17 @@ pair, single or family, counted as a plain loop counts it. Only operand
 packings, which no kernel computed, are cached. The other eight are
 more than bit kernels: t2.13 sums probabilities over measure grids
 (with superposition's grid part, the only code that imports `prob`),
-t2.18, t2.19, t3.2, t3.7, c3.8 and c3.16 call `relations`, and
-schay-2.12 builds Conditionals.
+t2.18, t2.19, t3.2, t3.7, c3.8 and orders call `relations`, and
+schay-2.12 builds Conditionals. orders is the catalog's only caller
+of `relations.holds` and of the Conditional-level `sasaki`.
 
 Budgets: most laws, the triple-quantified sweeps among them, run up to
 4 atoms. Laws that sweep measure grids (t2.13, superposition), search
 for decompositions (t3.2), close subalgebras (t3.7, c3.8), compare
-orthogonal families (t2.18, t2.19) or sweep schay-lattice's triples
-stop at 3, as their instance spaces grow much faster. check_all clamps
-each law to its own budget.
+orthogonal families (t2.18, t2.19), route every relation through
+Conditionals (orders) or sweep schay-lattice's triples stop at 3, as
+their instance spaces grow much faster. check_all clamps each law to
+its own budget.
 """
 
 import operator
@@ -655,27 +657,6 @@ def _nested(qb, cb, qc, cc, qa, ca):
     return cnd.sasaki_bits(qc, cc, *cnd.sasaki_bits(qb, cb, qa, ca))
 
 
-def _law_c3_16(run):
-    """sasaki(b, a) == a exactly when and_(a, b) == a; it annihilates
-    exactly when tr(a, not b); and sasaki(c, c) == c."""
-    conds = [cnd.Conditional(run.space, q, c) for q, c in run.pairs]
-    for c in _counted(run, conds):
-        if cnd.sasaki(c, c) != c:
-            return "sasaki(c, c) != c at c=%(c)s", dict(c=c)
-    for b in conds:
-        nb = cnd.negate(b)
-        for a in _counted(run, conds):
-            proj = cnd.sasaki(b, a)
-            if (proj == a) != rel.holds("wedge", a, b):
-                return ("fixed point does not match the wedge order at b=%(b)s a=%(a)s",
-                        dict(b=b, a=a))
-            zero = cnd.Conditional(run.space, 0, a.c | b.c)
-            if (proj == zero) != rel.holds("tr", a, nb):
-                return ("annihilation does not match tr(a, not b) at b=%(b)s a=%(a)s",
-                        dict(b=b, a=a))
-    return None
-
-
 def _bounded(qb, cb, qa, ca, nb):
     """t3.17's bounded-order clause on the pair (b, a)."""
     pq, pc = cnd.sasaki_bits(qb, cb, qa, ca)
@@ -790,6 +771,64 @@ def _law_schay_2_12(run):
         if got != want:
             return ("iteration example fails at a=%(a)s b=%(b)s: got %(got)s want %(want)s",
                     dict(a=ea, b=eb, got=got, want=want))
+    return None
+
+
+def _order_routes(x, y):
+    """Each relate tag's verdict on (x, y) = ((a|b), (c|d)) through the
+    `conditional` operations alone, none of which reads
+    `relations._RELATIONS`. "No true region" means q == 0, "no false
+    region" q == c."""
+    nx, ny = cnd.negate(x), cnd.negate(y)
+    unit_x, unit_y = cnd.or_(x, nx), cnd.or_(y, ny)
+    ap = cnd.or_(x, unit_y) == unit_y
+    compat = ap and cnd.or_(y, unit_x) == unit_x
+    tr = cnd.given(x, ny).q == 0
+    meet, falsity, material = cnd.and_(x, y), cnd.and_(nx, ny), cnd.or_(nx, y)
+    return {
+        "tr": tr,
+        "nf": cnd.sasaki(x, ny).q == 0,
+        "ap": ap,
+        "pm": material.q == material.c,
+        "vee": cnd.or_(x, y) == y,
+        "wedge": meet == x,
+        "bo": compat and tr,
+        "orth": (meet.q, meet.c) == (0, x.c | y.c),
+        "simver": (meet.q, meet.c) == (x.q & y.q, x.c | y.c),
+        "simfals": (falsity.q, falsity.c) == (nx.q & ny.q, nx.c | ny.c),
+        "compat": compat,
+        "subalg": compat and not x.is_undefined,
+    }
+
+
+# Each tag's route, as orders' counterexample names it.
+_ORDER_TEMPLATES = {tag: "%s(x, y) disagrees with %s at x=%%(x)s y=%%(y)s: holds=%%(holds)s"
+                    % (tag, route) for tag, route in {
+    "tr": "the implication given(x, not y) having no true region",
+    "nf": "the implication sasaki(x, not y) having no true region",
+    "ap": "or_(x, or_(y, not y)) == or_(y, not y)",
+    "pm": "the implication or_(not x, y) having no false region",
+    "vee": "or_(x, y) == y",
+    "wedge": "and_(x, y) == x",
+    "bo": "ap both ways and tr",
+    "orth": "and_(x, y) == (0|b v d)",
+    "simver": "and_(x, y) == (abcd|b v d)",
+    "simfals": "and_(not x, not y) == (a'bc'd|b v d)",
+    "compat": "ap both ways",
+    "subalg": "ap both ways with a nonempty condition",
+}.items()}
+
+
+def _law_orders(run):
+    """Every relate tag, through rel.holds, agrees on every ordered pair
+    with its route through the operations."""
+    conds = [cnd.Conditional(run.space, q, c) for q, c in run.pairs]
+    for x, y in _counted(run, product(conds, repeat=2)):
+        routes = _order_routes(x, y)
+        for tag in rel.RELATION_TAGS:
+            holds = rel.holds(tag, x, y)
+            if holds != routes[tag]:
+                return _ORDER_TEMPLATES[tag], dict(x=x, y=y, holds=holds)
     return None
 
 
@@ -998,7 +1037,19 @@ _CATALOG = (
                      _nested(qb, cb, qc, cc, qa, ca),
                      cnd.sasaki_bits(qb, cb, *cnd.sasaki_bits(qc, cc, qa, ca)))}, "and_bits"),
     ]),
-    _Law("c3.16", 4, "not_bits sasaki_bits", fn=_law_c3_16),
+    # sasaki(c, c) == c; sasaki(b, a) == a exactly when and_(a, b) == a (the
+    # wedge order); and sasaki(b, a) annihilates to (0 | a2 v b2) exactly when
+    # tr(a, not b). Pairs are (b, a) with the lead nb = not b.
+    _Law("c3.16", 4, "not_bits sasaki_bits", [
+        (1, {"sasaki(c, c) != c at c=%(x)s":
+                 lambda q1, c1: (cnd.sasaki_bits(q1, c1, q1, c1), (q1, c1))}, None),
+        (2, {"fixed point does not match the wedge order at b=%(x)s a=%(y)s":
+                 lambda qb, cb, qa, ca, nb: (cnd.sasaki_bits(qb, cb, qa, ca), (qa, ca),
+                                             (cb & ~ca) | ((cb & ~qb) & ~(ca & ~qa))),
+             "annihilation does not match tr(a, not b) at b=%(x)s a=%(y)s":
+                 lambda qb, cb, qa, ca, nb: (cnd.sasaki_bits(qb, cb, qa, ca), (0, ca | cb),
+                                             qa & ~nb[0])}, "not_bits"),
+    ]),
     # Sasaki projection interplay with or_: absorbing a projection through the
     # complement, distribution over or_, the commutation / coincidence
     # criteria, the two-sided verifiability criterion, and closure of joint
@@ -1046,6 +1097,12 @@ _CATALOG = (
             schay.cup_bits(q1, c1, q2, c2)),
     }, None)]),
     _Law("schay-2.12", 4, "given_bits", fn=_law_schay_2_12),
+    # Every relate tag holds exactly where its route through the operations
+    # says. Three routes are implications, so the quantum implications
+    # correspond to deductive orders: pm to the material or_(not x, y), nf to
+    # the Sasaki hook, whose negation is sasaki(x, not y), and tr to
+    # given(x, not y).
+    _Law("orders", 3, "or_bits and_bits not_bits given_bits sasaki_bits", fn=_law_orders),
 )
 
 _BY_ID = {law.id: law for law in _CATALOG}

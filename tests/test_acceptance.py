@@ -175,14 +175,14 @@ def test_criterion_05_truth_tables_and_pointwise_soundness():
 
 
 def test_criterion_06_full_law_catalog_at_three_atoms(capsys):
-    """`check --law all --atoms 3` prints 27 PASS lines and exits 0."""
+    """`check --law all --atoms 3` prints 28 PASS lines and exits 0."""
     with Timer() as timer:
         code = cli.main(["check", "--law", "all", "--atoms", "3"])
     out = capsys.readouterr().out
     with capsys.disabled():
         assert code == 0
         lines = [line for line in out.splitlines() if not line.startswith("  ")]
-        assert len(lines) == 27
+        assert len(lines) == 28
         assert all(line.endswith(" PASS") for line in lines)
         assert sorted(line.split()[0] for line in lines) == sorted(lawcheck.LAW_IDS)
         assert all(" n=3 " in line for line in lines)

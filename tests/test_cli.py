@@ -311,11 +311,11 @@ def test_check_single_law_line(capsys):
     assert out == "t3.2 n=3 instances=729 PASS\n"
 
 
-def test_check_all_prints_27_pass_lines(capsys):
+def test_check_all_prints_28_pass_lines(capsys):
     code, out, err = run(capsys, "check", "--law", "all", "--atoms", "2")
     assert code == 0
     lines = [line for line in out.splitlines() if not line.startswith("  ")]
-    assert len(lines) == 27
+    assert len(lines) == 28
     assert all(line.endswith("PASS") for line in lines)
 
 

@@ -17,6 +17,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from benchinputs import perfbench_module
+from boolfrac import cli
 from boolfrac import conditional as cnd
 from boolfrac import lawcheck
 from boolfrac import prob
@@ -76,9 +77,9 @@ def test_left_distribution_side_condition_at_two_atoms():
     assert report.passed
 
 
-def test_catalog_has_27_distinct_laws():
-    assert len(lawcheck.LAW_IDS) == 27
-    assert len(set(lawcheck.LAW_IDS)) == 27
+def test_catalog_has_28_distinct_laws():
+    assert len(lawcheck.LAW_IDS) == 28
+    assert len(set(lawcheck.LAW_IDS)) == 28
 
 
 def test_check_reports_are_deterministic():
@@ -194,6 +195,7 @@ GOLDEN_INSTANCES = {  # law: instances_checked at n=2, 3 and 4, weight grid 1;
     "schay-lattice": (1638, 40878, 40878),
     "schay-coincide": (81, 729, 6561),
     "schay-2.12": (9, 27, 81),
+    "orders": (81, 729, 729),
 }
 
 
@@ -241,6 +243,8 @@ GOLDEN_CRITERION_10 = [
     _report("schay-lattice", 1638),
     _report("schay-coincide", 19, "and_s != and_ at x=({1}|{1}) y=UNDEFINED"),
     _report("schay-2.12", 9),
+    _report("orders", 10, "simfals(x, y) disagrees with and_(not x, not y) == (a'bc'd|b v d) "
+                          "at x=({}|{1}) y=UNDEFINED: holds=false"),
 ]
 
 
@@ -850,15 +854,16 @@ def test_both_kernel_forms_report_as_the_reference_under_every_not_mutant(monkey
 THREE_ATOM_BITS = (0b001, 0b010, 0b100)
 
 
-def three_atom_mutants():
+def mutant_forms(atoms):
     """Every table and negation mutant as (kernel name, closed form,
-    per-atom loop), both over the 3-atom space."""
+    per-atom loop), both over the space of `atoms` atoms."""
+    full, atom_bits = (1 << atoms) - 1, tuple(1 << i for i in range(atoms))
     for name, entry, new, _ in table_mutants():
         table = {**TABLES[name], entry: new}
-        yield name, closed_form_kernel(table, 0b111), per_atom_kernel(table, THREE_ATOM_BITS)
+        yield name, closed_form_kernel(table, full), per_atom_kernel(table, atom_bits)
     for name, entry, new, _ in not_mutants():
         table = {**tv.NOT_TABLE, entry: new}
-        yield name, closed_form_not(table, 0b111), per_atom_not(table, THREE_ATOM_BITS)
+        yield name, closed_form_not(table, full), per_atom_not(table, atom_bits)
 
 
 def test_both_kernel_forms_report_as_the_reference_at_three_atoms(monkeypatch):
@@ -874,7 +879,7 @@ def test_both_kernel_forms_report_as_the_reference_at_three_atoms(monkeypatch):
     for kernel in (closed_form_not(tv.NOT_TABLE, 0b111),
                    per_atom_not(tv.NOT_TABLE, THREE_ATOM_BITS)):
         assert all(kernel(*x) == cnd.not_bits(*x) for x in pairs)
-    mutants = list(three_atom_mutants())
+    mutants = list(mutant_forms(3))
     assert len(mutants) == 96
     for name, closed, per_atom in mutants:
         assert_forms_report_as_the_reference(monkeypatch, name, (closed, per_atom), 3, ["t3.17"])
@@ -1324,7 +1329,7 @@ def raise_reports():
 
 def test_raise_reports_match_the_golden_reports():
     golden = json.loads(GOLDEN_RAISE_REPORTS.read_text(encoding="utf-8"))
-    assert len(golden) == 10 * 6 * 27
+    assert len(golden) == 10 * 6 * 28
     assert raise_reports() == golden
 
 
@@ -1356,7 +1361,7 @@ def mutant_reports():
 
 def test_mutant_reports_match_the_golden_reports():
     golden = json.loads(GOLDEN_MUTANT_REPORTS.read_text(encoding="utf-8"))
-    assert len(golden) == 90 * 27
+    assert len(golden) == 90 * 28
     assert mutant_reports() == golden
 
 
@@ -1398,7 +1403,7 @@ def test_superposition_reports_probability_expansions_that_disagree(monkeypatch)
 # record names, so a record must name every kernel the law calls: a
 # sliced block must never meet a kernel the certificate did not see.
 
-BLOCKLESS_LAWS = {"t2.13", "t2.18", "t2.19", "t3.2", "t3.7", "c3.8", "c3.16", "schay-2.12"}
+BLOCKLESS_LAWS = {"t2.13", "t2.18", "t2.19", "t3.2", "t3.7", "c3.8", "schay-2.12", "orders"}
 
 
 def test_every_law_record_names_exactly_the_kernels_its_law_calls(monkeypatch):
@@ -1423,11 +1428,12 @@ def test_every_law_record_names_exactly_the_kernels_its_law_calls(monkeypatch):
         assert lawcheck.check(record.id, 2, 1).passed
         assert len(set(record.kernels)) == len(record.kernels), record.id
     assert called == {record.id: set(record.kernels) for record in lawcheck._CATALOG}
+    assert called["orders"] == {"or_bits", "and_bits", "not_bits", "given_bits", "sasaki_bits"}
 
 
 def test_check_all_certifies_each_kernel_of_a_law_once(monkeypatch):
     """check_all(2, 1) runs the lane certificate once per kernel a law's
-    record names, 48 times in all, when a block route first asks. c3.6
+    record names, 50 times in all, when a block route first asks. c3.6
     names no kernel, and the laws without a block route never ask."""
     certified = []
     running = [None]
@@ -1444,7 +1450,7 @@ def test_check_all_certifies_each_kernel_of_a_law_once(monkeypatch):
     monkeypatch.setattr(lawcheck, "check", checking)
     monkeypatch.setattr(lawcheck, "_lane_local", certifying)
     assert all(report.passed for report in lawcheck.check_all(2, 1))
-    assert len(certified) == len(set(certified)) == 48
+    assert len(certified) == len(set(certified)) == 50
     assert set(lawcheck.LAW_IDS) - {law for law, _ in certified} == BLOCKLESS_LAWS | {"c3.6"}
 
 
@@ -1479,3 +1485,97 @@ def test_every_report_matches_a_fresh_interpreter_across_a_mutant(monkeypatch, c
         exec(KERNEL_RESULTS, {"lawcheck": lawcheck, "cnd": cnd})
         monkeypatch.undo()
         assert capsys.readouterr().out == fresh
+
+
+# c3.16 is two sweeps. Its hand loop over Conditionals, as the law ran
+# before its record held sweeps, is the reference: both give the same
+# report under every table and negation mutant, as a closed form (which
+# runs sliced) and as a per-atom loop, and under every raising kernel
+# of the raise goldens.
+
+def reference_c3_16(run):
+    conds = [cnd.Conditional(run.space, q, c) for q, c in run.pairs]
+    for c in lawcheck._counted(run, conds):
+        if cnd.sasaki(c, c) != c:
+            return "sasaki(c, c) != c at c=%(c)s", dict(c=c)
+    for b in conds:
+        nb = cnd.negate(b)
+        for a in lawcheck._counted(run, conds):
+            proj = cnd.sasaki(b, a)
+            if (proj == a) != rel.holds("wedge", a, b):
+                return ("fixed point does not match the wedge order at b=%(b)s a=%(a)s",
+                        dict(b=b, a=a))
+            zero = cnd.Conditional(run.space, 0, a.c | b.c)
+            if (proj == zero) != rel.holds("tr", a, nb):
+                return ("annihilation does not match tr(a, not b) at b=%(b)s a=%(a)s",
+                        dict(b=b, a=a))
+    return None
+
+
+REFERENCE_C3_16 = lawcheck._Law("c3.16", 4, "not_bits sasaki_bits", fn=reference_c3_16)
+
+
+@pytest.mark.parametrize("atoms", [2, 3])
+def test_c3_16_reports_as_its_hand_loop_did(monkeypatch, atoms):
+    kernels = [(cnd, name, kernel) for name, closed, per_atom in mutant_forms(atoms)
+               for kernel in (closed, per_atom)]
+    kernels += [(module, name, raising_on(getattr(module, name), operands)[1])
+                for module, name in RAISING_KERNELS
+                for operands in RAISING_OPERANDS[1 if name == "not_bits" else 2]]
+    assert len(kernels) == 2 * 96 + 60
+    failed = 0
+    for module, name, kernel in kernels:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, kernel)
+            record = lawcheck.check("c3.16", atoms)
+            patch.setitem(lawcheck._BY_ID, "c3.16", REFERENCE_C3_16)
+            assert repr(record) == repr(lawcheck.check("c3.16", atoms)), (name, kernel)
+        failed += not record.passed
+    assert failed == 56
+
+
+# orders: every relate tag against its route through the operations.
+# The relation mutants are in test_relations.
+
+def test_orders_reports_without_raising_under_every_table_mutant(monkeypatch):
+    """Under each of the 90 table mutants the routes build only
+    Conditionals in normal form, so orders gives a verdict, never a
+    raise; 58 of the mutants fail it, as the mutant goldens record."""
+    failing = 0
+    for name, entry, new, kernel in table_mutants():
+        with monkeypatch.context() as patch:
+            patch.setattr(cnd, name, kernel)
+            report = lawcheck.check("orders", 2, 1)
+        assert not (report.counterexample or "").startswith("raised"), (name, entry, new)
+        failing += not report.passed
+    assert failing == 58
+    golden = json.loads(GOLDEN_MUTANT_REPORTS.read_text(encoding="utf-8"))
+    rows = [row for row in golden if row[1] == "orders"]
+    assert len(rows) == 90 and sum(not row[3] for row in rows) == 58
+    assert not any((row[4] or "").startswith("raised") for row in rows)
+
+
+@pytest.mark.parametrize("name, entry, new, lines", [
+    ("given_bits", (T, T), F, [
+        "orders n=2 instances=20 FAIL",
+        "  counterexample: tr(x, y) disagrees with the implication given(x, not y) having no "
+        "true region at x=({1}|{1}) y=({}|{1}): holds=false"]),
+    ("sasaki_bits", (T, U), T, [
+        "orders n=2 instances=19 FAIL",
+        "  counterexample: nf(x, y) disagrees with the implication sasaki(x, not y) having no "
+        "true region at x=({1}|{1}) y=UNDEFINED: holds=true"]),
+    ("or_bits", (F, U), T, [
+        "orders n=2 instances=19 FAIL",
+        "  counterexample: pm(x, y) disagrees with the implication or_(not x, y) having no "
+        "false region at x=({1}|{1}) y=UNDEFINED: holds=false"]),
+    ("and_bits", (U, F), T, [
+        "orders n=2 instances=2 FAIL",
+        "  counterexample: orth(x, y) disagrees with and_(x, y) == (0|b v d) at x=UNDEFINED "
+        "y=({}|{1}): holds=true"]),
+], ids=["tr", "nf", "pm", "orth"])
+def test_orders_fail_lines_under_table_mutants(monkeypatch, capsys, name, entry, new, lines):
+    """One mutant for each implication clause and one for orth; the CLI
+    prints the report and exits 1."""
+    monkeypatch.setattr(cnd, name, per_atom_kernel({**TABLES[name], entry: new}))
+    assert cli.main(["check", "--law", "orders", "--atoms", "2"]) == 1
+    assert capsys.readouterr().out.splitlines() == lines

@@ -201,6 +201,19 @@ def test_the_route_check_kills_every_relation_mutant(monkeypatch):
             assert first_route_mismatch(tag) is not None, (tag, kind)
 
 
+def test_the_orders_law_fails_under_every_relation_mutant(monkeypatch):
+    """The catalog's own route check, at 2 atoms: orders passes with the
+    shipped relations and fails, naming the mutated tag, under each of
+    the 45 mutants."""
+    assert lawcheck.check("orders", 2).passed
+    for tag, kind, mutant in relation_mutants():
+        with monkeypatch.context() as patch:
+            patch.setitem(rel._RELATIONS, tag, mutant)
+            report = lawcheck.check("orders", 2)
+        assert not report.passed, (tag, kind)
+        assert report.counterexample.startswith("%s(x, y) disagrees with " % tag), (tag, kind)
+
+
 def test_orthogonality_golden(die, die_pair):
     x, _ = die_pair
     other = cnd.make(die.space.event(["4"]), die.space.event(["2", "4", "5"]))
