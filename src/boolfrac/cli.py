@@ -86,7 +86,13 @@ def _cmd_prob(args):
             value = prob.p_or_formula(measure, x, y)
         else:
             value = prob.p_superposition(measure, x, y, mode="and")
-    print("%s (%.6f)" % (value, float(value)))
+    try:
+        text = str(value)
+    except ValueError:  # more digits than the interpreter's int/str limit
+        _fail("the probability's numerator or denominator has more than %d digits"
+              % sys.get_int_max_str_digits())
+        return 1
+    print("%s (%.6f)" % (text, float(value)))
     return 0
 
 

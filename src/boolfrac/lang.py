@@ -38,13 +38,14 @@ separates words within a line, as it does in an expression:
     measure uniform = 1 1 1 1 1 1
 
 Weights are nonnegative integers or fractions `p/q`, written in ASCII
-digits, one per atom, and not all zero. parse_space checks every
-measure line when it reads it, so a bad weight, a zero denominator, a
-wrong weight count, a duplicate name or an all-zero line is an error
-at parse time that names its line, in line order with the other lines.
-The weights are checked by flat scans over the joined list, and read
-one by one only to word an error; an `atoms` line is searched once for
-a reserved character. Of a measure line parse_space keeps only the
+digits, one per atom, not all zero, and none with more digits than the
+interpreter reads. parse_space checks every measure line when it reads
+it, so a bad weight, a zero denominator, a wrong weight count, a
+duplicate name or an all-zero line is an error at parse time that names
+its line, in line order with the other lines. The weights are checked
+by flat scans over the joined list, and read one by one only to word an
+error or if one has over 640 digits; an `atoms` line is searched once
+for a reserved character. Of a measure line parse_space keeps only the
 weight texts and number: a Measure, with its weight table if it has
 one, is built from them the first time its name is read from
 `SpaceDoc.measures`, which is a dict of Measures to its readers, and
@@ -83,7 +84,7 @@ from itertools import repeat
 
 from . import conditional as cnd
 from . import schay
-from ._record import Record, _set
+from ._record import Record
 from .errors import (
     BadWeight,
     DuplicateName,
@@ -139,18 +140,8 @@ _WORD_KINDS[_UNDEFINED] = "undefined"
 RESERVED_WORDS = frozenset(_WORD_KINDS)
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return "Token(kind=%r, text=%r, line=%r, col=%r)" % (
-            self.kind, self.text, self.line, self.col)
+class Token(Record):
+    __slots__ = _fields = ("kind", "text", "line", "col")
 
     def describe(self):
         return "end of input" if self.kind == "eof" else "'%s'" % self.text
@@ -207,15 +198,9 @@ def tokenize(text):
 class EventRef(Record):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name):
-        _set(self, "name", name)
-
 
 class SetLiteral(Record):
     __slots__ = _fields = ("names",)
-
-    def __init__(self, names):
-        _set(self, "names", names)
 
 
 class Undefined(Record):
@@ -227,17 +212,9 @@ class Undefined(Record):
 class Not(Record):
     __slots__ = _fields = ("arg",)
 
-    def __init__(self, arg):
-        _set(self, "arg", arg)
-
 
 class Binary(Record):
     __slots__ = _fields = ("op", "left", "right")
-
-    def __init__(self, op, left, right):
-        _set(self, "op", op)
-        _set(self, "left", left)
-        _set(self, "right", right)
 
 
 class _Parser:
@@ -517,12 +494,6 @@ class SpaceDoc(Record):
     __reduce__ = object.__reduce__
     __hash__ = None
 
-    def __init__(self, name, space, events, measures):
-        self.name = name
-        self.space = space
-        self.events = events
-        self.measures = measures
-
     def lower(self, text):
         return cnd.Conditional(*_lowered(_Conditionals(self.space, self.events).read(text)))
 
@@ -581,6 +552,8 @@ _FRACTION_RE = re.compile(r"([0-9]+)/([0-9]+)")
 _WEIGHT_CHARS_RE = re.compile(r"[0-9/ ]*")
 _BAD_DENOMINATOR_RE = re.compile(r"/(?:[0-9]*/|0*(?: |$))")
 _NONZERO_RE = re.compile(r"(?:^| )0*[1-9]")
+# More digits than the least int/str conversion limit an interpreter may set.
+_LONG_RE = re.compile(r"[0-9]{641}")
 
 
 def _parse_weights(texts, line_no):
@@ -590,17 +563,21 @@ def _parse_weights(texts, line_no):
     from fractions import Fraction
 
     weights = []
-    for text in texts:
-        if text.isascii() and text.isdigit():
-            weights.append(int(text))
-            continue
-        m = _FRACTION_RE.fullmatch(text)
-        if m is None:
-            raise BadWeight("line %d: bad weight %r" % (line_no, text))
-        den = int(m.group(2))
-        if den == 0:
-            raise BadWeight("line %d: zero denominator in %r" % (line_no, text))
-        weights.append(Fraction(int(m.group(1)), den))
+    try:
+        for text in texts:
+            if text.isascii() and text.isdigit():
+                weights.append(int(text))
+                continue
+            m = _FRACTION_RE.fullmatch(text)
+            if m is None:
+                raise BadWeight("line %d: bad weight %r" % (line_no, text))
+            den = int(m.group(2))
+            if den == 0:
+                raise BadWeight("line %d: zero denominator in %r" % (line_no, text))
+            weights.append(Fraction(int(m.group(1)), den))
+    except ValueError:  # more digits than the interpreter's int/str limit
+        raise BadWeight("line %d: weight %d has too many digits" % (line_no, len(weights) + 1)) \
+            from None
     return weights
 
 
@@ -608,10 +585,11 @@ def _check_weights(texts, line_no):
     """Raise what building a Measure from a measure line's weight texts
     would raise, without building it, with the line number in a zero
     total's message too: flat scans over the whole list, and
-    `_parse_weights` only to word a bad weight."""
+    `_parse_weights` only to word a bad weight or to read a long one."""
     joined = " ".join(texts)
     if (_WEIGHT_CHARS_RE.fullmatch(joined) is None or joined[:1] == "/" or " /" in joined
-            or _BAD_DENOMINATOR_RE.search(joined) is not None):
+            or _BAD_DENOMINATOR_RE.search(joined) is not None
+            or len(joined) > 640 and _LONG_RE.search(joined) is not None):
         _parse_weights(texts, line_no)
     if _NONZERO_RE.search(joined) is None:
         raise ZeroTotalWeight("line %d: all atom weights are zero" % (line_no,))
@@ -738,4 +716,4 @@ def parse_space(text):
             raise ParseError("unknown directive %r" % (directive,), line_no, 1)
     if space is None:
         raise ParseError("file never declares atoms", len(lines) + 1, 1)
-    return SpaceDoc(name=name, space=space, events=events, measures=_Measures(space, measures))
+    return SpaceDoc(name, space, events, _Measures(space, measures))

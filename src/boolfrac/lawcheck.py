@@ -38,8 +38,8 @@ in software" (FSE 1997): a block packs instances into one int per
 operand component, one instance per n-bit lane, and one kernel call
 evaluates every lane. The lowest failing lane is the first failure in
 enumeration order, so counts and counterexamples are those of a plain
-loop. Sixteen laws are sweeps alone; t3.11, t3.17 and superposition
-add a function for their note, folded families and grid part.
+loop. Most laws are sweeps alone; t3.11, t3.17 and superposition add
+a function for their note, folded families and grid part.
 
 The route is chosen per law, once per check. The first time a block
 route asks, the run certifies every kernel the law's record names with
@@ -53,12 +53,12 @@ plain loop. A test runs every law under recording kernels, so a record
 names exactly the kernels its law calls and a sliced block never meets
 an uncertified one. A raise inside a sliced sweep counts the whole block.
 
-Nine laws are a function alone. truth-tables runs blocks of its own
+The other laws are a function alone. truth-tables runs blocks of its own
 on the same route, one instance per (pair, atom, op), as do t3.17's
 folded families, one byte lane per family; unsliced, a block holds one
 pair, single or family, counted as a plain loop counts it. Only operand
-packings, which no kernel computed, are cached. The other eight are
-more than bit kernels: t2.13 sums probabilities over measure grids
+packings, which no kernel computed, are cached. The rest are more
+than bit kernels: t2.13 sums probabilities over measure grids
 (with superposition's grid part, the only code that imports `prob`),
 t2.18, t2.19, t3.2, t3.7, c3.8 and orders call `relations`, and
 schay-2.12 builds Conditionals. orders is the catalog's only caller
@@ -249,12 +249,12 @@ def _diff(lhs, rhs):
 
 
 @lru_cache(maxsize=16)
-def _block(n, pairs, inner):
-    """The repunit of a block over `pairs` in n-bit lanes, which has a 1
-    at the low bit of every lane, and the block's packed operand
-    components: with one operand, pairs[i] sits in the lane at bit n*i;
-    with two, (pairs[i], pairs[j]) sits in the lane at bit
-    n*(len(pairs)*i + j)."""
+def _block(n, inner):
+    """The repunit of a block over the `pairs` of `_checking_space(n)` in
+    n-bit lanes, which has a 1 at the low bit of every lane, and the
+    block's packed operand components: with one operand, pairs[i] sits in
+    the lane at bit n*i; with two, (pairs[i], pairs[j]) at bit n*(3**n*i + j)."""
+    pairs = _checking_space(n)[1]
     size = len(pairs)
     row = _pack([1] * size, n)
     components = list(zip(*pairs))
@@ -304,7 +304,7 @@ def _sweep(run, arity, clauses, templates, lead=None, constants=()):
         # The last min(arity, 2) operands are packed into the block; the
         # ones before them are broadcast to every lane.
         inner = min(arity, 2)
-        lanes, packed = _block(n, pairs, inner)
+        lanes, packed = _block(n, inner)
         blocks = (((*(v * lanes for v in sum(prefix, ())), *packed), prefix)
                   for prefix in product(pairs, repeat=arity - inner))
         constants = tuple(v * lanes for v in constants)
@@ -498,7 +498,7 @@ def _law_truth_tables(run):
         (1, _NOT_TABLE, (("not", cnd.not_bits, tv.tt_not),)),
     )
     for inner, template, ops in parts:
-        lanes, packed = _block(n, pairs, inner)
+        lanes, packed = _block(n, inner)
         inputs = [_truth_masks(qc, lanes * full) for qc in zip(packed[::2], packed[1::2])]
         expected = [_table_masks(table, *inputs) for _, _, table in ops]
         if run.sliced:
@@ -646,6 +646,11 @@ def _osum_note(run):
     return _render(run.space, *example) if example else "osum associativity holds over this space"
 
 
+def _fixed_point(qb, cb, qa, ca, *_):
+    """t3.15 and c3.16 (its not_bits lead unused): sasaki(b, a) == a, in the wedge order."""
+    return cnd.sasaki_bits(qb, cb, qa, ca), (qa, ca), (cb & ~ca) | ((cb & ~qb) & ~(ca & ~qa))
+
+
 def _idempotent(qb, cb, qa, ca):
     """t3.15: sasaki(b, a) projected onto b again, and the projection."""
     proj = cnd.sasaki_bits(qb, cb, qa, ca)
@@ -677,7 +682,7 @@ def _family_blocks(atoms):
     combinations_with_replacement order, one family per byte lane:
     (c, compatible, size, lanes, R, packed), where R has a 1 at the low
     bit of every lane and packed holds one (q, c) int per position."""
-    pairs = cnd.enumerate_conditionals_bits((1 << atoms) - 1)
+    pairs = _checking_space(atoms)[1]
     blocks = []
     for qc, cc in pairs:
         compatible = [a for a in pairs if (qc & ~a[1]) == 0 and (a[0] & ~cc) == 0]
@@ -1022,9 +1027,7 @@ _CATALOG = (
     # composes via and_ of the projectors; and two projections onto the same
     # target commute. Triples are (b, c, a), with the lead meet = and_(b, c).
     _Law("t3.15", 4, "and_bits sasaki_bits", [
-        (2, {"fixed-point criterion fails at b=%(x)s a=%(y)s":
-                 lambda qb, cb, qa, ca: (cnd.sasaki_bits(qb, cb, qa, ca), (qa, ca),
-                                         (cb & ~ca) | ((cb & ~qb) & ~(ca & ~qa))),
+        (2, {"fixed-point criterion fails at b=%(x)s a=%(y)s": _fixed_point,
              "annihilation criterion fails at b=%(x)s a=%(y)s":
                  lambda qb, cb, qa, ca: (cnd.sasaki_bits(qb, cb, qa, ca), (0, ca | cb),
                                          qa & ~(cb & ~qb)),
@@ -1043,9 +1046,7 @@ _CATALOG = (
     _Law("c3.16", 4, "not_bits sasaki_bits", [
         (1, {"sasaki(c, c) != c at c=%(x)s":
                  lambda q1, c1: (cnd.sasaki_bits(q1, c1, q1, c1), (q1, c1))}, None),
-        (2, {"fixed point does not match the wedge order at b=%(x)s a=%(y)s":
-                 lambda qb, cb, qa, ca, nb: (cnd.sasaki_bits(qb, cb, qa, ca), (qa, ca),
-                                             (cb & ~ca) | ((cb & ~qb) & ~(ca & ~qa))),
+        (2, {"fixed point does not match the wedge order at b=%(x)s a=%(y)s": _fixed_point,
              "annihilation does not match tr(a, not b) at b=%(x)s a=%(y)s":
                  lambda qb, cb, qa, ca, nb: (cnd.sasaki_bits(qb, cb, qa, ca), (0, ca | cb),
                                              qa & ~nb[0])}, "not_bits"),

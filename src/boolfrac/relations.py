@@ -35,7 +35,7 @@ tests the operands' spaces inline, not through `same_space`.
 """
 
 from . import conditional as cnd
-from ._record import Record, _set
+from ._record import Record
 from .errors import SpaceMismatch, TooLarge
 from .space import same_space
 
@@ -209,39 +209,20 @@ class VerifiabilityProfile(Record):
                            "falsifiable", "complement_verifiable", "applicable",
                            "same_condition")
 
-    def __init__(self, truth_applicable, falsity_applicable, verifiable, falsifiable,
-                 complement_verifiable, applicable, same_condition):
-        _set(self, "truth_applicable", truth_applicable)
-        _set(self, "falsity_applicable", falsity_applicable)
-        _set(self, "verifiable", verifiable)
-        _set(self, "falsifiable", falsifiable)
-        _set(self, "complement_verifiable", complement_verifiable)
-        _set(self, "applicable", applicable)
-        _set(self, "same_condition", same_condition)
-
     def flags(self):
         return self._values()
 
 
 def profile(x, y):
     q1, c1, q2, c2 = _pair(x, y)
-    return VerifiabilityProfile(
-        truth_applicable=q1 & ~c2 == 0,
-        falsity_applicable=(c1 & ~q1) & ~c2 == 0,
-        verifiable=sim_verifiable_bits(q1, c1, q2, c2),
-        falsifiable=sim_falsifiable_bits(q1, c1, q2, c2),
-        complement_verifiable=(c1 & ~q1) & ~c2 == 0 and q2 & ~c1 == 0,
-        applicable=c1 & ~c2 == 0,
-        same_condition=c1 == c2,
-    )
+    return VerifiabilityProfile(  # the flags 1 to 7 of the class docstring
+        q1 & ~c2 == 0, (c1 & ~q1) & ~c2 == 0,
+        sim_verifiable_bits(q1, c1, q2, c2), sim_falsifiable_bits(q1, c1, q2, c2),
+        (c1 & ~q1) & ~c2 == 0 and q2 & ~c1 == 0, c1 & ~c2 == 0, c1 == c2)
 
 
 class Subalgebra(Record):
     __slots__ = _fields = ("members", "is_boolean")
-
-    def __init__(self, members, is_boolean):
-        _set(self, "members", members)
-        _set(self, "is_boolean", is_boolean)
 
 
 def _close(seeds):
@@ -369,7 +350,4 @@ def generated_subalgebra(x, y):
     _pair(x, y)
     space = x.space
     members, is_boolean = subalgebra_bits(space, {(x.q, x.c), (y.q, y.c)})
-    return Subalgebra(
-        members=frozenset(cnd.Conditional(space, q, c) for q, c in members),
-        is_boolean=is_boolean,
-    )
+    return Subalgebra(frozenset(cnd.Conditional(space, q, c) for q, c in members), is_boolean)

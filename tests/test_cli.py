@@ -243,6 +243,40 @@ def test_prob_on_64_atoms_sums_the_atom_weights(capsys, tmp_path, measure, expr,
         assert answer == (0, "%s (%.6f)\n" % (value, float(value)), "")
 
 
+# The interpreter's limit on int/str conversion, 0 where it has none.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="no int/str digit limit")
+
+
+@needs_digit_limit
+def test_a_weight_past_the_digit_limit_is_a_bad_weight(capsys, tmp_path):
+    """A weight of one digit more than the interpreter converts is a bad
+    weight at parse time, so `eval`, which reads no measure, fails too;
+    one at the limit is read."""
+    path = tmp_path / "big.cs"
+    path.write_text("space big\natoms a b c\nmeasure m = 1 1%s 1\n" % ("0" * DIGIT_LIMIT))
+    for command in (["prob", "--measure", "m"], ["eval"]):
+        assert run(capsys, *command, "--space", str(path), "--expr", "a") == (
+            2, "", "boolfrac: error: line 3: weight 2 has too many digits\n")
+    path.write_text("space big\natoms a b c\nmeasure m = 1 1%s 1\n" % ("0" * (DIGIT_LIMIT - 1)))
+    value = Fraction(10 ** (DIGIT_LIMIT - 1), 10 ** (DIGIT_LIMIT - 1) + 2)
+    assert run(capsys, "prob", "--space", str(path), "--measure", "m", "--expr", "b") == (
+        0, "%s (%.6f)\n" % (value, float(value)), "")
+
+
+@needs_digit_limit
+def test_a_probability_past_the_digit_limit_is_a_domain_error(capsys, tmp_path):
+    """Three weights whose denominators are at the limit give an answer
+    whose terms are past it: one error line, not a traceback."""
+    zeros = "0" * (DIGIT_LIMIT - 2)
+    path = tmp_path / "big.cs"
+    path.write_text("space big\natoms a b c\nmeasure m = 1/1%s1 1/1%s3 1/1%s7\n"
+                    % (zeros, zeros, zeros))
+    assert run(capsys, "prob", "--space", str(path), "--measure", "m", "--expr", "a") == (
+        1, "", "boolfrac: error: the probability's numerator or denominator has more than "
+        "%d digits\n" % DIGIT_LIMIT)
+
+
 # relate
 
 

@@ -4,7 +4,8 @@ boolfrac writes its record classes by hand so that importing it does not
 import `dataclasses`. Each one must still behave as the dataclass it
 replaced: the same repr, == (NotImplemented against any other class),
 hash, immutability and construction. The references below are those
-dataclasses, kept here under the same names.
+dataclasses, kept here under the same names, and one for `lang.Token`,
+which is a record too.
 
 The last tests start fresh interpreters: importing the package loads
 neither `dataclasses` nor `prob` (with `fractions`, `decimal` and
@@ -24,9 +25,18 @@ import pytest
 
 import boolfrac
 from boolfrac import lang, lawcheck, prob, relations
+from boolfrac._record import Record
 from boolfrac.space import SampleSpace
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str
+    text: str
+    line: int
+    col: int
 
 
 @dataclass(frozen=True)
@@ -103,6 +113,7 @@ SPACE = SampleSpace(["a", "b"])
 
 # (class, reference, field values, other field values)
 CASES = [
+    (lang.Token, Token, ("ident", "a", 1, 3), ("ident", "a", 2, 3)),
     (lang.EventRef, EventRef, ("a",), ("b",)),
     (lang.SetLiteral, SetLiteral, (("a", "b"),), ((),)),
     (lang.Undefined, Undefined, (), None),
@@ -138,6 +149,35 @@ def test_repr_and_construction_match_the_dataclass(cls, reference, values, other
     assert cls(**dict(zip(field_names(reference), values))) == new
     with pytest.raises(TypeError):
         cls(*values, None)
+
+
+@pytest.mark.parametrize("cls, reference, values, other", CASES, ids=ids(CASES))
+def test_bad_keyword_construction_raises_type_error_as_the_dataclass(cls, reference, values,
+                                                                      other):
+    """An unknown field, the first field given by position and by name,
+    or the first field missing is a TypeError; the fields after the first
+    may follow it by name."""
+    named = dict(zip(field_names(reference), values))
+    bad = [((), dict(named, unknown=None))]
+    if named:
+        first = field_names(reference)[0]
+        rest = {name: value for name, value in named.items() if name != first}
+        bad += [(values[:1], named), ((), rest)]
+        assert cls(values[0], **rest) == cls(*values)
+    for args, kwargs in bad:
+        for make in (cls, reference):
+            with pytest.raises(TypeError):
+                make(*args, **kwargs)
+
+
+def test_only_records_that_do_more_than_store_their_fields_write_a_constructor():
+    """Every other record class is built by `Record.__init__`."""
+    classes, own = [Record], set()
+    for cls in classes:
+        classes += cls.__subclasses__()
+        if "__init__" in vars(cls):
+            own.add(cls.__qualname__)
+    assert own == {"Record", "LawReport", "AdditiveReport", "_Law"}
 
 
 @pytest.mark.parametrize("cls, reference, values, other", CASES, ids=ids(CASES))
