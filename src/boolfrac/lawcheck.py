@@ -36,10 +36,12 @@ A sweep checks clauses of bit kernels and raw bit inequalities with
 `_sweep`, which bit-slices after Biham, "A fast new DES implementation
 in software" (FSE 1997): a block packs instances into one int per
 operand component, one instance per n-bit lane, and one kernel call
-evaluates every lane. The lowest failing lane is the first failure in
-enumeration order, so counts and counterexamples are those of a plain
-loop. Most laws are sweeps alone; t3.11, t3.17 and superposition add
-a function for their note, folded families and grid part.
+evaluates every lane. A sweep of at most 3**9 instances (arity * n <= 9)
+is one block, a four-atom triple sweep one block per first operand. The
+lowest failing lane is the first failure in enumeration order, so counts
+and counterexamples are those of a plain loop. Most laws are sweeps
+alone; t3.11, t3.17 and superposition add a function for their note,
+folded families and grid part.
 
 The route is chosen per law, once per check. The first time a block
 route asks, the run certifies every kernel the law's record names with
@@ -51,7 +53,8 @@ every block of the law holds one instance, the kernels see the pairs
 themselves and the driver compares results as Python values, as in a
 plain loop. A test runs every law under recording kernels, so a record
 names exactly the kernels its law calls and a sliced block never meets
-an uncertified one. A raise inside a sliced sweep counts the whole block.
+an uncertified one. A raise inside a sliced sweep counts the whole
+block, which at n <= 3 is the sweep's whole instance set.
 
 The other laws are a function alone. truth-tables runs blocks of its own
 on the same route, one instance per (pair, atom, op), as do t3.17's
@@ -250,19 +253,19 @@ def _diff(lhs, rhs):
 
 @lru_cache(maxsize=16)
 def _block(n, inner):
-    """The repunit of a block over the `pairs` of `_checking_space(n)` in
-    n-bit lanes, which has a 1 at the low bit of every lane, and the
-    block's packed operand components: with one operand, pairs[i] sits in
-    the lane at bit n*i; with two, (pairs[i], pairs[j]) at bit n*(3**n*i + j)."""
+    """The block of the `inner`-tuples of `_checking_space(n)`'s pairs in
+    n-bit lanes, tuple L of product(pairs, repeat=inner) at bit n*L: its
+    repunit, with a 1 at the low bit of every lane, and its packed operand
+    components. Each round lays len(pairs) copies of the block so far side
+    by side, copy i under a new first operand pairs[i]."""
     pairs = _checking_space(n)[1]
-    size = len(pairs)
-    row = _pack([1] * size, n)
-    components = list(zip(*pairs))
-    if inner == 1:
-        return row, tuple(_pack(v, n) for v in components)
-    column = _pack([1] * size, n * size)
-    return row * column, (*(_pack(v, n * size) * row for v in components),
-                          *(_pack(v, n) * column for v in components))
+    lanes, packed, width = 1, (), n
+    for _ in range(inner):
+        copies = _pack([1] * len(pairs), width)
+        packed = (*(_pack(v, width) * lanes for v in zip(*pairs)), *(v * copies for v in packed))
+        lanes *= copies
+        width *= len(pairs)
+    return lanes, packed
 
 
 class _Run:
@@ -282,7 +285,9 @@ class _Run:
 
 def _sweep(run, arity, clauses, templates, lead=None, constants=()):
     """Check `clauses` on every `arity`-tuple of the run's pairs, first
-    operand outermost, advancing run.count by one per instance.
+    operand outermost, advancing run.count by one per instance. Sliced,
+    a sweep of at most 3**9 instances (arity * n <= 9) is one block, a
+    larger one a block of its last two operands per tuple of the rest.
 
     A clause maps q1, c1, q2, c2, ... (then the lead's result on the
     first max(1, arity - 1) operands, when a lead is given, then
@@ -298,12 +303,9 @@ def _sweep(run, arity, clauses, templates, lead=None, constants=()):
     z, lhs, rhs, holds (whether they are equal) and, for a side clause,
     side (whether it is empty).
     """
-    n, pairs = run.space.n, run.pairs
-    size = len(pairs)
+    n, pairs, size = run.space.n, run.pairs, len(run.pairs)
     if run.sliced:
-        # The last min(arity, 2) operands are packed into the block; the
-        # ones before them are broadcast to every lane.
-        inner = min(arity, 2)
+        inner = arity if arity * n <= 9 else 2
         lanes, packed = _block(n, inner)
         blocks = (((*(v * lanes for v in sum(prefix, ())), *packed), prefix)
                   for prefix in product(pairs, repeat=arity - inner))
@@ -325,8 +327,7 @@ def _sweep(run, arity, clauses, templates, lead=None, constants=()):
                 return tuple(lane(v, k) for v in value)
             return value >> n * k & mask
     else:
-        # One instance per block: the kernels see the pairs themselves and
-        # results compare as Python values, as in a plain loop.
+        # One instance per block, compared as Python values as in a plain loop.
         inner = 0
         blocks = ((sum(prefix, ()), prefix) for prefix in product(pairs, repeat=arity))
         flag = bool
@@ -341,8 +342,7 @@ def _sweep(run, arity, clauses, templates, lead=None, constants=()):
             operands += (lead(*operands[:leading]),)
         operands += constants
         run.count += block
-        checked = []
-        failed = 0
+        checked, failed = [], 0
         for clause in clauses:
             result = clause(*operands)
             bits = differ(result[0], result[1])

@@ -1172,6 +1172,35 @@ def test_shift_loop_pack_matches_the_string_reference():
         assert lawcheck._pack(values, width) == _pack(values, width)
 
 
+def _two_branch_block(n, inner):
+    """The single and pair blocks as two formulas, the reference for
+    `_block` at inner 1 and 2: repunits of n-bit lanes and of
+    n*3**n-bit lanes, multiplied into one another's components."""
+    pairs = lawcheck._checking_space(n)[1]
+    size = len(pairs)
+    row = _pack([1] * size, n)
+    components = list(zip(*pairs))
+    if inner == 1:
+        return row, tuple(_pack(v, n) for v in components)
+    column = _pack([1] * size, n * size)
+    return row * column, (*(_pack(v, n * size) * row for v in components),
+                          *(_pack(v, n) * column for v in components))
+
+
+@pytest.mark.parametrize("n, inner", [(n, inner) for n in (1, 2, 3) for inner in (1, 2, 3)]
+                         + [(4, 1), (4, 2)])
+def test_block_packs_the_inner_tuples_of_the_pairs_in_enumeration_order(n, inner):
+    """Lane L of each packed component holds that component of the L-th
+    tuple of product(pairs, repeat=inner), and the repunit has a 1 in
+    every lane; the single and pair blocks equal the two formulas."""
+    tuples = [sum(t, ()) for t in product(lawcheck._checking_space(n)[1], repeat=inner)]
+    lanes, packed = lawcheck._block(n, inner)
+    assert lanes == _pack([1] * len(tuples), n)
+    assert packed == tuple(_pack(component, n) for component in zip(*tuples))
+    if inner < 3:
+        assert (lanes, packed) == _two_branch_block(n, inner)
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_lane_reads_give_every_lane_past_the_first_runs(width):
     """Lane k of each mask, as a shift reads it, across the first run of
@@ -1185,23 +1214,29 @@ def test_lane_reads_give_every_lane_past_the_first_runs(width):
 
 
 @pytest.mark.parametrize("law, atoms, kernels, calls", [
-    # five calls (lhs and rhs) per outer x, all 27 x 27 pairs (y, z) at once
-    ("t2.4", 3, ("or_bits", "and_bits"), 2 + 27 * 5),
+    # five calls (lhs and rhs) in one block of all 9**3 triples at two atoms,
+    # of all 27**3 at three
+    ("t2.4", 2, ("or_bits", "and_bits"), 2 + 5),
+    ("t2.4", 3, ("or_bits", "and_bits"), 2 + 5),
+    # past 3**9 triples, five calls per outer x, all 81 x 81 pairs (y, z) at once
+    ("t2.4", 4, ("or_bits", "and_bits"), 2 + 81 * 5),
     ("c3.3", 3, ("or_bits", "and_bits"), 1 + 1),  # one and_ call for all 27 x 27 pairs (x, y)
     # one certificate per check, 3 calls for the singles, 3 for the pairs, 4 for the
-    # first outer x's triples, which hold the non-associative triple of the note
+    # one block of triples, which holds the non-associative triple of the note
     ("t3.11", 3, ("osum_bits",), 1 + 3 + 3 + 4),
     ("superposition", 2, ("or_bits", "and_bits"), 2 + 8 + 8),  # its pairs only: no grid
     # a certificate and one call per kernel: and_, or_ and given on all 81 x 81
     # pairs at once, not on all 81 conditionals
     ("truth-tables", 4, ("and_bits", "or_bits", "given_bits", "not_bits"), 4 + 4),
 ])
-def test_certified_kernels_run_one_sliced_block_per_outer_operand(monkeypatch, law, atoms,
-                                                                   kernels, calls):
-    """One certificate call per kernel the law names, then one block per
-    outer x for triples and one block in all for singles or pairs. With
-    no weight vectors, superposition runs only its pair part, and its
-    grid part, part 2, fails for checking no instance."""
+def test_certified_kernels_run_one_sliced_block_per_sweep_up_to_3_to_the_9(monkeypatch, law,
+                                                                           atoms, kernels, calls):
+    """One certificate call per kernel the law names, then one block for
+    a sweep of at most 3**9 instances (every single and pair up to four
+    atoms, every triple up to three) and one block per outer x for
+    triples at four atoms. With no weight vectors, superposition runs
+    only its pair part, and its grid part, part 2, fails for checking no
+    instance."""
     made = []
 
     def counted(kernel):
@@ -1342,27 +1377,49 @@ def test_raise_reports_match_the_golden_reports():
 GOLDEN_MUTANT_REPORTS = ROOT / "fixtures" / "mutant_reports.json"
 
 
-def mutant_reports():
-    """Every report as [mutant, law, instances, passed, counterexample,
-    note], at 2 atoms and weight grid 1."""
+def installed_mutants(full):
+    """Each of the 90 table mutants, built for the law space whose atom
+    mask is `full`, installed in turn while its label is yielded."""
     mutants = perfbench_module("mutants")
-    reports = []
     for spec in mutants.specs():
         name = spec[0]
         shipped = getattr(cnd, name)
-        setattr(cnd, name, mutants.build(spec, 0b11))
+        setattr(cnd, name, mutants.build(spec, full))
         try:
-            reports += [["%s %s%s -> %s" % (name, *spec[1], spec[2]), r.law, r.instances_checked,
-                         r.passed, r.counterexample, r.note] for r in lawcheck.check_all(2, 1)]
+            yield "%s %s%s -> %s" % (name, *spec[1], spec[2])
         finally:
             setattr(cnd, name, shipped)
-    return reports
+
+
+def mutant_reports():
+    """Every report as [mutant, law, instances, passed, counterexample,
+    note], at 2 atoms and weight grid 1."""
+    return [[label, r.law, r.instances_checked, r.passed, r.counterexample, r.note]
+            for label in installed_mutants(0b11) for r in lawcheck.check_all(2, 1)]
 
 
 def test_mutant_reports_match_the_golden_reports():
     golden = json.loads(GOLDEN_MUTANT_REPORTS.read_text(encoding="utf-8"))
     assert len(golden) == 90 * 28
     assert mutant_reports() == golden
+
+
+# Golden triple-sweep reports at three atoms, where every triple sweep
+# is one block: the nine laws that sweep triples, under each of the 90
+# table mutants built for the 3-atom law space, at weight grid 1, as the
+# repr of each LawReport. Recorded while each triple sweep ran one block
+# per outer operand.
+
+GOLDEN_TRIPLE_MUTANT_REPORTS = ROOT / "fixtures" / "triple_mutant_reports.json"
+TRIPLE_SWEEP_LAWS = ("t2.4", "c2.5", "t2.6", "c2.7", "props2.3", "t3.11", "t3.15", "t3.17",
+                     "schay-lattice")
+
+
+def test_triple_sweep_mutant_reports_at_three_atoms_match_the_golden_reports():
+    golden = json.loads(GOLDEN_TRIPLE_MUTANT_REPORTS.read_text(encoding="utf-8"))
+    assert len(golden) == 90 * len(TRIPLE_SWEEP_LAWS)
+    assert [[label, repr(lawcheck.check(law, 3, 1))]
+            for label in installed_mutants(0b111) for law in TRIPLE_SWEEP_LAWS] == golden
 
 
 # A law that checks nothing has shown nothing: with no weight vector,
