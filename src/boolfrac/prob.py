@@ -11,13 +11,17 @@ denominator when it is made (its `weights` Fractions only when first
 read). Up to 8 atoms it builds one table of subset weights, and a
 lookup is that list's own __getitem__; above that a lookup sums the
 scaled weights of the set bits, and no table is built. Sums and
-comparisons are exact integer arithmetic, and each function
-builds a single fractions.Fraction for the value it returns.
-additive_law_check builds none: it decides holds by integer
-cross-multiplication, w(q)·wx·wy == (w(xq)·wy + w(yq)·wx)·w(c) for the
-disjunction (q|c), and its report keeps each side as a numerator and
-denominator until the side is first read. Nothing is rounded anywhere.
-The functions the laws call per instance test operand spaces inline.
+comparisons are exact integer arithmetic. Each Fraction a Measure or a
+quotient function returns is built by _quotient from its two ints, in
+lowest terms by one gcd, with no pass through Fraction's constructor
+(p_event divides two of them); the constructor is left to what a
+caller may supply, a Measure weight that is not an int or a Fraction
+and an AdditiveReport side. additive_law_check builds no Fraction: it
+decides holds by integer cross-multiplication, w(q)·wx·wy ==
+(w(xq)·wy + w(yq)·wx)·w(c) for the disjunction (q|c), and its report
+keeps each side as a numerator and denominator until the side is first
+read. Nothing is rounded anywhere. The functions the laws call per
+instance test operand spaces inline.
 
 Besides the direct quotient, this module carries three expansions of a
 probability into weighted parts, and the additivity report:
@@ -35,7 +39,7 @@ probability into weighted parts, and the additivity report:
 from fractions import Fraction
 from functools import partial
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
 
 from . import conditional as cnd
 from ._record import Record, _set
@@ -52,6 +56,16 @@ from .space import Event
 CHUNK_ATOMS = 8
 # bin()'s digits as the 0 and 1 bytes itertools.compress selects by.
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _quotient(num, den):
+    """num/den as a Fraction in lowest terms by one gcd, for checked ints
+    num >= 0 and den > 0: fractions' own two slots, no Fraction.__new__."""
+    g = gcd(num, den)
+    f = object.__new__(Fraction)
+    f._numerator = num // g
+    f._denominator = den // g
+    return f
 
 
 class Measure:
@@ -95,7 +109,7 @@ class Measure:
         if total == 0:
             raise ZeroTotalWeight("all atom weights are zero")
         self.space = space
-        self.total = Fraction(total, scale)
+        self.total = _quotient(total, scale)
         self._weights = None
         self._scale = scale
         self._scaled = scaled
@@ -113,13 +127,13 @@ class Measure:
     def weights(self):
         if self._weights is None:
             scale = self._scale
-            self._weights = tuple(Fraction(s, scale) for s in self._scaled)
+            self._weights = tuple(_quotient(s, scale) for s in self._scaled)
         return self._weights
 
     def weight_bits(self, bits):
         if not 0 <= bits <= self.space.full_bits:
             raise ValueError("event bits 0x%x out of range for %d atoms" % (bits, self.space.n))
-        return Fraction(self._iw(bits), self._scale)
+        return _quotient(self._iw(bits), self._scale)
 
     def weight(self, event):
         if event.space != self.space:
@@ -154,7 +168,7 @@ def p_cond(m, x):
     wc = w(x.c)
     if wc == 0:
         raise ZeroCondition("condition %s has weight zero" % (x.condition,))
-    return Fraction(w(x.q), wc)
+    return _quotient(w(x.q), wc)
 
 
 def p_or_formula(m, x, y):
@@ -175,7 +189,7 @@ def p_or_formula(m, x, y):
     wu = w(x.c | y.c)
     if wu == 0:
         raise ZeroCondition("condition %s has weight zero" % (x.condition | y.condition,))
-    return Fraction(w(x.q) + w(y.q) - w(x.q & y.q), wu)
+    return _quotient(w(x.q) + w(y.q) - w(x.q & y.q), wu)
 
 
 def p_superposition(m, x, y, mode="or"):
@@ -208,7 +222,7 @@ def p_superposition(m, x, y, mode="or"):
         num = w((x.q | y.q) & both)
     else:
         num = w(x.q & y.q)
-    return Fraction(num + w(x.q & only_x) + w(y.q & only_y), wu)
+    return _quotient(num + w(x.q & only_x) + w(y.q & only_y), wu)
 
 
 def partition_expansion(m, a, parts):
@@ -233,7 +247,7 @@ def partition_expansion(m, a, parts):
     wu = w(union)
     if wu == 0:
         raise ZeroCondition("partition union has weight zero")
-    return Fraction(sum(w(a.bits & part.bits) for part in parts), wu)
+    return _quotient(sum(w(a.bits & part.bits) for part in parts), wu)
 
 
 class AdditiveReport(Record):

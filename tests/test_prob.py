@@ -6,18 +6,22 @@ context-split superposition are pinned factor by factor on the die bet,
 and the additivity check reports exactly when P(x or y) == P(x) + P(y).
 Measures compute with integer subset weights, from a table up to 8 atoms
 and as a sum over the set bits above; hypothesis pins every function to
-a per-atom Fraction reference on both sides of that boundary.
+a per-atom Fraction reference on both sides of that boundary. Every
+result is a Fraction in lowest terms, built without Fraction.__new__.
 """
 
 import copy
 import pickle
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from boolfrac import conditional as cnd
+from boolfrac import lawcheck
 from boolfrac import prob
 from boolfrac import trivalent as tv
 from boolfrac.errors import (
@@ -736,3 +740,85 @@ def test_a_negative_float_weight_is_named_as_a_fraction():
     with pytest.raises(BadWeight) as err:
         prob.Measure(SampleSpace(["a", "b"]), [-0.5, 1])
     assert str(err.value) == "negative weight -1/2"
+
+
+# ----------------------------------------- results built without the constructor
+
+QUOTIENTS = [
+    (0, 1), (0, 12), (0, 3 ** 50),
+    (1, 1), (12, 12), (2 ** 70, 2 ** 70),
+    (1, 3), (7, 4), (2 ** 64 + 1, 2 ** 64 + 2), (3 ** 41, 2 ** 65),
+    (6, 4), (30, 12), (3 * 2 ** 66, 9 * 2 ** 65), (10 ** 30, 4 * 10 ** 20),
+]
+
+
+@pytest.mark.parametrize("num, den", QUOTIENTS)
+def test_a_quotient_is_the_fraction_the_constructor_builds(num, den):
+    got, want = prob._quotient(num, den), Fraction(num, den)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert (hash(got), str(got), repr(got)) == (hash(want), str(want), repr(want))
+    back = pickle.loads(pickle.dumps(got))
+    assert (type(back), back.numerator, back.denominator) == (
+        Fraction, want.numerator, want.denominator)
+    for other in (want, Fraction(1, 2), Fraction(2 ** 65, 3), 0, 1, 2 ** 65):
+        assert (got == other, other == got, got < other, other < got) == (
+            want == other, other == want, want < other, other < want)
+
+
+def probability_results(m, a, b, c, d):
+    """Every public probability result for the operands (a|b), (c|d),
+    the partition {b, d & ~b} and the events themselves; ZeroCondition
+    answers are left out."""
+    x, y = cnd.make(a, b), cnd.make(c, d)
+    calls = [
+        (prob.p_event, m, a), (prob.p_cond, m, x), (prob.p_cond, m, y),
+        (prob.p_or_formula, m, x, y),
+        (prob.p_superposition, m, x, y, "or"), (prob.p_superposition, m, x, y, "and"),
+        (prob.partition_expansion, m, a, [b, d & ~b]),
+    ]
+    found = [outcome(fn, *args) for fn, *args in calls]
+    found += [m.weight(e) for e in (a, b, c, d)]
+    found += [m.weight_bits(m.space.full_bits), m.total, *m.weights]
+    return [value for value in found if value is not None]
+
+
+def assert_lowest_terms(values):
+    for value in values:
+        assert type(value) is Fraction
+        assert value.denominator > 0
+        assert gcd(value.numerator, value.denominator) == 1
+
+
+def test_die_results_are_fractions_in_lowest_terms(die):
+    ev = die.events
+    halves = prob.Measure(die.space, [Fraction(1, 2), 1, Fraction(3, 2), 2, 0, 3])
+    names = ("two", "even", "odd", "lt4", "lt5", "five")
+    for m in (die.measures["uniform"], halves):
+        for a, b, c, d in product(names, repeat=4):
+            assert_lowest_terms(probability_results(m, ev[a], ev[b], ev[c], ev[d]))
+    assert prob.p_cond(die.measures["uniform"], cnd.make(ev["even"], ev["lt5"])).denominator == 2
+
+
+@given(measure_and_events(4))
+def test_results_are_fractions_in_lowest_terms(case):
+    m, events4 = case
+    assert_lowest_terms(probability_results(m, *events4))
+
+
+@pytest.mark.parametrize("law, instances", [("superposition", 5561), ("t2.13", 13120)])
+def test_the_grid_laws_build_no_fraction_through_the_constructor(monkeypatch, law, instances):
+    """The grid laws' per-instance path builds its Fractions by _quotient:
+    Fraction.__new__ is never called, not even once per measure."""
+    calls = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    report = lawcheck.check(law, 3, 1)
+    assert (report.passed, report.instances_checked) == (True, instances)
+    assert calls == []
+    assert Fraction(6, 4) == Fraction(3, 2) and len(calls) == 2
